@@ -16,7 +16,6 @@ from .coloring import (
     color_in_kh,
     color_vertex,
     color_vertex_ck,
-    color_vertex_unchecked,
     even_class_subgraph,
     find_even_cycle,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "color_in_kh",
     "color_vertex",
     "color_vertex_ck",
-    "color_vertex_unchecked",
     "component_of",
     "delta3",
     "delta_k",

@@ -116,6 +116,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # color
 
 
+def _is_color(x) -> bool:
+    """A JSON integer; ``true``/``false`` parse to bool, which is an int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _read_assignments(path: str | None) -> list[tuple[int, ...]]:
     """Accept one JSON array, an array of arrays, or JSON lines."""
     if path is None or path == "-":
@@ -130,9 +135,7 @@ def _read_assignments(path: str | None) -> list[tuple[int, ...]]:
         payload = json.loads(text)
     except json.JSONDecodeError:
         payload = None
-    if isinstance(payload, list) and payload and all(
-        isinstance(x, int) for x in payload
-    ):
+    if isinstance(payload, list) and payload and all(_is_color(x) for x in payload):
         rows = [payload]
     elif isinstance(payload, list) and payload and all(
         isinstance(x, list) for x in payload
@@ -147,7 +150,7 @@ def _read_assignments(path: str | None) -> list[tuple[int, ...]]:
         )
     out = []
     for row in rows:
-        if not isinstance(row, list) or not all(isinstance(x, int) for x in row):
+        if not isinstance(row, list) or not all(_is_color(x) for x in row):
             raise ValueError(f"assignment rows must be integer arrays, got {row!r}")
         out.append(tuple(row))
     return out

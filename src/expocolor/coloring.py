@@ -37,15 +37,7 @@ from .errors import (
 )
 from .expo import ExpoGraph, build_exponential, is_isolated, restrict
 from .graphs import CycleWitness, Graph, bipartition, make_cycle, odd_cycle_in, odd_cycles
-from .winding import (
-    Half,
-    OddCycleCtx,
-    fixed_points,
-    in_even_class,
-    label,
-    little_path,
-    np_tour3,
-)
+from .winding import Half, OddCycleCtx, in_even_class, np_tour
 
 
 class Branch(Enum):
@@ -107,60 +99,50 @@ def _branch_verdict(fa: int, fb: int, ell2: int, p2: int) -> ColorVerdict:
     )
 
 
-def color_vertex(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:
-    """Color one even-class three-color assignment in O(n).
-
-    ``f`` is a sequence or 1-d array of any integer dtype.  Checks shape,
-    dtype, the color range (on the values as given, before the kernel
-    casts them to int8) and membership (even fixed-point count) on every
-    call; use :func:`color_vertex_unchecked` to skip validation in hot
-    loops.
-    """
-    if ctx.k != 3:
-        raise ValueError(f"three-color routine got k={ctx.k}; use color_vertex_ck")
+def _color_checked(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:
     arr = np.asarray(f)
     if arr.ndim != 1 or arr.shape[0] != ctx.length:
         raise ValueError(f"assignment must have {ctx.length} entries")
     if arr.dtype.kind not in "iu":
         raise ValueError(f"colors must be integers, got dtype {arr.dtype}")
-    if arr.item(arr.argmin()) < 1 or arr.item(arr.argmax()) > 3:
-        raise ValueError("colors must be in 1..3")
-    ell, p, fp_count = np_tour3(arr, ctx)
+    if arr.item(arr.argmin()) < 1 or arr.item(arr.argmax()) > ctx.k:
+        raise ValueError(f"colors must be in 1..{ctx.k}")
+    ell2, p2, fp_count, isolated = np_tour(arr, ctx)
+    if isolated:
+        raise IsolatedFunctionError(
+            f"assignment is isolated: a chord arc steps outside "
+            f"{{0, 2, {ctx.k - 2}}} mod {ctx.k}"
+        )
     if fp_count % 2 != 0:
         raise ParityDomainError(
             f"assignment has {fp_count} fixed points (odd); "
             "only the even class is colorable this way"
         )
-    return _branch_verdict(arr.item(ctx.a), arr.item(ctx.b), 2 * ell, 2 * p)
+    return _branch_verdict(arr.item(ctx.a), arr.item(ctx.b), ell2, p2)
 
 
-def color_vertex_unchecked(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:
-    """color_vertex minus the domain checks: trusts an even-class input."""
+def color_vertex(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:
+    """Color one even-class three-color assignment in O(n).
+
+    ``f`` is a sequence or 1-d array of any integer dtype.  Checks shape,
+    dtype, the color range (on the values as given, before the kernel
+    casts them) and membership (even fixed-point count) on every call.
+    """
     if ctx.k != 3:
         raise ValueError(f"three-color routine got k={ctx.k}; use color_vertex_ck")
-    arr = np.asarray(f)
-    ell, p, _ = np_tour3(arr, ctx)
-    return _branch_verdict(arr.item(ctx.a), arr.item(ctx.b), 2 * ell, 2 * p)
+    return _color_checked(f, ctx)
 
 
 def color_vertex_ck(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:
     """Color one even-class assignment into the cycle C_k, odd k >= 5.
 
-    Same decision rule as :func:`color_vertex` in exact Half
-    arithmetic; isolated assignments (an impossible chord step) are
-    rejected before the parity check.
+    Same checks, kernel and decision rule as :func:`color_vertex`;
+    isolated assignments (an impossible chord step) are rejected before
+    the parity check.
     """
     if ctx.k < 5:
         raise ValueError(f"cycle-codomain routine got k={ctx.k}; use color_vertex")
-    ell = label(f, ctx)  # raises IsolatedFunctionError on impossible steps
-    p = little_path(f, ctx)
-    fp_count = len(fixed_points(f, ctx.n))
-    if fp_count % 2 != 0:
-        raise ParityDomainError(
-            f"assignment has {fp_count} fixed points (odd); "
-            "only the even class is colorable this way"
-        )
-    return _branch_verdict(f[ctx.a], f[ctx.b], ell.doubled, p.doubled)
+    return _color_checked(f, ctx)
 
 
 def even_class_subgraph(n: int, cap: int = 10**6) -> ExpoGraph:

@@ -12,6 +12,7 @@ JSON objects (0-based ids), and export to DOT for visual inspection.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -190,26 +191,44 @@ def is_proper_coloring(g: Graph, coloring: Mapping[int, int] | Sequence[int], k:
     return all(colors[u] != colors[v] for u, v in g.edges())
 
 
+def _bfs_two_coloring(g: Graph):
+    """BFS two-coloring of ``g``: ``(side, parent, depth, conflict)``.
+
+    Roots are taken in id order, so the lowest-id vertex of each
+    component gets side 0.  Stops at the first edge found with both ends
+    on one side and returns it as ``conflict`` (the vertex being scanned,
+    then its neighbor); ``conflict`` is None when ``g`` is bipartite.
+    """
+    side = [-1] * g.vertex_count
+    parent = [-1] * g.vertex_count
+    depth = [0] * g.vertex_count
+    for root in range(g.vertex_count):
+        if side[root] != -1:
+            continue
+        side[root] = 0
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for u in g.neighbors[v]:
+                if side[u] == -1:
+                    side[u] = 1 - side[v]
+                    parent[u] = v
+                    depth[u] = depth[v] + 1
+                    queue.append(u)
+                elif side[u] == side[v]:
+                    return side, parent, depth, (v, u)
+    return side, parent, depth, None
+
+
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
     """Two-color ``g`` by BFS, or None if it is not bipartite.
 
     Deterministic: within each connected component the lowest-id vertex
     lands in side A, so isolated vertices all land in A.
     """
-    side = [-1] * g.vertex_count
-    for root in range(g.vertex_count):
-        if side[root] != -1:
-            continue
-        side[root] = 0
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for u in g.neighbors[v]:
-                if side[u] == -1:
-                    side[u] = 1 - side[v]
-                    queue.append(u)
-                elif side[u] == side[v]:
-                    return None
+    side, _, _, conflict = _bfs_two_coloring(g)
+    if conflict is not None:
+        return None
     a = frozenset(v for v in range(g.vertex_count) if side[v] == 0)
     b = frozenset(v for v in range(g.vertex_count) if side[v] == 1)
     return a, b
@@ -221,40 +240,24 @@ def odd_cycle_in(g: Graph) -> CycleWitness | None:
     BFS two-coloring; on the first same-side edge, the two tree paths to
     the lowest common ancestor close an odd simple cycle.
     """
-    side = [-1] * g.vertex_count
-    parent = [-1] * g.vertex_count
-    depth = [0] * g.vertex_count
-    for root in range(g.vertex_count):
-        if side[root] != -1:
-            continue
-        side[root] = 0
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for u in g.neighbors[v]:
-                if side[u] == -1:
-                    side[u] = 1 - side[v]
-                    parent[u] = v
-                    depth[u] = depth[v] + 1
-                    queue.append(u)
-                elif side[u] == side[v]:
-                    pu, pv = u, v
-                    left: list[int] = []
-                    right: list[int] = []
-                    while depth[pu] > depth[pv]:
-                        left.append(pu)
-                        pu = parent[pu]
-                    while depth[pv] > depth[pu]:
-                        right.append(pv)
-                        pv = parent[pv]
-                    while pu != pv:
-                        left.append(pu)
-                        right.append(pv)
-                        pu = parent[pu]
-                        pv = parent[pv]
-                    cycle = left + [pu] + right[::-1]
-                    return CycleWitness.canonical(cycle)
-    return None
+    _, parent, depth, conflict = _bfs_two_coloring(g)
+    if conflict is None:
+        return None
+    pv, pu = conflict
+    left: list[int] = []
+    right: list[int] = []
+    while depth[pu] > depth[pv]:
+        left.append(pu)
+        pu = parent[pu]
+    while depth[pv] > depth[pu]:
+        right.append(pv)
+        pv = parent[pv]
+    while pu != pv:
+        left.append(pu)
+        right.append(pv)
+        pu = parent[pu]
+        pv = parent[pv]
+    return CycleWitness.canonical(left + [pu] + right[::-1])
 
 
 def odd_cycles(g: Graph, max_len: int) -> Iterator[CycleWitness]:

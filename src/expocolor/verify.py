@@ -6,11 +6,14 @@ checks one family of facts the fast algorithms rely on, and returns a
 on success.  Counts of checked objects are part of the report so tests
 can compare them against closed-form enumeration sizes.
 
-The verifiers re-derive all arc values through the live module
-attributes of :mod:`.winding` (tables are rebuilt per call) and color
-through :mod:`.coloring`'s public entry points, so corrupting a Δ table
-or the side comparison in a test measurably breaks the reports —
-mutation-style self-tests assert exactly that.
+The arithmetic verifiers take labels, little paths, fixed-point counts
+and isolation from :func:`.winding.np_tour`, the kernel that colors,
+in one call over the whole assignment space; only arcs *between* two
+assignments are valued from a pairwise Δ table.  Both are reached
+through live :mod:`.winding` attributes and rebuilt per call, and
+coloring goes through :mod:`.coloring`'s public entry points, so
+corrupting Δ, the kernel or the side comparison in a test measurably
+breaks the reports — mutation-style self-tests assert exactly that.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .expo import (
     ExpoGraph,
     allowed_colors,
     classify_component,
+    component_of,
     is_isolated,
     neighbors,
     restrict,
@@ -47,7 +51,7 @@ from .graphs import (
     make_cycle,
     odd_cycles,
 )
-from .winding import OddCycleCtx, in_even_class
+from .winding import Half, OddCycleCtx, in_even_class
 
 DEFAULT_CAP = 10**6
 _KEEP_VIOLATIONS = 50
@@ -100,52 +104,56 @@ class _Tally:
         return self.items
 
 
-def _delta3_table() -> np.ndarray:
-    """4x4 table of delta3 over colors 1..3 (row/col 0 unused).
+def _arc_table(k: int) -> np.ndarray:
+    """(k+1)x(k+1) table of doubled Δ over colors 1..k; FAR cells are 0.
 
-    Rebuilt from the live function on every call, so monkeypatched
-    tables flow into every vectorized sweep.
-    """
-    tab = np.zeros((4, 4), dtype=np.int64)
-    for i in range(1, 4):
-        for j in range(1, 4):
-            tab[i, j] = winding.delta3(i, j)
-    return tab
-
-
-def _delta_k_table(k: int) -> np.ndarray:
-    """(k+1)x(k+1) table of doubled delta_k values; impossible steps are 0.
-
-    Callers must only gather cells they know are not FAR (chord arcs of
-    non-isolated assignments, arcs between adjacent assignments).
+    Values arcs *between* two assignments, which the chord-tour kernel
+    never sees.  Rebuilt from the live :func:`winding.arc_value` on every
+    call, so monkeypatched Δ flows into every sweep.  Callers must only
+    gather cells they know are not FAR (arcs between adjacent
+    assignments).
     """
     tab = np.zeros((k + 1, k + 1), dtype=np.int64)
     for i in range(1, k + 1):
         for j in range(1, k + 1):
-            d = winding.delta_k(i, j, k)
+            d = winding.arc_value(i, j, k)
             if d is not winding.FAR:
                 tab[i, j] = d.doubled
     return tab
 
 
 def _assignments_array(length: int, k: int) -> np.ndarray:
-    rows = list(itertools.product(range(1, k + 1), repeat=length))
-    return np.array(rows, dtype=np.int8)
+    """Every assignment in lexicographic order: row i is i written in base k."""
+    return np.indices((k,) * length, dtype=np.int8).reshape(length, -1).T + 1
 
 
-def _arc_indices(arcs) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.array([u for u, _ in arcs])
-    zs = np.array([v for _, v in arcs])
-    return xs, zs
+def _row_index(fs: np.ndarray, k: int) -> np.ndarray:
+    """Row of each assignment in :func:`_assignments_array`."""
+    length = fs.shape[-1]
+    powers = k ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    return (fs.astype(np.int64) - 1) @ powers
 
 
-def _check_cap(length: int, k: int, cap: int) -> int:
+def _check_cap(length: int, k: int, cap: int) -> None:
     total = k**length
     if total > cap:
         raise CapacityError(
             f"sweep needs {total} assignments, cap is {cap}", required=total, cap=cap
         )
-    return total
+
+
+def _sweep_tour(n: int, k: int, cap: int):
+    """np_tour over every assignment of C_{2n+1} into k colors, in one call.
+
+    Returns ``(ctx, rows, (ell2, p2, fixed, isolated))`` with ``rows``
+    from :func:`_assignments_array`; look an assignment up by
+    :func:`_row_index`.  The kernel is read through the live
+    :mod:`.winding` attribute, so the sweeps check the code that colors.
+    """
+    ctx = OddCycleCtx.make(n, k)
+    _check_cap(ctx.length, k, cap)
+    rows = _assignments_array(ctx.length, k)
+    return ctx, rows, winding.np_tour(rows, ctx)
 
 
 def verify_label_congruences(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
@@ -157,27 +165,20 @@ def verify_label_congruences(n: int, cap: int = DEFAULT_CAP) -> VerificationRepo
     class).
     """
     t0 = time.perf_counter()
-    ctx = OddCycleCtx.make(n, 3)
-    total = _check_cap(ctx.length, 3, cap)
-    fs = _assignments_array(ctx.length, 3)
-    tab = _delta3_table()
-    xs_c, zs_c = _arc_indices(ctx.chord_order)
-    xs_p, zs_p = _arc_indices(ctx.path_arcs)
-
-    labels = tab[fs[:, xs_c], fs[:, zs_c]].sum(axis=1)
-    paths = tab[fs[:, xs_p], fs[:, zs_p]].sum(axis=1)
-    fp_counts = (fs[:, xs_c] != fs[:, zs_c]).sum(axis=1)
+    ctx, fs, (ell2, p2, fp_counts, _) = _sweep_tour(n, 3, cap)
+    total = len(fs)
     distinct_ends = fs[:, ctx.a] != fs[:, ctx.b]
 
+    # In doubled values: 3 | l iff 6 | 2l, and l is even iff 4 | 2l.
     viol = _Tally()
-    for i in np.nonzero(labels % 3 != 0)[0]:
-        viol.add(f"label {labels[i]} not divisible by 3 for f={tuple(fs[i])}")
-    for i in np.nonzero(distinct_ends & (paths % 3 == 0))[0]:
-        viol.add(f"little path {paths[i]} divisible by 3 for f={tuple(fs[i])}")
-    for i in np.nonzero(labels % 2 != fp_counts % 2)[0]:
+    for i in np.nonzero(ell2 % 6 != 0)[0]:
+        viol.add(f"label {Half(int(ell2[i]))} not divisible by 3 for f={tuple(fs[i])}")
+    for i in np.nonzero(distinct_ends & (p2 % 6 == 0))[0]:
+        viol.add(f"little path {Half(int(p2[i]))} divisible by 3 for f={tuple(fs[i])}")
+    for i in np.nonzero(ell2 % 4 != 2 * (fp_counts % 2))[0]:
         viol.add(
-            f"label parity {labels[i] % 2} != fixed-point parity "
-            f"{fp_counts[i] % 2} for f={tuple(fs[i])}"
+            f"label {Half(int(ell2[i]))} and fixed-point count "
+            f"{fp_counts[i]} differ in parity for f={tuple(fs[i])}"
         )
 
     details = {
@@ -220,7 +221,7 @@ def verify_chord_step_identity(n: int, cap: int = DEFAULT_CAP) -> VerificationRe
     """
     t0 = time.perf_counter()
     length = 2 * n + 1
-    tab = _delta3_table()
+    tab = _arc_table(3)
     viol = _Tally()
     pairs = 0
     for f, gs in _adjacent_pair_sweep(n, 3, cap):
@@ -233,7 +234,7 @@ def verify_chord_step_identity(n: int, cap: int = DEFAULT_CAP) -> VerificationRe
             for row in np.nonzero(residual != 0)[0]:
                 viol.add(
                     f"arc ({x},{z}) of f={tuple(f)} breaks the identity "
-                    f"against g={tuple(gs[row])} (residual {residual[row]})"
+                    f"against g={tuple(gs[row])} (residual {Half(int(residual[row]))})"
                 )
     details: dict = {}
     return VerificationReport(
@@ -269,35 +270,33 @@ def verify_label_invariance(n: int, k: int, cap: int = DEFAULT_CAP) -> Verificat
     assignments are integers divisible by k.
     """
     t0 = time.perf_counter()
-    ctx = OddCycleCtx.make(n, k)
-    length = ctx.length
-    tab = _delta3_table() if k == 3 else _delta_k_table(k)
-    xs_c, zs_c = _arc_indices(ctx.chord_order)
+    ctx, _, (ell2, _, _, _) = _sweep_tour(n, k, cap)
+    tab = _arc_table(k)
     viol = _Tally()
     pairs = 0
     for f, gs in _adjacent_pair_sweep(n, k, cap):
         pairs += gs.shape[0]
-        lab_f = int(tab[f[xs_c], f[zs_c]].sum())
-        lab_gs = tab[gs[:, xs_c], gs[:, zs_c]].sum(axis=1)
-        inter = _interleaved_value(f, gs, tab, length)
+        lab_f = int(ell2[_row_index(f, k)])
+        lab_gs = ell2[_row_index(gs, k)]
+        inter = _interleaved_value(f, gs, tab, ctx.length)
         for row in np.nonzero(lab_gs != lab_f)[0]:
             viol.add(
-                f"labels differ: {lab_f} for f={tuple(f)} vs "
-                f"{lab_gs[row]} for g={tuple(gs[row])}"
+                f"labels differ: {Half(lab_f)} for f={tuple(f)} vs "
+                f"{Half(int(lab_gs[row]))} for g={tuple(gs[row])}"
             )
+        # all values doubled
         if k == 3:
             bad = np.nonzero(2 * lab_f != -inter)[0]
         else:
             bad = np.nonzero(lab_f != inter)[0]
         for row in bad:
             viol.add(
-                f"interleaved tour value {inter[row]} does not determine "
-                f"label {lab_f} for f={tuple(f)}, g={tuple(gs[row])}"
+                f"interleaved tour value {Half(int(inter[row]))} does not determine "
+                f"label {Half(lab_f)} for f={tuple(f)}, g={tuple(gs[row])}"
             )
         if k >= 5:
-            # doubled representation: integrality and divisibility by k
             if lab_f % 2 != 0 or (lab_f // 2) % k != 0:
-                viol.add(f"label {lab_f}/2 of non-isolated f={tuple(f)} not in k*Z")
+                viol.add(f"label {Half(lab_f)} of non-isolated f={tuple(f)} not in k*Z")
     details: dict = {}
     return VerificationReport(
         statement="label invariance",
@@ -314,20 +313,15 @@ def verify_little_path_bound(n: int, k: int, cap: int = DEFAULT_CAP) -> Verifica
     label; the report records the distribution over {-1, 0, +1}.
     """
     t0 = time.perf_counter()
-    ctx = OddCycleCtx.make(n, k)
-    tab = _delta3_table() if k == 3 else _delta_k_table(k)
-    factor = 2 if k == 3 else 1  # brings table sums to doubled values
-    xs_c, zs_c = _arc_indices(ctx.chord_order)
-    xs_p, zs_p = _arc_indices(ctx.path_arcs)
+    _, _, (ell2, p2, _, _) = _sweep_tour(n, k, cap)
     viol = _Tally()
     pairs = 0
     hist = {-1: 0, 0: 0, 1: 0}
     for f, gs in _adjacent_pair_sweep(n, k, cap):
         pairs += gs.shape[0]
-        lab2 = factor * int(tab[f[xs_c], f[zs_c]].sum())
-        lab2_gs = factor * tab[gs[:, xs_c], gs[:, zs_c]].sum(axis=1)
-        pf2 = factor * int(tab[f[xs_p], f[zs_p]].sum())
-        pg2 = factor * tab[gs[:, xs_p], gs[:, zs_p]].sum(axis=1)
+        i, js = _row_index(f, k), _row_index(gs, k)
+        lab2, lab2_gs = int(ell2[i]), ell2[js]
+        pf2, pg2 = int(p2[i]), p2[js]
         for row in np.nonzero(lab2_gs != lab2)[0]:
             viol.add(
                 f"labels differ under f={tuple(f)}, g={tuple(gs[row])}; "
@@ -435,14 +429,11 @@ def verify_proper_ck(n: int, k: int, cap: int = DEFAULT_CAP) -> VerificationRepo
     the ``k``-cycle.
     """
     t0 = time.perf_counter()
-    ctx = OddCycleCtx.make(n, k)
-    length = ctx.length
-    total = _check_cap(length, k, cap)
-    host = make_cycle(length)
+    ctx, rows, (_, _, fixed, residue_isolated) = _sweep_tour(n, k, cap)
+    total = len(rows)
+    host = make_cycle(ctx.length)
     edges = host.edges()
-    rows = _assignments_array(length, k)
-    xs_c, zs_c = _arc_indices(ctx.chord_order)
-    even_mask = ((rows[:, xs_c] != rows[:, zs_c]).sum(axis=1) % 2) == 0
+    even_mask = fixed % 2 == 0
     compat = np.zeros((k + 1, k + 1), dtype=bool)
     for x in range(1, k + 1):
         compat[x, (x % k) + 1] = True
@@ -459,11 +450,7 @@ def verify_proper_ck(n: int, k: int, cap: int = DEFAULT_CAP) -> VerificationRepo
             mask &= compat[f_arr[v], rows[:, u]]
         brute_iso = not mask.any()
         fast_iso = is_isolated(host, f, k, cycle_target=True)
-        try:
-            winding.label(f, ctx)
-            residue_iso = False
-        except IsolatedFunctionError:
-            residue_iso = True
+        residue_iso = bool(residue_isolated[i])
         if brute_iso != fast_iso or brute_iso != residue_iso:
             viol.add(
                 f"isolation tests disagree for f={f}: brute={brute_iso}, "
@@ -672,21 +659,6 @@ def verify_baseline(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     )
 
 
-def _component_members(host: Graph, start: tuple) -> list[tuple]:
-    """All assignments reachable from ``start`` by adjacency, sorted."""
-    members = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for g in neighbors(host, cur, 3):
-                if g not in members:
-                    members.add(g)
-                    nxt.append(g)
-        frontier = nxt
-    return sorted(members)
-
-
 def _component_expo(host: Graph, members: list[tuple]) -> ExpoGraph:
     index = {m: i for i, m in enumerate(members)}
     adjacency: list[tuple[int, ...]] = []
@@ -760,7 +732,7 @@ def verify_end_to_end(
                 seen.add(f)
                 isolated += 1
                 continue
-            members = _component_members(host, f)
+            members = sorted(component_of(host, f, 3, cap=cap))
             seen.update(members)
             for m in members:
                 try:

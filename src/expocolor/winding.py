@@ -12,12 +12,16 @@ Index convention: cycle vertices are 0-based ids ``0..2n``; writing
 has id ``i-1``.  The shift is confined to this docstring — every public
 API here speaks ids.
 
-Two Δ tables exist.  For 3 colors, arcs take values in {-1, 0, +1}
-(``delta3``).  For a cycle codomain C_k with odd k >= 5, arcs take
-values in {0, ±1/2, ±1} by the color step mod k (``delta_k``), with a
-distinguished FAR marker for steps no arc of an adjacent pair can take.
-Values are kept exact with :class:`Half` (a doubled integer); floats
-never appear.
+Δ is defined once, by the color step mod k, and :func:`arc_value`
+dispatches on the codomain.  For 3 colors, arcs take values in
+{-1, 0, +1} (``delta3``).  For a cycle codomain C_k with odd k >= 5,
+arcs take values in {0, ±1/2, ±1} (``delta_k``), with a distinguished
+FAR marker for steps no arc of an adjacent pair can take.  Values are
+kept exact with :class:`Half` (a doubled integer); floats never appear.
+The scalar :func:`label` and :func:`little_path` walk the tour arc by
+arc and are the reference; :func:`np_tour` is the one vectorized
+kernel, for every codomain, and reads its arc values from
+:func:`arc_value`.
 
 For cycle codomains, a chord arc whose color step falls outside
 {0, 2, k-2} mod k means the assignment has no neighbors at all, so
@@ -185,18 +189,19 @@ def orient_edge(edge: Iterable[int], n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class OddCycleCtx:
-    """Everything fixed before coloring: cycle size, codomain, edge, tour.
+    """Everything fixed before coloring: cycle size, codomain and edge.
 
     ``a``/``b`` are the distinguished edge oriented per
-    :func:`orient_edge`; ``chord_order`` is the full arc tour.  Built
-    via :meth:`make`; direct construction validates consistency.
+    :func:`orient_edge`.  Built in O(1) via :meth:`make`; direct
+    construction validates consistency.  What the kernel needs per
+    context (:attr:`step_bins`, :attr:`bin_fold`) is derived on first
+    use.
     """
 
     n: int
     k: int
     a: int
     b: int
-    chord_order: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if self.n < 1:
@@ -205,14 +210,12 @@ class OddCycleCtx:
             raise ParityDomainError(f"codomain size must be odd and >= 3, got {self.k}")
         if orient_edge((self.a, self.b), self.n) != (self.a, self.b):
             raise ValueError(f"(a,b)=({self.a},{self.b}) is not n-arc oriented")
-        if self.chord_order != chord_order(self.n):
-            raise ValueError("chord_order does not match the canonical tour")
 
     @classmethod
     def make(cls, n: int, k: int, edge: Iterable[int] | None = None) -> "OddCycleCtx":
         """Context for C_{2n+1} into k colors; edge defaults to {0, 2n}."""
         a, b = orient_edge(edge if edge is not None else (0, 2 * n), n)
-        return cls(n=n, k=k, a=a, b=b, chord_order=chord_order(n))
+        return cls(n=n, k=k, a=a, b=b)
 
     @property
     def length(self) -> int:
@@ -222,18 +225,46 @@ class OddCycleCtx:
     def step_bins(self) -> np.ndarray:
         """Histogram bin offset of each chord arc, by the id it leaves.
 
-        2 off the little path and 7 on it, so an arc with step d lands in
-        bin d + offset (see :func:`np_tour3`).  The path's arcs leave ids
-        a, a+2, ..., a+2(n-1) mod 2n+1: one stride-2 slice, or two when
-        the path passes id 2n.
+        k-1 off the little path and 3k-2 on it, so an arc with step d
+        lands in bin d + offset (see :func:`np_tour`).  The dtype is the
+        narrowest signed one holding every bin, and the kernel casts
+        assignments to it.  The path's arcs leave ids a, a+2, ...,
+        a+2(n-1) mod 2n+1: one stride-2 slice, or two when the path
+        passes id 2n.
         """
-        bins = np.full(self.length, 2, dtype=np.int8)
+        off, on = self.k - 1, 3 * self.k - 2
+        bins = np.full(self.length, off, dtype=np.min_scalar_type(-4 * self.k))
         end = self.a + 2 * self.n
-        bins[self.a : end : 2] = 7
+        bins[self.a : end : 2] = on
         if end > self.length:
-            bins[(self.a + 1) % 2 : end - self.length : 2] = 7
+            bins[(self.a + 1) % 2 : end - self.length : 2] = on
         bins.setflags(write=False)
         return bins
+
+    @cached_property
+    def bin_fold(self) -> np.ndarray:
+        """Weights that fold the step histogram into (2l, 2p, flat, bad).
+
+        One row per bin (off the path, then on it; steps -(k-1)..k-1),
+        valued by :func:`arc_value` on the step's residue: doubled Δ
+        into the label on both regions and into the little path on the
+        path; 1 into ``flat`` for a zero step; 1 into ``bad`` for a step
+        no chord arc of a non-isolated assignment takes (FAR or a half).
+        """
+        k = self.k
+        steps = range(1 - k, k)
+        fold = np.zeros((2, len(steps), 4), dtype=np.int64)
+        for s, d in enumerate(steps):
+            value = arc_value(1, 1 + d % k, k)
+            if value is FAR or value.doubled % 2:
+                fold[:, s, 3] = 1
+            else:
+                fold[:, s, 0] = value.doubled
+                fold[1, s, 1] = value.doubled
+        fold[:, k - 1, 2] = 1
+        fold = fold.reshape(-1, 4)
+        fold.setflags(write=False)
+        return fold
 
     @property
     def path_arcs(self) -> tuple[tuple[int, int], ...]:
@@ -292,7 +323,7 @@ def label(f: Sequence[int], ctx: OddCycleCtx) -> Half:
     """ℓ_f: total arc value of f around the chord cycle."""
     _check_assignment(f, ctx.n)
     _check_colors(f, ctx.k)
-    return _tour_value(f, ctx.chord_order, ctx)
+    return _tour_value(f, chord_order(ctx.n), ctx)
 
 
 def little_path(f: Sequence[int], ctx: OddCycleCtx) -> Half:
@@ -305,93 +336,48 @@ def little_path(f: Sequence[int], ctx: OddCycleCtx) -> Half:
     _check_assignment(f, ctx.n)
     _check_colors(f, ctx.k)
     if ctx.k != 3:
-        _tour_value(f, ctx.chord_order, ctx)  # isolation screen only
+        _tour_value(f, chord_order(ctx.n), ctx)  # isolation screen only
     return _tour_value(f, ctx.path_arcs, ctx)
 
 
-# -- the vectorized three-color kernel ---------------------------------------
+# -- the vectorized kernel ----------------------------------------------------
 #
-# The scalar functions above are the reference; ``np_tour3`` is their numpy
-# form, serving the exhaustive sweeps and the O(n) coloring hot path alike.
-# Colors 1..3 only, unchecked here.  It works on one assignment (1-d) or a
-# stack of them, and the other ``np_*`` functions are views of it.
-#
-# With colors in 1..3 the chord arc leaving id i has color step
-# d = f(i+2) - f(i) in -2..2, and arc value d + 3*[d = -2] - 3*[d = +2].
-# The steps telescope: they sum to 0 around the closed tour and to
-# f(b) - f(a) along the a-to-b path, so
-#
-#     l = 3 * (#{d = -2} - #{d = +2})                over the tour,
-#     p = f(b) - f(a) + 3 * (#{d = -2} - #{d = +2})  over the path,
-#
-# and the fixed points are the arcs with d != 0.  One histogram of the
-# steps, split by whether the arc is on the path, gives all three.  The
-# steps are taken after one cast to signed int8, so unsigned input cannot
+# The scalar functions above are the reference; ``np_tour`` is their numpy
+# form for every odd k >= 3, serving the exhaustive sweeps and the O(n)
+# coloring hot path alike.  Δ depends on the colors of an arc only through
+# the step d = f(i+2) - f(i) mod k, so one histogram of the steps (d in
+# -(k-1)..k-1), split by whether the arc is on the little path, is all the
+# kernel counts; ``OddCycleCtx.bin_fold`` turns the counts into the label,
+# the little path, the fixed points (arcs with d != 0) and isolation.  The
+# steps are taken after one cast to a signed dtype, so unsigned input cannot
 # wrap.
 
-_STEP_BINS = 5  # d + 2 for d in -2..2
 
+def np_tour(fs: np.ndarray, ctx: OddCycleCtx) -> tuple:
+    """Label, little path, fixed points and isolation of assignments.
 
-def _step_histogram(fs: np.ndarray, bins: np.ndarray | int) -> np.ndarray:
-    """Chord steps of fs counted by bin: shape fs.shape[:-1] + (2, 5).
-
-    The arc leaving id i lands in bin ``d + bins[i]``, where ``bins``
-    (an int, or one entry per id) is 2 off the little path and 7 on it;
-    so entry [..., r, d + 2] counts the arcs in region r (1: the path)
-    with step d.
-    """
-    length = fs.shape[-1]
-    x = fs if fs.ndim == 1 else fs.reshape(-1, length).T  # ids first
-    f8 = np.concatenate((x, x[:2]), dtype=np.int8, casting="unsafe")
-    codes = f8[2:] - f8[:-2]
-    if fs.ndim == 1:
-        codes += bins
-        hist = np.bincount(codes, minlength=2 * _STEP_BINS)
-    else:
-        # Column j of the stack gets bins 10j..10j+9.
-        codes = (codes + np.reshape(bins, (-1, 1))).astype(np.intp)
-        codes += 2 * _STEP_BINS * np.arange(codes.shape[1])
-        hist = np.bincount(codes.ravel(), minlength=2 * _STEP_BINS * codes.shape[1])
-    return hist.reshape(fs.shape[:-1] + (2, _STEP_BINS))
-
-
-def np_tour3(fs: np.ndarray, ctx: OddCycleCtx | None = None) -> tuple:
-    """Label, little path and fixed-point count of three-color assignments.
-
-    The Δ3 kernel.  ``fs`` is (..., 2n+1) of any integer dtype, holding
-    colors in 1..3 (not checked).  Returns ``(l, p, fixed_points)``:
-    ints for 1-d input, int64 arrays of shape fs.shape[:-1] otherwise.
-    ``p`` is the little path along ctx's chord path, or None without a
-    ctx.
+    The Δ kernel.  ``fs`` is (..., 2n+1) of any integer dtype, holding
+    colors in 1..k (not checked).  Returns ``(ell2, p2, fixed,
+    isolated)``: the doubled label, the doubled little path along ctx's
+    chord path, the fixed-point count, and whether some chord arc takes
+    a step that no neighbor allows (see :func:`label`).  Python scalars
+    for 1-d input, arrays of shape fs.shape[:-1] otherwise.  ``ell2`` and
+    ``p2`` of an isolated assignment leave out the arcs that isolate it.
     """
     fs = np.asarray(fs)
-    hist = _step_histogram(fs, 2 if ctx is None else ctx.step_bins)
+    bins, fold = ctx.step_bins, ctx.bin_fold
+    length = fs.shape[-1]
+    x = fs if fs.ndim == 1 else fs.reshape(-1, length).T  # ids first
+    f = np.concatenate((x, x[:2]), dtype=bins.dtype, casting="unsafe")
+    codes = f[2:] - f[:-2]
     if fs.ndim == 1:
-        (down, _, flat, _, up), (down_p, _, flat_p, _, up_p) = hist.tolist()
-        ell = 3 * (down + down_p - up - up_p)
-        fixed = fs.shape[0] - flat - flat_p
-        if ctx is None:
-            return ell, None, fixed
-        return ell, fs.item(ctx.b) - fs.item(ctx.a) + 3 * (down_p - up_p), fixed
-    down, flat, up = hist[..., 0], hist[..., 2], hist[..., 4]
-    ell = 3 * (down.sum(axis=-1) - up.sum(axis=-1))
-    fixed = fs.shape[-1] - flat.sum(axis=-1)
-    if ctx is None:
-        return ell, None, fixed
-    rise = fs[..., ctx.b].astype(np.int64) - fs[..., ctx.a]
-    return ell, rise + 3 * (down[..., 1] - up[..., 1]), fixed
-
-
-def np_labels3(fs: np.ndarray) -> np.ndarray:
-    """Labels of three-color assignments; returns int64, shape fs.shape[:-1]."""
-    return np.asarray(np_tour3(fs)[0], dtype=np.int64)
-
-
-def np_little_paths3(fs: np.ndarray, ctx: OddCycleCtx) -> np.ndarray:
-    """Little-path values of three-color assignments along ctx's chord path."""
-    return np.asarray(np_tour3(fs, ctx)[1], dtype=np.int64)
-
-
-def np_fixed_point_counts(fs: np.ndarray) -> np.ndarray:
-    """Fixed-point counts: nonzero chord steps, shape fs.shape[:-1]."""
-    return np.asarray(np_tour3(fs)[2], dtype=np.int64)
+        codes += bins
+        ell2, p2, flat, bad = (np.bincount(codes, minlength=len(fold)) @ fold).tolist()
+        return ell2, p2, length - flat, bad > 0
+    # A stack: look each arc's bin up in the fold and sum along the tour,
+    # which equals histogram @ fold per row.  The fold's entries are in
+    # -2..2, and int8 keeps the (ids, rows, 4) lookup small.
+    codes += bins[:, None]
+    totals = fold.astype(np.int8)[codes].sum(axis=0, dtype=np.int64)
+    ell2, p2, flat, bad = totals.T.reshape((4,) + fs.shape[:-1])
+    return ell2, p2, length - flat, bad > 0

@@ -111,6 +111,17 @@ def test_color_usage_errors(capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "payload",
+    ["[true, 2, 1, 1, 1]", "[[1, 1, 1, 1, 1], [false, 1, 1, 1, 1]]", "[1, 1, 1, 1, true]\n"],
+)
+def test_color_rejects_json_booleans(payload, capsys, monkeypatch):
+    # json.loads gives bool for true/false, and bool is an int subclass.
+    assert run_cli(["color", "--n", "2"], payload, monkeypatch) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
 def test_color_explicit_edge(capsys, monkeypatch):
     # edge 2,3 orients to (3,2); (1,1,2,2,1) keeps endpoints 2,1 distinct
     code = run_cli(["color", "--len", "5", "--edge", "2,3"], "[1,1,2,2,1]", monkeypatch)

@@ -14,7 +14,6 @@ from expocolor.coloring import (
     color_in_kh,
     color_vertex,
     color_vertex_ck,
-    color_vertex_unchecked,
     even_class_subgraph,
     find_even_cycle,
 )
@@ -67,13 +66,6 @@ def test_color_vertex_validates_input():
         color_vertex(np.array([1.0, 1.0, 1.0, 1.0, 1.0]), CTX5)
     with pytest.raises(ValueError):
         color_vertex((1, 1, 1, 1, 1), OddCycleCtx.make(2, 5))
-
-
-def test_unchecked_agrees_on_valid_inputs():
-    for f in itertools.product((1, 2, 3), repeat=5):
-        if not in_even_class(f, 2):
-            continue
-        assert color_vertex_unchecked(f, CTX5) == color_vertex(f, CTX5)
 
 
 def test_color_vertex_proper_on_even_pairs_n1():
@@ -137,7 +129,9 @@ def test_color_vertex_range_check_sees_values_before_the_cast(row):
 
 
 def _scalar_verdict(f, ctx):
-    ell, p = label(f, ctx), little_path(f, ctx)
+    ell, p = label(f, ctx), little_path(f, ctx)  # raise if f is isolated
+    if not in_even_class(f, ctx.n):
+        raise ParityDomainError(f"{f} has odd parity")
     fa, fb = f[ctx.a], f[ctx.b]
     if fa == fb:
         return ColorVerdict(fa, Branch.EQUAL_ENDPOINTS, ell, p)
@@ -146,18 +140,39 @@ def _scalar_verdict(f, ctx):
     return ColorVerdict(fb, Branch.ABOVE_HALF, ell, p)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_color_vertex_matches_scalar_oracle_on_every_edge(n):
-    # The default edge (0, 2n) has a = 0, whose chord path never wraps past
-    # id 2n; the other edges start the path elsewhere, and most wrap.
-    length = 2 * n + 1
-    evens = [
-        f for f in itertools.product((1, 2, 3), repeat=length) if in_even_class(f, n)
+def _outcome(color, f, ctx):
+    try:
+        return color(f, ctx)
+    except (IsolatedFunctionError, ParityDomainError) as exc:
+        return type(exc)
+
+
+# Colors 128..131 do not fit in int8, and their steps to and from 1..3
+# (up to ±130) overflow it: a kernel that cast to int8 would mis-bin them.
+K131_COLORS = (1, 2, 3, 127, 128, 129, 130, 131)
+
+
+@pytest.mark.parametrize(
+    "n, k, colors",
+    [pytest.param(n, 3, (1, 2, 3), id=str(n)) for n in (1, 2, 3)]
+    + [
+        pytest.param(n, k, tuple(range(1, k + 1)), id=f"{n}-k{k}")
+        for k in (5, 7, 9)
+        for n in (1, 2)
     ]
+    + [pytest.param(1, 131, K131_COLORS, id="1-k131")],
+)
+def test_color_vertex_matches_scalar_oracle_on_every_edge(n, k, colors):
+    # The default edge (0, 2n) has a = 0, whose chord path never wraps past
+    # id 2n; the other edges start the path elsewhere, and most wrap.  Both
+    # must give the oracle's verdict or raise the same exception class.
+    color = color_vertex if k == 3 else color_vertex_ck
+    length = 2 * n + 1
+    rows = list(itertools.product(colors, repeat=length))
     for e in range(length):
-        ctx = OddCycleCtx.make(n, 3, (e, (e + 1) % length))
-        for f in evens:
-            assert color_vertex(f, ctx) == _scalar_verdict(f, ctx), (ctx.a, f)
+        ctx = OddCycleCtx.make(n, k, (e, (e + 1) % length))
+        for f in rows:
+            assert _outcome(color, f, ctx) == _outcome(_scalar_verdict, f, ctx), (ctx.a, f)
 
 
 def test_color_vertex_ck_example_and_errors():

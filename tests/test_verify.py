@@ -1,11 +1,11 @@
 """The verifiers themselves: green on healthy code, red under injected faults.
 
 The mutation tests patch live module attributes (the verifiers rebuild
-their tables from them on every call), corrupt one ingredient at a
-time, and assert the relevant reports stop being clean.  The side
-comparison is stuck at one branch rather than flipped: a pure flip
-merely swaps which endpoint color each side takes and still produces a
-proper coloring, so no behavioral oracle can see it.
+their tables from them, and look up the kernel, on every call), corrupt
+one ingredient at a time, and assert the relevant reports stop being
+clean.  The side comparison is stuck at one branch rather than flipped:
+a pure flip merely swaps which endpoint color each side takes and still
+produces a proper coloring, so no behavioral oracle can see it.
 """
 
 import pytest
@@ -95,6 +95,25 @@ def test_corrupt_delta_k_detected(monkeypatch):
     _corrupt_delta_k(monkeypatch)
     assert not verify.verify_label_invariance(1, 5).passed
     assert not verify.verify_little_path_bound(1, 5).passed
+    assert not verify.verify_proper_ck(1, 5).passed
+
+
+def _corrupt_kernel(monkeypatch):
+    real = winding.np_tour
+
+    def bad(fs, ctx):
+        ell2, p2, fixed, isolated = real(fs, ctx)
+        return ell2 + 2, p2, fixed, isolated & False  # one arc too many, no isolation
+
+    monkeypatch.setattr(winding, "np_tour", bad)
+
+
+def test_corrupt_kernel_detected_by_arithmetic_verifiers(monkeypatch):
+    # The scalar Δ stays intact: only the vectorized kernel is wrong.
+    _corrupt_kernel(monkeypatch)
+    assert not verify.verify_label_congruences(1).passed
+    assert not verify.verify_label_invariance(1, 3).passed
+    assert not verify.verify_little_path_bound(1, 3).passed
     assert not verify.verify_proper_ck(1, 5).passed
 
 

@@ -21,10 +21,7 @@ from expocolor.winding import (
     in_even_class,
     label,
     little_path,
-    np_fixed_point_counts,
-    np_labels3,
-    np_little_paths3,
-    np_tour3,
+    np_tour,
     orient_edge,
 )
 
@@ -162,7 +159,7 @@ def test_ctx_make_defaults_and_validation():
     with pytest.raises(ParityDomainError):
         OddCycleCtx.make(2, 4)
     with pytest.raises(ValueError):
-        OddCycleCtx(n=2, k=3, a=0, b=2, chord_order=chord_order(2))
+        OddCycleCtx(n=2, k=3, a=0, b=2)
 
 
 def test_fixed_points_frozen_examples():
@@ -227,28 +224,27 @@ def test_label_cycle_codomain_raises_on_isolated():
         little_path((1, 2, 4), ctx)
 
 
-def test_np_labels3_agrees_with_scalar():
+@pytest.mark.parametrize("k", [3, 5])
+def test_np_tour_agrees_with_scalar_on_every_edge(k):
+    # Every assignment at n = 2 as one uint8 stack and row by row: label,
+    # little path on every edge, fixed points, and isolation exactly where
+    # the scalar label raises.
     import numpy as np
 
-    ctx = OddCycleCtx.make(2, 3)
-    rows = list(itertools.product((1, 2, 3), repeat=5))
-    vec = np_labels3(np.array(rows))
-    for row, lab in zip(rows, vec):
-        assert label(row, ctx) == Half.from_int(int(lab))
-
-
-def test_np_little_paths3_and_fixed_points_agree_with_scalar_on_every_edge():
-    import numpy as np
-
-    rows = list(itertools.product((1, 2, 3), repeat=5))
-    fps = np_fixed_point_counts(np.array(rows, dtype=np.uint8))
-    for row, fp in zip(rows, fps):
-        assert len(fixed_points(row, 2)) == fp
+    rows = list(itertools.product(range(1, k + 1), repeat=5))
     for e in range(5):
-        ctx = OddCycleCtx.make(2, 3, (e, (e + 1) % 5))
-        vec = np_little_paths3(np.array(rows, dtype=np.uint8), ctx)
-        for row, p in zip(rows, vec):
-            assert little_path(row, ctx) == Half.from_int(int(p)), (ctx.a, row)
+        ctx = OddCycleCtx.make(2, k, (e, (e + 1) % 5))
+        stack = np_tour(np.array(rows, dtype=np.uint8), ctx)
+        for i, row in enumerate(rows):
+            ell2, p2, fp, isolated = (x[i].item() for x in stack)
+            assert np_tour(np.array(row, dtype=np.uint8), ctx) == (ell2, p2, fp, isolated)
+            assert fp == len(fixed_points(row, 2))
+            try:
+                want = (label(row, ctx).doubled, little_path(row, ctx).doubled)
+            except IsolatedFunctionError:
+                assert isolated, row
+                continue
+            assert not isolated and (ell2, p2) == want, (ctx.a, row)
 
 
 # A couple of randomized extensions past the exhaustive range: hypothesis
@@ -273,17 +269,18 @@ def test_label_congruence_on_random_assignments(case):
     ell = label(f, ctx)
     assert ell.doubled % 2 == 0
     assert (ell.doubled // 2) % 3 == 0
-    assert np_labels3(np.array([f])).tolist() == [ell.doubled // 2]
+    assert np_tour(np.array([f]), ctx)[0].tolist() == [ell.doubled]
 
 
 @given(_odd_assignments(), st.integers(min_value=0))
-def test_np_tour3_matches_scalar_on_random_edges(case, edge):
+def test_np_tour_matches_scalar_on_random_edges(case, edge):
     import numpy as np
 
     n, f = case
     length = 2 * n + 1
     ctx = OddCycleCtx.make(n, 3, (edge % length, (edge + 1) % length))
-    ell, p, fp = np_tour3(np.array(f, dtype=np.uint8), ctx)
-    assert 2 * ell == label(f, ctx).doubled
-    assert 2 * p == little_path(f, ctx).doubled
+    ell2, p2, fp, isolated = np_tour(np.array(f, dtype=np.uint8), ctx)
+    assert ell2 == label(f, ctx).doubled
+    assert p2 == little_path(f, ctx).doubled
     assert fp == len(fixed_points(f, n))
+    assert not isolated
