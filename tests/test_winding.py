@@ -224,8 +224,18 @@ def test_label_cycle_codomain_raises_on_isolated():
         little_path((1, 2, 4), ctx)
 
 
-@pytest.mark.parametrize("k", [3, 5])
-def test_np_tour_agrees_with_scalar_on_every_edge(k):
+def test_np_labels3_agrees_with_scalar():
+    # Labels of every three-color assignment at n = 2 from one 2-D stack.
+    import numpy as np
+
+    ctx = OddCycleCtx.make(2, 3)
+    rows = list(itertools.product((1, 2, 3), repeat=5))
+    ell2 = np_tour(np.array(rows), ctx)[0]
+    for row, lab in zip(rows, ell2):
+        assert label(row, ctx) == Half(int(lab))
+
+
+def _np_tour_agrees_with_scalar_on_every_edge(k):
     # Every assignment at n = 2 as one uint8 stack and row by row: label,
     # little path on every edge, fixed points, and isolation exactly where
     # the scalar label raises.
@@ -245,6 +255,14 @@ def test_np_tour_agrees_with_scalar_on_every_edge(k):
                 assert isolated, row
                 continue
             assert not isolated and (ell2, p2) == want, (ctx.a, row)
+
+
+def test_np_little_paths3_and_fixed_points_agree_with_scalar_on_every_edge():
+    _np_tour_agrees_with_scalar_on_every_edge(3)
+
+
+def test_np_tour_agrees_with_scalar_on_every_edge_k5():
+    _np_tour_agrees_with_scalar_on_every_edge(5)
 
 
 # A couple of randomized extensions past the exhaustive range: hypothesis
