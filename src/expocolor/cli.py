@@ -116,13 +116,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # color
 
 
-def _is_color(x) -> bool:
-    """A JSON integer; ``true``/``false`` parse to bool, which is an int."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _read_assignments(path: str | None) -> list[tuple[int, ...]]:
-    """Accept one JSON array, an array of arrays, or JSON lines."""
+    """Accept one JSON array, an array of arrays, or JSON lines.
+
+    Every row must hold only JSON integers.  ``true``/``false`` parse to
+    bool, an int subclass, so rows are checked by exact type, once each.
+    """
     if path is None or path == "-":
         text = sys.stdin.read()
     else:
@@ -130,17 +129,12 @@ def _read_assignments(path: str | None) -> list[tuple[int, ...]]:
     text = text.strip()
     if not text:
         raise ValueError("no assignments supplied")
-    rows: list = []
     try:
         payload = json.loads(text)
     except json.JSONDecodeError:
         payload = None
-    if isinstance(payload, list) and payload and all(_is_color(x) for x in payload):
-        rows = [payload]
-    elif isinstance(payload, list) and payload and all(
-        isinstance(x, list) for x in payload
-    ):
-        rows = payload
+    if isinstance(payload, list) and payload:
+        rows = payload if isinstance(payload[0], list) else [payload]
     elif payload is None:
         rows = [json.loads(line) for line in text.splitlines() if line.strip()]
     else:
@@ -149,9 +143,15 @@ def _read_assignments(path: str | None) -> list[tuple[int, ...]]:
             "arrays, or one array per line"
         )
     out = []
-    for row in rows:
-        if not isinstance(row, list) or not all(_is_color(x) for x in row):
-            raise ValueError(f"assignment rows must be integer arrays, got {row!r}")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise ValueError(f"assignment row {i} is not an array: {row!r:.80}")
+        kinds = set(map(type, row))
+        if kinds != {int}:
+            found = ", ".join(sorted(kind.__name__ for kind in kinds - {int}))
+            raise ValueError(
+                f"assignment row {i} must hold only integers, found {found or 'no entries'}"
+            )
         out.append(tuple(row))
     return out
 

@@ -218,15 +218,14 @@ def find_even_cycle(h: Graph, f: Sequence[int], max_len: int | None = None) -> C
     is even.  Fallback: enumerate odd cycles up to max_len and test
     parity directly.
     """
-    if len(f) != h.vertex_count:
-        raise ValueError(
-            f"assignment has {len(f)} entries, host has {h.vertex_count} vertices"
-        )
-    for c in f:
-        if not 1 <= c <= 3:
-            raise ValueError(f"color {c} outside 1..3")
-    if is_isolated(h, f, 3):
+    if is_isolated(h, f, 3):  # also checks the length and the colors
         raise IsolatedFunctionError("assignment is isolated; no cycle choice can help")
+    return _even_cycle_search(h, f, max_len)
+
+
+def _even_cycle_search(h: Graph, f: Sequence[int], max_len: int | None) -> CycleWitness:
+    """:func:`find_even_cycle` for an f already checked to be a valid,
+    non-isolated assignment of h."""
     if max_len is None:
         max_len = h.vertex_count
     if max_len < 3:
@@ -323,11 +322,11 @@ def color_in_kh(
     """
     if cache is None:
         cache = CycleCache()
-    if is_isolated(h, f, 3):
+    if is_isolated(h, f, 3):  # also checks the length and the colors
         raise IsolatedFunctionError("assignment is isolated; it needs no color")
     entry = cache.find_even(h, f)
     if entry is None:
-        entry = cache.append(find_even_cycle(h, f))
+        entry = cache.append(_even_cycle_search(h, f, None))
     cyc, ctx = entry
     verdict = color_vertex(restrict(h, f, cyc), ctx)
     return verdict, cache

@@ -16,8 +16,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from functools import cache, cached_property
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import CapacityError
 from .graphs import CycleWitness, Graph, bipartition
@@ -71,6 +73,50 @@ def are_adjacent(
     )
 
 
+@cache
+def _compat_table(k: int, cycle_target: bool) -> np.ndarray:
+    """Read-only (k+1, k) bool table: row x marks the colors c in 1..k
+    compatible with x (row 0 is empty).
+
+    The one place adjacency is turned into data: the per-row bitmasks
+    and the stack kernel both read it.
+    """
+    tab = np.array(
+        [
+            [x > 0 and _compatible(c, x, k, cycle_target) for c in range(1, k + 1)]
+            for x in range(k + 1)
+        ],
+        dtype=bool,
+    )
+    tab.setflags(write=False)
+    return tab
+
+
+@cache
+def _compat_masks(k: int, cycle_target: bool) -> tuple[int, ...]:
+    """Row x of :func:`_compat_table` as a bitmask, bit c-1 for color c."""
+    return tuple(
+        sum(1 << int(c) for c in np.flatnonzero(row))
+        for row in _compat_table(k, cycle_target)
+    )
+
+
+def _allowed_masks(
+    h: Graph, f: Sequence[int], k: int, cycle_target: bool
+) -> list[int]:
+    """Per vertex v, the bitmask of colors compatible with f on every neighbor of v."""
+    _check_assignment(h, f, k)
+    masks = _compat_masks(k, cycle_target)
+    full = (1 << k) - 1
+    out = []
+    for nbrs in h.neighbors:
+        m = full
+        for w in nbrs:
+            m &= masks[f[w]]
+        out.append(m)
+    return out
+
+
 def allowed_colors(
     h: Graph, f: Sequence[int], k: int, cycle_target: bool = False
 ) -> list[tuple[int, ...]]:
@@ -79,16 +125,10 @@ def allowed_colors(
     A neighbor g exists iff every entry is nonempty, and the neighbors
     are exactly the Cartesian product of these sets.
     """
-    _check_assignment(h, f, k)
-    out: list[tuple[int, ...]] = []
-    for v in range(h.vertex_count):
-        allowed = [
-            c
-            for c in range(1, k + 1)
-            if all(_compatible(c, f[w], k, cycle_target) for w in h.neighbors[v])
-        ]
-        out.append(tuple(allowed))
-    return out
+    return [
+        tuple(c for c in range(1, k + 1) if m >> (c - 1) & 1)
+        for m in _allowed_masks(h, f, k, cycle_target)
+    ]
 
 
 def neighbors(
@@ -103,7 +143,67 @@ def neighbors(
 
 def is_isolated(h: Graph, f: Sequence[int], k: int, cycle_target: bool = False) -> bool:
     """True iff f has no neighbor; polynomial in |h| and k."""
-    return any(not s for s in allowed_colors(h, f, k, cycle_target))
+    return not all(_allowed_masks(h, f, k, cycle_target))
+
+
+def _color_dtype(k: int) -> type:
+    """Narrowest signed integer dtype holding the colors 1..k."""
+    return np.int8 if k <= np.iinfo(np.int8).max else np.int16
+
+
+def assignment_grid(vertex_count: int, k: int) -> np.ndarray:
+    """Every assignment in lexicographic order: row i is i written in base k."""
+    return (
+        np.indices((k,) * vertex_count, dtype=_color_dtype(k))
+        .reshape(vertex_count, -1)
+        .T
+        + 1
+    )
+
+
+def row_index(fs: np.ndarray, k: int) -> np.ndarray:
+    """Row of each assignment of a stack in :func:`assignment_grid`."""
+    idx = np.zeros(fs.shape[0], dtype=np.int64)
+    for col in fs.T:
+        idx *= k
+        idx += col
+        idx -= 1
+    return idx
+
+
+def neighbor_pairs(
+    h: Graph, fs: np.ndarray, k: int, cycle_target: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered adjacent pair over a stack of assignments.
+
+    ``fs`` is (R, |V(h)|) with colors in 1..k.  Returns ``(src, gs)``:
+    ``gs[p]`` is a neighbor of ``fs[src[p]]``, sources come in row order
+    and each source's neighbors in lexicographic order — exactly what
+    :func:`neighbors` streams, row after row.  The allowed colors of
+    every vertex are the AND of the compatibility table over its host
+    neighbors; the product of those sets is then expanded one vertex at
+    a time.
+    """
+    fs = np.asarray(fs)
+    if fs.ndim != 2 or fs.shape[1] != h.vertex_count:
+        raise ValueError(
+            f"assignment stack must be (rows, {h.vertex_count}), got {fs.shape}"
+        )
+    if fs.size and (fs.min() < 1 or fs.max() > k):
+        raise ValueError(f"colors must be in 1..{k}")
+    tab = _compat_table(k, cycle_target)
+    allowed = np.ones((fs.shape[0], h.vertex_count, k), dtype=bool)
+    for v, nbrs in enumerate(h.neighbors):
+        for w in nbrs:
+            allowed[:, v] &= tab[fs[:, w]]
+    src = np.flatnonzero(allowed.any(axis=2).all(axis=1))
+    dtype = _color_dtype(k)
+    gs = np.empty((len(src), 0), dtype=dtype)
+    for v in range(h.vertex_count):
+        parent, color = np.nonzero(allowed[src, v])
+        src = src[parent]
+        gs = np.column_stack((gs[parent], (color + 1).astype(dtype)))
+    return src, gs
 
 
 @dataclass(frozen=True)
@@ -148,6 +248,36 @@ class ExpoGraph:
         """The loop-free simple graph over vertex indices."""
         return Graph(len(self.vertices), self.adjacency)
 
+    @classmethod
+    def from_pairs(
+        cls,
+        host: Graph,
+        k: int,
+        cycle_target: bool,
+        vertices: Iterable[Assignment],
+        src: np.ndarray,
+        dst: np.ndarray,
+    ) -> "ExpoGraph":
+        """The graph whose ordered adjacent pairs are ``(src[p], dst[p])``.
+
+        Indices point into ``vertices``; pairs must be sorted by source,
+        then target, as :func:`neighbor_pairs` emits them on a sorted
+        stack.  A pair with ``src == dst`` is a self-loop.
+        """
+        vertices = tuple(vertices)
+        loop = src == dst
+        dst_kept = dst[~loop]
+        ends = np.cumsum(np.bincount(src[~loop], minlength=len(vertices))).tolist()
+        # one int object per vertex index, shared by every row it appears in
+        ids = list(range(len(vertices)))
+        adjacency = tuple(
+            tuple(map(ids.__getitem__, dst_kept[a:b].tolist()))
+            for a, b in zip([0] + ends, ends)
+        )
+        return cls(
+            host, k, cycle_target, vertices, adjacency, frozenset(src[loop].tolist())
+        )
+
     def induce(self, keep: Sequence[int]) -> tuple["ExpoGraph", list[int]]:
         """Sub-exponential-graph on the given vertex indices.
 
@@ -182,25 +312,10 @@ def build_exponential(
             required=total,
             cap=cap,
         )
-    vertices = tuple(itertools.product(range(1, k + 1), repeat=h.vertex_count))
-    index = {f: i for i, f in enumerate(vertices)}
-    adjacency: list[list[int]] = [[] for _ in range(total)]
-    loops = set()
-    for i, f in enumerate(vertices):
-        for g in neighbors(h, f, k, cycle_target):
-            j = index[g]
-            if j == i:
-                loops.add(i)
-            else:
-                adjacency[i].append(j)
-    return ExpoGraph(
-        host=h,
-        k=k,
-        cycle_target=cycle_target,
-        vertices=vertices,
-        adjacency=tuple(tuple(a) for a in adjacency),
-        loops=frozenset(loops),
-    )
+    rows = assignment_grid(h.vertex_count, k)
+    src, gs = neighbor_pairs(h, rows, k, cycle_target)
+    vertices = itertools.product(range(1, k + 1), repeat=h.vertex_count)
+    return ExpoGraph.from_pairs(h, k, cycle_target, vertices, src, row_index(gs, k))
 
 
 def component_of(

@@ -271,24 +271,24 @@ def odd_cycles(g: Graph, max_len: int) -> Iterator[CycleWitness]:
     if max_len < 3:
         raise ValueError(f"max_len must be >= 3, got {max_len}")
     found: list[CycleWitness] = []
-    path: list[int] = []
     on_path = [False] * g.vertex_count
-
-    def dfs(root: int, v: int) -> None:
-        for u in g.neighbors[v]:
-            if u == root and len(path) >= 3:
-                if len(path) % 2 == 1 and path[1] < path[-1]:
-                    found.append(CycleWitness(tuple(path)))
-            elif u > root and not on_path[u] and len(path) < max_len:
-                path.append(u)
-                on_path[u] = True
-                dfs(root, u)
-                path.pop()
-                on_path[u] = False
-
     for root in range(g.vertex_count):
+        # Iterative DFS: ``stack[i]`` walks the neighbors of ``path[i]``.
         path = [root]
-        dfs(root, root)
+        stack = [iter(g.neighbors[root])]
+        while stack:
+            for u in stack[-1]:
+                if u == root and len(path) >= 3:
+                    if len(path) % 2 == 1 and path[1] < path[-1]:
+                        found.append(CycleWitness(tuple(path)))
+                elif u > root and not on_path[u] and len(path) < max_len:
+                    path.append(u)
+                    on_path[u] = True
+                    stack.append(iter(g.neighbors[u]))
+                    break
+            else:
+                stack.pop()
+                on_path[path.pop()] = False
     found.sort(key=lambda c: (len(c), c.vertices))
     yield from found
 

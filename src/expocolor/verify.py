@@ -9,11 +9,14 @@ can compare them against closed-form enumeration sizes.
 The arithmetic verifiers take labels, little paths, fixed-point counts
 and isolation from :func:`.winding.np_tour`, the kernel that colors,
 in one call over the whole assignment space; only arcs *between* two
-assignments are valued from a pairwise Δ table.  Both are reached
-through live :mod:`.winding` attributes and rebuilt per call, and
-coloring goes through :mod:`.coloring`'s public entry points, so
-corrupting Δ, the kernel or the side comparison in a test measurably
-breaks the reports — mutation-style self-tests assert exactly that.
+assignments are valued from a pairwise Δ table.  Adjacent pairs come
+from :func:`.expo.neighbor_pairs` in fixed blocks of source rows, and
+every check is a whole-array gather over a block's pairs.  Δ and the
+kernels are reached through live module attributes, tables are rebuilt
+per call, and coloring goes through :mod:`.coloring`'s public entry
+points, so corrupting Δ, a kernel or the side comparison in a test
+measurably breaks the reports — mutation-style self-tests assert
+exactly that.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import coloring, winding
+from . import coloring, expo, winding
 from .errors import (
     CapacityError,
     InvariantViolationError,
@@ -37,11 +40,13 @@ from .expo import (
     ComponentClass,
     ExpoGraph,
     allowed_colors,
+    assignment_grid,
     classify_component,
     component_of,
     is_isolated,
     neighbors,
     restrict,
+    row_index,
 )
 from .graphs import (
     CHROMATIC_HARD_CAP,
@@ -55,6 +60,9 @@ from .winding import Half, OddCycleCtx, in_even_class
 
 DEFAULT_CAP = 10**6
 _KEEP_VIOLATIONS = 50
+# Source rows per neighbor_pairs call in the pair sweeps: bounds the
+# (pairs, 2n+1) arrays a sweep holds at once, whatever the space size.
+_BLOCK_ROWS = 512
 
 
 @dataclass
@@ -105,7 +113,7 @@ class _Tally:
 
 
 def _arc_table(k: int) -> np.ndarray:
-    """(k+1)x(k+1) table of doubled Δ over colors 1..k; FAR cells are 0.
+    """(k+1)x(k+1) int8 table of doubled Δ over colors 1..k; FAR cells are 0.
 
     Values arcs *between* two assignments, which the chord-tour kernel
     never sees.  Rebuilt from the live :func:`winding.arc_value` on every
@@ -113,25 +121,13 @@ def _arc_table(k: int) -> np.ndarray:
     gather cells they know are not FAR (arcs between adjacent
     assignments).
     """
-    tab = np.zeros((k + 1, k + 1), dtype=np.int64)
+    tab = np.zeros((k + 1, k + 1), dtype=np.int8)
     for i in range(1, k + 1):
         for j in range(1, k + 1):
             d = winding.arc_value(i, j, k)
             if d is not winding.FAR:
                 tab[i, j] = d.doubled
     return tab
-
-
-def _assignments_array(length: int, k: int) -> np.ndarray:
-    """Every assignment in lexicographic order: row i is i written in base k."""
-    return np.indices((k,) * length, dtype=np.int8).reshape(length, -1).T + 1
-
-
-def _row_index(fs: np.ndarray, k: int) -> np.ndarray:
-    """Row of each assignment in :func:`_assignments_array`."""
-    length = fs.shape[-1]
-    powers = k ** np.arange(length - 1, -1, -1, dtype=np.int64)
-    return (fs.astype(np.int64) - 1) @ powers
 
 
 def _check_cap(length: int, k: int, cap: int) -> None:
@@ -142,18 +138,49 @@ def _check_cap(length: int, k: int, cap: int) -> None:
         )
 
 
+def _sweep_grid(n: int, k: int, cap: int) -> tuple[OddCycleCtx, np.ndarray]:
+    """The context and every assignment of C_{2n+1} into k colors."""
+    ctx = OddCycleCtx.make(n, k)
+    _check_cap(ctx.length, k, cap)
+    return ctx, assignment_grid(ctx.length, k)
+
+
 def _sweep_tour(n: int, k: int, cap: int):
     """np_tour over every assignment of C_{2n+1} into k colors, in one call.
 
     Returns ``(ctx, rows, (ell2, p2, fixed, isolated))`` with ``rows``
-    from :func:`_assignments_array`; look an assignment up by
-    :func:`_row_index`.  The kernel is read through the live
+    from :func:`.expo.assignment_grid`; look an assignment up by
+    :func:`.expo.row_index`.  The kernel is read through the live
     :mod:`.winding` attribute, so the sweeps check the code that colors.
     """
-    ctx = OddCycleCtx.make(n, k)
-    _check_cap(ctx.length, k, cap)
-    rows = _assignments_array(ctx.length, k)
+    ctx, rows = _sweep_grid(n, k, cap)
     return ctx, rows, winding.np_tour(rows, ctx)
+
+
+def _pair_blocks(ctx: OddCycleCtx, rows: np.ndarray, sources: np.ndarray):
+    """Every ordered adjacent pair whose source is one of ``rows[sources]``.
+
+    Yields ``(i, j, f, g)`` for each block of ``_BLOCK_ROWS`` sources:
+    the grid rows of both ends and the (pairs, 2n+1) assignments, pairs
+    ordered by source, then neighbor.  The pairs come from the live
+    :func:`.expo.neighbor_pairs` (cycle codomain for k >= 5).
+    """
+    host = make_cycle(ctx.length)
+    for start in range(0, len(sources), _BLOCK_ROWS):
+        block = sources[start : start + _BLOCK_ROWS]
+        fs = rows[block]
+        src, g = expo.neighbor_pairs(host, fs, ctx.k, ctx.k >= 5)
+        yield block[src], row_index(g, ctx.k), fs[src], g
+
+
+def _fmt(row: np.ndarray) -> tuple[int, ...]:
+    return tuple(row.tolist())
+
+
+def _row_tuples(rows: np.ndarray):
+    """The rows as tuples of Python ints, converted one block at a time."""
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        yield from map(tuple, rows[start : start + _BLOCK_ROWS].tolist())
 
 
 def verify_label_congruences(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
@@ -172,13 +199,13 @@ def verify_label_congruences(n: int, cap: int = DEFAULT_CAP) -> VerificationRepo
     # In doubled values: 3 | l iff 6 | 2l, and l is even iff 4 | 2l.
     viol = _Tally()
     for i in np.nonzero(ell2 % 6 != 0)[0]:
-        viol.add(f"label {Half(int(ell2[i]))} not divisible by 3 for f={tuple(fs[i])}")
+        viol.add(f"label {Half(int(ell2[i]))} not divisible by 3 for f={_fmt(fs[i])}")
     for i in np.nonzero(distinct_ends & (p2 % 6 == 0))[0]:
-        viol.add(f"little path {Half(int(p2[i]))} divisible by 3 for f={tuple(fs[i])}")
+        viol.add(f"little path {Half(int(p2[i]))} divisible by 3 for f={_fmt(fs[i])}")
     for i in np.nonzero(ell2 % 4 != 2 * (fp_counts % 2))[0]:
         viol.add(
             f"label {Half(int(ell2[i]))} and fixed-point count "
-            f"{fp_counts[i]} differ in parity for f={tuple(fs[i])}"
+            f"{fp_counts[i]} differ in parity for f={_fmt(fs[i])}"
         )
 
     details = {
@@ -195,47 +222,28 @@ def verify_label_congruences(n: int, cap: int = DEFAULT_CAP) -> VerificationRepo
     )
 
 
-def _adjacent_pair_sweep(n: int, k: int, cap: int):
-    """Yield (f_row, neighbor_matrix) for every assignment with neighbors.
-
-    The neighbor matrix enumerates exactly the adjacent assignments
-    (including f itself when it is self-adjacent), in lexicographic
-    order, so iterating f over the whole space touches every ordered
-    adjacent pair once.
-    """
-    length = 2 * n + 1
-    _check_cap(length, k, cap)
-    h = make_cycle(length)
-    cycle_target = k >= 5
-    for f in itertools.product(range(1, k + 1), repeat=length):
-        gs = list(neighbors(h, f, k, cycle_target))
-        if not gs:
-            continue
-        yield np.array(f, dtype=np.int8), np.array(gs, dtype=np.int8)
-
-
 def verify_chord_step_identity(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     """Each chord arc of f is determined by the two interleaved arcs
     through any adjacent g: 2*Δ(f_x, f_z) + Δ(f_x, g_y) + Δ(g_y, f_z) = 0
     where y is the cycle vertex between x and z.
     """
     t0 = time.perf_counter()
-    length = 2 * n + 1
+    ctx, rows = _sweep_grid(n, 3, cap)
     tab = _arc_table(3)
     viol = _Tally()
     pairs = 0
-    for f, gs in _adjacent_pair_sweep(n, 3, cap):
-        pairs += gs.shape[0]
-        for x in range(length):
-            y = (x + 1) % length
-            z = (x + 2) % length
-            lhs = 2 * tab[f[x], f[z]]
-            residual = lhs + tab[f[x], gs[:, y]] + tab[gs[:, y], f[z]]
-            for row in np.nonzero(residual != 0)[0]:
-                viol.add(
-                    f"arc ({x},{z}) of f={tuple(f)} breaks the identity "
-                    f"against g={tuple(gs[row])} (residual {Half(int(residual[row]))})"
-                )
+    for _, _, f, g in _pair_blocks(ctx, rows, np.arange(len(rows))):
+        pairs += len(f)
+        # column x holds the arc (x, x+2) and the g-vertex x+1 between
+        fz = np.roll(f, -2, axis=1)
+        gy = np.roll(g, -1, axis=1)
+        residual = 2 * tab[f, fz] + tab[f, gy] + tab[gy, fz]
+        for row, x in zip(*np.nonzero(residual)):
+            viol.add(
+                f"arc ({x},{(x + 2) % ctx.length}) of f={_fmt(f[row])} breaks the "
+                f"identity against g={_fmt(g[row])} "
+                f"(residual {Half(int(residual[row, x]))})"
+            )
     details: dict = {}
     return VerificationReport(
         statement="chord-step identity",
@@ -247,19 +255,14 @@ def verify_chord_step_identity(n: int, cap: int = DEFAULT_CAP) -> VerificationRe
     )
 
 
-def _interleaved_value(
-    f: np.ndarray, gs: np.ndarray, tab: np.ndarray, length: int
-) -> np.ndarray:
+def _interleaved_value(f: np.ndarray, g: np.ndarray, tab: np.ndarray) -> np.ndarray:
     """Total arc value of the interleaved tour f_1,g_2,f_3,...,g_1,f_2,...
 
     Equals sum_i Δ(f(u_i), g(u_{i+1})) + sum_i Δ(g(u_i), f(u_{i+1})),
-    vectorized over the rows of gs.
+    for each row of the (pairs, 2n+1) stacks f and g.
     """
-    total = np.zeros(gs.shape[0], dtype=np.int64)
-    for i in range(length):
-        j = (i + 1) % length
-        total += tab[f[i], gs[:, j]] + tab[gs[:, i], f[j]]
-    return total
+    arcs = tab[f, np.roll(g, -1, axis=1)] + tab[g, np.roll(f, -1, axis=1)]
+    return arcs.sum(axis=1, dtype=np.int64)
 
 
 def verify_label_invariance(n: int, k: int, cap: int = DEFAULT_CAP) -> VerificationReport:
@@ -270,33 +273,32 @@ def verify_label_invariance(n: int, k: int, cap: int = DEFAULT_CAP) -> Verificat
     assignments are integers divisible by k.
     """
     t0 = time.perf_counter()
-    ctx, _, (ell2, _, _, _) = _sweep_tour(n, k, cap)
+    ctx, rows, (ell2, _, _, _) = _sweep_tour(n, k, cap)
     tab = _arc_table(k)
     viol = _Tally()
     pairs = 0
-    for f, gs in _adjacent_pair_sweep(n, k, cap):
-        pairs += gs.shape[0]
-        lab_f = int(ell2[_row_index(f, k)])
-        lab_gs = ell2[_row_index(gs, k)]
-        inter = _interleaved_value(f, gs, tab, ctx.length)
-        for row in np.nonzero(lab_gs != lab_f)[0]:
+    for i, j, f, g in _pair_blocks(ctx, rows, np.arange(len(rows))):
+        pairs += len(i)
+        lab_f, lab_g = ell2[i], ell2[j]
+        for row in np.flatnonzero(lab_g != lab_f):
             viol.add(
-                f"labels differ: {Half(lab_f)} for f={tuple(f)} vs "
-                f"{Half(int(lab_gs[row]))} for g={tuple(gs[row])}"
+                f"labels differ: {Half(int(lab_f[row]))} for f={_fmt(f[row])} vs "
+                f"{Half(int(lab_g[row]))} for g={_fmt(g[row])}"
             )
         # all values doubled
-        if k == 3:
-            bad = np.nonzero(2 * lab_f != -inter)[0]
-        else:
-            bad = np.nonzero(lab_f != inter)[0]
-        for row in bad:
+        inter = _interleaved_value(f, g, tab)
+        bad = 2 * lab_f != -inter if k == 3 else lab_f != inter
+        for row in np.flatnonzero(bad):
             viol.add(
                 f"interleaved tour value {Half(int(inter[row]))} does not determine "
-                f"label {Half(lab_f)} for f={tuple(f)}, g={tuple(gs[row])}"
+                f"label {Half(int(lab_f[row]))} for f={_fmt(f[row])}, g={_fmt(g[row])}"
             )
         if k >= 5:
-            if lab_f % 2 != 0 or (lab_f // 2) % k != 0:
-                viol.add(f"label {Half(lab_f)} of non-isolated f={tuple(f)} not in k*Z")
+            for r in np.unique(i[(lab_f % 2 != 0) | ((lab_f // 2) % k != 0)]):
+                viol.add(
+                    f"label {Half(int(ell2[r]))} of non-isolated f={_fmt(rows[r])} "
+                    "not in k*Z"
+                )
     details: dict = {}
     return VerificationReport(
         statement="label invariance",
@@ -313,29 +315,26 @@ def verify_little_path_bound(n: int, k: int, cap: int = DEFAULT_CAP) -> Verifica
     label; the report records the distribution over {-1, 0, +1}.
     """
     t0 = time.perf_counter()
-    _, _, (ell2, p2, _, _) = _sweep_tour(n, k, cap)
+    ctx, rows, (ell2, p2, _, _) = _sweep_tour(n, k, cap)
     viol = _Tally()
     pairs = 0
     hist = {-1: 0, 0: 0, 1: 0}
-    for f, gs in _adjacent_pair_sweep(n, k, cap):
-        pairs += gs.shape[0]
-        i, js = _row_index(f, k), _row_index(gs, k)
-        lab2, lab2_gs = int(ell2[i]), ell2[js]
-        pf2, pg2 = int(p2[i]), p2[js]
-        for row in np.nonzero(lab2_gs != lab2)[0]:
+    for i, j, f, g in _pair_blocks(ctx, rows, np.arange(len(rows))):
+        pairs += len(i)
+        lab2 = ell2[i]
+        for row in np.flatnonzero(ell2[j] != lab2):
             viol.add(
-                f"labels differ under f={tuple(f)}, g={tuple(gs[row])}; "
+                f"labels differ under f={_fmt(f[row])}, g={_fmt(g[row])}; "
                 "bound precondition broken"
             )
-        diff2 = pf2 + pg2 - lab2
-        for row in np.nonzero(np.abs(diff2) > 2)[0]:
+        diff2 = p2[i] + p2[j] - lab2
+        for row in np.flatnonzero(np.abs(diff2) > 2):
             viol.add(
                 f"p_f + p_g strays {diff2[row]}/2 from the label for "
-                f"f={tuple(f)}, g={tuple(gs[row])}"
+                f"f={_fmt(f[row])}, g={_fmt(g[row])}"
             )
-        for d in diff2:
-            if abs(int(d)) <= 2 and int(d) % 2 == 0:
-                hist[int(d) // 2] += 1
+        for offset in hist:
+            hist[offset] += int(np.count_nonzero(diff2 == 2 * offset))
     details = {"offset_distribution": {str(key): val for key, val in hist.items()}}
     return VerificationReport(
         statement="little-path bound",
@@ -361,15 +360,14 @@ def verify_proper_coloring_k3(n: int, cap: int = DEFAULT_CAP) -> VerificationRep
       the two sit on opposite sides of ``l/2`` (their branches differ).
     """
     t0 = time.perf_counter()
-    ctx = OddCycleCtx.make(n, 3)
-    length = ctx.length
-    _check_cap(length, 3, cap)
-    host = make_cycle(length)
+    ctx, rows = _sweep_grid(n, 3, cap)
+    branches = list(coloring.Branch)
+    # per grid row: the color and 1 + the branch's position, 0 if uncolored
+    colors = np.zeros(len(rows), dtype=np.int8)
+    branch_codes = np.zeros(len(rows), dtype=np.int8)
     viol = _Tally()
-    verdicts: dict[tuple, coloring.ColorVerdict] = {}
     even_count = 0
-    branch_hist = {branch.value: 0 for branch in coloring.Branch}
-    for f in itertools.product((1, 2, 3), repeat=length):
+    for r, f in enumerate(_row_tuples(rows)):
         if not in_even_class(f, n):
             continue
         even_count += 1
@@ -378,33 +376,34 @@ def verify_proper_coloring_k3(n: int, cap: int = DEFAULT_CAP) -> VerificationRep
         except (InvariantViolationError, ParityDomainError) as exc:
             viol.add(f"coloring failed for f={f}: {exc}")
             continue
-        verdicts[f] = verdict
-        branch_hist[verdict.branch.value] += 1
+        colors[r] = verdict.color
+        branch_codes[r] = branches.index(verdict.branch) + 1
+    colored = np.flatnonzero(colors)
+    equal = branches.index(coloring.Branch.EQUAL_ENDPOINTS) + 1
     pairs = 0
-    for f, verdict in verdicts.items():
-        for g in neighbors(host, f, 3):
-            partner = verdicts.get(g)
-            if partner is None:
-                viol.add(
-                    f"adjacency leaves the even class: f={f} borders g={g}"
-                )
-                continue
-            pairs += 1
-            if partner.color == verdict.color:
-                viol.add(f"adjacent pair colored alike: f={f}, g={g}")
-            if (
-                verdict.branch is not coloring.Branch.EQUAL_ENDPOINTS
-                and partner.branch is not coloring.Branch.EQUAL_ENDPOINTS
-                and partner.branch is verdict.branch
-            ):
-                viol.add(
-                    f"distinct-endpoint neighbors on the same side of l/2: "
-                    f"f={f}, g={g} both {verdict.branch.value}"
-                )
+    for i, j, f, g in _pair_blocks(ctx, rows, colored):
+        partnered = colors[j] != 0
+        for row in np.flatnonzero(~partnered):
+            viol.add(
+                f"adjacency leaves the even class: f={_fmt(f[row])} borders "
+                f"g={_fmt(g[row])}"
+            )
+        pairs += int(np.count_nonzero(partnered))
+        for row in np.flatnonzero(partnered & (colors[i] == colors[j])):
+            viol.add(f"adjacent pair colored alike: f={_fmt(f[row])}, g={_fmt(g[row])}")
+        bi, bj = branch_codes[i], branch_codes[j]
+        for row in np.flatnonzero(partnered & (bi != equal) & (bj != equal) & (bi == bj)):
+            viol.add(
+                f"distinct-endpoint neighbors on the same side of l/2: "
+                f"f={_fmt(f[row])}, g={_fmt(g[row])} both {branches[bi[row] - 1].value}"
+            )
     details = {
         "even_class_size": even_count,
-        "colored": len(verdicts),
-        "branch_histogram": branch_hist,
+        "colored": len(colored),
+        "branch_histogram": {
+            b.value: int(np.count_nonzero(branch_codes == code))
+            for code, b in enumerate(branches, 1)
+        },
         "pairs": pairs,
     }
     return VerificationReport(
@@ -422,49 +421,54 @@ def verify_proper_ck(n: int, k: int, cap: int = DEFAULT_CAP) -> VerificationRepo
 
     Sweeps every assignment ``V(C_{2n+1}) -> {1..k}`` for odd ``k >= 5``
     and verifies that three independent isolation tests agree: the
-    brute-force neighbor count, the per-vertex allowed-set test, and the
-    arc-residue test performed by label arithmetic.  Every non-isolated
-    even-class assignment is then colored, and every adjacent pair of
-    such assignments must receive colors that are themselves adjacent on
-    the ``k``-cycle.
+    number of neighbors enumerated by :func:`.expo.neighbor_pairs` (each
+    pair re-checked here against every host edge), the per-vertex
+    allowed-set test, and the arc-residue test performed by label
+    arithmetic.  Every non-isolated even-class assignment is then
+    colored, and every adjacent pair of such assignments must receive
+    colors that are themselves adjacent on the ``k``-cycle.
     """
     t0 = time.perf_counter()
     ctx, rows, (_, _, fixed, residue_isolated) = _sweep_tour(n, k, cap)
     total = len(rows)
     host = make_cycle(ctx.length)
-    edges = host.edges()
     even_mask = fixed % 2 == 0
     compat = np.zeros((k + 1, k + 1), dtype=bool)
     for x in range(1, k + 1):
         compat[x, (x % k) + 1] = True
         compat[x, ((x - 2) % k) + 1] = True
     viol = _Tally()
-    neighbor_rows: dict[int, np.ndarray] = {}
-    isolated = 0
-    for i in range(total):
-        f_arr = rows[i]
-        f = tuple(int(c) for c in f_arr)
-        mask = np.ones(total, dtype=bool)
-        for u, v in edges:
-            mask &= compat[f_arr[u], rows[:, v]]
-            mask &= compat[f_arr[v], rows[:, u]]
-        brute_iso = not mask.any()
-        fast_iso = is_isolated(host, f, k, cycle_target=True)
-        residue_iso = bool(residue_isolated[i])
-        if brute_iso != fast_iso or brute_iso != residue_iso:
+    degree = np.zeros(total, dtype=np.int64)
+    for i, _, f, g in _pair_blocks(ctx, rows, np.arange(total)):
+        adjacent = np.ones(len(i), dtype=bool)
+        for u, v in host.edges():
+            adjacent &= compat[f[:, u], g[:, v]] & compat[f[:, v], g[:, u]]
+        for row in np.flatnonzero(~adjacent):
             viol.add(
-                f"isolation tests disagree for f={f}: brute={brute_iso}, "
+                f"neighbor enumeration pairs f={_fmt(f[row])} with "
+                f"non-adjacent g={_fmt(g[row])}"
+            )
+        degree += np.bincount(i[adjacent], minlength=total)
+    isolated = 0
+    sources = []
+    for r, f in enumerate(_row_tuples(rows)):
+        pair_iso = bool(degree[r] == 0)
+        fast_iso = is_isolated(host, f, k, cycle_target=True)
+        residue_iso = bool(residue_isolated[r])
+        if pair_iso != fast_iso or pair_iso != residue_iso:
+            viol.add(
+                f"isolation tests disagree for f={f}: pair-count={pair_iso}, "
                 f"allowed-set={fast_iso}, arc-residue={residue_iso}"
             )
-        if brute_iso:
+        if pair_iso:
             isolated += 1
-        elif even_mask[i]:
-            neighbor_rows[i] = np.nonzero(mask)[0]
-    colors: dict[int, int] = {}
-    for i in neighbor_rows:
-        f = tuple(int(c) for c in rows[i])
+        elif even_mask[r]:
+            sources.append(r)
+    colors = np.zeros(total, dtype=np.int64)  # 0 = uncolored
+    for r in sources:
+        f = _fmt(rows[r])
         try:
-            colors[i] = coloring.color_vertex_ck(f, ctx).color
+            colors[r] = coloring.color_vertex_ck(f, ctx).color
         except (
             IsolatedFunctionError,
             ParityDomainError,
@@ -472,32 +476,23 @@ def verify_proper_ck(n: int, k: int, cap: int = DEFAULT_CAP) -> VerificationRepo
         ) as exc:
             viol.add(f"coloring failed for f={f}: {exc}")
     pairs = 0
-    for i, partners in neighbor_rows.items():
-        ci = colors.get(i)
-        if ci is None:
-            continue
-        for j in partners:
-            j = int(j)
-            if not even_mask[j]:
-                viol.add(
-                    "adjacency leaves the even class: "
-                    f"f={tuple(int(c) for c in rows[i])} borders "
-                    f"g={tuple(int(c) for c in rows[j])}"
-                )
-                continue
-            cj = colors.get(j)
-            if cj is None:
-                continue
-            pairs += 1
-            if (ci - cj) % k not in (1, k - 1):
-                viol.add(
-                    f"pair colors {ci}, {cj} are not adjacent on the "
-                    f"{k}-cycle: f={tuple(int(c) for c in rows[i])}, "
-                    f"g={tuple(int(c) for c in rows[j])}"
-                )
+    for i, j, f, g in _pair_blocks(ctx, rows, np.flatnonzero(colors)):
+        for row in np.flatnonzero(~even_mask[j]):
+            viol.add(
+                "adjacency leaves the even class: "
+                f"f={_fmt(f[row])} borders g={_fmt(g[row])}"
+            )
+        both = even_mask[j] & (colors[j] != 0)
+        pairs += int(np.count_nonzero(both))
+        step = (colors[i] - colors[j]) % k
+        for row in np.flatnonzero(both & (step != 1) & (step != k - 1)):
+            viol.add(
+                f"pair colors {colors[i][row]}, {colors[j][row]} are not adjacent "
+                f"on the {k}-cycle: f={_fmt(f[row])}, g={_fmt(g[row])}"
+            )
     details = {
         "isolated": isolated,
-        "even_nonisolated": len(neighbor_rows),
+        "even_nonisolated": len(sources),
         "pairs": pairs,
     }
     return VerificationReport(
@@ -659,28 +654,6 @@ def verify_baseline(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     )
 
 
-def _component_expo(host: Graph, members: list[tuple]) -> ExpoGraph:
-    index = {m: i for i, m in enumerate(members)}
-    adjacency: list[tuple[int, ...]] = []
-    loops = set()
-    for m in members:
-        row = set()
-        for g in neighbors(host, m, 3):
-            if g == m:
-                loops.add(index[m])
-            else:
-                row.add(index[g])
-        adjacency.append(tuple(sorted(row)))
-    return ExpoGraph(
-        host=host,
-        k=3,
-        cycle_target=False,
-        vertices=tuple(members),
-        adjacency=tuple(adjacency),
-        loops=frozenset(loops),
-    )
-
-
 def verify_end_to_end(
     host: Graph,
     cap: int = DEFAULT_CAP,
@@ -753,14 +726,16 @@ def verify_end_to_end(
                             f"{m} has odd parity on its component's cycle "
                             f"{cyc.vertices}"
                         )
-            for m in members:
-                cm = colors.get(m)
-                for g in neighbors(host, m, 3):
-                    pair_checks += 1
-                    cg = colors.get(g)
-                    if cm is not None and cg is not None and cm == cg:
-                        viol.add(f"adjacent pair colored alike: {m}, {g}")
-            comp = _component_expo(host, members)
+            member_rows = np.array(members)
+            src, gs = expo.neighbor_pairs(host, member_rows, 3)
+            pair_checks += len(src)
+            for s, g in zip(src.tolist(), map(tuple, gs.tolist())):
+                cm, cg = colors.get(members[s]), colors.get(g)
+                if cm is not None and cg is not None and cm == cg:
+                    viol.add(f"adjacent pair colored alike: {members[s]}, {g}")
+            # members are sorted, so grid rows find their component index
+            dst = np.searchsorted(row_index(member_rows, 3), row_index(gs, 3))
+            comp = ExpoGraph.from_pairs(host, 3, False, members, src, dst)
             cls = classify_component(comp)
             class_hist[cls.value] += 1
             if cls is ComponentClass.THREE_CHROMATIC:

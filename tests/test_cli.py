@@ -122,6 +122,38 @@ def test_color_rejects_json_booleans(payload, capsys, monkeypatch):
     assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        "[1.0, 2, 1, 1, 1]",
+        "[null, 1, 1, 1, 1]",
+        '["1", 1, 1, 1, 1]',
+        "[[1], 1, 1, 1, 1]",
+        "[1, [1], 1, 1, 1]",
+        "[[1, 1, 1, 1, 1], [1, 1, 1, 1, 1.5]]",
+        "[[1, 1, 1, 1, 1], 3]",
+        "[[]]",
+        "[1, 1, 1, 1, 1]\n[1, 1, null, 1, 1]\n",
+        "[1, 1, 1, 1, 1]\n7\n",
+    ],
+)
+def test_color_rejects_non_integer_colors(payload, capsys, monkeypatch):
+    assert run_cli(["color", "--n", "2"], payload, monkeypatch) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
+def test_color_long_host_cycle_without_even_parity_exits_4(tmp_path, capsys, monkeypatch):
+    # C_1201 is its own only odd cycle, and this row has odd parity on it;
+    # the cycle search must report that, not overflow the recursion limit.
+    c1201 = tmp_path / "c1201.json"
+    assert main(["gen", "cycle", "--len", "1201", "--out", str(c1201)]) == 0
+    row = json.dumps([3] + [1, 2] * 600)
+    assert run_cli(["color", "--graph", str(c1201)], row, monkeypatch) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "no odd cycle" in err
+
+
 def test_color_explicit_edge(capsys, monkeypatch):
     # edge 2,3 orients to (3,2); (1,1,2,2,1) keeps endpoints 2,1 distinct
     code = run_cli(["color", "--len", "5", "--edge", "2,3"], "[1,1,2,2,1]", monkeypatch)

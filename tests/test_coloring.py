@@ -335,6 +335,25 @@ def test_color_in_kh_reuses_cache(k4):
         color_in_kh(k4, (1, 2, 3, 1), cache)
 
 
+def test_color_in_kh_checks_assignment_once(k4, monkeypatch):
+    from expocolor import expo
+
+    calls = []
+    real = expo._check_assignment
+    monkeypatch.setattr(
+        expo, "_check_assignment", lambda *args: calls.append(args) or real(*args)
+    )
+    cache = CycleCache()
+    color_in_kh(k4, (1, 1, 1, 1), cache)  # miss: searches and caches a cycle
+    color_in_kh(k4, (2, 2, 2, 2), cache)  # hit
+    assert len(cache) == 1
+    assert len(calls) == 2
+    with pytest.raises(ValueError):
+        color_in_kh(k4, (1, 1, 1, 4), CycleCache())
+    with pytest.raises(ValueError):
+        find_even_cycle(k4, (1, 1, 1))
+
+
 def test_color_in_kh_proper_on_sampled_pairs(grotzsch):
     import random
 

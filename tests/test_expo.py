@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from expocolor.errors import CapacityError
@@ -9,13 +10,16 @@ from expocolor.expo import (
     ComponentClass,
     are_adjacent,
     allowed_colors,
+    assignment_grid,
     build_exponential,
     classify_component,
     component_of,
     expo_to_json_dict,
     is_isolated,
+    neighbor_pairs,
     neighbors,
     restrict,
+    row_index,
 )
 from expocolor.graphs import CycleWitness, make_complete, make_cycle
 
@@ -50,6 +54,62 @@ def test_are_adjacent_cycle_target_example():
     assert not are_adjacent(h, (1, 3, 1), (1, 3, 1), 5, cycle_target=True)
 
 
+def brute_pairs(h, k, cycle_target=False):
+    """Every ordered adjacent pair over the whole space, by the quadratic
+    filter of the definition: (source rows, neighbor rows) in grid order."""
+    def ok(x, y):
+        if cycle_target:
+            return (x - y) % k in (1, k - 1)
+        return x != y
+
+    ok_tab = np.array(
+        [[x > 0 and y > 0 and ok(x, y) for y in range(k + 1)] for x in range(k + 1)]
+    )
+    rows = np.array(list(all_assignments(h, k)), dtype=np.int64)
+    srcs, dsts = [], []
+    # ok_g[v][x, b]: color x is compatible with g_b(v)
+    ok_g = [ok_tab[:, rows[:, v]] for v in range(h.vertex_count)]
+    for start in range(0, len(rows), 256):
+        f = rows[start : start + 256]
+        mask = np.ones((len(f), len(rows)), dtype=bool)
+        for u, v in h.edges():
+            # cell (a, b): f_a(u) ~ g_b(v) and g_b(u) ~ f_a(v)
+            mask &= ok_g[v][f[:, u]] & ok_g[u][f[:, v]]
+        src, dst = np.nonzero(mask)
+        srcs.append(src + start)
+        dsts.append(dst)
+    src, dst = np.concatenate(srcs), np.concatenate(dsts)
+    return src, rows[dst]
+
+
+@pytest.mark.parametrize(
+    "h, k, cyc",
+    [
+        (make_cycle(3), 3, False),
+        (make_cycle(3), 5, True),
+        (make_cycle(3), 7, True),
+        (make_cycle(5), 3, False),
+        (make_cycle(5), 5, True),
+        (make_cycle(5), 7, True),
+        (make_complete(4), 3, False),
+    ],
+    ids=["c3-k3", "c3-k5", "c3-k7", "c5-k3", "c5-k5", "c5-k7", "k4-k3"],
+)
+def test_neighbor_pairs_equals_quadratic_filter(h, k, cyc):
+    want_src, want_gs = brute_pairs(h, k, cyc)
+    rows = assignment_grid(h.vertex_count, k)
+    src, gs = neighbor_pairs(h, rows, k, cyc)
+    assert np.array_equal(src, want_src)
+    assert np.array_equal(gs, want_gs)
+    assert np.array_equal(row_index(rows, k), np.arange(len(rows)))
+    # the one-row functions agree with the same filter, in the same order
+    starts = np.searchsorted(want_src, np.arange(len(rows) + 1))
+    for i, f in enumerate(map(tuple, rows.tolist())):
+        want = [tuple(g) for g in want_gs[starts[i] : starts[i + 1]].tolist()]
+        assert list(neighbors(h, f, k, cyc)) == want
+        assert is_isolated(h, f, k, cyc) == (not want)
+
+
 def test_neighbors_equals_brute_filter():
     cases = [
         (make_cycle(3), 3, False),
@@ -57,6 +117,10 @@ def test_neighbors_equals_brute_filter():
         (make_complete(4), 3, False),
     ]
     for h, k, cyc in cases:
+        rows = np.array(list(all_assignments(h, k)))
+        src, gs = neighbor_pairs(h, rows, k, cyc)
+        stacked = [(rows[i].tolist(), g) for i, g in zip(src, gs.tolist())]
+        brute = []
         for f in all_assignments(h, k):
             got = list(neighbors(h, f, k, cyc))
             want = [
@@ -64,6 +128,18 @@ def test_neighbors_equals_brute_filter():
             ]
             assert got == want, (h.vertex_count, k, cyc, f)
             assert is_isolated(h, f, k, cyc) == (not want)
+            brute += [(list(f), list(g)) for g in want]
+        assert stacked == brute, (h.vertex_count, k, cyc)
+
+
+def test_neighbor_pairs_rejects_bad_stacks():
+    h = make_cycle(3)
+    with pytest.raises(ValueError):
+        neighbor_pairs(h, np.ones((2, 4), dtype=np.int8), 3)
+    with pytest.raises(ValueError):
+        neighbor_pairs(h, np.array([[1, 2, 4]]), 3)
+    with pytest.raises(ValueError):
+        neighbor_pairs(h, np.array([[0, 2, 3]]), 3)
 
 
 def test_neighbors_is_product_of_allowed_sets():

@@ -1,5 +1,6 @@
 """Host-graph utilities: construction, bipartiteness, odd cycles, chi."""
 
+import hashlib
 import itertools
 import json
 
@@ -129,6 +130,26 @@ def test_odd_cycles_enumerates_k4_triangles(k4):
 def test_odd_cycles_c5(c5):
     assert [c.vertices for c in odd_cycles(c5, 5)] == [(0, 1, 2, 3, 4)]
     assert list(odd_cycles(c5, 3)) == []
+
+
+def test_odd_cycles_long_cycle_needs_no_recursion():
+    # a path of 1201 vertices is deeper than the interpreter's recursion limit
+    assert [c.vertices for c in odd_cycles(make_cycle(1201), 1201)] == [tuple(range(1201))]
+
+
+@pytest.mark.parametrize(
+    "mycielski_rounds, max_len, count, digest",
+    [(0, 11, 146, "927b97a788af6fc5"), (1, 7, 10746, "13d7d6edb5d75fc3")],
+)
+def test_odd_cycles_order_pinned(grotzsch, mycielski_rounds, max_len, count, digest):
+    # the full output sequence on Grötzsch and its Mycielskian, as recorded
+    # from the recursive enumeration
+    g = grotzsch
+    for _ in range(mycielski_rounds):
+        g = make_mycielski(g)
+    cycles = [c.vertices for c in odd_cycles(g, max_len)]
+    assert len(cycles) == count
+    assert hashlib.sha256(repr(cycles).encode()).hexdigest()[:16] == digest
 
 
 def test_cycle_witness_canonicalization():

@@ -8,12 +8,19 @@ a pure flip merely swaps which endpoint color each side takes and still
 produces a proper coloring, so no behavioral oracle can see it.
 """
 
+import json
+import shlex
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from expocolor import coloring, verify, winding
+from expocolor import cli, coloring, expo, verify, winding
 from expocolor.errors import CapacityError
-from expocolor.graphs import make_complete, make_cycle
+from expocolor.graphs import make_complete, make_cycle, make_grotzsch, save_graph
 from expocolor.winding import Half
+
+GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
 
 
 def test_all_verifiers_green_at_desk_scale():
@@ -85,10 +92,16 @@ def _corrupt_delta_k(monkeypatch):
 
 def test_corrupt_delta3_detected_by_arithmetic_verifiers(monkeypatch):
     _corrupt_delta3(monkeypatch)
-    assert not verify.verify_chord_step_identity(1).passed
-    assert not verify.verify_label_congruences(1).passed
-    assert not verify.verify_label_invariance(1, 3).passed
-    assert not verify.verify_little_path_bound(1, 3).passed
+    reports = [
+        verify.verify_chord_step_identity(1),
+        verify.verify_label_congruences(1),
+        verify.verify_label_invariance(1, 3),
+        verify.verify_little_path_bound(1, 3),
+    ]
+    for rep in reports:
+        assert not rep.passed
+        # assignments print as plain integer tuples, not numpy scalars
+        assert not any("np." in v for v in rep.violations), rep.violations[0]
 
 
 def test_corrupt_delta_k_detected(monkeypatch):
@@ -115,6 +128,46 @@ def test_corrupt_kernel_detected_by_arithmetic_verifiers(monkeypatch):
     assert not verify.verify_label_invariance(1, 3).passed
     assert not verify.verify_little_path_bound(1, 3).passed
     assert not verify.verify_proper_ck(1, 5).passed
+
+
+def test_is_isolated_stuck_false_detected_by_proper_ck(monkeypatch):
+    monkeypatch.setattr(verify, "is_isolated", lambda *args, **kwargs: False)
+    rep = verify.verify_proper_ck(1, 5)
+    assert not rep.passed
+    assert all("isolation tests disagree" in v for v in rep.violations)
+
+
+def test_non_adjacent_kernel_pair_detected_by_proper_ck(monkeypatch):
+    real = expo.neighbor_pairs
+
+    def bad(h, fs, k, cycle_target=False):
+        # prepend the pair (f, f): never adjacent on a cycle codomain
+        src, gs = real(h, fs, k, cycle_target)
+        return np.concatenate((src[:1], src)), np.concatenate((fs[src[:1]], gs))
+
+    monkeypatch.setattr(expo, "neighbor_pairs", bad)
+    rep = verify.verify_proper_ck(1, 5)
+    assert not rep.passed
+    assert any("non-adjacent" in v for v in rep.violations)
+
+
+def test_reports_match_recorded_golden(tmp_path, capsys):
+    # Reports recorded before the verifiers moved onto neighbor_pairs,
+    # wall_time dropped; the sweeps must reproduce them exactly.
+    golden = json.loads(GOLDEN.read_text())
+    save_graph(make_grotzsch(), tmp_path / "grotzsch.json")
+    out = tmp_path / "reports.jsonl"
+    for command, want in golden.items():
+        argv = [
+            str(tmp_path / arg) if arg == "grotzsch.json" else arg
+            for arg in shlex.split(command)
+        ]
+        assert cli.main(argv + ["--out", str(out)]) == 0, command
+        got = [json.loads(line) for line in out.read_text().splitlines()]
+        for report in got:
+            report.pop("wall_time")
+        assert got == want, command
+    capsys.readouterr()
 
 
 def test_stuck_side_comparison_detected(monkeypatch):
