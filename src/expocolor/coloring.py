@@ -35,8 +35,15 @@ from .errors import (
     NoEvenCycleError,
     ParityDomainError,
 )
-from .expo import ExpoGraph, build_exponential, is_isolated, restrict
-from .graphs import CycleWitness, Graph, bipartition, make_cycle, odd_cycle_in, odd_cycles
+from .expo import ExpoGraph, full_grid, is_isolated, restrict
+from .graphs import (
+    CycleWitness,
+    Graph,
+    bipartition,
+    least_odd_cycle,
+    make_cycle,
+    odd_cycle_in,
+)
 from .winding import Half, OddCycleCtx, in_even_class, np_tour
 
 
@@ -148,9 +155,9 @@ def color_vertex_ck(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:
 def even_class_subgraph(n: int, cap: int = 10**6) -> ExpoGraph:
     """The exponential graph over C_{2n+1} induced on even-parity assignments."""
     h = make_cycle(2 * n + 1)
-    eg = build_exponential(h, 3, cap=cap)
-    keep = [i for i, f in enumerate(eg.vertices) if in_even_class(f, n)]
-    sub, _ = eg.induce(keep)
+    rows = full_grid(h, 3, cap)
+    _, _, fixed, _ = np_tour(rows, OddCycleCtx.make(n, 3))
+    sub = ExpoGraph.from_rows(h, 3, False, rows[fixed % 2 == 0])
     if sub.loops:
         raise InvariantViolationError(
             "even-class subgraph contains a self-loop; proper colorings "
@@ -208,34 +215,29 @@ def color_graph_baseline(ke: ExpoGraph, ctx: OddCycleCtx) -> dict[tuple[int, ...
 # -- general hosts ------------------------------------------------------------
 
 
-def find_even_cycle(h: Graph, f: Sequence[int], max_len: int | None = None) -> CycleWitness:
+def find_even_cycle(h: Graph, f: Sequence[int]) -> CycleWitness:
     """An odd cycle of h on which f has an even number of fixed points.
 
     Fast path: split V(h) into the vertices colored {1,2} and those
     colored {3}; an odd cycle inside either part sees at most two
     distinct colors, and around any single-tour traversal a two-valued
     sequence changes an even number of times, so its restriction parity
-    is even.  Fallback: enumerate odd cycles up to max_len and test
-    parity directly.
+    is even.  Fallback: the shortest (then lexicographically least) odd
+    cycle with even parity, by a bounded search over the odd cycles.
     """
     if is_isolated(h, f, 3):  # also checks the length and the colors
         raise IsolatedFunctionError("assignment is isolated; no cycle choice can help")
-    return _even_cycle_search(h, f, max_len)
+    return _even_cycle_search(h, f)
 
 
-def _even_cycle_search(h: Graph, f: Sequence[int], max_len: int | None) -> CycleWitness:
+def _even_cycle_search(h: Graph, f: Sequence[int]) -> CycleWitness:
     """:func:`find_even_cycle` for an f already checked to be a valid,
     non-isolated assignment of h."""
-    if max_len is None:
-        max_len = h.vertex_count
-    if max_len < 3:
-        raise ValueError(f"max_len must be >= 3, got {max_len}")
-
     for color_class in ((1, 2), (3,)):
         keep = [v for v in range(h.vertex_count) if f[v] in color_class]
         sub, old = h.induced(keep)
         found = odd_cycle_in(sub)
-        if found is not None and len(found) <= max_len:
+        if found is not None:
             cyc = CycleWitness.canonical([old[v] for v in found.vertices])
             if not in_even_class(restrict(h, f, cyc), len(cyc) // 2):
                 raise InvariantViolationError(
@@ -243,12 +245,14 @@ def _even_cycle_search(h: Graph, f: Sequence[int], max_len: int | None) -> Cycle
                 )
             return cyc
 
-    for cyc in odd_cycles(h, max_len):
-        if in_even_class(restrict(h, f, cyc), len(cyc) // 2):
-            return cyc
-    raise NoEvenCycleError(
-        f"no odd cycle of length <= {max_len} carries an even number of fixed points"
+    cyc = least_odd_cycle(
+        h, lambda vs: in_even_class(tuple(f[v] for v in vs), len(vs) // 2)
     )
+    if cyc is None:
+        raise NoEvenCycleError(
+            "no odd cycle of the host carries an even number of fixed points"
+        )
+    return cyc
 
 
 @dataclass
@@ -297,8 +301,16 @@ class CycleCache:
             cycles = d["cycles"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed cycle-cache JSON: {exc}") from exc
+        # exact types, as for assignment rows: bool is an int subclass, and
+        # int() would quietly truncate a float
+        if type(cycles) is not list or any(
+            type(vs) is not list or set(map(type, vs)) - {int} for vs in cycles
+        ):
+            raise ValueError(
+                "malformed cycle-cache JSON: cycles must be an array of integer arrays"
+            )
         for vs in cycles:
-            cache.append(CycleWitness(tuple(int(v) for v in vs)))
+            cache.append(CycleWitness(tuple(vs)))
         return cache
 
     def dumps(self) -> str:
@@ -326,7 +338,7 @@ def color_in_kh(
         raise IsolatedFunctionError("assignment is isolated; it needs no color")
     entry = cache.find_even(h, f)
     if entry is None:
-        entry = cache.append(_even_cycle_search(h, f, None))
+        entry = cache.append(_even_cycle_search(h, f))
     cyc, ctx = entry
     verdict = color_vertex(restrict(h, f, cyc), ctx)
     return verdict, cache

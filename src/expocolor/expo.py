@@ -17,12 +17,12 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import CapacityError
-from .graphs import CycleWitness, Graph, bipartition
+from .graphs import CycleWitness, Graph, _bfs_two_coloring
 
 DEFAULT_CAP = 10**6
 
@@ -213,7 +213,9 @@ class ExpoGraph:
     ``vertices`` is duplicate-free and lexicographically sorted, fixing
     the vertex indexing; ``adjacency[i]`` lists neighbor indices
     (sorted, loop-free) and ``loops`` holds the indices of self-adjacent
-    assignments.
+    assignments.  Every instance is the subgraph of the full exponential
+    graph induced on its vertices, built by :meth:`from_rows`; so is
+    every subgraph :meth:`induce` returns.
     """
 
     host: Graph
@@ -249,34 +251,35 @@ class ExpoGraph:
         return Graph(len(self.vertices), self.adjacency)
 
     @classmethod
-    def from_pairs(
-        cls,
-        host: Graph,
-        k: int,
-        cycle_target: bool,
-        vertices: Iterable[Assignment],
-        src: np.ndarray,
-        dst: np.ndarray,
+    def from_rows(
+        cls, host: Graph, k: int, cycle_target: bool, rows: np.ndarray
     ) -> "ExpoGraph":
-        """The graph whose ordered adjacent pairs are ``(src[p], dst[p])``.
+        """The subgraph induced on a lexicographically sorted (R, |V(host)|)
+        stack of assignments.
 
-        Indices point into ``vertices``; pairs must be sorted by source,
-        then target, as :func:`neighbor_pairs` emits them on a sorted
-        stack.  A pair with ``src == dst`` is a self-loop.
+        One :func:`neighbor_pairs` call over the stack; a pair whose far
+        end is not in the stack is dropped, found by its grid row
+        (:func:`row_index`) missing from the stack's sorted grid rows.
         """
-        vertices = tuple(vertices)
+        rows = np.asarray(rows)
+        src, gs = neighbor_pairs(host, rows, k, cycle_target)
+        ids = row_index(rows, k)
+        far = row_index(gs, k)
+        dst = np.searchsorted(ids, far)
+        inside = ids[np.minimum(dst, len(ids) - 1)] == far
+        src, dst = src[inside], dst[inside]
         loop = src == dst
+        ends = np.cumsum(np.bincount(src[~loop], minlength=len(ids))).tolist()
         dst_kept = dst[~loop]
-        ends = np.cumsum(np.bincount(src[~loop], minlength=len(vertices))).tolist()
         # one int object per vertex index, shared by every row it appears in
-        ids = list(range(len(vertices)))
+        idx = list(range(len(ids)))
         adjacency = tuple(
-            tuple(map(ids.__getitem__, dst_kept[a:b].tolist()))
+            tuple(map(idx.__getitem__, dst_kept[a:b].tolist()))
             for a, b in zip([0] + ends, ends)
         )
-        return cls(
-            host, k, cycle_target, vertices, adjacency, frozenset(src[loop].tolist())
-        )
+        vertices = tuple(map(tuple, rows.tolist()))
+        loops = frozenset(src[loop].tolist())
+        return cls(host, k, cycle_target, vertices, adjacency, loops)
 
     def induce(self, keep: Sequence[int]) -> tuple["ExpoGraph", list[int]]:
         """Sub-exponential-graph on the given vertex indices.
@@ -285,16 +288,22 @@ class ExpoGraph:
         order preserved) and the list mapping new index -> old index.
         """
         old = sorted(set(keep))
-        pos = {o: i for i, o in enumerate(old)}
-        verts = tuple(self.vertices[o] for o in old)
-        adj = tuple(
-            tuple(pos[w] for w in self.adjacency[o] if w in pos) for o in old
+        rows = np.array(
+            [self.vertices[o] for o in old], dtype=_color_dtype(self.k)
+        ).reshape(len(old), self.host.vertex_count)
+        return ExpoGraph.from_rows(self.host, self.k, self.cycle_target, rows), old
+
+
+def full_grid(h: Graph, k: int, cap: int) -> np.ndarray:
+    """:func:`assignment_grid` of h; capacity error past cap rows."""
+    total = k**h.vertex_count
+    if total > cap:
+        raise CapacityError(
+            f"exponential graph needs {total} vertices, cap is {cap}",
+            required=total,
+            cap=cap,
         )
-        loops = frozenset(pos[o] for o in self.loops if o in pos)
-        return (
-            ExpoGraph(self.host, self.k, self.cycle_target, verts, adj, loops),
-            old,
-        )
+    return assignment_grid(h.vertex_count, k)
 
 
 def build_exponential(
@@ -305,17 +314,7 @@ def build_exponential(
     Self-loops (assignments adjacent to themselves — proper colorings
     of the host) are recorded in ``loops``, never in ``adjacency``.
     """
-    total = k ** h.vertex_count
-    if total > cap:
-        raise CapacityError(
-            f"exponential graph needs {total} vertices, cap is {cap}",
-            required=total,
-            cap=cap,
-        )
-    rows = assignment_grid(h.vertex_count, k)
-    src, gs = neighbor_pairs(h, rows, k, cycle_target)
-    vertices = itertools.product(range(1, k + 1), repeat=h.vertex_count)
-    return ExpoGraph.from_pairs(h, k, cycle_target, vertices, src, row_index(gs, k))
+    return ExpoGraph.from_rows(h, k, cycle_target, full_grid(h, k, cap))
 
 
 def component_of(
@@ -345,31 +344,44 @@ def component_of(
     return seen
 
 
+def components(eg: ExpoGraph) -> list[tuple[tuple[int, ...], ComponentClass]]:
+    """The connected components of eg, each as ``(members, class)``.
+
+    Members are sorted vertex indices, and components come in the order
+    of their lowest member.  The class rule, stated once: a component
+    holding a self-loop is reflexive; otherwise a single vertex is
+    isolated, and a larger component is bipartite, or three-chromatic
+    when it holds an odd cycle.
+    """
+    _, _, _, comp, conflicts = _bfs_two_coloring(eg.to_graph())
+    members: list[list[int]] = [[] for _ in conflicts]
+    for v, c in enumerate(comp):
+        members[c].append(v)
+    reflexive = {comp[v] for v in eg.loops}
+    out = []
+    for c, vs in enumerate(members):
+        if c in reflexive:
+            cls = ComponentClass.REFLEXIVE_VERTEX
+        elif len(vs) == 1:
+            cls = ComponentClass.ISOLATED
+        elif conflicts[c] is None:
+            cls = ComponentClass.BIPARTITE
+        else:
+            cls = ComponentClass.THREE_CHROMATIC
+        out.append((tuple(vs), cls))
+    return out
+
+
 def classify_component(comp: ExpoGraph) -> ComponentClass:
-    """Sort one connected component into the explicit-coloring taxonomy."""
+    """Sort one connected component into the explicit-coloring taxonomy:
+    :func:`components` of a graph that must have exactly one."""
     n = comp.vertex_count
     if n == 0:
         raise ValueError("empty component")
-    # connectivity check: BFS over the loop-free edges
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in comp.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    if len(seen) != n:
-        raise ValueError(f"input is not connected ({len(seen)} of {n} reachable)")
-    if comp.loops:
-        return ComponentClass.REFLEXIVE_VERTEX
-    if n == 1:
-        return ComponentClass.ISOLATED
-    if bipartition(comp.to_graph()) is not None:
-        return ComponentClass.BIPARTITE
-    return ComponentClass.THREE_CHROMATIC
+    (first, cls), *rest = components(comp)
+    if rest:
+        raise ValueError(f"input is not connected ({len(first)} of {n} reachable)")
+    return cls
 
 
 def restrict(h: Graph, f: Sequence[int], cyc: CycleWitness) -> Assignment:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapacityError, ParityDomainError
 
@@ -192,20 +192,27 @@ def is_proper_coloring(g: Graph, coloring: Mapping[int, int] | Sequence[int], k:
 
 
 def _bfs_two_coloring(g: Graph):
-    """BFS two-coloring of ``g``: ``(side, parent, depth, conflict)``.
+    """BFS two-coloring of every component: ``(side, parent, depth, comp, conflicts)``.
 
-    Roots are taken in id order, so the lowest-id vertex of each
-    component gets side 0.  Stops at the first edge found with both ends
-    on one side and returns it as ``conflict`` (the vertex being scanned,
-    then its neighbor); ``conflict`` is None when ``g`` is bipartite.
+    Roots are taken in id order, so components are numbered by their
+    lowest id and that vertex gets side 0; ``comp[v]`` is v's component.
+    ``conflicts[c]`` is the first edge of component c found with both
+    ends on one side (the vertex being scanned, then its neighbor), or
+    None when c is bipartite.  ``side``, ``parent`` and ``depth`` are set
+    once per vertex, when the BFS first reaches it.
     """
     side = [-1] * g.vertex_count
     parent = [-1] * g.vertex_count
     depth = [0] * g.vertex_count
+    comp = [-1] * g.vertex_count
+    conflicts: list[tuple[int, int] | None] = []
     for root in range(g.vertex_count):
         if side[root] != -1:
             continue
+        c = len(conflicts)
+        conflict = None
         side[root] = 0
+        comp[root] = c
         queue = deque([root])
         while queue:
             v = queue.popleft()
@@ -214,10 +221,12 @@ def _bfs_two_coloring(g: Graph):
                     side[u] = 1 - side[v]
                     parent[u] = v
                     depth[u] = depth[v] + 1
+                    comp[u] = c
                     queue.append(u)
-                elif side[u] == side[v]:
-                    return side, parent, depth, (v, u)
-    return side, parent, depth, None
+                elif conflict is None and side[u] == side[v]:
+                    conflict = (v, u)
+        conflicts.append(conflict)
+    return side, parent, depth, comp, conflicts
 
 
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -226,8 +235,8 @@ def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
     Deterministic: within each connected component the lowest-id vertex
     lands in side A, so isolated vertices all land in A.
     """
-    side, _, _, conflict = _bfs_two_coloring(g)
-    if conflict is not None:
+    side, _, _, _, conflicts = _bfs_two_coloring(g)
+    if any(conflicts):
         return None
     a = frozenset(v for v in range(g.vertex_count) if side[v] == 0)
     b = frozenset(v for v in range(g.vertex_count) if side[v] == 1)
@@ -237,10 +246,12 @@ def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
 def odd_cycle_in(g: Graph) -> CycleWitness | None:
     """Some odd cycle of ``g``, or None if bipartite.
 
-    BFS two-coloring; on the first same-side edge, the two tree paths to
-    the lowest common ancestor close an odd simple cycle.
+    BFS two-coloring; on the first same-side edge (in the lowest
+    non-bipartite component), the two tree paths to the lowest common
+    ancestor close an odd simple cycle.
     """
-    _, parent, depth, conflict = _bfs_two_coloring(g)
+    _, parent, depth, _, conflicts = _bfs_two_coloring(g)
+    conflict = next(filter(None, conflicts), None)
     if conflict is None:
         return None
     pv, pu = conflict
@@ -260,27 +271,24 @@ def odd_cycle_in(g: Graph) -> CycleWitness | None:
     return CycleWitness.canonical(left + [pu] + right[::-1])
 
 
-def odd_cycles(g: Graph, max_len: int) -> Iterator[CycleWitness]:
-    """All odd simple cycles of length <= max_len, deduplicated.
+def _odd_cycle_dfs(g: Graph, max_len: int, visit: Callable[[list[int]], int]) -> None:
+    """Walk every odd simple cycle of ``g`` of length <= max_len once.
 
-    Each cycle appears once (rotations and reflections collapse to the
-    canonical form), in nondecreasing length order, ties broken
-    lexicographically.  DFS from each root using only larger vertex ids,
-    so the root is the cycle minimum.
+    DFS from each root through larger ids only, so the root is the cycle
+    minimum; ``visit`` gets the live path of each cycle in canonical
+    form (root first, second entry smaller than the last) and returns
+    the max_len to go on with, so a caller can lower it as it goes.
+    Iterative: ``stack[i]`` walks the neighbors of ``path[i]``.
     """
-    if max_len < 3:
-        raise ValueError(f"max_len must be >= 3, got {max_len}")
-    found: list[CycleWitness] = []
     on_path = [False] * g.vertex_count
     for root in range(g.vertex_count):
-        # Iterative DFS: ``stack[i]`` walks the neighbors of ``path[i]``.
         path = [root]
         stack = [iter(g.neighbors[root])]
         while stack:
             for u in stack[-1]:
                 if u == root and len(path) >= 3:
                     if len(path) % 2 == 1 and path[1] < path[-1]:
-                        found.append(CycleWitness(tuple(path)))
+                        max_len = visit(path)
                 elif u > root and not on_path[u] and len(path) < max_len:
                     path.append(u)
                     on_path[u] = True
@@ -289,8 +297,49 @@ def odd_cycles(g: Graph, max_len: int) -> Iterator[CycleWitness]:
             else:
                 stack.pop()
                 on_path[path.pop()] = False
+
+
+def odd_cycles(g: Graph, max_len: int) -> Iterator[CycleWitness]:
+    """All odd simple cycles of length <= max_len, deduplicated.
+
+    Each cycle appears once (rotations and reflections collapse to the
+    canonical form), in nondecreasing length order, ties broken
+    lexicographically.
+    """
+    if max_len < 3:
+        raise ValueError(f"max_len must be >= 3, got {max_len}")
+    found: list[CycleWitness] = []
+
+    def collect(path: list[int]) -> int:
+        found.append(CycleWitness(tuple(path)))
+        return max_len
+
+    _odd_cycle_dfs(g, max_len, collect)
     found.sort(key=lambda c: (len(c), c.vertices))
     yield from found
+
+
+def least_odd_cycle(
+    g: Graph, accept: Callable[[tuple[int, ...]], bool]
+) -> CycleWitness | None:
+    """The first cycle in :func:`odd_cycles` order whose vertex tuple
+    passes ``accept``, or None.
+
+    Branch and bound over the same DFS: only the best accepted cycle so
+    far is kept, and no path is extended past its length, so no cycle
+    list is ever built.
+    """
+    best: tuple[int, ...] | None = None
+
+    def improve(path: list[int]) -> int:
+        nonlocal best
+        cyc = tuple(path)
+        if (best is None or (len(cyc), cyc) < (len(best), best)) and accept(cyc):
+            best = cyc
+        return g.vertex_count if best is None else len(best)
+
+    _odd_cycle_dfs(g, g.vertex_count, improve)
+    return None if best is None else CycleWitness(best)
 
 
 def chromatic_number_exact(g: Graph) -> int:

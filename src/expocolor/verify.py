@@ -41,11 +41,7 @@ from .expo import (
     ExpoGraph,
     allowed_colors,
     assignment_grid,
-    classify_component,
-    component_of,
     is_isolated,
-    neighbors,
-    restrict,
     row_index,
 )
 from .graphs import (
@@ -110,6 +106,17 @@ class _Tally:
             details["violations_truncated"] = True
             details["violation_total"] = self.total
         return self.items
+
+
+def _report(
+    statement: str, params: dict, checked: int, viol: _Tally, details: dict, t0: float
+) -> VerificationReport:
+    """The report of a verifier that started at ``t0``; the tally's
+    truncation counts go into ``details``."""
+    violations = viol.finish(details)
+    return VerificationReport(
+        statement, params, checked, violations, time.perf_counter() - t0, details
+    )
 
 
 def _arc_table(k: int) -> np.ndarray:
@@ -212,14 +219,7 @@ def verify_label_congruences(n: int, cap: int = DEFAULT_CAP) -> VerificationRepo
         "distinct_endpoint_count": int(distinct_ends.sum()),
         "even_class_size": int((fp_counts % 2 == 0).sum()),
     }
-    return VerificationReport(
-        statement="label congruences",
-        params={"n": n, "k": 3},
-        checked=total,
-        violations=viol.finish(details),
-        wall_time=time.perf_counter() - t0,
-        details=details,
-    )
+    return _report("label congruences", {"n": n, "k": 3}, total, viol, details, t0)
 
 
 def verify_chord_step_identity(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
@@ -245,14 +245,7 @@ def verify_chord_step_identity(n: int, cap: int = DEFAULT_CAP) -> VerificationRe
                 f"(residual {Half(int(residual[row, x]))})"
             )
     details: dict = {}
-    return VerificationReport(
-        statement="chord-step identity",
-        params={"n": n, "k": 3},
-        checked=pairs,
-        violations=viol.finish(details),
-        wall_time=time.perf_counter() - t0,
-        details=details,
-    )
+    return _report("chord-step identity", {"n": n, "k": 3}, pairs, viol, details, t0)
 
 
 def _interleaved_value(f: np.ndarray, g: np.ndarray, tab: np.ndarray) -> np.ndarray:
@@ -300,14 +293,7 @@ def verify_label_invariance(n: int, k: int, cap: int = DEFAULT_CAP) -> Verificat
                     "not in k*Z"
                 )
     details: dict = {}
-    return VerificationReport(
-        statement="label invariance",
-        params={"n": n, "k": k},
-        checked=pairs,
-        violations=viol.finish(details),
-        wall_time=time.perf_counter() - t0,
-        details=details,
-    )
+    return _report("label invariance", {"n": n, "k": k}, pairs, viol, details, t0)
 
 
 def verify_little_path_bound(n: int, k: int, cap: int = DEFAULT_CAP) -> VerificationReport:
@@ -336,14 +322,7 @@ def verify_little_path_bound(n: int, k: int, cap: int = DEFAULT_CAP) -> Verifica
         for offset in hist:
             hist[offset] += int(np.count_nonzero(diff2 == 2 * offset))
     details = {"offset_distribution": {str(key): val for key, val in hist.items()}}
-    return VerificationReport(
-        statement="little-path bound",
-        params={"n": n, "k": k},
-        checked=pairs,
-        violations=viol.finish(details),
-        wall_time=time.perf_counter() - t0,
-        details=details,
-    )
+    return _report("little-path bound", {"n": n, "k": k}, pairs, viol, details, t0)
 
 
 def verify_proper_coloring_k3(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
@@ -406,14 +385,7 @@ def verify_proper_coloring_k3(n: int, cap: int = DEFAULT_CAP) -> VerificationRep
         },
         "pairs": pairs,
     }
-    return VerificationReport(
-        statement="per-vertex coloring (3 colors)",
-        params={"n": n},
-        checked=pairs,
-        violations=viol.finish(details),
-        wall_time=time.perf_counter() - t0,
-        details=details,
-    )
+    return _report("per-vertex coloring (3 colors)", {"n": n}, pairs, viol, details, t0)
 
 
 def verify_proper_ck(n: int, k: int, cap: int = DEFAULT_CAP) -> VerificationReport:
@@ -495,14 +467,8 @@ def verify_proper_ck(n: int, k: int, cap: int = DEFAULT_CAP) -> VerificationRepo
         "even_nonisolated": len(sources),
         "pairs": pairs,
     }
-    return VerificationReport(
-        statement="per-vertex coloring (cycle codomain)",
-        params={"n": n, "k": k},
-        checked=total,
-        violations=viol.finish(details),
-        wall_time=time.perf_counter() - t0,
-        details=details,
-    )
+    statement = "per-vertex coloring (cycle codomain)"
+    return _report(statement, {"n": n, "k": k}, total, viol, details, t0)
 
 
 def verify_hitting_set(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
@@ -567,14 +533,9 @@ def verify_hitting_set(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     }
     if ke.vertex_count <= CHROMATIC_HARD_CAP:
         details["even_class_chi"] = chromatic_number_exact(ke.to_graph())
-    return VerificationReport(
-        statement="hitting set / bipartite remainder",
-        params={"n": n},
-        checked=remainder.vertex_count + edge_checks,
-        violations=viol.finish(details),
-        wall_time=time.perf_counter() - t0,
-        details=details,
-    )
+    statement = "hitting set / bipartite remainder"
+    checked = remainder.vertex_count + edge_checks
+    return _report(statement, {"n": n}, checked, viol, details, t0)
 
 
 def verify_baseline(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
@@ -597,14 +558,7 @@ def verify_baseline(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     except InvariantViolationError as exc:
         viol.add(f"baseline coloring failed outright: {exc}")
         details = {"even_class_size": ke.vertex_count}
-        return VerificationReport(
-            statement="baseline graph coloring",
-            params={"n": n},
-            checked=checked,
-            violations=viol.finish(details),
-            wall_time=time.perf_counter() - t0,
-            details=details,
-        )
+        return _report("baseline graph coloring", {"n": n}, checked, viol, details, t0)
     for f in ke.vertices:
         color = assigned.get(f)
         if color not in (1, 2, 3):
@@ -644,14 +598,15 @@ def verify_baseline(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
         "edges": edge_checks,
         "equal_endpoint_count": agreement,
     }
-    return VerificationReport(
-        statement="baseline graph coloring",
-        params={"n": n},
-        checked=checked,
-        violations=viol.finish(details),
-        wall_time=time.perf_counter() - t0,
-        details=details,
-    )
+    return _report("baseline graph coloring", {"n": n}, checked, viol, details, t0)
+
+
+def _even_on(rows: np.ndarray, cyc) -> np.ndarray:
+    """Whether each row, restricted to the host cycle ``cyc``, has an even
+    number of fixed points; from the live :func:`.winding.np_tour`."""
+    ctx = OddCycleCtx.make(len(cyc) // 2, 3)
+    _, _, fixed, _ = winding.np_tour(rows[:, cyc.vertices], ctx)
+    return fixed % 2 == 0
 
 
 def verify_end_to_end(
@@ -667,10 +622,11 @@ def verify_end_to_end(
     component of the rest is colored through the shared cycle cache, all
     members of a component must have even parity on the cycle that
     serves the component, and adjacent members must receive different
-    colors.  Components are also classified, and for the three-chromatic
-    ones the even-parity property is probed on *every* odd cycle of the
-    host.  With ``samples`` set, that many seeded random non-isolated
-    assignments are colored together with one random neighbor each.
+    colors.  Components are also classified, and every member of a
+    three-chromatic one is probed for even parity on *every* odd cycle
+    of the host.  With ``samples`` set, that many seeded random
+    non-isolated assignments are colored together with one random
+    neighbor each.
     """
     t0 = time.perf_counter()
     chi = chromatic_number_exact(host)
@@ -691,79 +647,56 @@ def verify_end_to_end(
                 required=total,
                 cap=cap,
             )
-        colors: dict[tuple, int] = {}
-        seen: set[tuple] = set()
-        isolated = 0
-        pair_checks = 0
+        rows = assignment_grid(nv, 3)
+        src, _ = expo.neighbor_pairs(host, rows, 3)
+        # neighbors of non-isolated rows are non-isolated: the graph on
+        # them holds every pair, and vertex i is live[i]
+        live = rows[np.unique(src)]
+        eg = ExpoGraph.from_rows(host, 3, False, live)
+        colors = [0] * eg.vertex_count  # 0 = uncolored
         class_hist = {member.value: 0 for member in ComponentClass}
         all_odd = None
         ezs_even = True
-        for f in itertools.product((1, 2, 3), repeat=nv):
-            if f in seen:
-                continue
-            if is_isolated(host, f, 3):
-                seen.add(f)
-                isolated += 1
-                continue
-            members = sorted(component_of(host, f, 3, cap=cap))
-            seen.update(members)
+        for members, cls in expo.components(eg):
+            comp_rows = live[list(members)]
             for m in members:
+                f = eg.vertices[m]
                 try:
-                    verdict, cache = coloring.color_in_kh(host, m, cache)
+                    verdict, cache = coloring.color_in_kh(host, f, cache)
                 except (NoEvenCycleError, InvariantViolationError) as exc:
-                    viol.add(f"pipeline failed on {m}: {exc}")
+                    viol.add(f"pipeline failed on {f}: {exc}")
                     continue
                 colors[m] = verdict.color
-            serving = cache.find_even(host, members[0])
+            first = eg.vertices[members[0]]
+            serving = cache.find_even(host, first)
             if serving is None:
-                viol.add(f"no cached cycle serves component of {members[0]}")
+                viol.add(f"no cached cycle serves component of {first}")
             else:
                 cyc, _ = serving
-                half = len(cyc.vertices) // 2
-                for m in members:
-                    if not in_even_class(restrict(host, m, cyc), half):
-                        viol.add(
-                            f"{m} has odd parity on its component's cycle "
-                            f"{cyc.vertices}"
-                        )
-            member_rows = np.array(members)
-            src, gs = expo.neighbor_pairs(host, member_rows, 3)
-            pair_checks += len(src)
-            for s, g in zip(src.tolist(), map(tuple, gs.tolist())):
-                cm, cg = colors.get(members[s]), colors.get(g)
-                if cm is not None and cg is not None and cm == cg:
-                    viol.add(f"adjacent pair colored alike: {members[s]}, {g}")
-            # members are sorted, so grid rows find their component index
-            dst = np.searchsorted(row_index(member_rows, 3), row_index(gs, 3))
-            comp = ExpoGraph.from_pairs(host, 3, False, members, src, dst)
-            cls = classify_component(comp)
+                for i in np.flatnonzero(~_even_on(comp_rows, cyc)):
+                    viol.add(
+                        f"{eg.vertices[members[i]]} has odd parity on its component's "
+                        f"cycle {cyc.vertices}"
+                    )
+            for m in members:
+                for w in eg.adjacency[m]:
+                    if colors[m] and colors[m] == colors[w]:
+                        pair = f"{eg.vertices[m]}, {eg.vertices[w]}"
+                        viol.add(f"adjacent pair colored alike: {pair}")
             class_hist[cls.value] += 1
             if cls is ComponentClass.THREE_CHROMATIC:
                 if all_odd is None:
-                    all_odd = odd_cycles(host, nv)
-                for m in members:
-                    for cyc in all_odd:
-                        half = len(cyc.vertices) // 2
-                        if not in_even_class(restrict(host, m, cyc), half):
-                            ezs_even = False
-        details["isolated"] = isolated
-        details["pairs"] = pair_checks
+                    all_odd = list(odd_cycles(host, nv))
+                ezs_even = ezs_even and all(_even_on(comp_rows, c).all() for c in all_odd)
+        details["isolated"] = total - eg.vertex_count
+        # every ordered adjacent pair (no loops: chi(host) > 3)
+        details["pairs"] = len(src)
         details["component_classes"] = class_hist
         details["cache_cycles"] = len(cache)
         details["every_odd_cycle_even"] = ezs_even
-        non_isolated = sorted(colors)
-        details["nonisolated_count"] = len(non_isolated)
-        if 0 < len(non_isolated) <= CHROMATIC_HARD_CAP:
-            index = {m: i for i, m in enumerate(non_isolated)}
-            edges = set()
-            for m in non_isolated:
-                for g in neighbors(host, m, 3):
-                    if g != m:
-                        a, b = index[m], index[g]
-                        edges.add((min(a, b), max(a, b)))
-            details["nonisolated_chi"] = chromatic_number_exact(
-                Graph.from_edges(len(non_isolated), edges)
-            )
+        details["nonisolated_count"] = eg.vertex_count
+        if 0 < eg.vertex_count <= CHROMATIC_HARD_CAP:
+            details["nonisolated_chi"] = chromatic_number_exact(eg.to_graph())
         checked = total
         params = {"vertices": nv, "mode": "exhaustive"}
     else:
@@ -795,11 +728,4 @@ def verify_end_to_end(
         details["cache_cycles"] = len(cache)
         checked = samples
         params = {"vertices": nv, "mode": "sampled", "samples": samples, "seed": seed}
-    return VerificationReport(
-        statement="end-to-end pipeline",
-        params=params,
-        checked=checked,
-        violations=viol.finish(details),
-        wall_time=time.perf_counter() - t0,
-        details=details,
-    )
+    return _report("end-to-end pipeline", params, checked, viol, details, t0)

@@ -180,6 +180,21 @@ def test_color_general_host_with_cache_env(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("cycles", ["5", "[5]", "[[0, 1.7, 2]]", "[[0, true, 2]]"])
+def test_color_rejects_malformed_cache_file(cycles, tmp_path, capsys, monkeypatch):
+    # a usage error (exit 2), and the cache file is left as it was
+    k4 = tmp_path / "k4.json"
+    assert main(["gen", "complete", "--k", "4", "--out", str(k4)]) == 0
+    cache_path = tmp_path / "cache.json"
+    text = f'{{"cycles": {cycles}}}\n'
+    cache_path.write_text(text)
+    argv = ["color", "--graph", str(k4), "--cache", str(cache_path)]
+    assert run_cli(argv, "[1,1,1,1]", monkeypatch) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: malformed cycle-cache")
+    assert cache_path.read_text() == text
+
+
 def test_color_general_host_isolated_exits_4(tmp_path, capsys, monkeypatch):
     k4 = tmp_path / "k4.json"
     main(["gen", "complete", "--k", "4", "--out", str(k4)])

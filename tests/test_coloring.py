@@ -23,8 +23,14 @@ from expocolor.errors import (
     NoEvenCycleError,
     ParityDomainError,
 )
-from expocolor.expo import are_adjacent, neighbors
-from expocolor.graphs import CycleWitness, make_cycle
+from expocolor.expo import are_adjacent, build_exponential, neighbors, restrict
+from expocolor.graphs import (
+    CycleWitness,
+    make_cycle,
+    make_mycielski,
+    odd_cycle_in,
+    odd_cycles,
+)
 from expocolor.winding import Half, OddCycleCtx, in_even_class, label, little_path
 
 CTX5 = OddCycleCtx.make(2, 3)
@@ -217,6 +223,13 @@ def test_even_class_subgraph_sizes_and_no_loops():
     assert even_class_subgraph(2).vertex_count == 153
 
 
+def test_even_class_subgraph_is_induced_on_the_even_class():
+    for n in (1, 2):
+        eg = build_exponential(make_cycle(2 * n + 1), 3)
+        keep = [i for i, f in enumerate(eg.vertices) if in_even_class(f, n)]
+        assert even_class_subgraph(n) == eg.induce(keep)[0]
+
+
 def test_baseline_proper_and_consistent():
     for n in (1, 2):
         ctx = OddCycleCtx.make(n, 3)
@@ -282,6 +295,22 @@ def test_find_even_cycle_parity_is_even(k4, grotzsch):
             assert in_even_class(restrict(h, f, cyc), len(cyc) // 2)
 
 
+def test_find_even_cycle_fallback_is_bounded():
+    # Mycielski(C_13) has 27 vertices and tens of thousands of odd cycles.
+    # This row induces no odd cycle in either color class, so the fallback
+    # runs; it must return the least even cycle without listing them all.
+    h = make_mycielski(make_cycle(13))
+    f = (3, 2, 3, 2, 2, 3, 2, 3, 3, 3, 2, 2, 3, 2, 3, 3, 2, 2, 3, 3, 2, 3, 2, 3, 2, 2, 3)
+    for color_class in ((1, 2), (3,)):
+        sub, _ = h.induced(v for v in range(h.vertex_count) if f[v] in color_class)
+        assert odd_cycle_in(sub) is None
+    least = next(
+        c for c in odd_cycles(h, 5) if in_even_class(restrict(h, f, c), len(c) // 2)
+    )
+    assert find_even_cycle(h, f) == least
+    assert least.vertices == (0, 1, 13, 26, 14)
+
+
 def test_find_even_cycle_none_exists(c5):
     # a proper coloring of the host C_5 has odd parity on the only odd
     # cycle there is, and it is not isolated (it neighbors itself)
@@ -301,6 +330,15 @@ def test_cycle_cache_rejects_duplicates_and_round_trips():
     assert [c.vertices for c, _ in again] == [(0, 1, 2), (0, 1, 4)]
     with pytest.raises(ValueError):
         CycleCache.from_json_dict({"wrong": []})
+
+
+@pytest.mark.parametrize(
+    "cycles", [5, [5], [[0, 1.7, 2]], [[0, True, 2]], [["0", 1, 2]], [[0, None, 2]]]
+)
+def test_cycle_cache_rejects_non_integer_entries(cycles):
+    # nothing is coerced: int() would read 1.7 and true as 1
+    with pytest.raises(ValueError, match="malformed cycle-cache"):
+        CycleCache.from_json_dict({"cycles": cycles})
 
 
 def test_cycle_cache_scan_order():

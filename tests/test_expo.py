@@ -8,12 +8,14 @@ import pytest
 from expocolor.errors import CapacityError
 from expocolor.expo import (
     ComponentClass,
+    ExpoGraph,
     are_adjacent,
     allowed_colors,
     assignment_grid,
     build_exponential,
     classify_component,
     component_of,
+    components,
     expo_to_json_dict,
     is_isolated,
     neighbor_pairs,
@@ -206,6 +208,53 @@ def test_classify_component_rejects_disconnected(k4):
     frag, _ = eg.induce(idx)
     with pytest.raises(ValueError):
         classify_component(frag)
+
+
+@pytest.mark.parametrize(
+    "host, classes",
+    [
+        ("k4", {"Isolated": 36, "ThreeChromatic": 1}),
+        ("c5", {"ReflexiveVertex": 2, "ThreeChromatic": 1}),
+        ("moser_spindle", {"Isolated": 1728, "Bipartite": 30, "ThreeChromatic": 1}),
+    ],
+)
+def test_components_match_component_of(host, classes, request):
+    h = request.getfixturevalue(host)
+    eg = build_exponential(h, 3)
+    found = components(eg)
+    lowest = [members[0] for members, _ in found]
+    assert lowest == sorted(lowest)
+    everyone = sorted(v for members, _ in found for v in members)
+    assert everyone == list(range(eg.vertex_count))
+    hist = {}
+    for members, cls in found:
+        assert list(members) == sorted(members)
+        want = component_of(h, eg.vertices[members[0]], 3)
+        assert {eg.vertices[m] for m in members} == want
+        assert (cls is ComponentClass.REFLEXIVE_VERTEX) == bool(eg.loops & set(members))
+        hist[cls.value] = hist.get(cls.value, 0) + 1
+    assert hist == classes
+
+
+def test_from_rows_is_the_induced_subgraph(c5):
+    # any sorted stack of rows: adjacency and loops straight from the
+    # definition, with far ends outside the stack dropped
+    rng = np.random.default_rng(11)
+    for h, k, cycle_target in ((c5, 3, False), (make_cycle(3), 5, True)):
+        grid = assignment_grid(h.vertex_count, k)
+        for size in (0, 1, 17, len(grid) // 2):
+            rows = grid[np.sort(rng.choice(len(grid), size, replace=False))]
+            eg = ExpoGraph.from_rows(h, k, cycle_target, rows)
+            verts = [tuple(r) for r in rows.tolist()]
+            assert eg.vertices == tuple(verts)
+            for i, f in enumerate(verts):
+                adj = [
+                    j
+                    for j, g in enumerate(verts)
+                    if j != i and brute_adjacent(h, f, g, k, cycle_target)
+                ]
+                assert list(eg.adjacency[i]) == adj
+                assert (i in eg.loops) == brute_adjacent(h, f, f, k, cycle_target)
 
 
 def test_restrict_projects_and_validates(k4):

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -16,6 +17,7 @@ from expocolor.graphs import (
     graph_to_dot,
     graph_to_json_dict,
     is_proper_coloring,
+    least_odd_cycle,
     load_graph,
     make_complete,
     make_cycle,
@@ -108,6 +110,31 @@ def test_bipartition_is_deterministic():
     assert {0, 2, 4} <= a
 
 
+def _seeded_graphs(count, seed, max_n):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        p = rng.choice((0.1, 0.2, 0.35, 0.6))
+        yield Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        )
+
+
+def test_bipartition_and_odd_cycle_in_pinned():
+    # outputs on 200 seeded graphs (91 of them not bipartite), as recorded
+    # from the BFS that stopped at the first same-side edge
+    out = []
+    for g in _seeded_graphs(200, 20, 16):
+        parts = bipartition(g)
+        wit = odd_cycle_in(g)
+        out.append((
+            None if parts is None else (sorted(parts[0]), sorted(parts[1])),
+            None if wit is None else wit.vertices,
+        ))
+    assert sum(parts is None for parts, _ in out) == 91
+    assert hashlib.sha256(repr(out).encode()).hexdigest()[:16] == "6db0e203dfb8732d"
+
+
 def test_odd_cycle_in_finds_a_witness(k4):
     wit = odd_cycle_in(k4)
     assert wit is not None
@@ -150,6 +177,23 @@ def test_odd_cycles_order_pinned(grotzsch, mycielski_rounds, max_len, count, dig
     cycles = [c.vertices for c in odd_cycles(g, max_len)]
     assert len(cycles) == count
     assert hashlib.sha256(repr(cycles).encode()).hexdigest()[:16] == digest
+
+
+def test_least_odd_cycle_is_first_accepted_in_odd_cycles_order(k4, grotzsch):
+    hosts = [k4, grotzsch, make_cycle(7), make_complete(5)]
+    hosts += [g for g in _seeded_graphs(80, 21, 10) if g.vertex_count >= 3]
+    for g in hosts:
+        cycles = [c.vertices for c in odd_cycles(g, g.vertex_count)]
+        # tuple-of-int hashes do not depend on the hash seed
+        for accept in (
+            lambda vs: True,
+            lambda vs: False,
+            lambda vs: hash(vs) % 3 == 0,
+            lambda vs: len(vs) > 3 and hash(vs) % 2 == 0,
+        ):
+            got = least_odd_cycle(g, accept)
+            want = next((vs for vs in cycles if accept(vs)), None)
+            assert (got and got.vertices) == want
 
 
 def test_cycle_witness_canonicalization():

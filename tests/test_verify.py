@@ -151,16 +151,23 @@ def test_non_adjacent_kernel_pair_detected_by_proper_ck(monkeypatch):
     assert any("non-adjacent" in v for v in rep.violations)
 
 
-def test_reports_match_recorded_golden(tmp_path, capsys):
-    # Reports recorded before the verifiers moved onto neighbor_pairs,
-    # wall_time dropped; the sweeps must reproduce them exactly.
+def test_reports_match_recorded_golden(tmp_path, capsys, wheel5, moser_spindle):
+    # Reports recorded from earlier implementations (the sweeps before
+    # neighbor_pairs; the exhaustive end-to-end runs before components
+    # came from one BFS over one built graph), wall_time dropped; every
+    # command must reproduce them exactly.
     golden = json.loads(GOLDEN.read_text())
-    save_graph(make_grotzsch(), tmp_path / "grotzsch.json")
+    hosts = {
+        "grotzsch.json": make_grotzsch(),
+        "wheel5.json": wheel5,
+        "moser_spindle.json": moser_spindle,
+    }
+    for name, host in hosts.items():
+        save_graph(host, tmp_path / name)
     out = tmp_path / "reports.jsonl"
     for command, want in golden.items():
         argv = [
-            str(tmp_path / arg) if arg == "grotzsch.json" else arg
-            for arg in shlex.split(command)
+            str(tmp_path / arg) if arg in hosts else arg for arg in shlex.split(command)
         ]
         assert cli.main(argv + ["--out", str(out)]) == 0, command
         got = [json.loads(line) for line in out.read_text().splitlines()]
