@@ -30,10 +30,7 @@ from .expo import (
     Assignment,
     ComponentClass,
     ExpoGraph,
-    are_adjacent,
     build_exponential,
-    classify_component,
-    component_of,
     is_isolated,
     neighbors,
     restrict,
@@ -88,17 +85,14 @@ __all__ = [
     "OddCycleCtx",
     "ParityDomainError",
     "VerificationReport",
-    "are_adjacent",
     "bipartition",
     "build_exponential",
     "chord_order",
     "chromatic_number_exact",
-    "classify_component",
     "color_graph_baseline",
     "color_in_kh",
     "color_vertex",
     "color_vertex_ck",
-    "component_of",
     "delta3",
     "delta_k",
     "even_class_subgraph",

@@ -57,20 +57,6 @@ EXIT_PARITY = 3
 EXIT_ISOLATED = 4
 EXIT_CAPACITY = 5
 
-_VERIFY_SUITES = (
-    "chord-step",
-    "label-congruence",
-    "label-invariance",
-    "little-path",
-    "proper-k3",
-    "proper-ck",
-    "hitting-set",
-    "baseline",
-    "end-to-end",
-    "all",
-)
-
-
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -235,62 +221,47 @@ def _verify_ns(args: argparse.Namespace) -> list[int]:
         return [(args.cycle_len - 1) // 2]
     if args.n is not None:
         return [args.n]
+    if args.n_max < 1:
+        raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
     return list(range(1, args.n_max + 1))
 
 
-def _verify_jobs(args: argparse.Namespace) -> list[tuple[str, dict]]:
-    ns = _verify_ns(args)
-    k = args.k
-    cap = args.cap
-    host = load_graph(args.graph) if args.graph else make_complete(4)
-    per_n = {
-        "chord-step": lambda n: {"n": n, "cap": cap},
-        "label-congruence": lambda n: {"n": n, "cap": cap},
-        "label-invariance": lambda n: {"n": n, "k": k, "cap": cap},
-        "little-path": lambda n: {"n": n, "k": k, "cap": cap},
-        "proper-k3": lambda n: {"n": n, "cap": cap},
-        "proper-ck": lambda n: {"n": n, "k": k, "cap": cap},
-        "hitting-set": lambda n: {"n": n, "cap": cap},
-        "baseline": lambda n: {"n": n, "cap": cap},
-    }
-    end_to_end = (
-        "end-to-end",
-        {"host": host, "cap": cap, "samples": args.samples, "seed": args.seed},
-    )
-    if args.suite == "all":
-        jobs = []
-        for suite in (
-            "chord-step",
-            "label-congruence",
-            "label-invariance",
-            "little-path",
-            "proper-k3",
-            "hitting-set",
-            "baseline",
-        ):
-            jobs.extend((suite, per_n[suite](n)) for n in ns)
-        if k >= 5:
-            jobs.extend(("proper-ck", per_n["proper-ck"](n)) for n in ns)
-        jobs.append(end_to_end)
-        return jobs
-    if args.suite == "end-to-end":
-        return [end_to_end]
-    if args.suite == "proper-ck" and k < 5:
-        raise ValueError("proper-ck requires an odd --k >= 5")
-    return [(args.suite, per_n[args.suite](n)) for n in ns]
-
-
+# Every suite and its verifier, in the order ``verify all`` runs them
+# (proper-ck only for k >= 5).  The values are the verifiers themselves.
 _VERIFY_DISPATCH = {
     "chord-step": verify_mod.verify_chord_step_identity,
     "label-congruence": verify_mod.verify_label_congruences,
     "label-invariance": verify_mod.verify_label_invariance,
     "little-path": verify_mod.verify_little_path_bound,
     "proper-k3": verify_mod.verify_proper_coloring_k3,
-    "proper-ck": verify_mod.verify_proper_ck,
     "hitting-set": verify_mod.verify_hitting_set,
     "baseline": verify_mod.verify_baseline,
+    "proper-ck": verify_mod.verify_proper_ck,
     "end-to-end": verify_mod.verify_end_to_end,
 }
+_SUITES_TAKING_K = {"label-invariance", "little-path", "proper-ck"}
+
+
+def _verify_jobs(args: argparse.Namespace) -> list[tuple[str, dict]]:
+    ns = _verify_ns(args)
+    if args.samples is not None and args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    host = load_graph(args.graph) if args.graph else make_complete(4)
+    end_to_end = {"host": host, "cap": args.cap, "samples": args.samples, "seed": args.seed}
+    if args.suite == "all":
+        suites = [s for s in _VERIFY_DISPATCH if s != "proper-ck" or args.k >= 5]
+    elif args.suite == "proper-ck" and args.k < 5:
+        raise ValueError("proper-ck requires an odd --k >= 5")
+    else:
+        suites = [args.suite]
+    jobs = []
+    for suite in suites:
+        if suite == "end-to-end":
+            jobs.append((suite, end_to_end))
+        else:
+            k = {"k": args.k} if suite in _SUITES_TAKING_K else {}
+            jobs.extend((suite, {"n": n, **k, "cap": args.cap}) for n in ns)
+    return jobs
 
 
 def _run_verify_job(job: tuple[str, dict]):
@@ -413,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     color.set_defaults(func=cmd_color)
 
     ver = sub.add_parser("verify", help="run brute-force verification suites")
-    ver.add_argument("suite", choices=_VERIFY_SUITES)
+    ver.add_argument("suite", choices=(*_VERIFY_DISPATCH, "all"))
     ver.add_argument("--n", type=int, help="single cycle half-length")
     ver.add_argument(
         "--n-max", type=int, default=2, help="run n = 1..n_max (default 2)"

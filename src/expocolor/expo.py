@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
-from typing import Iterator, Mapping, Sequence
+from functools import cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -59,18 +59,6 @@ def _compatible(x: int, y: int, k: int, cycle_target: bool) -> bool:
     if cycle_target:
         return (x - y) % k in (1, k - 1)
     return x != y
-
-
-def are_adjacent(
-    h: Graph, f: Sequence[int], g: Sequence[int], k: int, cycle_target: bool = False
-) -> bool:
-    """True iff every host edge uv has f(u)~g(v) and g(u)~f(v) in the target."""
-    _check_assignment(h, f, k)
-    _check_assignment(h, g, k)
-    return all(
-        _compatible(f[u], g[v], k, cycle_target) and _compatible(g[u], f[v], k, cycle_target)
-        for u, v in h.edges()
-    )
 
 
 @cache
@@ -214,8 +202,9 @@ class ExpoGraph:
     the vertex indexing; ``adjacency[i]`` lists neighbor indices
     (sorted, loop-free) and ``loops`` holds the indices of self-adjacent
     assignments.  Every instance is the subgraph of the full exponential
-    graph induced on its vertices, built by :meth:`from_rows`; so is
-    every subgraph :meth:`induce` returns.
+    graph induced on its vertices, built by :meth:`from_rows`, which
+    also guards the vertex order; so is every subgraph :meth:`induce`
+    returns.
     """
 
     host: Graph
@@ -225,26 +214,9 @@ class ExpoGraph:
     adjacency: tuple[tuple[int, ...], ...]
     loops: frozenset[int]
 
-    def __post_init__(self):
-        if len(self.adjacency) != len(self.vertices):
-            raise ValueError("adjacency length != vertex count")
-        if list(self.vertices) != sorted(set(self.vertices)):
-            raise ValueError("vertices must be unique and lexicographically sorted")
-
-    @cached_property
-    def _index(self) -> Mapping[Assignment, int]:
-        return {f: i for i, f in enumerate(self.vertices)}
-
-    def index_of(self, f: Sequence[int]) -> int:
-        return self._index[tuple(f)]
-
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
 
     def to_graph(self) -> Graph:
         """The loop-free simple graph over vertex indices."""
@@ -255,7 +227,7 @@ class ExpoGraph:
         cls, host: Graph, k: int, cycle_target: bool, rows: np.ndarray
     ) -> "ExpoGraph":
         """The subgraph induced on a lexicographically sorted (R, |V(host)|)
-        stack of assignments.
+        stack of assignments; ValueError unless the rows strictly increase.
 
         One :func:`neighbor_pairs` call over the stack; a pair whose far
         end is not in the stack is dropped, found by its grid row
@@ -264,6 +236,8 @@ class ExpoGraph:
         rows = np.asarray(rows)
         src, gs = neighbor_pairs(host, rows, k, cycle_target)
         ids = row_index(rows, k)
+        if np.any(ids[1:] <= ids[:-1]):
+            raise ValueError("rows must be unique and lexicographically sorted")
         far = row_index(gs, k)
         dst = np.searchsorted(ids, far)
         inside = ids[np.minimum(dst, len(ids) - 1)] == far
@@ -317,33 +291,6 @@ def build_exponential(
     return ExpoGraph.from_rows(h, k, cycle_target, full_grid(h, k, cap))
 
 
-def component_of(
-    h: Graph,
-    f: Sequence[int],
-    k: int,
-    cap: int = DEFAULT_CAP,
-    cycle_target: bool = False,
-) -> set[Assignment]:
-    """BFS closure of f under adjacency; capacity error past cap vertices."""
-    start = tuple(f)
-    _check_assignment(h, start, k)
-    seen: set[Assignment] = {start}
-    frontier = [start]
-    while frontier:
-        nxt: list[Assignment] = []
-        for cur in frontier:
-            for g in neighbors(h, cur, k, cycle_target):
-                if g not in seen:
-                    seen.add(g)
-                    if len(seen) > cap:
-                        raise CapacityError(
-                            f"component exceeds cap {cap}", required=len(seen), cap=cap
-                        )
-                    nxt.append(g)
-        frontier = nxt
-    return seen
-
-
 def components(eg: ExpoGraph) -> list[tuple[tuple[int, ...], ComponentClass]]:
     """The connected components of eg, each as ``(members, class)``.
 
@@ -372,18 +319,6 @@ def components(eg: ExpoGraph) -> list[tuple[tuple[int, ...], ComponentClass]]:
     return out
 
 
-def classify_component(comp: ExpoGraph) -> ComponentClass:
-    """Sort one connected component into the explicit-coloring taxonomy:
-    :func:`components` of a graph that must have exactly one."""
-    n = comp.vertex_count
-    if n == 0:
-        raise ValueError("empty component")
-    (first, cls), *rest = components(comp)
-    if rest:
-        raise ValueError(f"input is not connected ({len(first)} of {n} reachable)")
-    return cls
-
-
 def restrict(h: Graph, f: Sequence[int], cyc: CycleWitness) -> Assignment:
     """Project f onto a cycle of the host, in the witness's vertex order."""
     cyc.validate_in(h)
@@ -392,18 +327,3 @@ def restrict(h: Graph, f: Sequence[int], cyc: CycleWitness) -> Assignment:
             f"assignment has {len(f)} entries, host has {h.vertex_count} vertices"
         )
     return tuple(f[c] for c in cyc.vertices)
-
-
-def expo_to_json_dict(eg: ExpoGraph) -> dict:
-    """Graph-shaped JSON plus a sidecar mapping index -> assignment vector."""
-    edges = [
-        [i, j] for i in range(eg.vertex_count) for j in eg.adjacency[i] if i < j
-    ]
-    return {
-        "n": eg.vertex_count,
-        "edges": edges,
-        "loops": sorted(eg.loops),
-        "assignments": [list(f) for f in eg.vertices],
-        "k": eg.k,
-        "cycle_target": eg.cycle_target,
-    }

@@ -137,19 +137,10 @@ def _arc_table(k: int) -> np.ndarray:
     return tab
 
 
-def _check_cap(length: int, k: int, cap: int) -> None:
-    total = k**length
-    if total > cap:
-        raise CapacityError(
-            f"sweep needs {total} assignments, cap is {cap}", required=total, cap=cap
-        )
-
-
 def _sweep_grid(n: int, k: int, cap: int) -> tuple[OddCycleCtx, np.ndarray]:
     """The context and every assignment of C_{2n+1} into k colors."""
     ctx = OddCycleCtx.make(n, k)
-    _check_cap(ctx.length, k, cap)
-    return ctx, assignment_grid(ctx.length, k)
+    return ctx, expo.full_grid(make_cycle(ctx.length), k, cap)
 
 
 def _sweep_tour(n: int, k: int, cap: int):
@@ -481,13 +472,11 @@ def verify_hitting_set(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     """
     t0 = time.perf_counter()
     ctx = OddCycleCtx.make(n, 3)
-    length = ctx.length
-    _check_cap(length, 3, cap)
     ke = coloring.even_class_subgraph(n, cap=cap)
     viol = _Tally()
     expected = {
         f
-        for f in itertools.product((1, 2, 3), repeat=length)
+        for f in itertools.product((1, 2, 3), repeat=ctx.length)
         if f[ctx.a] != f[ctx.b] and in_even_class(f, n)
     }
     keep = [
@@ -499,7 +488,8 @@ def verify_hitting_set(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
             "remainder vertex set mismatch: got "
             f"{remainder.vertex_count}, expected {len(expected)}"
         )
-    parts = bipartition(remainder.to_graph())
+    rem_graph = remainder.to_graph()
+    parts = bipartition(rem_graph)
     if parts is None:
         viol.add(
             "remainder after deleting equal-endpoint assignments "
@@ -512,29 +502,25 @@ def verify_hitting_set(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
             viol.add(f"equal-endpoint branch inside the remainder: f={f}")
             continue
         sides[f] = verdict.branch
-    edge_checks = 0
-    for i in range(remainder.vertex_count):
-        fi = remainder.vertices[i]
-        for j in remainder.adjacency[i]:
-            if j <= i:
-                continue
-            fj = remainder.vertices[j]
-            edge_checks += 1
-            if sides.get(fi) is sides.get(fj):
-                viol.add(
-                    f"remainder edge within one side of l/2: {fi} -- {fj} "
-                    f"both {sides.get(fi)}"
-                )
+    edges = rem_graph.edges()
+    for i, j in edges:
+        fi, fj = remainder.vertices[i], remainder.vertices[j]
+        if sides.get(fi) is sides.get(fj):
+            viol.add(
+                f"remainder edge within one side of l/2: {fi} -- {fj} "
+                f"both {sides.get(fi)}"
+            )
+    ke_graph = ke.to_graph()
     details = {
         "even_class_size": ke.vertex_count,
         "remainder_size": remainder.vertex_count,
-        "remainder_edges": edge_checks,
-        "even_class_bipartite": bipartition(ke.to_graph()) is not None,
+        "remainder_edges": len(edges),
+        "even_class_bipartite": bipartition(ke_graph) is not None,
     }
     if ke.vertex_count <= CHROMATIC_HARD_CAP:
-        details["even_class_chi"] = chromatic_number_exact(ke.to_graph())
+        details["even_class_chi"] = chromatic_number_exact(ke_graph)
     statement = "hitting set / bipartite remainder"
-    checked = remainder.vertex_count + edge_checks
+    checked = remainder.vertex_count + len(edges)
     return _report(statement, {"n": n}, checked, viol, details, t0)
 
 
@@ -549,7 +535,6 @@ def verify_baseline(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     """
     t0 = time.perf_counter()
     ctx = OddCycleCtx.make(n, 3)
-    _check_cap(ctx.length, 3, cap)
     ke = coloring.even_class_subgraph(n, cap=cap)
     viol = _Tally()
     checked = ke.vertex_count
@@ -563,20 +548,15 @@ def verify_baseline(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
         color = assigned.get(f)
         if color not in (1, 2, 3):
             viol.add(f"assignment {f} got color {color!r} outside 1..3")
-    edge_checks = 0
-    for i in range(ke.vertex_count):
-        fi = ke.vertices[i]
-        for j in ke.adjacency[i]:
-            if j <= i:
-                continue
-            fj = ke.vertices[j]
-            edge_checks += 1
-            if assigned.get(fi) == assigned.get(fj):
-                viol.add(
-                    f"baseline colors an edge alike: {fi} -- {fj} "
-                    f"both {assigned.get(fi)}"
-                )
-    checked += edge_checks
+    edges = ke.to_graph().edges()
+    for i, j in edges:
+        fi, fj = ke.vertices[i], ke.vertices[j]
+        if assigned.get(fi) == assigned.get(fj):
+            viol.add(
+                f"baseline colors an edge alike: {fi} -- {fj} "
+                f"both {assigned.get(fi)}"
+            )
+    checked += len(edges)
     agreement = 0
     for f in ke.vertices:
         if f[ctx.a] != f[ctx.b]:
@@ -595,7 +575,7 @@ def verify_baseline(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
             )
     details = {
         "even_class_size": ke.vertex_count,
-        "edges": edge_checks,
+        "edges": len(edges),
         "equal_endpoint_count": agreement,
     }
     return _report("baseline graph coloring", {"n": n}, checked, viol, details, t0)
@@ -625,9 +605,11 @@ def verify_end_to_end(
     colors.  Components are also classified, and every member of a
     three-chromatic one is probed for even parity on *every* odd cycle
     of the host.  With ``samples`` set, that many seeded random
-    non-isolated assignments are colored together with one random
-    neighbor each.
+    non-isolated assignments (at least one) are colored together with
+    one random neighbor each.
     """
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     t0 = time.perf_counter()
     chi = chromatic_number_exact(host)
     if chi < 4:

@@ -239,6 +239,28 @@ def test_verify_capacity_exits_5(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["proper-k3", "hitting-set", "baseline"])
+def test_verify_capacity_message_counts_vertices(suite, capsys):
+    assert main(["verify", suite, "--n", "3", "--cap", "100"]) == 5
+    assert "exponential graph needs 2187 vertices, cap is 100" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "chord-step", "--n-max", "0"],
+        ["verify", "all", "--n-max", "-1"],
+        ["verify", "end-to-end", "--samples", "0"],
+        ["verify", "end-to-end", "--samples", "-3"],
+    ],
+)
+def test_verify_rejects_vacuous_runs(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must be at least 1" in err
+
+
 def test_verify_violations_exit_1(capsys, monkeypatch):
     real = winding.delta3
 

@@ -7,16 +7,14 @@ import pytest
 
 from expocolor.errors import CapacityError
 from expocolor.expo import (
+    DEFAULT_CAP,
     ComponentClass,
     ExpoGraph,
-    are_adjacent,
+    _check_assignment,
     allowed_colors,
     assignment_grid,
     build_exponential,
-    classify_component,
-    component_of,
     components,
-    expo_to_json_dict,
     is_isolated,
     neighbor_pairs,
     neighbors,
@@ -39,21 +37,39 @@ def brute_adjacent(h, f, g, k, cycle_target=False):
     return True
 
 
+def component_of(h, f, k, cap=DEFAULT_CAP, cycle_target=False):
+    """BFS closure of f under adjacency; capacity error past cap vertices.
+
+    The single-assignment reference that :func:`expocolor.expo.components`
+    is checked against.
+    """
+    start = tuple(f)
+    _check_assignment(h, start, k)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for g in neighbors(h, cur, k, cycle_target):
+                if g not in seen:
+                    seen.add(g)
+                    if len(seen) > cap:
+                        raise CapacityError(
+                            f"component exceeds cap {cap}", required=len(seen), cap=cap
+                        )
+                    nxt.append(g)
+        frontier = nxt
+    return seen
+
+
 def all_assignments(h, k):
     return itertools.product(range(1, k + 1), repeat=h.vertex_count)
 
 
-def test_are_adjacent_matches_definition_c3():
-    h = make_cycle(3)
-    for f in all_assignments(h, 3):
-        for g in all_assignments(h, 3):
-            assert are_adjacent(h, f, g, 3) == brute_adjacent(h, f, g, 3)
-
-
 def test_are_adjacent_cycle_target_example():
     h = make_cycle(3)
-    assert are_adjacent(h, (1, 3, 1), (2, 5, 2), 5, cycle_target=True)
-    assert not are_adjacent(h, (1, 3, 1), (1, 3, 1), 5, cycle_target=True)
+    assert (2, 5, 2) in neighbors(h, (1, 3, 1), 5, cycle_target=True)
+    assert (1, 3, 1) not in neighbors(h, (1, 3, 1), 5, cycle_target=True)
 
 
 def brute_pairs(h, k, cycle_target=False):
@@ -185,29 +201,23 @@ def test_component_of_k4_constant(k4):
 
 
 def test_classify_component_kinds(k4, c5):
-    eg = build_exponential(k4, 3)
-    members = sorted(component_of(k4, (1, 1, 1, 1), 3))
-    comp, _ = eg.induce([eg.index_of(m) for m in members])
-    assert classify_component(comp) == ComponentClass.THREE_CHROMATIC
-
-    # an isolated assignment is its own trivial component
-    iso = eg.induce([eg.index_of((1, 2, 3, 1))])[0]
-    assert classify_component(iso) == ComponentClass.ISOLATED
-
-    # a proper coloring of the host carries a self-loop
-    eg5 = build_exponential(c5, 3)
-    members = sorted(component_of(c5, (1, 2, 1, 2, 3), 3))
-    comp5, _ = eg5.induce([eg5.index_of(m) for m in members])
-    assert comp5.loops
-    assert classify_component(comp5) == ComponentClass.REFLEXIVE_VERTEX
-
-
-def test_classify_component_rejects_disconnected(k4):
-    eg = build_exponential(k4, 3)
-    idx = [eg.index_of((1, 1, 1, 1)), eg.index_of((1, 2, 3, 1))]
-    frag, _ = eg.induce(idx)
-    with pytest.raises(ValueError):
-        classify_component(frag)
+    # the component of f has the expected class, and induced on its own
+    # it is a single component of that class
+    cases = [
+        (k4, (1, 1, 1, 1), ComponentClass.THREE_CHROMATIC),
+        # an isolated assignment is its own trivial component
+        (k4, (1, 2, 3, 1), ComponentClass.ISOLATED),
+        # a proper coloring of the host carries a self-loop
+        (c5, (1, 2, 1, 2, 3), ComponentClass.REFLEXIVE_VERTEX),
+    ]
+    for h, f, want in cases:
+        eg = build_exponential(h, 3)
+        i = eg.vertices.index(f)
+        members, cls = next(c for c in components(eg) if i in c[0])
+        assert cls is want
+        comp, old = eg.induce(members)
+        assert old == list(members)
+        assert components(comp) == [(tuple(range(len(members))), want)]
 
 
 @pytest.mark.parametrize(
@@ -234,6 +244,14 @@ def test_components_match_component_of(host, classes, request):
         assert (cls is ComponentClass.REFLEXIVE_VERTEX) == bool(eg.loops & set(members))
         hist[cls.value] = hist.get(cls.value, 0) + 1
     assert hist == classes
+
+
+def test_from_rows_rejects_unsorted_or_duplicate_rows(c5):
+    grid = assignment_grid(c5.vertex_count, 3)
+    for rows in (grid[[0, 2, 1]], grid[[0, 1, 1, 2]], grid[::-1]):
+        with pytest.raises(ValueError, match="sorted"):
+            ExpoGraph.from_rows(c5, 3, False, rows)
+    assert ExpoGraph.from_rows(c5, 3, False, grid[[0, 1, 2]]).vertex_count == 3
 
 
 def test_from_rows_is_the_induced_subgraph(c5):
@@ -277,12 +295,7 @@ def test_restrict_preserves_adjacency(k4):
 
 def test_expo_graph_helpers(c5):
     eg = build_exponential(c5, 3)
-    assert eg.index_of((1, 1, 1, 1, 1)) == 0
+    assert eg.vertices.index((1, 1, 1, 1, 1)) == 0
     g = eg.to_graph()
     assert g.vertex_count == eg.vertex_count
-    d = expo_to_json_dict(eg)
-    assert d["n"] == 243
-    assert d["k"] == 3
-    assert d["cycle_target"] is False
-    assert len(d["assignments"]) == 243
-    assert sorted(d["loops"]) == sorted(eg.loops)
+    assert g.neighbors == eg.adjacency

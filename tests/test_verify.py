@@ -63,6 +63,12 @@ def test_capacity_errors_carry_requirements():
         verify.verify_end_to_end(make_complete(4), cap=10)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_end_to_end_rejects_empty_samples(samples):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        verify.verify_end_to_end(make_complete(4), samples=samples)
+
+
 def test_end_to_end_rejects_three_colorable_hosts():
     with pytest.raises(ValueError, match="chromatic number"):
         verify.verify_end_to_end(make_cycle(5))
