@@ -14,6 +14,7 @@ from .coloring import (
     CycleCache,
     color_graph_baseline,
     color_in_kh,
+    color_rows,
     color_vertex,
     color_vertex_ck,
     even_class_subgraph,
@@ -91,6 +92,7 @@ __all__ = [
     "chromatic_number_exact",
     "color_graph_baseline",
     "color_in_kh",
+    "color_rows",
     "color_vertex",
     "color_vertex_ck",
     "delta3",

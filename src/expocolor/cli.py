@@ -19,22 +19,46 @@ Exit codes are stable API: 0 success, 1 verification violations,
 Cycle vertices are 0-based ids; ``--edge A,B`` names the distinguished
 edge by those ids (default ``0,2n``).  The ``EXPO_CACHE`` environment
 variable supplies a default cycle-cache path for ``color --graph``.
+
+``color`` reads one JSON array, an array of arrays, or one array per
+line.  Rows of one-digit colors, as one array or one array per line
+(what ``json.dumps`` writes for k <= 9), are read from the bytes into
+one integer stack in a few numpy passes; every other input goes through
+``json.loads``, which also words every input error.  On a cycle host the
+stack is colored by one ``coloring.color_rows`` call, and the verdict
+lines are written at once; on a bad row the lines before it are
+written, then the row's own error ends the call.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import locale
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from . import bench as bench_mod
+import numpy as np
+
+# ``verify`` stays an eager import although only the ``verify`` subcommand
+# runs it: the package's ``__init__`` loads it anyway (for
+# ``VerificationReport``), and ``_VERIFY_DISPATCH`` holds the verifiers
+# themselves, where a tracer that rebinds functions in the modules already
+# loaded finds them.
 from . import verify as verify_mod
-from .coloring import CycleCache, color_in_kh, color_vertex, color_vertex_ck
+from .coloring import (
+    Branch,
+    CycleCache,
+    RowColors,
+    color_in_kh,
+    color_rows,
+    color_vertex,
+    color_vertex_ck,
+)
 from .errors import (
     CapacityError,
+    InvariantViolationError,
     IsolatedFunctionError,
     NoEvenCycleError,
     ParityDomainError,
@@ -102,16 +126,47 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # color
 
 
-def _read_assignments(path: str | None) -> list[tuple[int, ...]]:
-    """Accept one JSON array, an array of arrays, or JSON lines.
+def _digit_rows(data: bytes) -> np.ndarray | None:
+    """The rows of a payload of one-digit arrays, as a uint8 (rows, L) stack.
+
+    Reads what ``json.dumps`` writes for colors 0..9: one array, or one
+    array per line.  Leaving out JSON whitespace, the payload must be
+    ``[d,d,...,d]`` repeated with every row of one length; with more
+    than one row, no line break may fall inside an array and at least
+    one must fall between two.  Returns None for any other payload,
+    which the JSON path then reads or rejects.
+    """
+    tokens = data.translate(None, b" \t\n\r")
+    width = tokens.find(b"]") + 1  # 2L + 1 bytes a row
+    if width < 3 or width % 2 == 0 or len(tokens) % width:
+        return None
+    grid = np.frombuffer(tokens, dtype=np.uint8).reshape(-1, width)
+    digits = grid[:, 1::2] - np.uint8(ord("0"))  # other bytes wrap above 9
+    if (
+        (grid[:, 0] != ord("[")).any()
+        or (grid[:, -1] != ord("]")).any()
+        or (grid[:, 2:-1:2] != ord(",")).any()
+        or (digits > 9).any()
+    ):
+        return None
+    if len(grid) > 1:
+        raw = np.frombuffer(data, dtype=np.uint8)
+        breaks = np.flatnonzero((raw == ord("\n")) | (raw == ord("\r")))
+        before_open = np.searchsorted(breaks, np.flatnonzero(raw == ord("[")))
+        before_close = np.searchsorted(breaks, np.flatnonzero(raw == ord("]")))
+        if (before_open != before_close).any() or (
+            before_open[1:] == before_close[:-1]
+        ).any():
+            return None
+    return digits
+
+
+def _json_rows(text: str) -> list[tuple[int, ...]]:
+    """Rows of one JSON array, an array of arrays, or JSON lines.
 
     Every row must hold only JSON integers.  ``true``/``false`` parse to
     bool, an int subclass, so rows are checked by exact type, once each.
     """
-    if path is None or path == "-":
-        text = sys.stdin.read()
-    else:
-        text = Path(path).read_text()
     text = text.strip()
     if not text:
         raise ValueError("no assignments supplied")
@@ -142,6 +197,26 @@ def _read_assignments(path: str | None) -> list[tuple[int, ...]]:
     return out
 
 
+def _read_assignments(path: str | None) -> np.ndarray | list[tuple[int, ...]]:
+    """The rows of the input file, or of stdin for None or ``-``.
+
+    Rows of one-digit colors come back as the uint8 stack that
+    :func:`_digit_rows` reads straight from the bytes; any other payload,
+    and a text-only stdin such as a ``StringIO``, as the tuples of
+    :func:`_json_rows`, which also words every input error.
+    """
+    if path is None or path == "-":
+        stdin = sys.stdin
+        if not hasattr(stdin, "buffer"):
+            return _json_rows(stdin.read())
+        raw, encoding, errors = stdin.buffer.read(), stdin.encoding, stdin.errors
+    else:
+        raw = Path(path).read_bytes()
+        encoding, errors = locale.getpreferredencoding(False), "strict"
+    stack = _digit_rows(raw)
+    return stack if stack is not None else _json_rows(raw.decode(encoding, errors))
+
+
 def _parse_edge(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -149,7 +224,35 @@ def _parse_edge(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _color_on_cycle(args: argparse.Namespace, rows: list[tuple[int, ...]]) -> int:
+def _int_stack(rows: list[tuple[int, ...]], length: int) -> np.ndarray:
+    """The leading JSON rows that one int64 (rows, length) stack holds.
+
+    The stack ends before the first row of another length or with an
+    entry outside int64; coloring stops there, and the one-row routine
+    rejects that row.
+    """
+    end = next((i for i, row in enumerate(rows) if len(row) != length), len(rows))
+    try:
+        return np.array(rows[:end], dtype=np.int64).reshape(end, length)
+    except OverflowError:
+        end = next(i for i, row in enumerate(rows) if any(abs(x) >= 2**63 for x in row))
+        return _int_stack(rows[:end], length)
+
+
+def _verdict_lines(res: RowColors) -> str:
+    """``json.dumps(verdict.to_json_dict())`` of each colored row, one a line."""
+    names = [branch.value for branch in Branch]
+    return "".join(
+        f'{{"color": {color}, "branch": "{names[branch]}", "ell2": {ell2}, "p2": {p2}}}\n'
+        for color, branch, ell2, p2 in zip(
+            res.color.tolist(), res.branch.tolist(), res.ell2.tolist(), res.p2.tolist()
+        )
+    )
+
+
+def _color_on_cycle(
+    args: argparse.Namespace, rows: np.ndarray | list[tuple[int, ...]]
+) -> int:
     if args.len is not None:
         if args.len % 2 == 0 or args.len < 3:
             raise ParityDomainError(
@@ -160,17 +263,23 @@ def _color_on_cycle(args: argparse.Namespace, rows: list[tuple[int, ...]]) -> in
         n = args.n
     edge = _parse_edge(args.edge) if args.edge else None
     ctx = OddCycleCtx.make(n, args.k, edge)
-    for row in rows:
-        verdict = (
-            color_vertex(row, ctx) if args.k == 3 else color_vertex_ck(row, ctx)
-        )
-        print(json.dumps(verdict.to_json_dict()))
+    stack = rows if isinstance(rows, np.ndarray) else _int_stack(rows, ctx.length)
+    res = color_rows(stack, ctx)
+    sys.stdout.write(_verdict_lines(res))
+    if res.failed < len(rows):
+        # the first row that failed, colored alone, raises its error
+        (color_vertex if args.k == 3 else color_vertex_ck)(rows[res.failed], ctx)
+        raise InvariantViolationError(f"row {res.failed} failed only in the stack")
     return EXIT_OK
 
 
-def _color_on_host(args: argparse.Namespace, rows: list[tuple[int, ...]]) -> int:
+def _color_on_host(
+    args: argparse.Namespace, rows: np.ndarray | list[tuple[int, ...]]
+) -> int:
     if args.k != 3:
         raise ValueError("general-host coloring supports only --k 3")
+    if isinstance(rows, np.ndarray):
+        rows = list(map(tuple, rows.tolist()))
     host = load_graph(args.graph)
     cache_path = args.cache or os.environ.get("EXPO_CACHE")
     cache = CycleCache()
@@ -276,6 +385,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _fail(str(exc), EXIT_USAGE)
     try:
         if args.threads > 1 and len(jobs) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=args.threads) as pool:
                 reports = list(pool.map(_run_verify_job, jobs))
         else:
@@ -306,17 +417,20 @@ _BASELINE_SWEEP = (1, 2, 3)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from . import bench as bench_mod
+
+    reps = bench_mod.DEFAULT_REPS if args.reps is None else args.reps
     try:
         if args.mode == "explicit":
             ns = [args.n] if args.n is not None else list(bench_mod.DEFAULT_SWEEP)
             results = [
-                bench_mod.bench_explicit(n, reps=args.reps, seed=args.seed)
+                bench_mod.bench_explicit(n, reps=reps, seed=args.seed)
                 for n in ns
             ]
         else:
             ns = [args.n] if args.n is not None else list(_BASELINE_SWEEP)
             results = [
-                bench_mod.bench_baseline(n, reps=args.reps, seed=args.seed)
+                bench_mod.bench_baseline(n, reps=reps, seed=args.seed)
                 for n in ns
             ]
         slope = (
@@ -410,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument(
         "--n", type=int, help="half-length (default: sweep per mode)"
     )
-    ben.add_argument("--reps", type=int, default=bench_mod.DEFAULT_REPS)
+    ben.add_argument("--reps", type=int)
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--format", choices=("table", "json"), default="table")
     ben.set_defaults(func=cmd_bench)

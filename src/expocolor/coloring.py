@@ -2,12 +2,15 @@
 
 Three layers live here, mirroring how the math composes:
 
-* ``color_vertex`` / ``color_vertex_ck`` — color one even-class
-  assignment on an odd cycle in O(n) arithmetic, by comparing the
-  little-path value p_f against half the label ℓ_f.  The comparison is
-  exact (doubled integers) and its two strict outcomes decide between
-  the endpoint colors f(a) and f(b); equality is provably unreachable
-  and raises loudly if it ever fires.
+* ``color_rows`` — color even-class assignments on an odd cycle in
+  O(n) arithmetic each, by comparing the little-path value p_f against
+  half the label ℓ_f.  The comparison is exact (doubled integers) and
+  its two strict outcomes decide between the endpoint colors f(a) and
+  f(b); equality is provably unreachable and is reported loudly if it
+  ever fires.  One call checks and colors a whole stack of rows with
+  one kernel call, and returns the verdicts as arrays up to the first
+  row that fails; ``color_vertex`` / ``color_vertex_ck`` are its
+  one-row case, which raises that row's error.
 
 * ``color_graph_baseline`` — the exponential contrast: materialize the
   whole even class, color the f(a)=f(b) assignments directly (they hit
@@ -25,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,6 +56,9 @@ class Branch(Enum):
     EQUAL_ENDPOINTS = "EqualEndpoints"
     BELOW_HALF = "BelowHalf"
     ABOVE_HALF = "AboveHalf"
+
+
+_BRANCHES = tuple(Branch)
 
 
 @dataclass(frozen=True)
@@ -92,52 +98,130 @@ def _side_of(p2: int, ell2: int) -> int:
     return 0
 
 
-def _branch_verdict(fa: int, fb: int, ell2: int, p2: int) -> ColorVerdict:
-    if fa == fb:
-        return ColorVerdict(fa, Branch.EQUAL_ENDPOINTS, Half(ell2), Half(p2))
-    side = _side_of(p2, ell2)
-    if side < 0:
-        return ColorVerdict(fa, Branch.BELOW_HALF, Half(ell2), Half(p2))
-    if side > 0:
-        return ColorVerdict(fb, Branch.ABOVE_HALF, Half(ell2), Half(p2))
-    raise InvariantViolationError(
-        f"little path equals half the label (p2={p2}, ell2={ell2}); "
-        "this is unreachable for even-class assignments"
-    )
+class RowColors(NamedTuple):
+    """What :func:`color_rows` decided, up to the first row it could not color.
+
+    ``color``, ``branch`` (the branch's position in ``Branch``), ``ell2``
+    and ``p2`` are int64 arrays over rows ``0..failed-1``.  ``failed`` is
+    the index of the first row that cannot be colored, or the row count
+    when every row can; ``error`` is the exception the one-row routines
+    raise for that row, not raised, or None.
+    """
+
+    color: np.ndarray
+    branch: np.ndarray
+    ell2: np.ndarray
+    p2: np.ndarray
+    failed: int
+    error: Exception | None
 
 
-def _color_checked(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:
-    arr = np.asarray(f)
-    if arr.ndim != 1 or arr.shape[0] != ctx.length:
-        raise ValueError(f"assignment must have {ctx.length} entries")
+def _wrong_shape(ctx: OddCycleCtx) -> ValueError:
+    return ValueError(f"assignment must have {ctx.length} entries")
+
+
+def _decide(ctx: OddCycleCtx, columns) -> tuple[list, Exception | None]:
+    """The verdicts of rows, up to the first that fails.
+
+    ``columns`` are per-row f(a), f(b) and the kernel's ell2, p2, fixed
+    and isolated values.  Per row: isolation, then parity, then the
+    branch rule.  Returns the (color, branch position, ell2, p2) tuples
+    and the error that stopped them, or None.
+    """
+    out = []
+    for fa, fb, ell2, p2, fixed, isolated in zip(*columns):
+        if isolated:
+            return out, IsolatedFunctionError(
+                f"assignment is isolated: a chord arc steps outside "
+                f"{{0, 2, {ctx.k - 2}}} mod {ctx.k}"
+            )
+        if fixed % 2 != 0:
+            return out, ParityDomainError(
+                f"assignment has {fixed} fixed points (odd); "
+                "only the even class is colorable this way"
+            )
+        if fa == fb:
+            out.append((fa, 0, ell2, p2))
+            continue
+        side = _side_of(p2, ell2)
+        if side < 0:
+            out.append((fa, 1, ell2, p2))
+        elif side > 0:
+            out.append((fb, 2, ell2, p2))
+        else:
+            return out, InvariantViolationError(
+                f"little path equals half the label (p2={p2}, ell2={ell2}); "
+                "this is unreachable for even-class assignments"
+            )
+    return out, None
+
+
+def _colored_prefix(arr: np.ndarray, ctx: OddCycleCtx) -> tuple[list, Exception | None]:
+    """:func:`color_rows` as (color, branch, ell2, p2) tuples of Python ints.
+
+    The one-row routines read these directly: building arrays for one
+    row would add more to a call at n = 10^3 than the check and the
+    decision cost together.
+    """
+    if arr.ndim not in (1, 2) or arr.shape[-1] != ctx.length:
+        return [], _wrong_shape(ctx)
     if arr.dtype.kind not in "iu":
-        raise ValueError(f"colors must be integers, got dtype {arr.dtype}")
-    if arr.item(arr.argmin()) < 1 or arr.item(arr.argmax()) > ctx.k:
-        raise ValueError(f"colors must be in 1..{ctx.k}")
-    ell2, p2, fp_count, isolated = np_tour(arr, ctx)
-    if isolated:
-        raise IsolatedFunctionError(
-            f"assignment is isolated: a chord arc steps outside "
-            f"{{0, 2, {ctx.k - 2}}} mod {ctx.k}"
-        )
-    if fp_count % 2 != 0:
-        raise ParityDomainError(
-            f"assignment has {fp_count} fixed points (odd); "
-            "only the even class is colorable this way"
-        )
-    return _branch_verdict(arr.item(ctx.a), arr.item(ctx.b), ell2, p2)
+        return [], ValueError(f"colors must be integers, got dtype {arr.dtype}")
+    rows = arr.reshape(-1, ctx.length)
+    total = len(rows)
+    if total and (arr.item(arr.argmin()) < 1 or arr.item(arr.argmax()) > ctx.k):
+        bad = (rows.min(axis=1) < 1) | (rows.max(axis=1) > ctx.k)
+        rows = rows[: bad.argmax()]
+    if len(rows) == 1:  # the kernel's 1-d form: one bincount
+        tour = [[value] for value in np_tour(rows[0], ctx)]
+    else:
+        tour = [values.tolist() for values in np_tour(rows, ctx)]
+    out, error = _decide(ctx, [rows[:, ctx.a].tolist(), rows[:, ctx.b].tolist(), *tour])
+    if error is None and len(out) < total:
+        error = ValueError(f"colors must be in 1..{ctx.k}")
+    return out, error
+
+
+def color_rows(fs, ctx: OddCycleCtx) -> RowColors:
+    """Color a row, or a stack of rows, of C_{2n+1} with one kernel call.
+
+    ``fs`` is one assignment (1-d) or a (rows, 2n+1) stack, of any
+    integer dtype.  Rows are taken in order, and the result stops at the
+    first that fails a check, in the order the one-row routines apply
+    them: shape and dtype (which fail every row at once), colors in
+    1..k (on the values as given, before the kernel casts them),
+    isolation, an even fixed-point count, and a little path off ell/2.
+    One :func:`np_tour` call serves every row before the first
+    out-of-range one, and a lone row takes the kernel's 1-d form; the
+    O(1) decision per row is :func:`_side_of`.
+    """
+    out, error = _colored_prefix(np.asarray(fs), ctx)
+    color, branch, ell2, p2 = np.array(out, dtype=np.int64).reshape(-1, 4).T
+    return RowColors(color, branch, ell2, p2, len(out), error)
+
+
+def _color_one(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:
+    """The one-row case of :func:`color_rows`: its verdict, or its error raised."""
+    arr = np.asarray(f)
+    if arr.ndim != 1:
+        raise _wrong_shape(ctx)
+    out, error = _colored_prefix(arr, ctx)
+    if error is not None:
+        raise error
+    color, branch, ell2, p2 = out[0]
+    return ColorVerdict(color, _BRANCHES[branch], Half(ell2), Half(p2))
 
 
 def color_vertex(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:
     """Color one even-class three-color assignment in O(n).
 
-    ``f`` is a sequence or 1-d array of any integer dtype.  Checks shape,
-    dtype, the color range (on the values as given, before the kernel
-    casts them) and membership (even fixed-point count) on every call.
+    ``f`` is a sequence or 1-d array of any integer dtype: the one-row
+    case of :func:`color_rows`, with its checks, raising the first
+    row's error.
     """
     if ctx.k != 3:
         raise ValueError(f"three-color routine got k={ctx.k}; use color_vertex_ck")
-    return _color_checked(f, ctx)
+    return _color_one(f, ctx)
 
 
 def color_vertex_ck(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:
@@ -149,7 +233,7 @@ def color_vertex_ck(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:
     """
     if ctx.k < 5:
         raise ValueError(f"cycle-codomain routine got k={ctx.k}; use color_vertex")
-    return _color_checked(f, ctx)
+    return _color_one(f, ctx)
 
 
 def even_class_subgraph(n: int, cap: int = 10**6) -> ExpoGraph:

@@ -32,9 +32,7 @@ from . import coloring, expo, winding
 from .errors import (
     CapacityError,
     InvariantViolationError,
-    IsolatedFunctionError,
     NoEvenCycleError,
-    ParityDomainError,
 )
 from .expo import (
     ComponentClass,
@@ -173,6 +171,30 @@ def _pair_blocks(ctx: OddCycleCtx, rows: np.ndarray, sources: np.ndarray):
 
 def _fmt(row: np.ndarray) -> tuple[int, ...]:
     return tuple(row.tolist())
+
+
+def _color_sweep(
+    ctx: OddCycleCtx, rows: np.ndarray, sources: np.ndarray, viol: _Tally
+) -> tuple[np.ndarray, np.ndarray]:
+    """Color ``rows[sources]`` as one stack through :func:`.coloring.color_rows`.
+
+    Returns per grid row the color and 1 + the branch's position in
+    ``Branch``, both 0 where the row is uncolored.  A row the batch entry
+    stops at is reported with its error and left uncolored, and the
+    stack resumes after it.
+    """
+    colors = np.zeros(len(rows), dtype=np.int64)
+    branch_codes = np.zeros(len(rows), dtype=np.int8)
+    while len(sources):
+        res = coloring.color_rows(rows[sources], ctx)
+        done = sources[: res.failed]
+        colors[done] = res.color
+        branch_codes[done] = res.branch + 1
+        if res.error is not None:
+            f = _fmt(rows[sources[res.failed]])
+            viol.add(f"coloring failed for f={f}: {res.error}")
+        sources = sources[res.failed + 1 :]
+    return colors, branch_codes
 
 
 def _row_tuples(rows: np.ndarray):
@@ -332,22 +354,10 @@ def verify_proper_coloring_k3(n: int, cap: int = DEFAULT_CAP) -> VerificationRep
     t0 = time.perf_counter()
     ctx, rows = _sweep_grid(n, 3, cap)
     branches = list(coloring.Branch)
-    # per grid row: the color and 1 + the branch's position, 0 if uncolored
-    colors = np.zeros(len(rows), dtype=np.int8)
-    branch_codes = np.zeros(len(rows), dtype=np.int8)
     viol = _Tally()
-    even_count = 0
-    for r, f in enumerate(_row_tuples(rows)):
-        if not in_even_class(f, n):
-            continue
-        even_count += 1
-        try:
-            verdict = coloring.color_vertex(f, ctx)
-        except (InvariantViolationError, ParityDomainError) as exc:
-            viol.add(f"coloring failed for f={f}: {exc}")
-            continue
-        colors[r] = verdict.color
-        branch_codes[r] = branches.index(verdict.branch) + 1
+    even = np.flatnonzero([in_even_class(f, n) for f in _row_tuples(rows)])
+    even_count = len(even)
+    colors, branch_codes = _color_sweep(ctx, rows, even, viol)
     colored = np.flatnonzero(colors)
     equal = branches.index(coloring.Branch.EQUAL_ENDPOINTS) + 1
     pairs = 0
@@ -427,17 +437,7 @@ def verify_proper_ck(n: int, k: int, cap: int = DEFAULT_CAP) -> VerificationRepo
             isolated += 1
         elif even_mask[r]:
             sources.append(r)
-    colors = np.zeros(total, dtype=np.int64)  # 0 = uncolored
-    for r in sources:
-        f = _fmt(rows[r])
-        try:
-            colors[r] = coloring.color_vertex_ck(f, ctx).color
-        except (
-            IsolatedFunctionError,
-            ParityDomainError,
-            InvariantViolationError,
-        ) as exc:
-            viol.add(f"coloring failed for f={f}: {exc}")
+    colors, _ = _color_sweep(ctx, rows, np.array(sources, dtype=np.int64), viol)
     pairs = 0
     for i, j, f, g in _pair_blocks(ctx, rows, np.flatnonzero(colors)):
         for row in np.flatnonzero(~even_mask[j]):

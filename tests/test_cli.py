@@ -2,12 +2,16 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from expocolor import winding
+import expocolor
+from expocolor import cli, winding
 from expocolor.cli import main
 from expocolor.graphs import graph_from_json_dict
 
@@ -141,6 +145,75 @@ def test_color_rejects_non_integer_colors(payload, capsys, monkeypatch):
     assert run_cli(["color", "--n", "2"], payload, monkeypatch) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:")
+
+
+_NOT_DIGITS = ["true", "1.0", "null", '"1"', "-1", "12", "1e0", "[1]", "00", "-", "x", "/", ":"]
+
+
+def _fuzz_payload(rng) -> str:
+    """Rows of random digits in random JSON whitespace, some of them broken."""
+
+    def ws(breaks: bool) -> str:
+        pool = [" ", "\t", ""] + (["\n", "\r\n", "\r"] if breaks else [])
+        return "".join(pool[i] for i in rng.integers(len(pool), size=rng.integers(0, 3)))
+
+    rows = [
+        [str(d) for d in rng.integers(0, 10, size=rng.integers(1, 6))]
+        for _ in range(rng.integers(1, 5))
+    ]
+    fault = rng.integers(12)  # 6..11: no fault
+    row = rows[rng.integers(len(rows))]
+    if fault == 0:
+        row[rng.integers(len(row))] = _NOT_DIGITS[rng.integers(len(_NOT_DIGITS))]
+    elif fault == 1:  # ragged
+        row.append("1")
+    inside = rng.random() < 0.25  # line breaks inside arrays
+    texts = []
+    for r in rows:
+        commas = [ws(inside) + "," + ws(inside) for _ in r[1:]]
+        if fault == 2 and r is row and commas:
+            commas[rng.integers(len(commas))] = " "  # [1 2]
+        body = "".join(x + c for x, c in zip(r, commas + [""]))
+        if fault == 3 and r is row:
+            body += ","  # a trailing comma
+        texts.append(ws(inside) + "[" + ws(inside) + body + ws(inside) + "]" + ws(False))
+    if fault == 4:
+        return "[" + ",".join(texts) + "]"  # an array of arrays
+    joints = ["\n", "\r\n", "\n\n", "\r"] + ([" ", ""] if fault == 5 else [])
+    return "".join(t + joints[rng.integers(len(joints))] for t in texts)
+
+
+def test_digit_reader_agrees_with_the_json_path():
+    # Wherever the bulk reader takes a payload, json.loads must read the
+    # same rows from it; every other payload is left to the JSON path.
+    rng = np.random.default_rng(7)
+    taken = left = 0
+    for _ in range(3000):
+        payload = _fuzz_payload(rng)
+        stack = cli._digit_rows(payload.encode())
+        try:
+            rows = cli._json_rows(payload)
+        except ValueError:  # json.JSONDecodeError included: exit 2
+            rows = None
+        if stack is None:
+            left += 1
+            continue
+        taken += 1
+        assert rows is not None, payload
+        assert stack.dtype == np.uint8 and stack.tolist() == [list(r) for r in rows], payload
+    assert taken > 500 and left > 500, (taken, left)
+
+
+def test_importing_the_cli_leaves_the_pool_and_bench_unloaded():
+    # ``color`` needs neither; ``verify --threads`` and ``bench`` import them
+    code = (
+        "import sys, expocolor.cli; "
+        "print([m for m in ('concurrent.futures.process', 'expocolor.bench') "
+        "if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(expocolor.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
 
 
 def test_color_long_host_cycle_without_even_parity_exits_4(tmp_path, capsys, monkeypatch):

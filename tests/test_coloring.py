@@ -12,6 +12,7 @@ from expocolor.coloring import (
     CycleCache,
     color_graph_baseline,
     color_in_kh,
+    color_rows,
     color_vertex,
     color_vertex_ck,
     even_class_subgraph,
@@ -181,6 +182,82 @@ def test_color_vertex_matches_scalar_oracle_on_every_edge(n, k, colors):
         ctx = OddCycleCtx.make(n, k, (e, (e + 1) % length))
         for f in rows:
             assert _outcome(color, f, ctx) == _outcome(_scalar_verdict, f, ctx), (ctx.a, f)
+
+
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def _alone(f, ctx):
+    """The one-row routine's verdict for f, or the exception it raised."""
+    color = color_vertex if ctx.k == 3 else color_vertex_ck
+    try:
+        return color(f, ctx)
+    except (ValueError, InvariantViolationError) as exc:
+        return exc
+
+
+@pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("n, k", [(2, 3), (3, 3), (2, 5), (3, 7)])
+def test_color_rows_matches_the_one_row_routines(dtype, n, k):
+    # Stacks of mostly colorable rows with a failing row or two mixed in
+    # (odd parity, isolated, a color outside 1..k, the dtype's extremes):
+    # the batch entry must stop at the row where the one-row routine
+    # first raises, with the same error, after the same verdicts.
+    rng = np.random.default_rng([n, k, np.dtype(dtype).num])
+    length = 2 * n + 1
+    info = np.iinfo(dtype)
+    # uniform rows, and rows over two colors a chord step of 2 apart,
+    # which no cycle codomain isolates
+    pool = np.concatenate(
+        (
+            rng.integers(1, k + 1, size=(60, length)),
+            rng.integers(1, k - 1, size=(60, 1)) + 2 * rng.integers(2, size=(60, length)),
+        )
+    ).tolist()
+    for trial in range(12):
+        e = int(rng.integers(length))
+        ctx = OddCycleCtx.make(n, k, (e, (e + 1) % length))
+        good, bad = [], []
+        for f in pool:
+            (bad if isinstance(_alone(f, ctx), Exception) else good).append(f)
+        rows = [good[i] for i in rng.integers(len(good), size=rng.integers(0, 25))]
+        for _ in range(rng.integers(0, 3)):
+            row = list(bad[rng.integers(len(bad))])
+            if rng.random() < 0.4:
+                row[rng.integers(length)] = [0, k + 1, int(info.max), int(info.min)][
+                    rng.integers(4)
+                ]
+            rows.insert(int(rng.integers(len(rows) + 1)), row)
+        stack = np.array(rows, dtype=dtype).reshape(-1, length)
+        outcomes = [_alone(f, ctx) for f in stack]
+        failed = next(
+            (i for i, o in enumerate(outcomes) if isinstance(o, Exception)), len(stack)
+        )
+        for fs in [stack] + ([stack[0]] if len(stack) else []):
+            res = color_rows(fs, ctx)
+            want = outcomes[: min(failed, len(np.atleast_2d(fs)))]
+            got = [
+                ColorVerdict(c, list(Branch)[b], Half(ell2), Half(p2))
+                for c, b, ell2, p2 in zip(*(values.tolist() for values in res[:4]))
+            ]
+            assert (res.failed, got) == (len(want), want), (ctx, stack)
+            if res.failed < len(np.atleast_2d(fs)):
+                alone = outcomes[res.failed]
+                assert (type(res.error), str(res.error)) == (type(alone), str(alone))
+            else:
+                assert res.error is None
+
+
+def test_color_rows_rejects_whole_stacks_of_the_wrong_shape_or_dtype():
+    for fs in (np.ones((3, 4), dtype=np.int64), np.ones((2, 2, 5), dtype=np.int64)):
+        res = color_rows(fs, CTX5)
+        assert res.failed == 0 and str(res.error) == "assignment must have 5 entries"
+    res = color_rows(np.ones((3, 5)), CTX5)
+    assert res.failed == 0 and "dtype float64" in str(res.error)
+    with pytest.raises(ValueError, match="assignment must have 5 entries"):
+        color_vertex(np.ones((1, 5), dtype=np.int64), CTX5)
+    empty = color_rows(np.zeros((0, 5), dtype=np.uint8), CTX5)
+    assert empty.failed == 0 and empty.error is None and empty.color.shape == (0,)
 
 
 def test_color_vertex_ck_example_and_errors():

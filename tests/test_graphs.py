@@ -46,6 +46,16 @@ def test_graph_rejects_loops_and_bad_ids():
         Graph.from_edges(3, [(0, 3)])
 
 
+def test_graph_rejects_asymmetric_adjacency_at_first_pair():
+    # 0 lists 2 and 1 lists 2, but 2 lists neither: (0,2) is the first
+    # directed edge, in vertex then neighbour order, without its reverse
+    with pytest.raises(ValueError, match=r"^asymmetric edge \(0,2\)$"):
+        Graph(3, ((1, 2), (0, 2), ()))
+    # every other check runs over all vertices before symmetry does
+    with pytest.raises(ValueError, match="out of range"):
+        Graph(3, ((1, 2), (0,), (5,)))
+
+
 def test_graph_induced_subgraph():
     g = make_complete(4)
     sub, old_ids = g.induced([1, 2, 3])

@@ -8,6 +8,8 @@ a pure flip merely swaps which endpoint color each side takes and still
 produces a proper coloring, so no behavioral oracle can see it.
 """
 
+import contextlib
+import io
 import json
 import shlex
 from pathlib import Path
@@ -183,17 +185,61 @@ def test_reports_match_recorded_golden(tmp_path, capsys, wheel5, moser_spindle):
     capsys.readouterr()
 
 
+def _cli_pairs_colored_alike(monkeypatch, n: int = 2) -> int:
+    """``expocolor color`` on every even-class row of C_{2n+1}, each sent
+    next to one of its neighbours: the number of pairs colored alike."""
+    ctx = winding.OddCycleCtx.make(n, 3)
+    host = make_cycle(ctx.length)
+    rows = expo.full_grid(host, 3, verify.DEFAULT_CAP)
+    even = rows[winding.np_tour(rows, ctx)[2] % 2 == 0]
+    src, nbrs = expo.neighbor_pairs(host, even, 3, False)
+    pairs = np.stack((even[src], nbrs), axis=1).reshape(-1, ctx.length)
+    payload = "".join(json.dumps(row) + "\n" for row in pairs.tolist())
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(payload.encode())))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["color", "--n", str(n)]) == 0
+    colors = np.array([json.loads(line)["color"] for line in out.getvalue().splitlines()])
+    assert len(colors) == len(pairs)
+    return int(np.count_nonzero(colors[0::2] == colors[1::2]))
+
+
+def test_cli_colors_interleaved_neighbour_pairs_properly(monkeypatch):
+    assert _cli_pairs_colored_alike(monkeypatch) == 0
+
+
 def test_stuck_side_comparison_detected(monkeypatch):
     monkeypatch.setattr(coloring, "_side_of", lambda p2, ell2: -1)
     assert not verify.verify_proper_coloring_k3(1).passed
     assert not verify.verify_hitting_set(1).passed
     assert not verify.verify_end_to_end(make_complete(4)).passed
+    assert _cli_pairs_colored_alike(monkeypatch) > 0
 
 
 def test_stuck_side_comparison_detected_other_branch(monkeypatch):
     monkeypatch.setattr(coloring, "_side_of", lambda p2, ell2: 1)
     assert not verify.verify_proper_coloring_k3(1).passed
     assert not verify.verify_hitting_set(1).passed
+    assert _cli_pairs_colored_alike(monkeypatch) > 0
+
+
+def _coloring_failures(rep) -> list[str]:
+    failed = [v for v in rep.violations if v.startswith("coloring failed")]
+    assert all("little path equals half the label" in v for v in failed)
+    return failed
+
+
+def test_sweeps_report_every_row_the_batch_cannot_color(monkeypatch):
+    # A side comparison stuck on ell/2 fails every distinct-endpoint row:
+    # each is reported, and the stack resumes after it, so the
+    # equal-endpoint rows still get colors.
+    monkeypatch.setattr(coloring, "_side_of", lambda p2, ell2: 0)
+    rep = verify.verify_proper_coloring_k3(1)
+    failed = _coloring_failures(rep)
+    assert 0 < rep.details["colored"] == rep.details["even_class_size"] - len(failed)
+    rep = verify.verify_proper_ck(1, 5)
+    assert 0 < len(_coloring_failures(rep)) < rep.details["even_nonisolated"]
+    assert rep.details["pairs"] > 0
 
 
 def test_corrupt_bipartition_detected_by_baseline(monkeypatch):
