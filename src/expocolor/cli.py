@@ -273,6 +273,18 @@ def _color_on_cycle(
     return EXIT_OK
 
 
+def _save_cache(path: Path, cache: CycleCache) -> None:
+    """Write the cache to a temporary file beside ``path``, then move it
+    onto ``path``: the file holds the old cache or the new one, never a
+    partial write."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(cache.dumps() + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _color_on_host(
     args: argparse.Namespace, rows: np.ndarray | list[tuple[int, ...]]
 ) -> int:
@@ -291,7 +303,7 @@ def _color_on_host(
             print(json.dumps(verdict.to_json_dict()))
     finally:
         if cache_path:
-            Path(cache_path).write_text(cache.dumps() + "\n")
+            _save_cache(Path(cache_path), cache)
     return EXIT_OK
 
 
@@ -413,9 +425,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # bench
 
-_BASELINE_SWEEP = (1, 2, 3)
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     from . import bench as bench_mod
 
@@ -423,12 +432,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     try:
         if args.mode == "explicit":
             ns = [args.n] if args.n is not None else list(bench_mod.DEFAULT_SWEEP)
-            results = [
-                bench_mod.bench_explicit(n, reps=reps, seed=args.seed)
-                for n in ns
-            ]
+            results = bench_mod.run_explicit_sweep(ns, reps=reps, seed=args.seed)
         else:
-            ns = [args.n] if args.n is not None else list(_BASELINE_SWEEP)
+            ns = [args.n] if args.n is not None else list(bench_mod._BASELINE_SWEEP)
             results = [
                 bench_mod.bench_baseline(n, reps=reps, seed=args.seed)
                 for n in ns

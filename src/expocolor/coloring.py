@@ -256,7 +256,10 @@ def color_graph_baseline(ke: ExpoGraph, ctx: OddCycleCtx) -> dict[tuple[int, ...
     The assignments with f(a) = f(b) take color f(a); they hit every
     odd cycle, so the rest is bipartite and its two sides take f(a)
     and f(b) respectively.  Proper by construction; the bipartition
-    step is where the exponential cost lives.
+    step is where the exponential cost lives.  The even class is one
+    row stack: one :func:`np_tour` call checks its parity, a mask on
+    the endpoint columns splits off the remainder, and the colors are
+    gathered from the endpoint columns.
     """
     if ke.k != 3 or ke.cycle_target:
         raise ValueError("baseline expects a three-color exponential graph")
@@ -268,32 +271,24 @@ def color_graph_baseline(ke: ExpoGraph, ctx: OddCycleCtx) -> dict[tuple[int, ...
     for i in range(ctx.length):
         if not host.has_edge(i, (i + 1) % ctx.length):
             raise ValueError("host is not the odd cycle the context describes")
-    for f in ke.vertices:
-        if not in_even_class(f, ctx.n):
-            raise ValueError(f"assignment {f} has odd parity; not an even-class graph")
+    rows = np.array(ke.vertices, dtype=np.int64).reshape(-1, ctx.length)
+    odd = np_tour(rows, ctx)[2] % 2 != 0
+    if odd.any():
+        f = ke.vertices[odd.argmax()]
+        raise ValueError(f"assignment {f} has odd parity; not an even-class graph")
 
-    colors: dict[tuple[int, ...], int] = {}
-    rest: list[int] = []
-    for i, f in enumerate(ke.vertices):
-        if f[ctx.a] == f[ctx.b]:
-            colors[f] = f[ctx.a]
-        else:
-            rest.append(i)
-    sub, _ = ke.induce(rest)
+    rest = np.flatnonzero(rows[:, ctx.a] != rows[:, ctx.b])
+    sub = ExpoGraph.from_rows(host, 3, False, rows[rest])
     parts = bipartition(sub.to_graph())
     if parts is None:
         raise InvariantViolationError(
             "remaining even-class subgraph is not bipartite; the "
             "equal-endpoint assignments failed to hit every odd cycle"
         )
-    side_a, side_b = parts
-    for i in side_a:
-        f = sub.vertices[i]
-        colors[f] = f[ctx.a]
-    for i in side_b:
-        f = sub.vertices[i]
-        colors[f] = f[ctx.b]
-    return colors
+    colors = rows[:, ctx.a].copy()
+    side_b = rest[np.fromiter(parts[1], dtype=np.int64)]
+    colors[side_b] = rows[side_b, ctx.b]
+    return dict(zip(ke.vertices, colors.tolist()))
 
 
 # -- general hosts ------------------------------------------------------------

@@ -203,8 +203,7 @@ class ExpoGraph:
     (sorted, loop-free) and ``loops`` holds the indices of self-adjacent
     assignments.  Every instance is the subgraph of the full exponential
     graph induced on its vertices, built by :meth:`from_rows`, which
-    also guards the vertex order; so is every subgraph :meth:`induce`
-    returns.
+    also guards the vertex order.
     """
 
     host: Graph
@@ -254,18 +253,6 @@ class ExpoGraph:
         vertices = tuple(map(tuple, rows.tolist()))
         loops = frozenset(src[loop].tolist())
         return cls(host, k, cycle_target, vertices, adjacency, loops)
-
-    def induce(self, keep: Sequence[int]) -> tuple["ExpoGraph", list[int]]:
-        """Sub-exponential-graph on the given vertex indices.
-
-        Returns the induced graph (indices renumbered, lexicographic
-        order preserved) and the list mapping new index -> old index.
-        """
-        old = sorted(set(keep))
-        rows = np.array(
-            [self.vertices[o] for o in old], dtype=_color_dtype(self.k)
-        ).reshape(len(old), self.host.vertex_count)
-        return ExpoGraph.from_rows(self.host, self.k, self.cycle_target, rows), old
 
 
 def full_grid(h: Graph, k: int, cap: int) -> np.ndarray:

@@ -93,9 +93,6 @@ class Graph:
         ]
         return Graph.from_edges(len(old), edges), old
 
-    def __hash__(self):
-        return hash((self.vertex_count, self.neighbors))
-
 
 @dataclass(frozen=True)
 class CycleWitness:

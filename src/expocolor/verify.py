@@ -11,7 +11,10 @@ and isolation from :func:`.winding.np_tour`, the kernel that colors,
 in one call over the whole assignment space; only arcs *between* two
 assignments are valued from a pairwise Δ table.  Adjacent pairs come
 from :func:`.expo.neighbor_pairs` in fixed blocks of source rows, and
-every check is a whole-array gather over a block's pairs.  Δ and the
+every check is a whole-array gather over a block's pairs.  The
+even-class verifiers (hitting set, baseline) hold the even class as one
+row stack: a mask on the endpoint columns splits it, one batch call
+colors it, and edges are checked as one (E, 2) index array.  Δ and the
 kernels are reached through live module attributes, tables are rebuilt
 per call, and coloring goes through :mod:`.coloring`'s public entry
 points, so corrupting Δ, a kernel or the side comparison in a test
@@ -173,13 +176,18 @@ def _fmt(row: np.ndarray) -> tuple[int, ...]:
     return tuple(row.tolist())
 
 
+# The branch of each branch code :func:`_color_sweep` returns; None for 0.
+_BRANCH_OF_CODE = (None, *coloring.Branch)
+_EQUAL_CODE = _BRANCH_OF_CODE.index(coloring.Branch.EQUAL_ENDPOINTS)
+
+
 def _color_sweep(
     ctx: OddCycleCtx, rows: np.ndarray, sources: np.ndarray, viol: _Tally
 ) -> tuple[np.ndarray, np.ndarray]:
     """Color ``rows[sources]`` as one stack through :func:`.coloring.color_rows`.
 
     Returns per grid row the color and 1 + the branch's position in
-    ``Branch``, both 0 where the row is uncolored.  A row the batch entry
+    ``Branch`` (see ``_BRANCH_OF_CODE``), both 0 where the row is uncolored.  A row the batch entry
     stops at is reported with its error and left uncolored, and the
     stack resumes after it.
     """
@@ -353,13 +361,11 @@ def verify_proper_coloring_k3(n: int, cap: int = DEFAULT_CAP) -> VerificationRep
     """
     t0 = time.perf_counter()
     ctx, rows = _sweep_grid(n, 3, cap)
-    branches = list(coloring.Branch)
     viol = _Tally()
     even = np.flatnonzero([in_even_class(f, n) for f in _row_tuples(rows)])
     even_count = len(even)
     colors, branch_codes = _color_sweep(ctx, rows, even, viol)
     colored = np.flatnonzero(colors)
-    equal = branches.index(coloring.Branch.EQUAL_ENDPOINTS) + 1
     pairs = 0
     for i, j, f, g in _pair_blocks(ctx, rows, colored):
         partnered = colors[j] != 0
@@ -372,17 +378,19 @@ def verify_proper_coloring_k3(n: int, cap: int = DEFAULT_CAP) -> VerificationRep
         for row in np.flatnonzero(partnered & (colors[i] == colors[j])):
             viol.add(f"adjacent pair colored alike: f={_fmt(f[row])}, g={_fmt(g[row])}")
         bi, bj = branch_codes[i], branch_codes[j]
-        for row in np.flatnonzero(partnered & (bi != equal) & (bj != equal) & (bi == bj)):
+        distinct = (bi != _EQUAL_CODE) & (bj != _EQUAL_CODE)
+        for row in np.flatnonzero(partnered & distinct & (bi == bj)):
             viol.add(
                 f"distinct-endpoint neighbors on the same side of l/2: "
-                f"f={_fmt(f[row])}, g={_fmt(g[row])} both {branches[bi[row] - 1].value}"
+                f"f={_fmt(f[row])}, g={_fmt(g[row])} "
+                f"both {_BRANCH_OF_CODE[bi[row]].value}"
             )
     details = {
         "even_class_size": even_count,
         "colored": len(colored),
         "branch_histogram": {
             b.value: int(np.count_nonzero(branch_codes == code))
-            for code, b in enumerate(branches, 1)
+            for code, b in enumerate(coloring.Branch, 1)
         },
         "pairs": pairs,
     }
@@ -462,6 +470,11 @@ def verify_proper_ck(n: int, k: int, cap: int = DEFAULT_CAP) -> VerificationRepo
     return _report(statement, {"n": n, "k": k}, total, viol, details, t0)
 
 
+def _edge_array(g: Graph) -> np.ndarray:
+    """The edges of g as an (E, 2) integer array, in :meth:`Graph.edges` order."""
+    return np.array(g.edges(), dtype=np.int64).reshape(-1, 2)
+
+
 def verify_hitting_set(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     """Check that equal-endpoint assignments hit every odd structure.
 
@@ -469,6 +482,7 @@ def verify_hitting_set(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     vertices, removes the assignments whose two edge-endpoint values
     coincide, and verifies the remainder is bipartite with the two sides
     given exactly by the below/above branch of the coloring decision.
+    The remainder is one row stack, colored by one :func:`_color_sweep`.
     """
     t0 = time.perf_counter()
     ctx = OddCycleCtx.make(n, 3)
@@ -479,10 +493,9 @@ def verify_hitting_set(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
         for f in itertools.product((1, 2, 3), repeat=ctx.length)
         if f[ctx.a] != f[ctx.b] and in_even_class(f, n)
     }
-    keep = [
-        i for i, f in enumerate(ke.vertices) if f[ctx.a] != f[ctx.b]
-    ]
-    remainder, _ = ke.induce(keep)
+    rows = np.array(ke.vertices)
+    rows = rows[rows[:, ctx.a] != rows[:, ctx.b]]
+    remainder = ExpoGraph.from_rows(ke.host, 3, False, rows)
     if set(remainder.vertices) != expected:
         viol.add(
             "remainder vertex set mismatch: got "
@@ -495,21 +508,16 @@ def verify_hitting_set(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
             "remainder after deleting equal-endpoint assignments "
             "contains an odd cycle"
         )
-    sides: dict[tuple, coloring.Branch] = {}
-    for f in remainder.vertices:
-        verdict = coloring.color_vertex(f, ctx)
-        if verdict.branch is coloring.Branch.EQUAL_ENDPOINTS:
-            viol.add(f"equal-endpoint branch inside the remainder: f={f}")
-            continue
-        sides[f] = verdict.branch
-    edges = rem_graph.edges()
-    for i, j in edges:
-        fi, fj = remainder.vertices[i], remainder.vertices[j]
-        if sides.get(fi) is sides.get(fj):
-            viol.add(
-                f"remainder edge within one side of l/2: {fi} -- {fj} "
-                f"both {sides.get(fi)}"
-            )
+    _, sides = _color_sweep(ctx, rows, np.arange(len(rows)), viol)
+    for i in np.flatnonzero(sides == _EQUAL_CODE):
+        viol.add(f"equal-endpoint branch inside the remainder: f={_fmt(rows[i])}")
+    sides[sides == _EQUAL_CODE] = 0  # only BelowHalf and AboveHalf are sides
+    edges = _edge_array(rem_graph)
+    for i, j in edges[sides[edges[:, 0]] == sides[edges[:, 1]]].tolist():
+        viol.add(
+            f"remainder edge within one side of l/2: {_fmt(rows[i])} -- "
+            f"{_fmt(rows[j])} both {_BRANCH_OF_CODE[sides[i]]}"
+        )
     ke_graph = ke.to_graph()
     details = {
         "even_class_size": ke.vertex_count,
@@ -531,7 +539,7 @@ def verify_baseline(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     endpoints keep their endpoint value, the remainder is two-colored by
     a bipartition sweep).  The result must be a proper coloring, and on
     equal-endpoint assignments it must agree with the per-vertex
-    procedure.
+    procedure, which colors them as one stack through :func:`_color_sweep`.
     """
     t0 = time.perf_counter()
     ctx = OddCycleCtx.make(n, 3)
@@ -544,39 +552,38 @@ def verify_baseline(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
         viol.add(f"baseline coloring failed outright: {exc}")
         details = {"even_class_size": ke.vertex_count}
         return _report("baseline graph coloring", {"n": n}, checked, viol, details, t0)
-    for f in ke.vertices:
-        color = assigned.get(f)
-        if color not in (1, 2, 3):
-            viol.add(f"assignment {f} got color {color!r} outside 1..3")
-    edges = ke.to_graph().edges()
-    for i, j in edges:
-        fi, fj = ke.vertices[i], ke.vertices[j]
-        if assigned.get(fi) == assigned.get(fj):
-            viol.add(
-                f"baseline colors an edge alike: {fi} -- {fj} "
-                f"both {assigned.get(fi)}"
-            )
+    # the values as given, compared as Python objects: a missing vertex is None
+    given = np.fromiter(map(assigned.get, ke.vertices), dtype=object)
+    for i in np.flatnonzero(~np.isin(given, (1, 2, 3))):
+        viol.add(f"assignment {ke.vertices[i]} got color {given[i]!r} outside 1..3")
+    edges = _edge_array(ke.to_graph())
+    for i, j in edges[given[edges[:, 0]] == given[edges[:, 1]]].tolist():
+        viol.add(
+            f"baseline colors an edge alike: {ke.vertices[i]} -- {ke.vertices[j]} "
+            f"both {given[i]}"
+        )
     checked += len(edges)
-    agreement = 0
-    for f in ke.vertices:
-        if f[ctx.a] != f[ctx.b]:
-            continue
-        verdict = coloring.color_vertex(f, ctx)
-        agreement += 1
-        if verdict.branch is not coloring.Branch.EQUAL_ENDPOINTS:
+    rows = np.array(ke.vertices)
+    equal = np.flatnonzero(rows[:, ctx.a] == rows[:, ctx.b])
+    colors, branch_codes = _color_sweep(ctx, rows, equal, viol)
+    colored = equal[colors[equal] != 0]
+    decided = branch_codes[colored] != _EQUAL_CODE
+    for i in colored[decided | (colors[colored] != given[colored])].tolist():
+        f = ke.vertices[i]
+        if branch_codes[i] != _EQUAL_CODE:
             viol.add(
                 f"equal-endpoint assignment {f} decided by "
-                f"{verdict.branch.value}"
+                f"{_BRANCH_OF_CODE[branch_codes[i]].value}"
             )
-        if verdict.color != assigned.get(f):
+        if colors[i] != given[i]:
             viol.add(
                 f"baseline and per-vertex colors differ on {f}: "
-                f"{assigned.get(f)} vs {verdict.color}"
+                f"{given[i]} vs {colors[i]}"
             )
     details = {
         "even_class_size": ke.vertex_count,
         "edges": len(edges),
-        "equal_endpoint_count": agreement,
+        "equal_endpoint_count": len(equal),
     }
     return _report("baseline graph coloring", {"n": n}, checked, viol, details, t0)
 

@@ -253,6 +253,29 @@ def test_color_general_host_with_cache_env(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_cache_save_is_atomic(tmp_path, capsys, monkeypatch):
+    # a save goes through a temporary file: a clean one leaves nothing
+    # else behind, and one that fails partway leaves the old cache whole
+    k4 = tmp_path / "k4.json"
+    assert main(["gen", "complete", "--k", "4", "--out", str(k4)]) == 0
+    cache_path = tmp_path / "cache.json"
+    argv = ["color", "--graph", str(k4), "--cache", str(cache_path)]
+    assert run_cli(argv, "[1,1,1,1]", monkeypatch) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json", "k4.json"]
+    saved = cache_path.read_bytes()
+
+    def fail_partway(path, text, *args, **kwargs):
+        with open(path, "w") as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_text", fail_partway)
+    assert run_cli(argv, "[2,2,1,1]", monkeypatch) == 2
+    assert capsys.readouterr().err == "error: no space left on device\n"
+    assert cache_path.read_bytes() == saved
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json", "k4.json"]
+
+
 @pytest.mark.parametrize("cycles", ["5", "[5]", "[[0, 1.7, 2]]", "[[0, true, 2]]"])
 def test_color_rejects_malformed_cache_file(cycles, tmp_path, capsys, monkeypatch):
     # a usage error (exit 2), and the cache file is left as it was

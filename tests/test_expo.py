@@ -215,8 +215,7 @@ def test_classify_component_kinds(k4, c5):
         i = eg.vertices.index(f)
         members, cls = next(c for c in components(eg) if i in c[0])
         assert cls is want
-        comp, old = eg.induce(members)
-        assert old == list(members)
+        comp = ExpoGraph.from_rows(h, 3, False, np.array(eg.vertices)[list(members)])
         assert components(comp) == [(tuple(range(len(members))), want)]
 
 

@@ -64,6 +64,16 @@ def test_graph_induced_subgraph():
     assert old_ids == [1, 2, 3]
 
 
+def test_equal_graphs_hash_equal():
+    # the frozen dataclass hashes its fields, so a graph built from edges
+    # and the same graph cut out of a larger one are interchangeable keys
+    built = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+    cut, _ = make_complete(4).induced([1, 2, 3])
+    assert built == cut and built is not cut
+    assert hash(built) == hash(cut)
+    assert len({built, cut}) == 1
+
+
 def test_make_cycle_rejects_even_and_tiny():
     with pytest.raises(ParityDomainError):
         make_cycle(4)
@@ -84,6 +94,14 @@ def test_grotzsch_shape(grotzsch):
     assert grotzsch.edge_count == 20
     # triangle-free: no odd cycle shorter than 5
     assert all(len(c) >= 5 for c in odd_cycles(grotzsch, 5))
+
+
+def test_chvatal_shape(chvatal):
+    assert chvatal.vertex_count == 12
+    assert chvatal.edge_count == 24
+    assert {chvatal.degree(v) for v in range(12)} == {4}
+    assert all(len(c) >= 5 for c in odd_cycles(chvatal, 5))
+    assert chromatic_number_exact(chvatal) == 4
 
 
 def test_mycielski_raises_chromatic_number():

@@ -19,7 +19,7 @@ import pytest
 
 from expocolor import cli, coloring, expo, verify, winding
 from expocolor.errors import CapacityError
-from expocolor.graphs import make_complete, make_cycle, make_grotzsch, save_graph
+from expocolor.graphs import Graph, make_complete, make_cycle, make_grotzsch, save_graph
 from expocolor.winding import Half
 
 GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
@@ -159,16 +159,21 @@ def test_non_adjacent_kernel_pair_detected_by_proper_ck(monkeypatch):
     assert any("non-adjacent" in v for v in rep.violations)
 
 
-def test_reports_match_recorded_golden(tmp_path, capsys, wheel5, moser_spindle):
+def test_reports_match_recorded_golden(
+    tmp_path, capsys, wheel5, moser_spindle, chvatal
+):
     # Reports recorded from earlier implementations (the sweeps before
     # neighbor_pairs; the exhaustive end-to-end runs before components
-    # came from one BFS over one built graph), wall_time dropped; every
-    # command must reproduce them exactly.
+    # came from one BFS over one built graph; hitting-set and baseline
+    # before they colored the even class as one row stack), wall_time
+    # dropped; every command must reproduce them exactly.  Chvátal is
+    # the largest exhaustive host: 3^12 rows, 13,347 of them not isolated.
     golden = json.loads(GOLDEN.read_text())
     hosts = {
         "grotzsch.json": make_grotzsch(),
         "wheel5.json": wheel5,
         "moser_spindle.json": moser_spindle,
+        "chvatal.json": chvatal,
     }
     for name, host in hosts.items():
         save_graph(host, tmp_path / name)
@@ -240,6 +245,13 @@ def test_sweeps_report_every_row_the_batch_cannot_color(monkeypatch):
     rep = verify.verify_proper_ck(1, 5)
     assert 0 < len(_coloring_failures(rep)) < rep.details["even_nonisolated"]
     assert rep.details["pairs"] > 0
+    # the hitting-set remainder holds distinct-endpoint rows only: every
+    # one is reported, and so is every edge, as joining two uncolored rows
+    rep = verify.verify_hitting_set(1)
+    assert len(_coloring_failures(rep)) == rep.details["remainder_size"] > 0
+    edges = [v for v in rep.violations if v.startswith("remainder edge")]
+    assert len(edges) == rep.details["remainder_edges"]
+    assert all(v.endswith("both None") for v in edges)
 
 
 def test_corrupt_bipartition_detected_by_baseline(monkeypatch):
@@ -266,3 +278,195 @@ def test_verifier_reports_are_deterministic():
     da, db = a.to_json_dict(), b.to_json_dict()
     da.pop("wall_time"), db.pop("wall_time")
     assert da == db
+
+
+# -- pinned fault reports -----------------------------------------------------
+#
+# Each fault below breaks one ingredient of the even-class checks, and the
+# full hitting-set and baseline reports it produces (wall_time dropped), or
+# the message of what they raise, were recorded from an implementation that
+# colored and checked the even class one vertex at a time.  Together with the
+# direct calls of color_graph_baseline, they reach every violation and guard
+# of those checks, so the row-stack rewrite must replay them exactly.  The
+# file maps every FAULT_CASES name to its fault_outcome (run under a fresh
+# pytest.MonkeyPatch), written with json.dumps(indent=1, sort_keys=True).
+
+FAULT_GOLDEN = Path(__file__).parent / "data" / "verify_fault_golden.json"
+
+
+def _stuck_side(side):
+    def install(monkeypatch):
+        monkeypatch.setattr(coloring, "_side_of", lambda p2, ell2: side)
+
+    return install
+
+
+def _remap_branches(positions):
+    """A decision whose branch positions go through ``positions``; colors
+    are untouched (0 EqualEndpoints, 1 BelowHalf, 2 AboveHalf)."""
+
+    def install(monkeypatch):
+        real = coloring._decide
+
+        def bad(ctx, columns):
+            out, error = real(ctx, columns)
+            return [(c, positions[b], ell2, p2) for c, b, ell2, p2 in out], error
+
+        monkeypatch.setattr(coloring, "_decide", bad)
+
+    return install
+
+
+def _no_bipartition(module):
+    def install(monkeypatch):
+        monkeypatch.setattr(module, "bipartition", lambda g: None)
+
+    return install
+
+
+def _drop_first_distinct_endpoint_row(monkeypatch):
+    real = coloring.even_class_subgraph
+
+    def bad(n, cap=verify.DEFAULT_CAP):
+        ke = real(n, cap=cap)
+        ctx = winding.OddCycleCtx.make(n, 3)
+        rows = np.array(ke.vertices)
+        first = np.flatnonzero(rows[:, ctx.a] != rows[:, ctx.b])[0]
+        return expo.ExpoGraph.from_rows(
+            ke.host, ke.k, ke.cycle_target, np.delete(rows, first, axis=0)
+        )
+
+    monkeypatch.setattr(coloring, "even_class_subgraph", bad)
+
+
+def _edit_baseline(edit):
+    """A color_graph_baseline whose result ``edit(ke, ctx, colors)`` changes."""
+
+    def install(monkeypatch):
+        real = coloring.color_graph_baseline
+
+        def bad(ke, ctx):
+            colors = real(ke, ctx)
+            edit(ke, ctx, colors)
+            return colors
+
+        monkeypatch.setattr(coloring, "color_graph_baseline", bad)
+
+    return install
+
+
+def _color_first_vertex_four(ke, ctx, colors):
+    colors[ke.vertices[0]] = 4
+
+
+def _uncolor_first_vertex(ke, ctx, colors):
+    del colors[ke.vertices[0]]
+
+
+def _color_first_edge_alike(ke, ctx, colors):
+    i, j = ke.to_graph().edges()[0]
+    colors[ke.vertices[j]] = colors[ke.vertices[i]]
+
+
+def _recolor_first_equal_endpoint_row(ke, ctx, colors):
+    f = next(f for f in ke.vertices if f[ctx.a] == f[ctx.b])
+    colors[f] = colors[f] % 3 + 1
+
+
+_FAULTS = {
+    "healthy": lambda monkeypatch: None,
+    "side stuck below": _stuck_side(-1),
+    "side stuck above": _stuck_side(1),
+    "equal-endpoint and below-half branches swapped": _remap_branches((1, 0, 2)),
+    "every branch equal-endpoint": _remap_branches((0, 0, 0)),
+    "verify.bipartition finds none": _no_bipartition(verify),
+    "coloring.bipartition finds none": _no_bipartition(coloring),
+    "even class loses a distinct-endpoint row": _drop_first_distinct_endpoint_row,
+    "baseline colors the first vertex 4": _edit_baseline(_color_first_vertex_four),
+    "baseline leaves the first vertex uncolored": _edit_baseline(_uncolor_first_vertex),
+    "baseline colors the first edge alike": _edit_baseline(_color_first_edge_alike),
+    "baseline recolors an equal-endpoint row": _edit_baseline(
+        _recolor_first_equal_endpoint_row
+    ),
+}
+
+
+def _baseline_call(ke, n):
+    def call():
+        colors = coloring.color_graph_baseline(ke(), winding.OddCycleCtx.make(n, 3))
+        return sorted([list(f), c] for f, c in colors.items())
+
+    return call
+
+
+def _relabelled_c5():
+    # a 5-cycle whose edges are not (i, i+1)
+    return Graph.from_edges(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)])
+
+
+_BASELINE_GUARDS = {
+    "cycle codomain": _baseline_call(
+        lambda: expo.build_exponential(make_cycle(3), 3, cycle_target=True), 1
+    ),
+    "five-color context": lambda: coloring.color_graph_baseline(
+        coloring.even_class_subgraph(1), winding.OddCycleCtx.make(1, 5)
+    ),
+    "context for a longer cycle": _baseline_call(
+        lambda: coloring.even_class_subgraph(1), 2
+    ),
+    "host not the context's cycle": _baseline_call(
+        lambda: expo.build_exponential(_relabelled_c5(), 3), 2
+    ),
+    "odd-parity vertex": _baseline_call(
+        lambda: expo.build_exponential(make_cycle(3), 3), 1
+    ),
+    "colors n=1": _baseline_call(lambda: coloring.even_class_subgraph(1), 1),
+    "colors n=2": _baseline_call(lambda: coloring.even_class_subgraph(2), 2),
+}
+
+
+def _fault_cases():
+    cases = {}
+    for fault, install in _FAULTS.items():
+        for verifier in (verify.verify_hitting_set, verify.verify_baseline):
+            for n in (1, 2):
+                cases[f"{fault} / {verifier.__name__}({n})"] = (
+                    install,
+                    lambda verifier=verifier, n=n: verifier(n),
+                )
+    for guard, call in _BASELINE_GUARDS.items():
+        cases[f"healthy / color_graph_baseline: {guard}"] = (_FAULTS["healthy"], call)
+    # the guard on a remainder that is not bipartite
+    fault = "coloring.bipartition finds none"
+    cases[f"{fault} / color_graph_baseline: colors n=1"] = (
+        _FAULTS[fault],
+        _BASELINE_GUARDS["colors n=1"],
+    )
+    return cases
+
+
+FAULT_CASES = _fault_cases()
+
+
+def fault_outcome(name, monkeypatch):
+    """The report of one pinned case, wall_time dropped, or what it raised."""
+    install, call = FAULT_CASES[name]
+    install(monkeypatch)
+    try:
+        got = call()
+    except Exception as exc:
+        return {"raises": f"{type(exc).__name__}: {exc}"}
+    if isinstance(got, verify.VerificationReport):
+        got = got.to_json_dict()
+        got.pop("wall_time")
+    return got
+
+
+def test_fault_cases_match_the_recording():
+    assert sorted(FAULT_CASES) == sorted(json.loads(FAULT_GOLDEN.read_text()))
+
+
+@pytest.mark.parametrize("name", sorted(FAULT_CASES))
+def test_fault_reports_match_recorded(name, monkeypatch):
+    want = json.loads(FAULT_GOLDEN.read_text())[name]
+    assert fault_outcome(name, monkeypatch) == want
