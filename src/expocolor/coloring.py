@@ -120,65 +120,87 @@ def _wrong_shape(ctx: OddCycleCtx) -> ValueError:
     return ValueError(f"assignment must have {ctx.length} entries")
 
 
-def _decide(ctx: OddCycleCtx, columns) -> tuple[list, Exception | None]:
-    """The verdicts of rows, up to the first that fails.
+def _wrong_dtype(arr: np.ndarray) -> ValueError:
+    return ValueError(f"colors must be integers, got dtype {arr.dtype}")
 
-    ``columns`` are per-row f(a), f(b) and the kernel's ell2, p2, fixed
-    and isolated values.  Per row: isolation, then parity, then the
-    branch rule.  Returns the (color, branch position, ell2, p2) tuples
-    and the error that stopped them, or None.
+
+def _out_of_range(ctx: OddCycleCtx) -> ValueError:
+    return ValueError(f"colors must be in 1..{ctx.k}")
+
+
+def _verdict(ctx: OddCycleCtx, fa, fb, ell2, p2, fixed, isolated) -> tuple:
+    """One row's (color, branch position, ell2, p2), from f(a), f(b) and
+    the kernel's values for the row; raises the row's error instead.
+
+    Isolation is checked first, then parity, then the branch rule.
+    """
+    if isolated:
+        raise IsolatedFunctionError(
+            f"assignment is isolated: a chord arc steps outside "
+            f"{{0, 2, {ctx.k - 2}}} mod {ctx.k}"
+        )
+    if fixed % 2 != 0:
+        raise ParityDomainError(
+            f"assignment has {fixed} fixed points (odd); "
+            "only the even class is colorable this way"
+        )
+    if fa == fb:
+        return fa, 0, ell2, p2
+    side = _side_of(p2, ell2)
+    if side < 0:
+        return fa, 1, ell2, p2
+    if side > 0:
+        return fb, 2, ell2, p2
+    raise InvariantViolationError(
+        f"little path equals half the label (p2={p2}, ell2={ell2}); "
+        "this is unreachable for even-class assignments"
+    )
+
+
+def _decide(ctx: OddCycleCtx, tours) -> tuple[list, Exception | None]:
+    """The :func:`_verdict` of each row of ``tours`` (its f(a), f(b) and
+    kernel values), up to the first row that fails.
+
+    Returns the verdicts and the error that stopped them, or None; an
+    iterator is left just past the row that failed, so a second call
+    resumes after it.
     """
     out = []
-    for fa, fb, ell2, p2, fixed, isolated in zip(*columns):
-        if isolated:
-            return out, IsolatedFunctionError(
-                f"assignment is isolated: a chord arc steps outside "
-                f"{{0, 2, {ctx.k - 2}}} mod {ctx.k}"
-            )
-        if fixed % 2 != 0:
-            return out, ParityDomainError(
-                f"assignment has {fixed} fixed points (odd); "
-                "only the even class is colorable this way"
-            )
-        if fa == fb:
-            out.append((fa, 0, ell2, p2))
-            continue
-        side = _side_of(p2, ell2)
-        if side < 0:
-            out.append((fa, 1, ell2, p2))
-        elif side > 0:
-            out.append((fb, 2, ell2, p2))
-        else:
-            return out, InvariantViolationError(
-                f"little path equals half the label (p2={p2}, ell2={ell2}); "
-                "this is unreachable for even-class assignments"
-            )
+    try:
+        for fa, fb, ell2, p2, fixed, isolated in tours:
+            out.append(_verdict(ctx, fa, fb, ell2, p2, fixed, isolated))
+    except (IsolatedFunctionError, ParityDomainError, InvariantViolationError) as error:
+        return out, error
     return out, None
 
 
-def _colored_prefix(arr: np.ndarray, ctx: OddCycleCtx) -> tuple[list, Exception | None]:
-    """:func:`color_rows` as (color, branch, ell2, p2) tuples of Python ints.
+def _tours(rows: np.ndarray, ctx: OddCycleCtx, tour: tuple):
+    """What :func:`_decide` reads of a stack, row by row: the endpoint
+    colors and ``tour``, the stack's :func:`np_tour` outputs."""
+    ends = rows[:, ctx.a].tolist(), rows[:, ctx.b].tolist()
+    return zip(*ends, *(values.tolist() for values in tour))
 
-    The one-row routines read these directly: building arrays for one
-    row would add more to a call at n = 10^3 than the check and the
-    decision cost together.
-    """
+
+def _colored_prefix(arr: np.ndarray, ctx: OddCycleCtx) -> tuple[list, Exception | None]:
+    """:func:`color_rows` as (color, branch, ell2, p2) tuples of Python ints,
+    and the error of the first row that fails, or None."""
     if arr.ndim not in (1, 2) or arr.shape[-1] != ctx.length:
         return [], _wrong_shape(ctx)
     if arr.dtype.kind not in "iu":
-        return [], ValueError(f"colors must be integers, got dtype {arr.dtype}")
+        return [], _wrong_dtype(arr)
     rows = arr.reshape(-1, ctx.length)
     total = len(rows)
     if total and (arr.item(arr.argmin()) < 1 or arr.item(arr.argmax()) > ctx.k):
         bad = (rows.min(axis=1) < 1) | (rows.max(axis=1) > ctx.k)
         rows = rows[: bad.argmax()]
     if len(rows) == 1:  # the kernel's 1-d form: one bincount
-        tour = [[value] for value in np_tour(rows[0], ctx)]
+        row = rows[0]
+        tours = [(row.item(ctx.a), row.item(ctx.b), *np_tour(row, ctx))]
     else:
-        tour = [values.tolist() for values in np_tour(rows, ctx)]
-    out, error = _decide(ctx, [rows[:, ctx.a].tolist(), rows[:, ctx.b].tolist(), *tour])
+        tours = _tours(rows, ctx, np_tour(rows, ctx))
+    out, error = _decide(ctx, tours)
     if error is None and len(out) < total:
-        error = ValueError(f"colors must be in 1..{ctx.k}")
+        error = _out_of_range(ctx)
     return out, error
 
 
@@ -201,14 +223,22 @@ def color_rows(fs, ctx: OddCycleCtx) -> RowColors:
 
 
 def _color_one(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:
-    """The one-row case of :func:`color_rows`: its verdict, or its error raised."""
+    """The one-row case of :func:`color_rows`: its verdict, or its error raised.
+
+    The checks of :func:`_colored_prefix`, in the same order and with the
+    same errors, and the same :func:`_verdict`, applied to the row
+    directly: at n = 10^3 the stack bookkeeping would be a sizeable share
+    of the call.
+    """
     arr = np.asarray(f)
-    if arr.ndim != 1:
+    if arr.ndim != 1 or len(arr) != ctx.length:
         raise _wrong_shape(ctx)
-    out, error = _colored_prefix(arr, ctx)
-    if error is not None:
-        raise error
-    color, branch, ell2, p2 = out[0]
+    if arr.dtype.kind not in "iu":
+        raise _wrong_dtype(arr)
+    if arr.item(arr.argmin()) < 1 or arr.item(arr.argmax()) > ctx.k:
+        raise _out_of_range(ctx)
+    fa, fb = arr.item(ctx.a), arr.item(ctx.b)
+    color, branch, ell2, p2 = _verdict(ctx, fa, fb, *np_tour(arr, ctx))
     return ColorVerdict(color, _BRANCHES[branch], Half(ell2), Half(p2))
 
 

@@ -13,13 +13,13 @@ assignments are valued from a pairwise Δ table.  Adjacent pairs come
 from :func:`.expo.neighbor_pairs` in fixed blocks of source rows, and
 every check is a whole-array gather over a block's pairs.  The
 even-class verifiers (hitting set, baseline) hold the even class as one
-row stack: a mask on the endpoint columns splits it, one batch call
-colors it, and edges are checked as one (E, 2) index array.  Δ and the
-kernels are reached through live module attributes, tables are rebuilt
-per call, and coloring goes through :mod:`.coloring`'s public entry
-points, so corrupting Δ, a kernel or the side comparison in a test
-measurably breaks the reports — mutation-style self-tests assert
-exactly that.
+row stack: a mask on the endpoint columns splits it, one kernel call
+and :mod:`.coloring`'s decision color it, and edges are checked as one
+(E, 2) index array.  Δ and the kernels are reached through live module
+attributes, tables are rebuilt per call, and coloring goes through
+:mod:`.coloring`'s decision rule and entry points, so corrupting Δ, a
+kernel or the side comparison in a test measurably breaks the reports
+— mutation-style self-tests assert exactly that.
 """
 
 from __future__ import annotations
@@ -184,24 +184,28 @@ _EQUAL_CODE = _BRANCH_OF_CODE.index(coloring.Branch.EQUAL_ENDPOINTS)
 def _color_sweep(
     ctx: OddCycleCtx, rows: np.ndarray, sources: np.ndarray, viol: _Tally
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Color ``rows[sources]`` as one stack through :func:`.coloring.color_rows`.
+    """Color ``rows[sources]`` as one stack with :mod:`.coloring`'s decision.
 
     Returns per grid row the color and 1 + the branch's position in
-    ``Branch`` (see ``_BRANCH_OF_CODE``), both 0 where the row is uncolored.  A row the batch entry
-    stops at is reported with its error and left uncolored, and the
-    stack resumes after it.
+    ``Branch`` (see ``_BRANCH_OF_CODE``), both 0 where the row is
+    uncolored.  One call of the live :func:`.winding.np_tour` serves the
+    whole stack; a row the decision stops at is reported with its error
+    and left uncolored, and the decision resumes after it.
     """
     colors = np.zeros(len(rows), dtype=np.int64)
     branch_codes = np.zeros(len(rows), dtype=np.int8)
-    while len(sources):
-        res = coloring.color_rows(rows[sources], ctx)
-        done = sources[: res.failed]
-        colors[done] = res.color
-        branch_codes[done] = res.branch + 1
-        if res.error is not None:
-            f = _fmt(rows[sources[res.failed]])
-            viol.add(f"coloring failed for f={f}: {res.error}")
-        sources = sources[res.failed + 1 :]
+    fs = rows[sources]
+    tours = coloring._tours(fs, ctx, winding.np_tour(fs, ctx))
+    start = 0
+    while start < len(sources):
+        out, error = coloring._decide(ctx, tours)
+        stop = start + len(out)
+        color, branch, _, _ = np.array(out, dtype=np.int64).reshape(-1, 4).T
+        colors[sources[start:stop]] = color
+        branch_codes[sources[start:stop]] = branch + 1
+        if error is not None:
+            viol.add(f"coloring failed for f={_fmt(fs[stop])}: {error}")
+        start = stop + 1
     return colors, branch_codes
 
 

@@ -33,7 +33,7 @@ matter: they arise when valuing arcs *between* two adjacent assignments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -349,8 +349,44 @@ def little_path(f: Sequence[int], ctx: OddCycleCtx) -> Half:
 # -(k-1)..k-1), split by whether the arc is on the little path, is all the
 # kernel counts; ``OddCycleCtx.bin_fold`` turns the counts into the label,
 # the little path, the fixed points (arcs with d != 0) and isolation.  The
-# steps are taken after one cast to a signed dtype, so unsigned input cannot
+# steps are taken after a cast to a signed dtype, so unsigned input cannot
 # wrap.
+#
+# The kernel walks the tour in passes of at most ``_BLOCK`` entries: each
+# pass casts its slice of ids (plus the two after it, wrapping past id 2n
+# to ids 0 and 1), takes the steps and counts them into a running total.
+# A stack is tiled by rows as well, so no temporary grows with the row
+# length or the row count: beyond the input and the (rows, 4) result, the
+# kernel holds a few block-sized arrays, whatever the input size.  A row
+# or stack of up to ``_BLOCK`` entries takes one pass.
+
+_BLOCK = 1 << 16
+
+
+def _tour_sum(x: np.ndarray, bins: np.ndarray, count):
+    """The sum of ``count(codes)`` over the passes of the chord tour of ``x``.
+
+    ``x`` holds ids first.  A pass over ids start..stop-1, at most
+    ``_BLOCK`` of them, reads ids start..stop+1 cast to the bins' dtype,
+    the last pass wrapping to ids 0 and 1; each arc's code is its step
+    plus its bin offset.
+    """
+    length = len(x)
+    total = None
+    for start in range(0, length, _BLOCK):
+        stop = min(start + _BLOCK, length)
+        f = np.concatenate(
+            (x[start : stop + 2], x[: max(stop + 2 - length, 0)]),
+            dtype=bins.dtype,
+            casting="unsafe",
+        )
+        codes = f[2:] - f[:-2]
+        codes += bins[start:stop]
+        if total is None:
+            total = count(codes)
+        else:
+            total += count(codes)
+    return total
 
 
 def np_tour(fs: np.ndarray, ctx: OddCycleCtx) -> tuple:
@@ -363,21 +399,33 @@ def np_tour(fs: np.ndarray, ctx: OddCycleCtx) -> tuple:
     a step that no neighbor allows (see :func:`label`).  Python scalars
     for 1-d input, arrays of shape fs.shape[:-1] otherwise.  ``ell2`` and
     ``p2`` of an isolated assignment leave out the arcs that isolate it.
+
+    The tour is walked in passes of at most ``_BLOCK`` entries, and a
+    stack in tiles of whole rows (one row a tile once rows are longer
+    than that), so beyond ``fs`` and the result the kernel holds a few
+    pass-sized arrays at any size.
     """
     fs = np.asarray(fs)
     bins, fold = ctx.step_bins, ctx.bin_fold
     length = fs.shape[-1]
-    x = fs if fs.ndim == 1 else fs.reshape(-1, length).T  # ids first
-    f = np.concatenate((x, x[:2]), dtype=bins.dtype, casting="unsafe")
-    codes = f[2:] - f[:-2]
+    if length != len(bins):
+        raise ValueError(f"assignments have {length} entries, cycle needs {len(bins)}")
     if fs.ndim == 1:
-        codes += bins
-        ell2, p2, flat, bad = (np.bincount(codes, minlength=len(fold)) @ fold).tolist()
+        counts = _tour_sum(fs, bins, partial(np.bincount, minlength=len(fold)))
+        ell2, p2, flat, bad = counts.dot(fold).tolist()
         return ell2, p2, length - flat, bad > 0
     # A stack: look each arc's bin up in the fold and sum along the tour,
     # which equals histogram @ fold per row.  The fold's entries are in
-    # -2..2, and int8 keeps the (ids, rows, 4) lookup small.
-    codes += bins[:, None]
-    totals = fold.astype(np.int8)[codes].sum(axis=0, dtype=np.int64)
+    # -2..2, and int8 keeps the (ids, rows, 4) lookup of a pass small.
+    stack = fs.reshape(-1, length)
+    tile = max(1, _BLOCK // length)
+    column_bins, fold = bins[:, None], fold.astype(np.int8)
+
+    def lookup(codes):
+        return fold[codes].sum(axis=0, dtype=np.int64)
+
+    totals = np.empty((len(stack), 4), dtype=np.int64)
+    for r in range(0, len(stack), tile):
+        totals[r : r + tile] = _tour_sum(stack[r : r + tile].T, column_bins, lookup)
     ell2, p2, flat, bad = totals.T.reshape((4,) + fs.shape[:-1])
     return ell2, p2, length - flat, bad > 0

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,30 @@ def test_digit_reader_agrees_with_the_json_path():
         assert rows is not None, payload
         assert stack.dtype == np.uint8 and stack.tolist() == [list(r) for r in rows], payload
     assert taken > 500 and left > 500, (taken, left)
+
+
+def test_color_of_one_long_row_stays_within_the_readers_memory(tmp_path, capsys):
+    # A color call on C_2000001 peaks in the digit reader, which holds the
+    # file's 3L bytes, its 2L + 1 tokens, the L digits and one L-entry mask
+    # at once; the kernel adds a few pass-sized buffers (four int64 buffers
+    # of winding._BLOCK entries allowed), not arrays the length of the row.
+    n = 10**6
+    ctx = winding.OddCycleCtx.make(n, 3)
+    rng = np.random.default_rng(3)
+    row = rng.integers(1, 4, ctx.length, dtype=np.uint8)
+    while winding.np_tour(row, ctx)[2] % 2:  # until it is in the even class
+        row = rng.integers(1, 4, ctx.length, dtype=np.uint8)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(row.tolist()))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code = main(["color", "--n", str(n), "--input", str(path)])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(capsys.readouterr().out)["color"] in (1, 2, 3)
+    assert peak < 7 * ctx.length + 4 * 8 * winding._BLOCK, peak
 
 
 def test_importing_the_cli_leaves_the_pool_and_bench_unloaded():

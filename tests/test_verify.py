@@ -254,6 +254,34 @@ def test_sweeps_report_every_row_the_batch_cannot_color(monkeypatch):
     assert all(v.endswith("both None") for v in edges)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: verify.verify_hitting_set(3),
+        lambda: verify.verify_proper_coloring_k3(2),
+        lambda: verify.verify_proper_ck(2, 5),
+    ],
+    ids=["hitting_set", "proper_k3", "proper_ck"],
+)
+def test_sweep_makes_one_kernel_pass_however_many_rows_fail(run, monkeypatch):
+    # With the side comparison stuck on ell/2 every distinct-endpoint row
+    # fails; the sweep resumes the decision after each one from the same
+    # kernel outputs instead of running the kernel again on the rest.
+    monkeypatch.setattr(coloring, "_side_of", lambda p2, ell2: 0)
+    calls = []
+    real = winding.np_tour
+
+    def counted(fs, ctx):
+        calls.append(np.shape(fs))
+        return real(fs, ctx)
+
+    monkeypatch.setattr(winding, "np_tour", counted)
+    monkeypatch.setattr(coloring, "np_tour", counted)
+    rep = run()
+    failed = _coloring_failures(rep)
+    assert len(calls) <= 2 < len(failed), (calls, len(failed))
+
+
 def test_corrupt_bipartition_detected_by_baseline(monkeypatch):
     monkeypatch.setattr(
         coloring,

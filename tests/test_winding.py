@@ -5,6 +5,7 @@ hand-walked tours) so the module under test cannot vouch for itself.
 """
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -302,3 +303,178 @@ def test_np_tour_matches_scalar_on_random_edges(case, edge):
     assert p2 == little_path(f, ctx).doubled
     assert fp == len(fixed_points(f, n))
     assert not isolated
+
+
+# -- the kernel at its block boundaries ----------------------------------------
+#
+# np_tour walks the tour in passes of at most winding._BLOCK entries, the last
+# pass of a row wrapping to ids 0 and 1, and tiles a stack by rows.  These
+# tests put rows, little paths and stacks on every side of a pass boundary and
+# compare both forms of the kernel with the scalar label / little_path /
+# fixed_points, over every integer dtype.
+
+import numpy as np
+
+from expocolor import winding
+
+_BLOCK = winding._BLOCK
+_INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def _scalar_tour(row, ctx):
+    """(ell2, p2, fixed, isolated) from the scalar reference; ell2 and p2
+    are None for an isolated row, where the scalar functions raise."""
+    fixed = len(fixed_points(row, ctx.n))
+    try:
+        return label(row, ctx).doubled, little_path(row, ctx).doubled, fixed, False
+    except IsolatedFunctionError:
+        return None, None, fixed, True
+
+
+def _agrees(got, want):
+    ell2, p2, fixed, isolated = want
+    if isolated:
+        return tuple(got[2:]) == (fixed, True)
+    return tuple(got) == want
+
+
+def _non_isolated_row(rng, length, k):
+    """A random row whose every chord arc steps by 0, 2 or k-2 mod k."""
+    while True:
+        steps = rng.choice([0, 2, k - 2], size=length)
+        if steps.sum() % k == 0:
+            break
+    row = np.empty(length, dtype=np.int64)
+    tour = (2 * np.arange(length)) % length  # ids in chord-tour order
+    row[tour] = 1 + (np.cumsum(steps) - steps[0]) % k
+    return row
+
+
+def _edges_around_blocks(length, block):
+    """Edges whose little path starts at id 0, on either side of a pass
+    boundary, or at id 2n (so that it wraps past 2n at once)."""
+    starts = {0, 1, block - 1, block, block + 1, length - 1}
+    return [(a, (a - 1) % length) for a in sorted(s for s in starts if s < length)]
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize(
+    "offset", [-1, 0, 1, 2, _BLOCK + 1],
+    ids=["block-1", "block", "block+1", "block+2", "2block+1"],
+)
+def test_np_tour_matches_scalar_across_pass_boundaries(offset, k, monkeypatch):
+    # A cycle length is odd: for an even offset the pass size is one less
+    # than _BLOCK, so that lengths block-1 .. block+2 and 2*block+1 all occur.
+    block = _BLOCK if offset % 2 else _BLOCK - 1
+    monkeypatch.setattr(winding, "_BLOCK", block)
+    length = block + offset
+    n = length // 2
+    rng = np.random.default_rng([offset + 1, k])
+    rows = [_non_isolated_row(rng, length, k), rng.integers(1, k + 1, length)]
+    for row in rows:
+        values = tuple(row.tolist())
+        # the label and the fixed points do not depend on the edge
+        ell2, _, fixed, isolated = _scalar_tour(values, OddCycleCtx.make(n, k))
+        for edge in _edges_around_blocks(length, block):
+            ctx = OddCycleCtx.make(n, k, edge)
+            p2 = None if isolated else little_path(values, ctx).doubled
+            want = (ell2, p2, fixed, isolated)
+            for dtype in _INT_DTYPES:
+                got = np_tour(row.astype(dtype), ctx)
+                assert _agrees(got, want), (edge, dtype)
+            stack = np_tour(np.stack([row, row]).astype(np.uint8), ctx)
+            assert all(_agrees([x[i].item() for x in stack], want) for i in (0, 1))
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_np_tour_matches_scalar_at_n_ten_thousand(k):
+    n = 10**4
+    rng = np.random.default_rng(k)
+    rows = np.stack([_non_isolated_row(rng, 2 * n + 1, k) for _ in range(3)])
+    rows = np.concatenate([rows, rng.integers(1, k + 1, (2, 2 * n + 1))])
+    for edge in [(0, 2 * n), (n, n - 1), (2 * n, 2 * n - 1)]:
+        ctx = OddCycleCtx.make(n, k, edge)
+        stack = np_tour(rows, ctx)
+        for i, row in enumerate(rows):
+            want = _scalar_tour(tuple(row.tolist()), ctx)
+            assert _agrees(np_tour(row, ctx), want)
+            assert _agrees([x[i].item() for x in stack], want)
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("shape", [
+    (_BLOCK // 11, 11),  # rows x L just below _BLOCK: one tile
+    (_BLOCK // 11 + 1, 11),  # just above: a second tile of one row
+    (2 * (_BLOCK // 11) + 3, 11),
+    (_BLOCK // 5 + 1, 5),
+    (3, _BLOCK + 1),  # rows longer than a pass: one row per tile
+])
+def test_np_tour_stack_tiles_match_the_rows(shape, k):
+    rows, length = shape
+    n = length // 2
+    rng = np.random.default_rng([rows, length, k])
+    stack = rng.integers(1, k + 1, shape)
+    stack[::2] = [_non_isolated_row(rng, length, k) for _ in range(0, rows, 2)]
+    ctx = OddCycleCtx.make(n, k, (1, 0))
+    for dtype in _INT_DTYPES:
+        got = np_tour(stack.astype(dtype), ctx)
+        assert all(x.shape == (rows,) for x in got)
+        if dtype is _INT_DTYPES[0]:
+            want = got
+        else:
+            assert all(np.array_equal(x, y) for x, y in zip(got, want)), dtype
+    # every row of the stack equals the scalar reference (a sample of them
+    # for the long rows), and so does the 1-d form
+    for i in range(0, rows, max(1, rows // 400)):
+        row = tuple(stack[i].tolist())
+        expect = _scalar_tour(row, ctx)
+        assert _agrees([x[i].item() for x in want], expect), i
+        assert _agrees(np_tour(stack[i], ctx), expect), i
+
+
+def test_np_tour_rejects_rows_of_the_wrong_length():
+    ctx = OddCycleCtx.make(2, 3)
+    for bad in (np.ones(4, dtype=np.int64), np.ones((3, 6), dtype=np.int64)):
+        with pytest.raises(ValueError, match="cycle needs 5"):
+            np_tour(bad, ctx)
+
+
+# -- the kernel's memory bound --------------------------------------------------
+#
+# Beyond its input and its result, np_tour holds a few pass-sized arrays at
+# any size: the cast slice and the step codes of a pass, bincount's widened
+# copy of them (8 bytes an entry) or the int8 fold lookup and its per-row
+# sums.  The bound allows four int64 buffers of _BLOCK entries for these.
+
+_PASS_BYTES = 4 * 8 * _BLOCK
+
+
+def _traced_peak(call):
+    """The peak of the memory traced while ``call()`` runs, above what was
+    traced when it started, and what it returned."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_np_tour_memory_on_a_long_row_is_a_few_passes():
+    ctx = OddCycleCtx.make(10**6, 3, (5, 4))
+    row = np.random.default_rng(0).integers(1, 4, ctx.length, dtype=np.uint8)
+    want = np_tour(row, ctx)  # also derives the context's step bins
+    peak, got = _traced_peak(lambda: np_tour(row, ctx))
+    assert got == want
+    assert peak < _PASS_BYTES, peak
+
+
+def test_np_tour_memory_on_a_tall_stack_is_its_result_and_a_few_passes():
+    ctx = OddCycleCtx.make(5, 3)
+    stack = np.random.default_rng(0).integers(1, 4, (3**11, ctx.length), dtype=np.uint8)
+    np_tour(stack[:1], ctx)
+    peak, (ell2, p2, fixed, isolated) = _traced_peak(lambda: np_tour(stack, ctx))
+    result = ell2.base.nbytes + fixed.nbytes + isolated.nbytes  # ell2, p2: one (rows, 4) total
+    assert result == 3**11 * (4 * 8 + 8 + 1)
+    assert peak < result + _PASS_BYTES, (peak, result)
