@@ -22,22 +22,28 @@ variable supplies a default cycle-cache path for ``color --graph``.
 
 ``color`` reads one JSON array, an array of arrays, or one array per
 line.  Rows of one-digit colors, as one array or one array per line
-(what ``json.dumps`` writes for k <= 9), are read from the bytes into
-one integer stack in a few numpy passes; every other input goes through
-``json.loads``, which also words every input error.  On a cycle host the
-stack is colored by one ``coloring.color_rows`` call, and the verdict
-lines are written at once; on a bad row the lines before it are
-written, then the row's own error ends the call.
+(what ``json.dumps`` writes for k <= 9), are read from the input in
+blocks of ``winding._BLOCK`` bytes straight into one uint8 stack, so the
+reader holds the digits and a few block-sized buffers; every other input
+goes through ``json.loads``, which also words every input error, after
+the input is read again from its start (a pipe is read whole first, so
+that it can be).  On a cycle host the stack is colored by one
+``coloring.color_rows`` call, and the verdict lines are written at once;
+on a bad row the lines before it are written, then the row's own error
+ends the call.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import locale
 import os
 import sys
+from functools import partial
 from pathlib import Path
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
@@ -72,6 +78,7 @@ from .graphs import (
     make_cycle,
     make_mycielski,
 )
+from . import winding
 from .winding import OddCycleCtx
 
 EXIT_OK = 0
@@ -126,7 +133,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # color
 
 
-def _digit_rows(data: bytes) -> np.ndarray | None:
+_SPACE = b" \t\n\r"
+_NOT_MARKS = bytes(set(range(256)) - set(b"[]\n\r"))
+# A (digit, comma) pair of bytes read as one little-endian uint16, less
+# this, is the digit's value; every other pair of bytes comes out above 9.
+_DIGIT_COMMA = np.uint16(ord("0") | ord(",") << 8)
+
+
+def _digit_stack(blocks: Iterable[bytes]) -> np.ndarray | None:
     """The rows of a payload of one-digit arrays, as a uint8 (rows, L) stack.
 
     Reads what ``json.dumps`` writes for colors 0..9: one array, or one
@@ -135,30 +149,74 @@ def _digit_rows(data: bytes) -> np.ndarray | None:
     than one row, no line break may fall inside an array and at least
     one must fall between two.  Returns None for any other payload,
     which the JSON path then reads or rejects.
+
+    The payload comes in blocks of any size and is checked block by
+    block: only the digits are kept, so beyond the stack the reader
+    holds a few block-sized buffers.  Each ``][`` is read as a comma,
+    which joins the rows into one ``[d,d,...,d]`` whose digits sit in
+    (digit, comma) pairs; the first ``]`` gives the row length, and
+    every later join must fall a whole number of rows after it.
     """
-    tokens = data.translate(None, b" \t\n\r")
-    width = tokens.find(b"]") + 1  # 2L + 1 bytes a row
-    if width < 3 or width % 2 == 0 or len(tokens) % width:
+    digits = bytearray()
+    read = 0  # tokens of the joined payload taken so far
+    width = 0  # 2L, where the first ] falls in the joined payload
+    joins = 0
+    held = b""  # tokens left for the next block: a digit, then a closing ]
+    last = b""  # the last bracket or line break seen
+    broke_inside = False
+    for raw in blocks:
+        if b"[" in raw or b"]" in raw:
+            marks = last + raw.translate(None, _NOT_MARKS)  # brackets and breaks
+            if b"][" in marks:
+                return None
+            broke_inside |= b"[\n" in marks or b"[\r" in marks
+            last = marks[-1:]
+        elif b"\n" in raw or b"\r" in raw:
+            broke_inside |= last == b"["
+            last = b"\n"
+        tokens = held + raw.translate(None, _SPACE)
+        if not read and tokens:
+            if tokens[0] != ord("["):
+                return None
+            tokens, read = tokens[1:], 1
+        closed = tokens.endswith(b"]")
+        if closed:
+            tokens = tokens[:-1]
+        if b"]" in tokens:
+            t = np.frombuffer(tokens, dtype=np.uint8)
+            ends = np.flatnonzero(t == ord("]"))
+            joined = ends - np.arange(len(ends))  # where each ] falls once joined
+            width = width or read + int(joined[0])
+            if (
+                width % 2
+                or ((read + joined) % width).any()
+                # each ] is followed by a [ (a last ] is clipped to itself)
+                or (t.take(ends + 1, mode="clip") != ord("[")).any()
+            ):
+                return None
+            keep = np.ones(len(t), dtype=bool)
+            keep[ends + 1] = False
+            t = t[keep]
+            t[joined] = ord(",")
+            tokens = t.tobytes()
+            joins += len(ends)
+        pairs = len(tokens) // 2
+        held = tokens[2 * pairs :] + b"]" * closed
+        if pairs:
+            values = np.frombuffer(tokens, dtype="<u2", count=pairs) - _DIGIT_COMMA
+            if values.max() > 9:
+                return None
+            digits += memoryview(values.astype(np.uint8))
+            read += 2 * pairs
+    if len(held) != 2 or held[1] != ord("]") or not ord("0") <= held[0] <= ord("9"):
         return None
-    grid = np.frombuffer(tokens, dtype=np.uint8).reshape(-1, width)
-    digits = grid[:, 1::2] - np.uint8(ord("0"))  # other bytes wrap above 9
-    if (
-        (grid[:, 0] != ord("[")).any()
-        or (grid[:, -1] != ord("]")).any()
-        or (grid[:, 2:-1:2] != ord(",")).any()
-        or (digits > 9).any()
-    ):
+    digits.append(held[0] - ord("0"))
+    read += 1  # the joined payload's closing ]
+    width = width or read
+    rows = read // width
+    if read % width or joins != rows - 1 or (rows > 1 and broke_inside):
         return None
-    if len(grid) > 1:
-        raw = np.frombuffer(data, dtype=np.uint8)
-        breaks = np.flatnonzero((raw == ord("\n")) | (raw == ord("\r")))
-        before_open = np.searchsorted(breaks, np.flatnonzero(raw == ord("[")))
-        before_close = np.searchsorted(breaks, np.flatnonzero(raw == ord("]")))
-        if (before_open != before_close).any() or (
-            before_open[1:] == before_close[:-1]
-        ).any():
-            return None
-    return digits
+    return np.frombuffer(digits, dtype=np.uint8).reshape(rows, width // 2)
 
 
 def _json_rows(text: str) -> list[tuple[int, ...]]:
@@ -201,20 +259,33 @@ def _read_assignments(path: str | None) -> np.ndarray | list[tuple[int, ...]]:
     """The rows of the input file, or of stdin for None or ``-``.
 
     Rows of one-digit colors come back as the uint8 stack that
-    :func:`_digit_rows` reads straight from the bytes; any other payload,
-    and a text-only stdin such as a ``StringIO``, as the tuples of
-    :func:`_json_rows`, which also words every input error.
+    :func:`_digit_stack` reads from the bytes as they stream in; any
+    other payload, and a text-only stdin such as a ``StringIO``, as the
+    tuples of :func:`_json_rows`, which also words every input error.
     """
     if path is None or path == "-":
         stdin = sys.stdin
         if not hasattr(stdin, "buffer"):
             return _json_rows(stdin.read())
-        raw, encoding, errors = stdin.buffer.read(), stdin.encoding, stdin.errors
-    else:
-        raw = Path(path).read_bytes()
-        encoding, errors = locale.getpreferredencoding(False), "strict"
-    stack = _digit_rows(raw)
-    return stack if stack is not None else _json_rows(raw.decode(encoding, errors))
+        return _read_rows(stdin.buffer, stdin.encoding, stdin.errors)
+    with open(path, "rb") as fh:
+        return _read_rows(fh, locale.getpreferredencoding(False), "strict")
+
+
+def _read_rows(
+    fh: BinaryIO, encoding: str, errors: str
+) -> np.ndarray | list[tuple[int, ...]]:
+    """:func:`_digit_stack` of ``fh`` in blocks of ``winding._BLOCK``
+    bytes, or else :func:`_json_rows` of its text, read again from where
+    it started.  A stream that cannot seek (a pipe) is read whole first."""
+    if not fh.seekable():
+        fh = io.BytesIO(fh.read())
+    start = fh.tell()
+    stack = _digit_stack(iter(partial(fh.read, winding._BLOCK), b""))
+    if stack is not None:
+        return stack
+    fh.seek(start)
+    return _json_rows(fh.read().decode(encoding, errors))
 
 
 def _parse_edge(text: str) -> tuple[int, int]:

@@ -218,8 +218,10 @@ class ExpoGraph:
         return len(self.vertices)
 
     def to_graph(self) -> Graph:
-        """The loop-free simple graph over vertex indices."""
-        return Graph(len(self.vertices), self.adjacency)
+        """The loop-free simple graph over vertex indices, unchecked:
+        :meth:`from_rows` builds its adjacency sorted, deduplicated,
+        symmetric and loop-free."""
+        return Graph._built(len(self.vertices), self.adjacency)
 
     @classmethod
     def from_rows(

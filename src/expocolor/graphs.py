@@ -54,6 +54,17 @@ class Graph:
                     raise ValueError(f"asymmetric edge ({v},{u})")
 
     @classmethod
+    def _built(cls, vertex_count: int, neighbors: tuple[tuple[int, ...], ...]) -> "Graph":
+        """A graph over adjacency that its builder already made sorted,
+        deduplicated, symmetric and loop-free, so the checks of
+        ``__post_init__`` are skipped; every graph from outside input
+        keeps them."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "vertex_count", vertex_count)
+        object.__setattr__(graph, "neighbors", neighbors)
+        return graph
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:

@@ -33,7 +33,7 @@ matter: they arise when valuing arcs *between* two adjacent assignments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -193,9 +193,9 @@ class OddCycleCtx:
 
     ``a``/``b`` are the distinguished edge oriented per
     :func:`orient_edge`.  Built in O(1) via :meth:`make`; direct
-    construction validates consistency.  What the kernel needs per
-    context (:attr:`step_bins`, :attr:`bin_fold`) is derived on first
-    use.
+    construction validates consistency.  The kernel's fold table
+    (:attr:`bin_fold`, O(k)) is derived on first use; the context holds
+    nothing whose size grows with the cycle.
     """
 
     n: int
@@ -220,26 +220,6 @@ class OddCycleCtx:
     @property
     def length(self) -> int:
         return 2 * self.n + 1
-
-    @cached_property
-    def step_bins(self) -> np.ndarray:
-        """Histogram bin offset of each chord arc, by the id it leaves.
-
-        k-1 off the little path and 3k-2 on it, so an arc with step d
-        lands in bin d + offset (see :func:`np_tour`).  The dtype is the
-        narrowest signed one holding every bin, and the kernel casts
-        assignments to it.  The path's arcs leave ids a, a+2, ...,
-        a+2(n-1) mod 2n+1: one stride-2 slice, or two when the path
-        passes id 2n.
-        """
-        off, on = self.k - 1, 3 * self.k - 2
-        bins = np.full(self.length, off, dtype=np.min_scalar_type(-4 * self.k))
-        end = self.a + 2 * self.n
-        bins[self.a : end : 2] = on
-        if end > self.length:
-            bins[(self.a + 1) % 2 : end - self.length : 2] = on
-        bins.setflags(write=False)
-        return bins
 
     @cached_property
     def bin_fold(self) -> np.ndarray:
@@ -354,34 +334,66 @@ def little_path(f: Sequence[int], ctx: OddCycleCtx) -> Half:
 #
 # The kernel walks the tour in passes of at most ``_BLOCK`` entries: each
 # pass casts its slice of ids (plus the two after it, wrapping past id 2n
-# to ids 0 and 1), takes the steps and counts them into a running total.
-# A stack is tiled by rows as well, so no temporary grows with the row
-# length or the row count: beyond the input and the (rows, 4) result, the
-# kernel holds a few block-sized arrays, whatever the input size.  A row
-# or stack of up to ``_BLOCK`` entries takes one pass.
+# to ids 0 and 1), adds each arc's bin offset, which it derives from k
+# and the edge, and counts the codes into a running total.  A stack is tiled
+# by rows as well, so no temporary grows with the row length or the row
+# count: beyond the input and the (rows, 4) result, the kernel holds a few
+# block-sized arrays, whatever the input size, and the context nothing of
+# length L.  A row or stack of up to ``_BLOCK`` entries takes one pass.
 
 _BLOCK = 1 << 16
 
 
-def _tour_sum(x: np.ndarray, bins: np.ndarray, count):
+@lru_cache(maxsize=16)
+def _offsets(k: int, size: int) -> np.ndarray:
+    """The bin offsets around id b, for passes of up to ``size`` ids.
+
+    Entry ``size + 1 + t`` is the offset of id b + t: k-1 (off the little
+    path) at b, 3k-2 (on it) at b-2, b-4, ... and at b+1, b+3, ..., and
+    k-1 at the ids between; there are ``size + 1`` entries on either
+    side of b.  The dtype is the narrowest signed one holding every code
+    (0..4k-3), and the kernel casts assignments to it.
+    """
+    offsets = np.full(2 * size + 3, k - 1, dtype=np.min_scalar_type(-4 * k))
+    offsets[(size + 1) % 2 : size : 2] = 3 * k - 2
+    offsets[size + 2 :: 2] = 3 * k - 2
+    offsets.setflags(write=False)
+    return offsets
+
+
+def _tour_sum(x: np.ndarray, ctx: OddCycleCtx, count):
     """The sum of ``count(codes)`` over the passes of the chord tour of ``x``.
 
     ``x`` holds ids first.  A pass over ids start..stop-1, at most
-    ``_BLOCK`` of them, reads ids start..stop+1 cast to the bins' dtype,
-    the last pass wrapping to ids 0 and 1; each arc's code is its step
-    plus its bin offset.
+    ``_BLOCK`` of them, reads ids start..stop+1 cast to the codes' dtype,
+    the last pass wrapping to ids 0 and 1.  Each arc's code is its step
+    plus its bin offset, k-1 off the little path and 3k-2 on it.  The
+    path's arcs leave ids a, a+2, ..., a+2(n-1) mod 2n+1, that is the
+    ids of b's parity below b and those of a's parity above it, so a
+    pass reads its offsets from :func:`_offsets` at its distance from b
+    (moved by an even number of ids to stay within the table when b
+    lies outside the pass).
     """
     length = len(x)
+    longest = min(length, _BLOCK)
+    offsets = _offsets(ctx.k, longest)
+    if x.ndim > 1:
+        offsets = offsets[:, None]
     total = None
     for start in range(0, length, _BLOCK):
         stop = min(start + _BLOCK, length)
         f = np.concatenate(
             (x[start : stop + 2], x[: max(stop + 2 - length, 0)]),
-            dtype=bins.dtype,
+            dtype=offsets.dtype,
             casting="unsafe",
         )
         codes = f[2:] - f[:-2]
-        codes += bins[start:stop]
+        m, j = stop - start, ctx.b - start  # the pass's ids, and b's place
+        if j < 0:
+            j = j % 2 - 2
+        elif j > m:
+            j = m + (j - m) % 2
+        codes += offsets[longest + 1 - j : longest + 1 - j + m]
         if total is None:
             total = count(codes)
         else:
@@ -406,12 +418,12 @@ def np_tour(fs: np.ndarray, ctx: OddCycleCtx) -> tuple:
     pass-sized arrays at any size.
     """
     fs = np.asarray(fs)
-    bins, fold = ctx.step_bins, ctx.bin_fold
+    fold = ctx.bin_fold
     length = fs.shape[-1]
-    if length != len(bins):
-        raise ValueError(f"assignments have {length} entries, cycle needs {len(bins)}")
+    if length != ctx.length:
+        raise ValueError(f"assignments have {length} entries, cycle needs {ctx.length}")
     if fs.ndim == 1:
-        counts = _tour_sum(fs, bins, partial(np.bincount, minlength=len(fold)))
+        counts = _tour_sum(fs, ctx, partial(np.bincount, minlength=len(fold)))
         ell2, p2, flat, bad = counts.dot(fold).tolist()
         return ell2, p2, length - flat, bad > 0
     # A stack: look each arc's bin up in the fold and sum along the tour,
@@ -419,13 +431,13 @@ def np_tour(fs: np.ndarray, ctx: OddCycleCtx) -> tuple:
     # -2..2, and int8 keeps the (ids, rows, 4) lookup of a pass small.
     stack = fs.reshape(-1, length)
     tile = max(1, _BLOCK // length)
-    column_bins, fold = bins[:, None], fold.astype(np.int8)
+    fold = fold.astype(np.int8)
 
     def lookup(codes):
         return fold[codes].sum(axis=0, dtype=np.int64)
 
     totals = np.empty((len(stack), 4), dtype=np.int64)
     for r in range(0, len(stack), tile):
-        totals[r : r + tile] = _tour_sum(stack[r : r + tile].T, column_bins, lookup)
+        totals[r : r + tile] = _tour_sum(stack[r : r + tile].T, ctx, lookup)
     ell2, p2, flat, bad = totals.T.reshape((4,) + fs.shape[:-1])
     return ell2, p2, length - flat, bad > 0

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -184,14 +185,67 @@ def _fuzz_payload(rng) -> str:
     return "".join(t + joints[rng.integers(len(joints))] for t in texts)
 
 
-def test_digit_reader_agrees_with_the_json_path():
+def digit_rows(data: bytes) -> np.ndarray | None:
+    """The rows of a payload of one-digit arrays, as a uint8 (rows, L) stack.
+
+    The whole-buffer reader that the CLI's block reader is checked
+    against.  Leaving out JSON whitespace, the payload must be
+    ``[d,d,...,d]`` repeated with every row of one length; with more
+    than one row, no line break may fall inside an array and at least
+    one must fall between two.  None for any other payload.
+    """
+    tokens = data.translate(None, b" \t\n\r")
+    width = tokens.find(b"]") + 1  # 2L + 1 bytes a row
+    if width < 3 or width % 2 == 0 or len(tokens) % width:
+        return None
+    grid = np.frombuffer(tokens, dtype=np.uint8).reshape(-1, width)
+    digits = grid[:, 1::2] - np.uint8(ord("0"))  # other bytes wrap above 9
+    if (
+        (grid[:, 0] != ord("[")).any()
+        or (grid[:, -1] != ord("]")).any()
+        or (grid[:, 2:-1:2] != ord(",")).any()
+        or (digits > 9).any()
+    ):
+        return None
+    if len(grid) > 1:
+        raw = np.frombuffer(data, dtype=np.uint8)
+        breaks = np.flatnonzero((raw == ord("\n")) | (raw == ord("\r")))
+        before_open = np.searchsorted(breaks, np.flatnonzero(raw == ord("[")))
+        before_close = np.searchsorted(breaks, np.flatnonzero(raw == ord("]")))
+        if (before_open != before_close).any() or (
+            before_open[1:] == before_close[:-1]
+        ).any():
+            return None
+    return digits
+
+
+def _block_read(data: bytes) -> np.ndarray | None:
+    """What the CLI's block reader makes of ``data``, in blocks of
+    ``winding._BLOCK`` bytes."""
+    return cli._digit_stack(iter(partial(io.BytesIO(data).read, winding._BLOCK), b""))
+
+
+def _same_stack(got, want) -> bool:
+    """Both None, or uint8 stacks of one shape and equal entries."""
+    if got is None or want is None:
+        return got is want
+    return got.dtype == np.uint8 and got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_digit_reader_agrees_with_the_json_path(monkeypatch):
     # Wherever the bulk reader takes a payload, json.loads must read the
     # same rows from it; every other payload is left to the JSON path.
+    # The block reader gives exactly the reference's result, at the
+    # default block size and at blocks of a few bytes.
     rng = np.random.default_rng(7)
     taken = left = 0
     for _ in range(3000):
         payload = _fuzz_payload(rng)
-        stack = cli._digit_rows(payload.encode())
+        stack = digit_rows(payload.encode())
+        for block in (1, 2, 3, 5, 8, winding._BLOCK):
+            with monkeypatch.context() as m:
+                m.setattr(winding, "_BLOCK", block)
+                assert _same_stack(_block_read(payload.encode()), stack), (block, payload)
         try:
             rows = cli._json_rows(payload)
         except ValueError:  # json.JSONDecodeError included: exit 2
@@ -205,28 +259,119 @@ def test_digit_reader_agrees_with_the_json_path():
     assert taken > 500 and left > 500, (taken, left)
 
 
-def test_color_of_one_long_row_stays_within_the_readers_memory(tmp_path, capsys):
-    # A color call on C_2000001 peaks in the digit reader, which holds the
-    # file's 3L bytes, its 2L + 1 tokens, the L digits and one L-entry mask
-    # at once; the kernel adds a few pass-sized buffers (four int64 buffers
-    # of winding._BLOCK entries allowed), not arrays the length of the row.
-    n = 10**6
-    ctx = winding.OddCycleCtx.make(n, 3)
+class _Pipe(io.RawIOBase):
+    """A byte source that cannot seek, as a pipe on standard input."""
+
+    def __init__(self, data: bytes):
+        self._data = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        return self._data.readinto(buffer)
+
+
+# Payloads whose brackets, joins, line breaks, digits and commas fall on
+# every side of a block edge once the block size runs over 1..len(payload).
+_EDGE_PAYLOADS = [
+    "[1, 2, 3]",
+    "[1,2,3]\n[3,2,1]\n",
+    "[1,2,3]\r\n[3,2,1]\r\n[2,2,2]",
+    " \n[7]\n\n[0]\r[9]\n ",
+    "[\n1,\r\n2 ,\t3\n]\n",
+    "[1,2,3][3,2,1]",  # no break between the rows: the JSON path's error
+    "[1,2,\n3]\n[3,2,1]",  # a break inside one of two rows
+    "[1,2,3]\n[3,2]\n",  # ragged
+    "[1,2,3]\n[3,2,10]\n",  # two digits
+    "[[1,2,3],[3,2,1]]",
+    "[1,2,3]]\n",
+    "[1,2,3],\n",
+]
+
+
+def _read_as(mode: str, payload: bytes, tmp_path, monkeypatch):
+    """``cli._read_assignments`` of ``payload`` through ``--input`` or a
+    byte-backed stdin, its error as a string if it raises."""
+    if mode == "file":
+        path = tmp_path / "rows.json"
+        path.write_bytes(payload)
+        source = str(path)
+    else:
+        raw = io.BytesIO(payload) if mode == "stdin" else io.BufferedReader(_Pipe(payload))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(raw))
+        source = None
+    try:
+        return cli._read_assignments(source)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("payload", _EDGE_PAYLOADS)
+def test_block_reader_at_every_block_edge(payload, tmp_path, monkeypatch):
+    data = payload.encode()
+    want = digit_rows(data)
+    if want is None:
+        try:
+            want = cli._json_rows(payload)
+        except ValueError as exc:
+            want = f"{type(exc).__name__}: {exc}"
+    for block in range(1, len(data) + 1):
+        monkeypatch.setattr(winding, "_BLOCK", block)
+        for mode in ("file", "stdin", "pipe"):
+            got = _read_as(mode, data, tmp_path, monkeypatch)
+            if isinstance(want, np.ndarray):
+                assert _same_stack(got, want), (block, mode)
+            else:
+                assert got == want, (block, mode)
+
+
+# A color call on C_2000001 holds the row's L digits and a few buffers of
+# winding._BLOCK entries: the reader's block, its tokens and their digits,
+# and the kernel's pass arrays, of which bincount's int64 copy of the codes
+# is the largest (8 blocks); 16 blocks are allowed.  The digits grow in a
+# bytearray, which CPython over-allocates by at most an eighth as it grows.
+_LONG_N = 10**6
+
+
+def _long_even_row() -> np.ndarray:
+    ctx = winding.OddCycleCtx.make(_LONG_N, 3)
     rng = np.random.default_rng(3)
     row = rng.integers(1, 4, ctx.length, dtype=np.uint8)
     while winding.np_tour(row, ctx)[2] % 2:  # until it is in the even class
         row = rng.integers(1, 4, ctx.length, dtype=np.uint8)
-    path = tmp_path / "long.json"
-    path.write_text(json.dumps(row.tolist()))
+    return row
+
+
+def _long_row_call(capsys, argv):
+    """Color the long row with ``main(argv)``; the memory it traced beyond
+    the row and the bytearray's slack, in blocks."""
+    length = 2 * _LONG_N + 1
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        code = main(["color", "--n", str(n), "--input", str(path)])
+        code = main(argv)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert code == 0 and json.loads(capsys.readouterr().out)["color"] in (1, 2, 3)
-    assert peak < 7 * ctx.length + 4 * 8 * winding._BLOCK, peak
+    return (peak - length - length // 8) / winding._BLOCK
+
+
+def test_color_of_one_long_row_stays_within_the_readers_memory(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(_long_even_row().tolist()))
+    blocks = _long_row_call(capsys, ["color", "--n", str(_LONG_N), "--input", str(path)])
+    assert blocks < 16, blocks
+
+
+def test_color_of_one_long_row_from_stdin_stays_within_the_readers_memory(
+    capsys, monkeypatch
+):
+    payload = json.dumps(_long_even_row().tolist()).encode()
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(payload)))
+    blocks = _long_row_call(capsys, ["color", "--n", str(_LONG_N)])
+    assert blocks < 16, blocks
 
 
 def test_importing_the_cli_leaves_the_pool_and_bench_unloaded():

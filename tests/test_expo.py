@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from expocolor.coloring import even_class_subgraph
 from expocolor.errors import CapacityError
 from expocolor.expo import (
     DEFAULT_CAP,
@@ -21,7 +22,7 @@ from expocolor.expo import (
     restrict,
     row_index,
 )
-from expocolor.graphs import CycleWitness, make_complete, make_cycle
+from expocolor.graphs import CycleWitness, Graph, make_complete, make_cycle
 
 
 def brute_adjacent(h, f, g, k, cycle_target=False):
@@ -290,6 +291,14 @@ def test_restrict_preserves_adjacency(k4):
     for f in itertools.product((1, 2, 3), repeat=4):
         for g in neighbors(k4, f, 3):
             assert brute_adjacent(c3, restrict(k4, f, tri), restrict(k4, g, tri), 3)
+
+
+def test_to_graph_gives_the_graph_the_checked_constructor_accepts(c5, k4):
+    # to_graph skips Graph's checks: from_rows must already meet them
+    for eg in (build_exponential(c5, 3), build_exponential(k4, 3), even_class_subgraph(3)):
+        g = eg.to_graph()
+        checked = Graph(eg.vertex_count, eg.adjacency)
+        assert g == checked and hash(g) == hash(checked)
 
 
 def test_expo_graph_helpers(c5):

@@ -6,6 +6,7 @@ hand-walked tours) so the module under test cannot vouch for itself.
 
 import itertools
 import tracemalloc
+from unittest import mock
 
 import pytest
 
@@ -268,7 +269,7 @@ def test_np_tour_agrees_with_scalar_on_every_edge_k5():
 
 # A couple of randomized extensions past the exhaustive range: hypothesis
 # draws cycle lengths well beyond what the sweeps above can afford.
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 
@@ -432,6 +433,49 @@ def test_np_tour_stack_tiles_match_the_rows(shape, k):
         assert _agrees(np_tour(stack[i], ctx), expect), i
 
 
+# The same comparison with hypothesis drawing the cycle, the codomain, the
+# edge, the dtype and the pass size: the bin offsets of every pass are
+# derived from the edge and the pass start, so the passes must agree with
+# the scalar tour wherever the edge and the pass boundaries fall.
+
+
+@st.composite
+def _tour_cases(draw):
+    k = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(min_value=1, max_value=40))
+    length = 2 * n + 1
+    # colors along the chord tour by steps of 0, 2 or k-2, or at random;
+    # the closing step is whatever the others leave, so some rows are
+    # isolated for k >= 5
+    colors = st.lists(st.integers(1, k), min_size=length, max_size=length)
+    if draw(st.booleans()):
+        steps = st.lists(st.sampled_from([0, 2, k - 2]), min_size=length, max_size=length)
+        tour = (2 * np.arange(length)) % length
+        row = np.empty(length, dtype=np.int64)
+        row[tour] = 1 + np.cumsum(draw(steps)) % k
+    else:
+        row = np.array(draw(colors))
+    others = draw(st.lists(colors, max_size=3))
+    e = draw(st.integers(0, length - 1))
+    dtype = draw(st.sampled_from(_INT_DTYPES))
+    block = draw(st.integers(min_value=1, max_value=length + 3))
+    return OddCycleCtx.make(n, k, (e, (e + 1) % length)), row, others, dtype, block
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tour_cases())
+def test_np_tour_matches_scalar_on_drawn_passes(case):
+    ctx, row, others, dtype, block = case
+    stack = np.array([row.tolist()] + others).astype(dtype)
+    with mock.patch.object(winding, "_BLOCK", block):
+        rows = [np_tour(f, ctx) for f in stack]
+        tours = np_tour(stack, ctx)
+    for i, f in enumerate(stack):
+        want = _scalar_tour(tuple(f.tolist()), ctx)
+        assert _agrees(rows[i], want), i
+        assert _agrees([x[i].item() for x in tours], want), i
+
+
 def test_np_tour_rejects_rows_of_the_wrong_length():
     ctx = OddCycleCtx.make(2, 3)
     for bad in (np.ones(4, dtype=np.int64), np.ones((3, 6), dtype=np.int64)):
@@ -464,10 +508,21 @@ def _traced_peak(call):
 def test_np_tour_memory_on_a_long_row_is_a_few_passes():
     ctx = OddCycleCtx.make(10**6, 3, (5, 4))
     row = np.random.default_rng(0).integers(1, 4, ctx.length, dtype=np.uint8)
-    want = np_tour(row, ctx)  # also derives the context's step bins
+    want = np_tour(row, ctx)
     peak, got = _traced_peak(lambda: np_tour(row, ctx))
     assert got == want
     assert peak < _PASS_BYTES, peak
+
+
+def test_np_tour_on_a_fresh_context_allocates_nothing_of_the_rows_length():
+    # The context holds no per-id table: the first call on a long cycle
+    # derives only its fold and a pass-sized offset table, so it allocates
+    # less than one byte an id, what an L-entry int8 table would take.
+    ctx = OddCycleCtx.make(10**6, 3)
+    row = np.random.default_rng(1).integers(1, 4, ctx.length, dtype=np.uint8)
+    peak, got = _traced_peak(lambda: np_tour(row, ctx))
+    assert got == np_tour(row, ctx)
+    assert peak < ctx.length, peak
 
 
 def test_np_tour_memory_on_a_tall_stack_is_its_result_and_a_few_passes():
