@@ -193,12 +193,7 @@ def _colored_prefix(arr: np.ndarray, ctx: OddCycleCtx) -> tuple[list, Exception 
     if total and (arr.item(arr.argmin()) < 1 or arr.item(arr.argmax()) > ctx.k):
         bad = (rows.min(axis=1) < 1) | (rows.max(axis=1) > ctx.k)
         rows = rows[: bad.argmax()]
-    if len(rows) == 1:  # the kernel's 1-d form: one bincount
-        row = rows[0]
-        tours = [(row.item(ctx.a), row.item(ctx.b), *np_tour(row, ctx))]
-    else:
-        tours = _tours(rows, ctx, np_tour(rows, ctx))
-    out, error = _decide(ctx, tours)
+    out, error = _decide(ctx, _tours(rows, ctx, np_tour(rows, ctx)))
     if error is None and len(out) < total:
         error = _out_of_range(ctx)
     return out, error
@@ -214,8 +209,7 @@ def color_rows(fs, ctx: OddCycleCtx) -> RowColors:
     1..k (on the values as given, before the kernel casts them),
     isolation, an even fixed-point count, and a little path off ell/2.
     One :func:`np_tour` call serves every row before the first
-    out-of-range one, and a lone row takes the kernel's 1-d form; the
-    O(1) decision per row is :func:`_side_of`.
+    out-of-range one; the O(1) decision per row is :func:`_side_of`.
     """
     out, error = _colored_prefix(np.asarray(fs), ctx)
     color, branch, ell2, p2 = np.array(out, dtype=np.int64).reshape(-1, 4).T

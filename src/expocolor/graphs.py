@@ -18,9 +18,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapacityError, ParityDomainError
 
-# chromatic_number_exact is a desk-scale oracle: fast up to ~24 vertices
-# (soft cap), refused outright above the hard cap.
-CHROMATIC_SOFT_CAP = 24
+# chromatic_number_exact is a desk-scale oracle, refused outright above the
+# hard cap.
 CHROMATIC_HARD_CAP = 256
 
 
@@ -354,9 +353,8 @@ def chromatic_number_exact(g: Graph) -> int:
     """Minimum k admitting a proper k-coloring, by branch and bound.
 
     Greedy clique for the lower bound, DSATUR-ordered backtracking for
-    the rest.  Intended for small instances (fast up to roughly
-    ``CHROMATIC_SOFT_CAP`` = 24 vertices); refuses anything above
-    ``CHROMATIC_HARD_CAP``.
+    the rest.  Intended for small instances (fast up to roughly 24
+    vertices); refuses anything above ``CHROMATIC_HARD_CAP``.
     """
     n = g.vertex_count
     if n > CHROMATIC_HARD_CAP:

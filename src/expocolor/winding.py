@@ -33,7 +33,7 @@ matter: they arise when valuing arcs *between* two adjacent assignments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -332,14 +332,18 @@ def little_path(f: Sequence[int], ctx: OddCycleCtx) -> Half:
 # steps are taken after a cast to a signed dtype, so unsigned input cannot
 # wrap.
 #
-# The kernel walks the tour in passes of at most ``_BLOCK`` entries: each
-# pass casts its slice of ids (plus the two after it, wrapping past id 2n
-# to ids 0 and 1), adds each arc's bin offset, which it derives from k
-# and the edge, and counts the codes into a running total.  A stack is tiled
-# by rows as well, so no temporary grows with the row length or the row
-# count: beyond the input and the (rows, 4) result, the kernel holds a few
-# block-sized arrays, whatever the input size, and the context nothing of
-# length L.  A row or stack of up to ``_BLOCK`` entries takes one pass.
+# Every input is counted one way.  The kernel walks the tour in passes of
+# at most ``_BLOCK`` ids: each pass casts its slice of ids (plus the two
+# after it, wrapping past id 2n to ids 0 and 1), adds each arc's bin offset,
+# which it derives from k and the edge, and counts the codes with one
+# ``np.bincount`` into a running total.  A stack goes through in tiles of
+# whole rows, and the codes of a tile's r-th row are moved by r times the
+# bin count, so the one bincount gives every row's histogram; a lone row is
+# the one-row case and needs no move.  A tile holds at most ``_BLOCK``
+# entries and at most ``_BLOCK`` bins over its rows, so no temporary grows
+# with the row length, the row count or k: beyond the input and the
+# (rows, 4) result, the kernel holds a few block-sized arrays whatever the
+# input size, and the context nothing of length L.
 
 _BLOCK = 1 << 16
 
@@ -361,43 +365,53 @@ def _offsets(k: int, size: int) -> np.ndarray:
     return offsets
 
 
-def _tour_sum(x: np.ndarray, ctx: OddCycleCtx, count):
-    """The sum of ``count(codes)`` over the passes of the chord tour of ``x``.
+def _tour_sum(x: np.ndarray, ctx: OddCycleCtx) -> np.ndarray:
+    """The step histogram of the chord tour of each row of ``x``.
 
-    ``x`` holds ids first.  A pass over ids start..stop-1, at most
-    ``_BLOCK`` of them, reads ids start..stop+1 cast to the codes' dtype,
-    the last pass wrapping to ids 0 and 1.  Each arc's code is its step
-    plus its bin offset, k-1 off the little path and 3k-2 on it.  The
-    path's arcs leave ids a, a+2, ..., a+2(n-1) mod 2n+1, that is the
-    ids of b's parity below b and those of a's parity above it, so a
-    pass reads its offsets from :func:`_offsets` at its distance from b
-    (moved by an even number of ids to stay within the table when b
-    lies outside the pass).
+    ``x`` is one row (2n+1,) or a tile (rows, 2n+1).  A pass over ids
+    start..stop-1, at most ``_BLOCK`` of them, reads ids start..stop+1
+    cast to the codes' dtype, the last pass wrapping to ids 0 and 1.
+    Each arc's code is its step plus its bin offset, k-1 off the little
+    path and 3k-2 on it.  The path's arcs leave ids a, a+2, ...,
+    a+2(n-1) mod 2n+1, that is the ids of b's parity below b and those
+    of a's parity above it, so a pass reads its offsets from
+    :func:`_offsets` at its distance from b (moved by an even number of
+    ids to stay within the table when b lies outside the pass).  In a
+    tile, row r's codes are then moved by r times the bin count, so one
+    ``np.bincount`` per pass counts every row.
+
+    Returns the counts of the ``len(ctx.bin_fold)`` bins, row after row:
+    (bins,) for a row, (rows * bins,) for a tile.
     """
-    length = len(x)
+    length = x.shape[-1]
     longest = min(length, _BLOCK)
     offsets = _offsets(ctx.k, longest)
-    if x.ndim > 1:
-        offsets = offsets[:, None]
+    bins = len(ctx.bin_fold)
+    rows = x.size // length
     total = None
     for start in range(0, length, _BLOCK):
         stop = min(start + _BLOCK, length)
         f = np.concatenate(
-            (x[start : stop + 2], x[: max(stop + 2 - length, 0)]),
+            (x[..., start : stop + 2], x[..., : max(stop + 2 - length, 0)]),
+            axis=-1,
             dtype=offsets.dtype,
             casting="unsafe",
         )
-        codes = f[2:] - f[:-2]
+        codes = f[..., 2:] - f[..., :-2]
         m, j = stop - start, ctx.b - start  # the pass's ids, and b's place
         if j < 0:
             j = j % 2 - 2
         elif j > m:
             j = m + (j - m) % 2
         codes += offsets[longest + 1 - j : longest + 1 - j + m]
+        if x.ndim > 1:
+            codes = codes + np.arange(0, rows * bins, bins)[:, None]
+        # each code carries its row, so the codes are read in memory order
+        counts = np.bincount(codes.ravel("K"), minlength=rows * bins)
         if total is None:
-            total = count(codes)
+            total = counts
         else:
-            total += count(codes)
+            total += counts
     return total
 
 
@@ -412,10 +426,12 @@ def np_tour(fs: np.ndarray, ctx: OddCycleCtx) -> tuple:
     for 1-d input, arrays of shape fs.shape[:-1] otherwise.  ``ell2`` and
     ``p2`` of an isolated assignment leave out the arcs that isolate it.
 
-    The tour is walked in passes of at most ``_BLOCK`` entries, and a
-    stack in tiles of whole rows (one row a tile once rows are longer
-    than that), so beyond ``fs`` and the result the kernel holds a few
-    pass-sized arrays at any size.
+    Every shape is counted by :func:`_tour_sum`, and each row's histogram
+    is folded once by ``ctx.bin_fold``.  A stack goes in tiles of whole
+    rows holding at most ``_BLOCK`` entries and ``_BLOCK`` bins (one row
+    a tile once rows are longer than that), and the tour in passes of at
+    most ``_BLOCK`` entries, so beyond ``fs`` and the result the kernel
+    holds a few pass-sized arrays at any size.
     """
     fs = np.asarray(fs)
     fold = ctx.bin_fold
@@ -423,21 +439,13 @@ def np_tour(fs: np.ndarray, ctx: OddCycleCtx) -> tuple:
     if length != ctx.length:
         raise ValueError(f"assignments have {length} entries, cycle needs {ctx.length}")
     if fs.ndim == 1:
-        counts = _tour_sum(fs, ctx, partial(np.bincount, minlength=len(fold)))
-        ell2, p2, flat, bad = counts.dot(fold).tolist()
+        ell2, p2, flat, bad = _tour_sum(fs, ctx).dot(fold).tolist()
         return ell2, p2, length - flat, bad > 0
-    # A stack: look each arc's bin up in the fold and sum along the tour,
-    # which equals histogram @ fold per row.  The fold's entries are in
-    # -2..2, and int8 keeps the (ids, rows, 4) lookup of a pass small.
     stack = fs.reshape(-1, length)
-    tile = max(1, _BLOCK // length)
-    fold = fold.astype(np.int8)
-
-    def lookup(codes):
-        return fold[codes].sum(axis=0, dtype=np.int64)
-
+    tile = max(1, _BLOCK // max(length, len(fold)))
     totals = np.empty((len(stack), 4), dtype=np.int64)
     for r in range(0, len(stack), tile):
-        totals[r : r + tile] = _tour_sum(stack[r : r + tile].T, ctx, lookup)
+        counts = _tour_sum(stack[r : r + tile], ctx)
+        totals[r : r + tile] = counts.reshape(-1, len(fold)).dot(fold)
     ell2, p2, flat, bad = totals.T.reshape((4,) + fs.shape[:-1])
     return ell2, p2, length - flat, bad > 0

@@ -309,10 +309,11 @@ def test_np_tour_matches_scalar_on_random_edges(case, edge):
 # -- the kernel at its block boundaries ----------------------------------------
 #
 # np_tour walks the tour in passes of at most winding._BLOCK entries, the last
-# pass of a row wrapping to ids 0 and 1, and tiles a stack by rows.  These
-# tests put rows, little paths and stacks on every side of a pass boundary and
-# compare both forms of the kernel with the scalar label / little_path /
-# fixed_points, over every integer dtype.
+# pass of a row wrapping to ids 0 and 1, and tiles a stack by rows, at most
+# _BLOCK entries and _BLOCK bins a tile.  These tests put rows, little paths
+# and stacks on every side of a pass boundary and compare both forms of the
+# kernel with the scalar label / little_path / fixed_points, over every
+# integer dtype.
 
 import numpy as np
 
@@ -404,10 +405,11 @@ def test_np_tour_matches_scalar_at_n_ten_thousand(k):
 
 @pytest.mark.parametrize("k", [3, 5])
 @pytest.mark.parametrize("shape", [
-    (_BLOCK // 11, 11),  # rows x L just below _BLOCK: one tile
+    (_BLOCK // 11, 11),  # rows x L just below _BLOCK: one tile for k = 3
     (_BLOCK // 11 + 1, 11),  # just above: a second tile of one row
     (2 * (_BLOCK // 11) + 3, 11),
     (_BLOCK // 5 + 1, 5),
+    (_BLOCK // 10 + 1, 3),  # rows x bins just above _BLOCK for k = 3
     (3, _BLOCK + 1),  # rows longer than a pass: one row per tile
 ])
 def test_np_tour_stack_tiles_match_the_rows(shape, k):
@@ -486,9 +488,11 @@ def test_np_tour_rejects_rows_of_the_wrong_length():
 # -- the kernel's memory bound --------------------------------------------------
 #
 # Beyond its input and its result, np_tour holds a few pass-sized arrays at
-# any size: the cast slice and the step codes of a pass, bincount's widened
-# copy of them (8 bytes an entry) or the int8 fold lookup and its per-row
-# sums.  The bound allows four int64 buffers of _BLOCK entries for these.
+# any size: the cast slice and the step codes of a pass, their widened copy
+# (8 bytes an entry: a stack's codes moved by their row's place, or
+# bincount's own copy for a row), and the pass's histogram and running total,
+# one int64 per bin and row of the tile.  The bound allows four int64 buffers
+# of _BLOCK entries for these.
 
 _PASS_BYTES = 4 * 8 * _BLOCK
 
@@ -532,4 +536,17 @@ def test_np_tour_memory_on_a_tall_stack_is_its_result_and_a_few_passes():
     peak, (ell2, p2, fixed, isolated) = _traced_peak(lambda: np_tour(stack, ctx))
     result = ell2.base.nbytes + fixed.nbytes + isolated.nbytes  # ell2, p2: one (rows, 4) total
     assert result == 3**11 * (4 * 8 + 8 + 1)
+    assert peak < result + _PASS_BYTES, (peak, result)
+
+
+def test_np_tour_memory_on_a_wide_codomain_is_its_result_and_a_few_passes():
+    # k = 131 gives 522 bins a row, over a hundred times the row's 3 ids, so
+    # the histograms of a tile outgrow its entries; tiles are bounded by
+    # bins as well, and the peak stays below the same bound.
+    ctx = OddCycleCtx.make(1, 131)
+    stack = np.random.default_rng(0).integers(1, 132, (30_000, 3), dtype=np.uint8)
+    np_tour(stack[:1], ctx)
+    peak, (ell2, p2, fixed, isolated) = _traced_peak(lambda: np_tour(stack, ctx))
+    result = ell2.base.nbytes + fixed.nbytes + isolated.nbytes
+    assert result == 30_000 * (4 * 8 + 8 + 1)
     assert peak < result + _PASS_BYTES, (peak, result)
