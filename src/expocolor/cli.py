@@ -28,9 +28,12 @@ reader holds the digits and a few block-sized buffers; every other input
 goes through ``json.loads``, which also words every input error, after
 the input is read again from its start (a pipe is read whole first, so
 that it can be).  On a cycle host the stack is colored by one
-``coloring.color_rows`` call, and the verdict lines are written at once;
-on a bad row the lines before it are written, then the row's own error
-ends the call.
+``coloring.color_rows`` call; on a general host by one
+``coloring.color_rows_in_kh`` call, of which ``color_in_kh`` is the
+one-row case.  Either way the verdict lines are written at once; on a
+bad row the lines before it are written, then the row, colored alone by
+the one-row routine, raises its own error, which ends the call.  A
+general host's cycle cache is saved whether or not a row failed.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .coloring import (
     RowColors,
     color_in_kh,
     color_rows,
+    color_rows_in_kh,
     color_vertex,
     color_vertex_ck,
 )
@@ -321,6 +325,17 @@ def _verdict_lines(res: RowColors) -> str:
     )
 
 
+def _emit(res: RowColors, rows, color_one) -> int:
+    """Write the verdict lines of the colored rows; then the first row that
+    failed, colored alone by the one-row routine ``color_one``, raises its
+    error."""
+    sys.stdout.write(_verdict_lines(res))
+    if res.failed < len(rows):
+        color_one(rows[res.failed])
+        raise InvariantViolationError(f"row {res.failed} failed only in the stack")
+    return EXIT_OK
+
+
 def _color_on_cycle(
     args: argparse.Namespace, rows: np.ndarray | list[tuple[int, ...]]
 ) -> int:
@@ -335,13 +350,8 @@ def _color_on_cycle(
     edge = _parse_edge(args.edge) if args.edge else None
     ctx = OddCycleCtx.make(n, args.k, edge)
     stack = rows if isinstance(rows, np.ndarray) else _int_stack(rows, ctx.length)
-    res = color_rows(stack, ctx)
-    sys.stdout.write(_verdict_lines(res))
-    if res.failed < len(rows):
-        # the first row that failed, colored alone, raises its error
-        (color_vertex if args.k == 3 else color_vertex_ck)(rows[res.failed], ctx)
-        raise InvariantViolationError(f"row {res.failed} failed only in the stack")
-    return EXIT_OK
+    color_one = color_vertex if args.k == 3 else color_vertex_ck
+    return _emit(color_rows(stack, ctx), rows, lambda f: color_one(f, ctx))
 
 
 def _save_cache(path: Path, cache: CycleCache) -> None:
@@ -361,21 +371,18 @@ def _color_on_host(
 ) -> int:
     if args.k != 3:
         raise ValueError("general-host coloring supports only --k 3")
-    if isinstance(rows, np.ndarray):
-        rows = list(map(tuple, rows.tolist()))
     host = load_graph(args.graph)
     cache_path = args.cache or os.environ.get("EXPO_CACHE")
     cache = CycleCache()
     if cache_path and Path(cache_path).exists():
         cache = CycleCache.loads(Path(cache_path).read_text())
+    stack = rows if isinstance(rows, np.ndarray) else _int_stack(rows, host.vertex_count)
     try:
-        for row in rows:
-            verdict, cache = color_in_kh(host, row, cache)
-            print(json.dumps(verdict.to_json_dict()))
+        res, cache = color_rows_in_kh(host, stack, cache)
+        return _emit(res, rows, lambda f: color_in_kh(host, f, cache))
     finally:
         if cache_path:
             _save_cache(Path(cache_path), cache)
-    return EXIT_OK
 
 
 def cmd_color(args: argparse.Namespace) -> int:

@@ -16,11 +16,13 @@ Three layers live here, mirroring how the math composes:
   whole even class, color the f(a)=f(b) assignments directly (they hit
   every odd cycle), and 2-color the bipartite remainder.
 
-* ``find_even_cycle`` / ``color_in_kh`` — the general-host pipeline:
-  pick an odd cycle of H on which the assignment has an even number of
-  fixed points, restrict, and color the restriction.  Cycles already
-  used are retried first, in insertion order, via an explicit
-  ``CycleCache`` value threaded through calls.
+* ``find_even_cycle`` / ``color_rows_in_kh`` — the general-host
+  pipeline: pick an odd cycle of H on which the assignment has an even
+  number of fixed points, restrict, and color the restriction.  Cycles
+  already used are retried first, in insertion order, via an explicit
+  ``CycleCache`` value threaded through calls.  A stack is scanned one
+  cached cycle at a time and colored with one ``color_rows`` call per
+  serving cycle; ``color_in_kh`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -38,7 +40,14 @@ from .errors import (
     NoEvenCycleError,
     ParityDomainError,
 )
-from .expo import ExpoGraph, full_grid, is_isolated, restrict
+from .expo import (
+    ExpoGraph,
+    _check_assignment,
+    allowed_table,
+    full_grid,
+    is_isolated,
+    restrict,
+)
 from .graphs import (
     CycleWitness,
     Graph,
@@ -99,7 +108,8 @@ def _side_of(p2: int, ell2: int) -> int:
 
 
 class RowColors(NamedTuple):
-    """What :func:`color_rows` decided, up to the first row it could not color.
+    """What :func:`color_rows` or :func:`color_rows_in_kh` decided, up to
+    the first row it could not color.
 
     ``color``, ``branch`` (the branch's position in ``Branch``), ``ell2``
     and ``p2`` are int64 arrays over rows ``0..failed-1``.  ``failed`` is
@@ -424,6 +434,9 @@ class CycleCache:
         return cls.from_json_dict(json.loads(text))
 
 
+_ISOLATED = "assignment is isolated; it needs no color"
+
+
 def color_in_kh(
     h: Graph, f: Sequence[int], cache: CycleCache | None = None
 ) -> tuple[ColorVerdict, CycleCache]:
@@ -434,14 +447,109 @@ def color_in_kh(
     colors the restriction of f to that cycle.  Returns the verdict and
     the same cache, possibly extended.  Appends must be serialized if a
     cache is shared across workers; reads may race.
+
+    This is the one-row case of :func:`color_rows_in_kh`, which colors a
+    stack with the same verdicts and leaves the same cache, and the
+    reference it is tested against.
     """
     if cache is None:
         cache = CycleCache()
     if is_isolated(h, f, 3):  # also checks the length and the colors
-        raise IsolatedFunctionError("assignment is isolated; it needs no color")
+        raise IsolatedFunctionError(_ISOLATED)
     entry = cache.find_even(h, f)
     if entry is None:
         entry = cache.append(_even_cycle_search(h, f))
     cyc, ctx = entry
     verdict = color_vertex(restrict(h, f, cyc), ctx)
     return verdict, cache
+
+
+def _even_on(rows: np.ndarray, idx: np.ndarray, entry) -> np.ndarray:
+    """Which of ``rows[idx]`` have even parity on the cached cycle ``entry``."""
+    cyc, ctx = entry
+    return np_tour(rows[np.ix_(idx, cyc.vertices)], ctx)[2] % 2 == 0
+
+
+def color_rows_in_kh(
+    h: Graph, fs, cache: CycleCache | None = None
+) -> tuple[RowColors, CycleCache]:
+    """:func:`color_in_kh` over a stack of rows, with one pass per stage.
+
+    ``fs`` is one assignment (1-d) or a (rows, |V(h)|) stack of any
+    integer dtype.  The verdicts, the row the result stops at and its
+    error (see :class:`RowColors`), and the cache left behind are those
+    of calling :func:`color_in_kh` on each row in turn until one raises.
+
+    * Checks, in the one-row order: shape and dtype (which fail every
+      row at once), then per row the colors in 1..3 and isolation, read
+      from one :func:`expo.allowed_table` of the stack.
+    * Cache scan: each cached cycle in insertion order, one
+      :func:`np_tour` parity pass over the rows no earlier cycle serves.
+      A cycle is validated against the host before it is used; one that
+      is not a host cycle fails the first row that reaches it.
+    * Misses, in input order: the first unserved row goes through
+      :func:`color_in_kh`, which searches for and appends a cycle (or
+      raises :class:`NoEvenCycleError`, which stops the result there);
+      the rows still unserved are then scanned against that cycle only.
+      Since the cache only appends, each row ends up served by the
+      cycle the sequential loop would have found for it.
+    * One :func:`color_rows` call per serving cycle colors its rows'
+      restrictions, and the verdicts are put back in input order.
+    """
+    if cache is None:
+        cache = CycleCache()
+    arr = np.asarray(fs)
+    verdicts = np.zeros((4, 0), dtype=np.int64)
+    if arr.ndim not in (1, 2) or arr.shape[-1] != h.vertex_count:
+        error = ValueError(
+            f"assignment stack must be (rows, {h.vertex_count}), got {arr.shape}"
+        )
+        return RowColors(*verdicts, 0, error), cache
+    if arr.dtype.kind not in "iu":
+        return RowColors(*verdicts, 0, _wrong_dtype(arr)), cache
+    rows = arr.reshape(-1, h.vertex_count)
+    end, error = len(rows), None
+    if end and (arr.item(arr.argmin()) < 1 or arr.item(arr.argmax()) > 3):
+        end = int(((rows.min(axis=1) < 1) | (rows.max(axis=1) > 3)).argmax())
+        try:
+            _check_assignment(h, rows[end].tolist(), 3)
+        except ValueError as exc:
+            error = exc
+    isolated = ~allowed_table(h, rows[:end], 3).any(axis=2).all(axis=1)
+    if isolated.any():
+        end, error = int(isolated.argmax()), IsolatedFunctionError(_ISOLATED)
+
+    serve = np.zeros(end, dtype=np.int64)  # each row's serving cycle
+    unserved = np.arange(end)
+    for j, entry in enumerate(cache.entries):
+        if not len(unserved):
+            break
+        try:
+            entry[0].validate_in(h)
+        except ValueError as exc:
+            end, error, unserved = int(unserved[0]), exc, unserved[:0]
+            break
+        even = _even_on(rows, unserved, entry)
+        serve[unserved[even]] = j
+        unserved = unserved[~even]
+    while len(unserved):
+        first, rest = int(unserved[0]), unserved[1:]
+        try:
+            color_in_kh(h, rows[first].tolist(), cache)  # a miss: appends a cycle
+        except NoEvenCycleError as exc:
+            end, error = first, exc
+            break
+        even = _even_on(rows, rest, cache.entries[-1])
+        serve[first] = serve[rest[even]] = len(cache) - 1
+        unserved = rest[~even]
+
+    verdicts = np.zeros((4, end), dtype=np.int64)
+    served = serve[:end]
+    for j in np.flatnonzero(np.bincount(served)).tolist():
+        idx = np.flatnonzero(served == j)
+        cyc, ctx = cache.entries[j]
+        res = color_rows(rows[np.ix_(idx, cyc.vertices)], ctx)
+        if res.error is not None:  # unreachable: the cycle gives even parity
+            raise res.error
+        verdicts[:, idx] = res[:4]
+    return RowColors(*verdicts, end, error), cache

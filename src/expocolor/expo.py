@@ -159,6 +159,24 @@ def row_index(fs: np.ndarray, k: int) -> np.ndarray:
     return idx
 
 
+def allowed_table(
+    h: Graph, fs: np.ndarray, k: int, cycle_target: bool = False
+) -> np.ndarray:
+    """:func:`allowed_colors` of every row of a stack, as one bool table.
+
+    ``fs`` is (R, |V(h)|) with colors in 1..k (not checked).  Entry
+    ``[r, v, c - 1]`` is True iff color c is compatible with ``fs[r]`` on
+    every neighbor of v: the AND of the compatibility table over v's host
+    neighbors.  Row r is isolated iff some vertex allows no color.
+    """
+    tab = _compat_table(k, cycle_target)
+    allowed = np.ones((fs.shape[0], h.vertex_count, k), dtype=bool)
+    for v, nbrs in enumerate(h.neighbors):
+        for w in nbrs:
+            allowed[:, v] &= tab[fs[:, w]]
+    return allowed
+
+
 def neighbor_pairs(
     h: Graph, fs: np.ndarray, k: int, cycle_target: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -167,10 +185,8 @@ def neighbor_pairs(
     ``fs`` is (R, |V(h)|) with colors in 1..k.  Returns ``(src, gs)``:
     ``gs[p]`` is a neighbor of ``fs[src[p]]``, sources come in row order
     and each source's neighbors in lexicographic order — exactly what
-    :func:`neighbors` streams, row after row.  The allowed colors of
-    every vertex are the AND of the compatibility table over its host
-    neighbors; the product of those sets is then expanded one vertex at
-    a time.
+    :func:`neighbors` streams, row after row.  The product of the
+    :func:`allowed_table` sets is expanded one vertex at a time.
     """
     fs = np.asarray(fs)
     if fs.ndim != 2 or fs.shape[1] != h.vertex_count:
@@ -179,11 +195,7 @@ def neighbor_pairs(
         )
     if fs.size and (fs.min() < 1 or fs.max() > k):
         raise ValueError(f"colors must be in 1..{k}")
-    tab = _compat_table(k, cycle_target)
-    allowed = np.ones((fs.shape[0], h.vertex_count, k), dtype=bool)
-    for v, nbrs in enumerate(h.neighbors):
-        for w in nbrs:
-            allowed[:, v] &= tab[fs[:, w]]
+    allowed = allowed_table(h, fs, k, cycle_target)
     src = np.flatnonzero(allowed.any(axis=2).all(axis=1))
     dtype = _color_dtype(k)
     gs = np.empty((len(src), 0), dtype=dtype)

@@ -11,8 +11,13 @@ reaches the CLI in one of four ways:
 * ``file``: the input is written to a file passed with ``--input``;
 * ``process``: a child ``python -m expocolor.cli`` reads it from a pipe.
 
-``{tmp}`` in an argv stands for a directory holding ``k4.json`` (the
-complete graph on four vertices).  Re-record with
+``{tmp}`` in an argv stands for a directory holding the host graphs
+``k4.json`` (the complete graph on four vertices), ``grotzsch.json`` and
+``moser.json`` (the Moser spindle), and the cycle caches of
+:data:`CACHES`.  The directory is reset before every call, so a call that
+passes ``--cache`` starts from the recorded file (or from none, for
+``{tmp}/fresh.json``); the file it leaves behind is recorded as
+``cache`` and replayed too.  Re-record with
 ``PYTHONPATH=src python tests/test_color_golden.py`` only when a change
 to the recorded behaviour is intended.
 """
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -32,16 +38,43 @@ import numpy as np
 
 import expocolor
 from expocolor.cli import main
-from expocolor.graphs import make_complete, save_graph
-from expocolor.winding import OddCycleCtx, np_tour
+from expocolor.expo import allowed_colors, is_isolated
+from expocolor.graphs import Graph, make_complete, make_grotzsch, save_graph
+from expocolor.winding import OddCycleCtx, in_even_class, np_tour
 
 GOLDEN = Path(__file__).parent / "data" / "color_golden.json"
 MODES = ("text", "bytes", "file")
 
+MOSER = Graph.from_edges(
+    7,
+    [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 4), (0, 5), (4, 5), (4, 6), (5, 6), (3, 6)],
+)
+# Cycle-cache files in ``{tmp}``: odd cycles of the hosts, and cycles that
+# are not host cycles (a missing edge, a vertex the host lacks).
+GROTZSCH_CYCLES = [[0, 1, 2, 3, 4], [0, 1, 5, 10, 6], [0, 4, 3, 2, 6]]
+MOSER_CYCLES = [[1, 2, 3], [0, 4, 5], [0, 1, 3, 6, 4]]
+CACHES = {
+    "grotzsch-cycles.json": GROTZSCH_CYCLES,
+    "moser-cycles.json": MOSER_CYCLES,
+    "moser-reversed.json": MOSER_CYCLES[::-1],
+    "moser-bad.json": [MOSER_CYCLES[0], [0, 1, 6], [0, 1, 20]],
+    "grotzsch-bad.json": [GROTZSCH_CYCLES[0], [0, 1, 2], [0, 1, 20]],
+    "grotzsch-bad-first.json": [[0, 1, 20], GROTZSCH_CYCLES[0]],
+}
+
 
 def _run(argv: list[str], stdin: str, mode: str, tmp: Path) -> dict:
-    """One CLI call; its stdout, stderr and exit code."""
-    argv = [arg.replace("{tmp}", str(tmp)) for arg in argv]
+    """One CLI call from a fresh ``{tmp}``; its stdout, stderr and exit
+    code, and the cache file it leaves when it is passed ``--cache``."""
+    _host_dir(tmp)
+    result = _call([arg.replace("{tmp}", str(tmp)) for arg in argv], stdin, mode, tmp)
+    if "--cache" in argv:
+        cache = Path(argv[argv.index("--cache") + 1].replace("{tmp}", str(tmp)))
+        result["cache"] = cache.read_text() if cache.exists() else None
+    return result
+
+
+def _call(argv: list[str], stdin: str, mode: str, tmp: Path) -> dict:
     if mode == "process":
         src = str(Path(expocolor.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
@@ -78,16 +111,20 @@ def _run(argv: list[str], stdin: str, mode: str, tmp: Path) -> dict:
 
 def _host_dir(tmp: Path) -> Path:
     save_graph(make_complete(4), tmp / "k4.json")
+    save_graph(make_grotzsch(), tmp / "grotzsch.json")
+    save_graph(MOSER, tmp / "moser.json")
+    for name, cycles in CACHES.items():
+        (tmp / name).write_text(json.dumps({"cycles": cycles}) + "\n")
+    (tmp / "fresh.json").unlink(missing_ok=True)
     return tmp
 
 
 def test_color_calls_match_recorded_golden(tmp_path):
     corpus = json.loads(GOLDEN.read_text())
     assert len(corpus) > 100
-    _host_dir(tmp_path)
     for case in corpus:
         got = _run(case["argv"], case["stdin"], case["mode"], tmp_path)
-        want = {key: case[key] for key in ("stdout", "stderr", "exit")}
+        want = {key: case[key] for key in ("stdout", "stderr", "exit", "cache") if key in case}
         assert got == want, (case["argv"], case["mode"], case["stdin"][:200])
 
 
@@ -103,6 +140,24 @@ def _even_rows(rng, count: int, n: int, k: int) -> list[list[int]]:
         _, _, fixed, isolated = np_tour(fs, ctx)
         out.extend(fs[(fixed % 2 == 0) & ~isolated].tolist())
     return out[:count]
+
+
+def _host_rows(rng, count: int, h: Graph) -> list[list[int]]:
+    """Random non-isolated assignments of h, each followed by a random
+    neighbour of it: 2 * count rows."""
+    out: list[list[int]] = []
+    while len(out) < 2 * count:
+        f = rng.integers(1, 4, size=h.vertex_count).tolist()
+        if not is_isolated(h, f, 3):
+            out += [f, [int(rng.choice(s)) for s in allowed_colors(h, f, 3)]]
+    return out
+
+
+def _isolated_row(rng, h: Graph) -> list[int]:
+    while True:
+        f = rng.integers(1, 4, size=h.vertex_count).tolist()
+        if is_isolated(h, f, 3):
+            return f
 
 
 def _lines(rows, sep: str = ", ", end: str = "\n") -> str:
@@ -226,6 +281,50 @@ def _cases() -> list[tuple[list[str], str]]:
         (["color", "--graph", "{tmp}/k4.json"], "[1, 1, 1, 1]\n[1, 1, 4, 1]\n"),
         (["color", "--graph", "{tmp}/k4.json", "--k", "5"], "[1, 1, 1, 1]"),
     ]
+    # larger hosts, with and without a cycle cache
+    grotzsch = make_grotzsch()
+    grows = _host_rows(rng, 30, grotzsch)
+    g_iso, m_iso = _isolated_row(rng, grotzsch), _isolated_row(rng, MOSER)
+    # rows of Moser with odd parity on its first cached triangle are rare
+    # (12 of 459 non-isolated rows), so a few are put in by hand
+    tri = MOSER_CYCLES[0]
+    off_tri = [
+        list(f)
+        for f in itertools.product((1, 2, 3), repeat=7)
+        if not is_isolated(MOSER, f, 3) and not in_even_class([f[v] for v in tri], 1)
+    ]
+    mrows = _host_rows(rng, 26, MOSER)
+    for i, f in enumerate(off_tri[::3]):
+        mrows.insert(7 * i + 3, f)
+    on_tri = [f for f in mrows if in_even_class([f[v] for v in tri], 1)]
+    g = ["color", "--graph", "{tmp}/grotzsch.json"]
+    m = ["color", "--graph", "{tmp}/moser.json"]
+    fresh = ["--cache", "{tmp}/fresh.json"]
+    cases += [
+        (g, _lines(grows)),
+        (g, json.dumps(grows)),
+        (g + fresh, _lines(grows)),
+        (g + ["--cache", "{tmp}/grotzsch-cycles.json"], _lines(grows)),
+        (m, _lines(mrows)),
+        (m + fresh, _lines(mrows)),
+        (m + ["--cache", "{tmp}/moser-cycles.json"], _lines(mrows)),
+        (m + ["--cache", "{tmp}/moser-reversed.json"], json.dumps(mrows)),
+        # a bad row mid-stream: the lines before it, then its error
+        (g + fresh, _lines(grows[:12] + [g_iso] + grows[12:20])),
+        (g + ["--cache", "{tmp}/grotzsch-cycles.json"], _lines(grows[:9] + [g_iso])),
+        (g + fresh, _lines(grows[:10] + [grows[10][:-1]] + grows[11:14])),
+        (g + ["--cache", "{tmp}/grotzsch-cycles.json"], _lines(grows[:7] + [grows[7] + [1]] + grows[8:9])),
+        (m + fresh, _lines(mrows[:11] + [m_iso] + mrows[11:15])),
+        (m + ["--cache", "{tmp}/moser-cycles.json"], _lines(mrows[:5] + [[1, 1, 1, 4, 1, 1, 1]] + mrows[5:8])),
+        (m + fresh, _lines(mrows[:6] + [[1, 1, 1, 1, 1, 1]] + mrows[6:8])),
+        (m, _lines(mrows[:4] + [[1, 2, 1, 0, 1, 2, 1]] + [m_iso])),
+        # cache cycles that are not host cycles: reached mid-stream, reached
+        # by the first row, and never reached (every non-isolated row of
+        # Grötzsch is even on its first cached 5-cycle)
+        (m + ["--cache", "{tmp}/moser-bad.json"], _lines(on_tri[:6] + off_tri[:1] + on_tri[6:8])),
+        (g + ["--cache", "{tmp}/grotzsch-bad-first.json"], _lines(grows[:3])),
+        (g + ["--cache", "{tmp}/grotzsch-bad.json"], _lines(grows)),
+    ]
     return cases
 
 
@@ -236,7 +335,7 @@ def record() -> list[dict]:
         cases = [(argv, stdin, mode) for argv, stdin in _cases() for mode in MODES]
         # a real pipe, for a few of them
         every = _cases()
-        cases += [(*every[i], "process") for i in (9, 11, 21, 46)]
+        cases += [(*every[i], "process") for i in (9, 11, 21, 46, 98, 108)]
         for argv, stdin, mode in cases:
             corpus.append({"argv": argv, "stdin": stdin, "mode": mode, **_run(argv, stdin, mode, tmp_path)})
     return corpus

@@ -13,6 +13,7 @@ from expocolor.coloring import (
     color_graph_baseline,
     color_in_kh,
     color_rows,
+    color_rows_in_kh,
     color_vertex,
     color_vertex_ck,
     even_class_subgraph,
@@ -24,7 +25,14 @@ from expocolor.errors import (
     NoEvenCycleError,
     ParityDomainError,
 )
-from expocolor.expo import ExpoGraph, build_exponential, neighbors, restrict
+from expocolor.expo import (
+    ExpoGraph,
+    allowed_colors,
+    build_exponential,
+    is_isolated,
+    neighbors,
+    restrict,
+)
 from expocolor.graphs import (
     CycleWitness,
     make_cycle,
@@ -487,6 +495,120 @@ def test_color_in_kh_proper_on_sampled_pairs(grotzsch):
         g = tuple(rng.choice(opts) for opts in allowed_colors(grotzsch, f, 3))
         vg, cache = color_in_kh(grotzsch, g, cache)
         assert vf.color != vg.color
+
+
+# -- a stack on a general host against the one-row loop -----------------------
+
+
+def _host_rows(h, seed: int, count: int = 20) -> list[list[int]]:
+    """Seeded non-isolated rows of h, each followed by a sampled neighbour."""
+    rng = np.random.default_rng(seed)
+    rows: list[list[int]] = []
+    while len(rows) < 2 * count:
+        f = rng.integers(1, 4, size=h.vertex_count).tolist()
+        if not is_isolated(h, f, 3):
+            rows += [f, [int(rng.choice(s)) for s in allowed_colors(h, f, 3)]]
+    return rows
+
+
+def _loop(h, rows, cache):
+    """``color_in_kh`` on each row in turn until one raises: the verdicts
+    as (color, branch position, ell2, p2), the error, and the cache."""
+    verdicts = []
+    for f in rows:
+        try:
+            verdict, cache = color_in_kh(h, f, cache)
+        except (ValueError, IsolatedFunctionError, NoEvenCycleError) as exc:
+            return verdicts, exc, cache
+        branch = list(Branch).index(verdict.branch)
+        verdicts.append([verdict.color, branch, verdict.ell.doubled, verdict.p.doubled])
+    return verdicts, None, cache
+
+
+def _cache(cycles) -> CycleCache:
+    cache = CycleCache()
+    for cyc in cycles:
+        cache.append(CycleWitness(tuple(cyc)))
+    return cache
+
+
+def _same_as_loop(h, rows, cycles):
+    """color_rows_in_kh and the one-row loop from the same cache agree on
+    the verdicts, the row they stop at, its error and the final cache."""
+    want, error, want_cache = _loop(h, rows, _cache(cycles))
+    res, cache = color_rows_in_kh(h, np.array(rows), _cache(cycles))
+    assert res.failed == len(want)
+    assert np.stack(res[:4], axis=1).tolist() == want
+    assert type(res.error) is type(error) and str(res.error) == str(error)
+    assert cache.entries == want_cache.entries
+    return res, cache
+
+
+@pytest.mark.parametrize("name", ["k4", "wheel5", "moser_spindle", "grotzsch", "chvatal"])
+def test_color_rows_in_kh_matches_the_one_row_loop(name, request):
+    h = request.getfixturevalue(name)
+    rows = _host_rows(h, 1)
+    own = [list(c.vertices) for c, _ in _loop(h, rows, CycleCache())[2]]
+    # the distinct cycles that rows of another seed find alone: several, in
+    # an order that decides which of them serves a row
+    other = list(dict.fromkeys(find_even_cycle(h, f).vertices for f in _host_rows(h, 2)))
+    bad = [0, 1, h.vertex_count]  # (1, |V|) is no host edge
+    caches = {
+        "empty": [],
+        "preloaded": other,
+        "reversed": other[::-1],
+        "every-other": other[::2],
+        "bad-first": [bad] + other,
+        "bad-behind": other + [bad],
+        "bad-never": own + [bad],  # every row is served before it
+    }
+    rng = np.random.default_rng(3)
+    while not is_isolated(h, isolated := rng.integers(1, 4, size=h.vertex_count).tolist(), 3):
+        pass
+    out_of_range = rows[5][:3] + [4] + rows[5][4:]
+    failures = {"none": None, "isolated": isolated, "out-of-range": out_of_range}
+    for (cache_name, cycles), (failure, row) in itertools.product(caches.items(), failures.items()):
+        stack = rows if row is None else rows[:13] + [row] + rows[13:]
+        res, _ = _same_as_loop(h, stack, cycles)
+        if cache_name == "bad-first":
+            assert res.failed == 0 and "not a host edge" in str(res.error)
+        elif cache_name in ("empty", "bad-never"):
+            assert res.failed == (len(stack) if row is None else 13)
+    # a one-row call is the loop on that row
+    _same_as_loop(h, rows[:1], [])
+    assert color_rows_in_kh(h, np.array(rows[0]))[0].failed == 1
+
+
+def test_color_rows_in_kh_stops_where_a_cache_cycle_is_not_a_host_cycle(moser_spindle):
+    # rows odd on the first cached triangle reach the bad cycle behind it
+    tri = (1, 2, 3)
+    rows = _host_rows(moser_spindle, 4)
+    odd = [f for f in itertools.product((1, 2, 3), repeat=7)
+           if not is_isolated(moser_spindle, f, 3) and not in_even_class([f[v] for v in tri], 1)]
+    stack = rows[:8] + [list(odd[0])] + rows[8:]
+    assert all(in_even_class([f[v] for v in tri], 1) for f in stack[:8])
+    res, _ = _same_as_loop(moser_spindle, stack, [tri, [0, 1, 6]])
+    assert res.failed == 8 and "(1,6) is not a host edge" in str(res.error)
+
+
+def test_color_rows_in_kh_stops_at_a_miss_without_an_even_cycle():
+    # C_1201 is its own only odd cycle: the first even row caches it, and
+    # the row of odd parity on it misses and finds no cycle
+    h = make_cycle(1201)
+    rng = np.random.default_rng(6)
+    even = [f for f in rng.integers(1, 4, size=(12, 1201)).tolist() if in_even_class(f, 600)]
+    odd = [3] + [1, 2] * 600
+    stack = [[1] * 1201] + even[:3] + [odd] + even[3:]
+    res, cache = _same_as_loop(h, stack, [])
+    assert res.failed == 4 and isinstance(res.error, NoEvenCycleError)
+    assert [len(c) for c, _ in cache] == [1201]
+
+
+def test_color_rows_in_kh_rejects_whole_stacks_of_the_wrong_shape_or_dtype(k4):
+    for fs in (np.ones((2, 5), np.int64), np.ones((2, 2, 4), np.int64), np.ones((2, 4))):
+        res, cache = color_rows_in_kh(k4, fs)
+        assert res.failed == 0 and isinstance(res.error, ValueError) and len(cache) == 0
+    assert color_rows_in_kh(k4, np.ones((0, 4), np.uint8))[0].failed == 0
 
 
 def test_verdict_is_frozen():
