@@ -489,12 +489,15 @@ def color_rows_in_kh(
       is not a host cycle fails the first row that reaches it.
     * Misses, in input order: the first unserved row goes through
       :func:`color_in_kh`, which searches for and appends a cycle (or
-      raises :class:`NoEvenCycleError`, which stops the result there);
+      raises :class:`NoEvenCycleError` or
+      :class:`InvariantViolationError`, which stops the result there);
       the rows still unserved are then scanned against that cycle only.
       Since the cache only appends, each row ends up served by the
       cycle the sequential loop would have found for it.
     * One :func:`color_rows` call per serving cycle colors its rows'
-      restrictions, and the verdicts are put back in input order.
+      restrictions, and the verdicts are put back in input order.  A
+      row that fails there (unreachable on sound arithmetic) stops the
+      result, and the cycles that misses behind it appended are dropped.
     """
     if cache is None:
         cache = CycleCache()
@@ -520,6 +523,7 @@ def color_rows_in_kh(
         end, error = int(isolated.argmax()), IsolatedFunctionError(_ISOLATED)
 
     serve = np.zeros(end, dtype=np.int64)  # each row's serving cycle
+    sizes = [(-1, len(cache))]  # each miss's row and the cache size after it
     unserved = np.arange(end)
     for j, entry in enumerate(cache.entries):
         if not len(unserved):
@@ -536,8 +540,10 @@ def color_rows_in_kh(
         first, rest = int(unserved[0]), unserved[1:]
         try:
             color_in_kh(h, rows[first].tolist(), cache)  # a miss: appends a cycle
-        except NoEvenCycleError as exc:
+        except (NoEvenCycleError, InvariantViolationError) as exc:
             end, error = first, exc
+        sizes.append((first, len(cache)))
+        if end == first:
             break
         even = _even_on(rows, rest, cache.entries[-1])
         serve[first] = serve[rest[even]] = len(cache) - 1
@@ -549,7 +555,8 @@ def color_rows_in_kh(
         idx = np.flatnonzero(served == j)
         cyc, ctx = cache.entries[j]
         res = color_rows(rows[np.ix_(idx, cyc.vertices)], ctx)
-        if res.error is not None:  # unreachable: the cycle gives even parity
-            raise res.error
-        verdicts[:, idx] = res[:4]
-    return RowColors(*verdicts, end, error), cache
+        verdicts[:, idx[: res.failed]] = res[:4]
+        if res.error is not None and idx[res.failed] < end:
+            end, error = int(idx[res.failed]), res.error
+    del cache.entries[[size for row, size in sizes if row <= end][-1] :]
+    return RowColors(*verdicts[:, :end], end, error), cache

@@ -168,13 +168,17 @@ def allowed_table(
     ``[r, v, c - 1]`` is True iff color c is compatible with ``fs[r]`` on
     every neighbor of v: the AND of the compatibility table over v's host
     neighbors.  Row r is isolated iff some vertex allows no color.
+
+    Built vertex-major, as a (|V(h)|, R, k) table ANDed from contiguous
+    columns of the transposed stack, and returned as its (R, |V(h)|, k) view.
     """
     tab = _compat_table(k, cycle_target)
-    allowed = np.ones((fs.shape[0], h.vertex_count, k), dtype=bool)
+    cols = np.asarray(fs).T.copy()
+    allowed = np.ones((h.vertex_count, cols.shape[1], k), dtype=bool)
     for v, nbrs in enumerate(h.neighbors):
         for w in nbrs:
-            allowed[:, v] &= tab[fs[:, w]]
-    return allowed
+            allowed[v] &= tab[cols[w]]
+    return allowed.transpose(1, 0, 2)
 
 
 def neighbor_pairs(

@@ -32,27 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coloring, expo, winding
-from .errors import (
-    CapacityError,
-    InvariantViolationError,
-    NoEvenCycleError,
-)
-from .expo import (
-    ComponentClass,
-    ExpoGraph,
-    allowed_colors,
-    assignment_grid,
-    is_isolated,
-    row_index,
-)
-from .graphs import (
-    CHROMATIC_HARD_CAP,
-    Graph,
-    bipartition,
-    chromatic_number_exact,
-    make_cycle,
-    odd_cycles,
-)
+from .errors import CapacityError, InvariantViolationError, NoEvenCycleError
+from .expo import ComponentClass, ExpoGraph, assignment_grid, is_isolated, row_index
+from .graphs import CHROMATIC_HARD_CAP, Graph, bipartition, chromatic_number_exact
+from .graphs import make_cycle, odd_cycles
 from .winding import Half, OddCycleCtx, in_even_class
 
 DEFAULT_CAP = 10**6
@@ -273,16 +256,6 @@ def verify_chord_step_identity(n: int, cap: int = DEFAULT_CAP) -> VerificationRe
     return _report("chord-step identity", {"n": n, "k": 3}, pairs, viol, details, t0)
 
 
-def _interleaved_value(f: np.ndarray, g: np.ndarray, tab: np.ndarray) -> np.ndarray:
-    """Total arc value of the interleaved tour f_1,g_2,f_3,...,g_1,f_2,...
-
-    Equals sum_i Δ(f(u_i), g(u_{i+1})) + sum_i Δ(g(u_i), f(u_{i+1})),
-    for each row of the (pairs, 2n+1) stacks f and g.
-    """
-    arcs = tab[f, np.roll(g, -1, axis=1)] + tab[g, np.roll(f, -1, axis=1)]
-    return arcs.sum(axis=1, dtype=np.int64)
-
-
 def verify_label_invariance(n: int, k: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     """Adjacent assignments share one label, equal to the value of the
     interleaved two-assignment tour (halved and negated for 3 colors).
@@ -303,8 +276,10 @@ def verify_label_invariance(n: int, k: int, cap: int = DEFAULT_CAP) -> Verificat
                 f"labels differ: {Half(int(lab_f[row]))} for f={_fmt(f[row])} vs "
                 f"{Half(int(lab_g[row]))} for g={_fmt(g[row])}"
             )
-        # all values doubled
-        inter = _interleaved_value(f, g, tab)
+        # the doubled value of the interleaved tour f_1,g_2,f_3,...,g_1,f_2,...:
+        # sum_i Δ(f(u_i), g(u_{i+1})) + sum_i Δ(g(u_i), f(u_{i+1}))
+        arcs = tab[f, np.roll(g, -1, axis=1)] + tab[g, np.roll(f, -1, axis=1)]
+        inter = arcs.sum(axis=1, dtype=np.int64)
         bad = 2 * lab_f != -inter if k == 3 else lab_f != inter
         for row in np.flatnonzero(bad):
             viol.add(
@@ -312,7 +287,8 @@ def verify_label_invariance(n: int, k: int, cap: int = DEFAULT_CAP) -> Verificat
                 f"label {Half(int(lab_f[row]))} for f={_fmt(f[row])}, g={_fmt(g[row])}"
             )
         if k >= 5:
-            for r in np.unique(i[(lab_f % 2 != 0) | ((lab_f // 2) % k != 0)]):
+            bad = i[(lab_f % 2 != 0) | ((lab_f // 2) % k != 0)]  # sorted, as i is
+            for r in bad[np.diff(bad, prepend=-1) != 0]:  # each source once
                 viol.add(
                     f"label {Half(int(ell2[r]))} of non-isolated f={_fmt(rows[r])} "
                     "not in k*Z"
@@ -434,22 +410,15 @@ def verify_proper_ck(n: int, k: int, cap: int = DEFAULT_CAP) -> VerificationRepo
                 f"non-adjacent g={_fmt(g[row])}"
             )
         degree += np.bincount(i[adjacent], minlength=total)
-    isolated = 0
-    sources = []
-    for r, f in enumerate(_row_tuples(rows)):
-        pair_iso = bool(degree[r] == 0)
-        fast_iso = is_isolated(host, f, k, cycle_target=True)
-        residue_iso = bool(residue_isolated[r])
-        if pair_iso != fast_iso or pair_iso != residue_iso:
-            viol.add(
-                f"isolation tests disagree for f={f}: pair-count={pair_iso}, "
-                f"allowed-set={fast_iso}, arc-residue={residue_iso}"
-            )
-        if pair_iso:
-            isolated += 1
-        elif even_mask[r]:
-            sources.append(r)
-    colors, _ = _color_sweep(ctx, rows, np.array(sources, dtype=np.int64), viol)
+    pair_iso = degree == 0
+    fast_iso = [is_isolated(host, f, k, cycle_target=True) for f in _row_tuples(rows)]
+    for r in np.flatnonzero((pair_iso != fast_iso) | (pair_iso != residue_isolated)):
+        viol.add(
+            f"isolation tests disagree for f={_fmt(rows[r])}: pair-count="
+            f"{pair_iso[r]}, allowed-set={fast_iso[r]}, arc-residue={residue_isolated[r]}"
+        )
+    sources = np.flatnonzero(~pair_iso & even_mask)
+    colors, _ = _color_sweep(ctx, rows, sources, viol)
     pairs = 0
     for i, j, f, g in _pair_blocks(ctx, rows, np.flatnonzero(colors)):
         for row in np.flatnonzero(~even_mask[j]):
@@ -466,7 +435,7 @@ def verify_proper_ck(n: int, k: int, cap: int = DEFAULT_CAP) -> VerificationRepo
                 f"on the {k}-cycle: f={_fmt(f[row])}, g={_fmt(g[row])}"
             )
     details = {
-        "isolated": isolated,
+        "isolated": int(np.count_nonzero(pair_iso)),
         "even_nonisolated": len(sources),
         "pairs": pairs,
     }
@@ -600,6 +569,62 @@ def _even_on(rows: np.ndarray, cyc) -> np.ndarray:
     return fixed % 2 == 0
 
 
+def _color_rows_resumed(host: Graph, stack: np.ndarray, group: int = 1):
+    """:func:`.coloring.color_rows_in_kh` over ``stack`` from an empty cache,
+    resumed at the next group of ``group`` rows past each row failing with
+    NoEvenCycleError or InvariantViolationError (others are raised): the
+    colors (0 where uncolored), the failures as (row, error), the cache.
+    Calls take twice the rows the last failing one colored, doubling on."""
+    colors, failures = np.zeros(len(stack), dtype=np.int64), []
+    cache, start, size = coloring.CycleCache(), 0, len(stack)
+    while start < len(stack):
+        res, cache = coloring.color_rows_in_kh(host, stack[start : start + size], cache)
+        colors[start : start + res.failed] = res.color
+        if res.error is None:
+            start, size = start + size, 2 * size
+            continue
+        if not isinstance(res.error, (NoEvenCycleError, InvariantViolationError)):
+            raise res.error
+        failures.append((start + res.failed, res.error))
+        start, size = ((start + res.failed) // group + 1) * group, 2 * res.failed + 2
+    return colors, failures, cache
+
+
+_DRAW_ENTRIES = 1 << 16  # colors per block of sampled candidate rows
+
+
+def _uniform3(rng: random.Random, count: int) -> np.ndarray:
+    """``count`` exactly uniform values 0..2: random bytes split into four
+    2-bit fields a byte, and the fields holding 3 dropped."""
+    out = np.zeros(0, dtype=np.uint8)
+    while len(out) < count:
+        raw = np.frombuffer(rng.randbytes((count - len(out)) // 3 + 1), dtype=np.uint8)
+        fields = raw[:, None] >> np.array([0, 2, 4, 6], dtype=np.uint8) & 3
+        out = np.concatenate((out, fields[fields != 3]))
+    return out[:count]
+
+
+def _sample_pairs(host: Graph, rng: random.Random, samples: int):
+    """``samples`` seeded non-isolated rows, one uniform neighbor of each,
+    and the number of candidate rows drawn up to the last row kept."""
+    nv, kept, draws, need = host.vertex_count, [], 0, samples
+    while need:
+        block = _uniform3(rng, max(_DRAW_ENTRIES // nv, 1) * nv).reshape(-1, nv) + 1
+        live = np.flatnonzero(expo.allowed_table(host, block, 3).any(axis=2).all(axis=1))
+        kept.append(block[live[:need]])
+        need -= len(kept[-1])
+        draws += len(block) if need else int(live[len(kept[-1]) - 1]) + 1
+    fs = np.concatenate(kept)
+    allowed = expo.allowed_table(host, fs, 3)
+    size = allowed.sum(axis=2)
+    pick = np.zeros(size.shape, dtype=np.uint8)  # position in the allowed set
+    pick[size == 3] = _uniform3(rng, np.count_nonzero(size == 3))
+    two = np.count_nonzero(size == 2)
+    pick[size == 2] = np.unpackbits(np.frombuffer(rng.randbytes(-(-two // 8)), np.uint8))[:two]
+    gs = (allowed.cumsum(axis=2) > pick[..., None]).argmax(axis=2) + 1
+    return fs, gs.astype(np.uint8), draws
+
+
 def verify_end_to_end(
     host: Graph,
     cap: int = DEFAULT_CAP,
@@ -608,27 +633,26 @@ def verify_end_to_end(
 ) -> VerificationReport:
     """Drive the full pipeline on a host that needs at least four colors.
 
-    With ``samples=None`` the whole assignment space ``3 ** |V(host)|``
-    is processed: isolated assignments are counted, every connected
-    component of the rest is colored through the shared cycle cache, all
-    members of a component must have even parity on the cycle that
-    serves the component, and adjacent members must receive different
-    colors.  Components are also classified, and every member of a
-    three-chromatic one is probed for even parity on *every* odd cycle
-    of the host.  With ``samples`` set, that many seeded random
-    non-isolated assignments (at least one) are colored together with
-    one random neighbor each.
+    With ``samples=None`` all ``3 ** |V(host)|`` assignments are
+    processed: isolated ones (an empty allowed set) are counted, and the
+    rest colored through one cycle cache as one stack, component after
+    component.  Members of a component must be even on the cycle serving
+    its first member, adjacent members differ in color, and members of
+    three-chromatic components are probed on *every* odd host cycle.
+    With ``samples`` set, that many non-isolated assignments (at least
+    one) are colored, each with one uniform neighbor.  Candidates are
+    uniform rows drawn in blocks from ``random.Random(seed).randbytes``
+    (a stream that replaced per-row ``randint`` draws: a seed now gives
+    other rows); ``draws`` counts them up to the last one kept.  A row
+    the pipeline fails on is reported first, and its (f, g) pair skipped.
     """
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     t0 = time.perf_counter()
     chi = chromatic_number_exact(host)
     if chi < 4:
-        raise ValueError(
-            f"host must need at least 4 colors, chromatic number is {chi}"
-        )
+        raise ValueError(f"host must need at least 4 colors, chromatic number is {chi}")
     viol = _Tally()
-    cache = coloring.CycleCache()
     nv = host.vertex_count
     details: dict = {"host_vertices": nv, "host_chi": chi}
     if samples is None:
@@ -641,83 +665,59 @@ def verify_end_to_end(
                 cap=cap,
             )
         rows = assignment_grid(nv, 3)
-        src, _ = expo.neighbor_pairs(host, rows, 3)
         # neighbors of non-isolated rows are non-isolated: the graph on
         # them holds every pair, and vertex i is live[i]
-        live = rows[np.unique(src)]
+        live = rows[expo.allowed_table(host, rows, 3).any(axis=2).all(axis=1)]
         eg = ExpoGraph.from_rows(host, 3, False, live)
-        colors = [0] * eg.vertex_count  # 0 = uncolored
-        class_hist = {member.value: 0 for member in ComponentClass}
-        all_odd = None
-        ezs_even = True
-        for members, cls in expo.components(eg):
-            comp_rows = live[list(members)]
-            for m in members:
-                f = eg.vertices[m]
-                try:
-                    verdict, cache = coloring.color_in_kh(host, f, cache)
-                except (NoEvenCycleError, InvariantViolationError) as exc:
-                    viol.add(f"pipeline failed on {f}: {exc}")
-                    continue
-                colors[m] = verdict.color
+        comps = expo.components(eg)
+        order = np.array([v for members, _ in comps for v in members], dtype=np.int64)
+        colors = np.zeros(len(live), dtype=np.int64)
+        colors[order], failures, cache = _color_rows_resumed(host, live[order])
+        for r, exc in failures:
+            viol.add(f"pipeline failed on {eg.vertices[order[r]]}: {exc}")
+        for members, _ in comps:
             first = eg.vertices[members[0]]
             serving = cache.find_even(host, first)
             if serving is None:
                 viol.add(f"no cached cycle serves component of {first}")
-            else:
-                cyc, _ = serving
-                for i in np.flatnonzero(~_even_on(comp_rows, cyc)):
-                    viol.add(
-                        f"{eg.vertices[members[i]]} has odd parity on its component's "
-                        f"cycle {cyc.vertices}"
-                    )
-            for m in members:
-                for w in eg.adjacency[m]:
-                    if colors[m] and colors[m] == colors[w]:
-                        pair = f"{eg.vertices[m]}, {eg.vertices[w]}"
-                        viol.add(f"adjacent pair colored alike: {pair}")
-            class_hist[cls.value] += 1
-            if cls is ComponentClass.THREE_CHROMATIC:
-                if all_odd is None:
-                    all_odd = list(odd_cycles(host, nv))
-                ezs_even = ezs_even and all(_even_on(comp_rows, c).all() for c in all_odd)
+                continue
+            for i in np.flatnonzero(~_even_on(live[list(members)], serving[0])):
+                viol.add(
+                    f"{eg.vertices[members[i]]} has odd parity on its component's "
+                    f"cycle {serving[0].vertices}"
+                )
+        graph = eg.to_graph()
+        edges = _edge_array(graph)
+        for i, j in edges[colors[edges[:, 0]] == colors[edges[:, 1]]].tolist():
+            if colors[i]:
+                viol.add(f"adjacent pair colored alike: {eg.vertices[i]}, {eg.vertices[j]}")
+        three = live[[v for m, c in comps if c is ComponentClass.THREE_CHROMATIC for v in m]]
         details["isolated"] = total - eg.vertex_count
-        # every ordered adjacent pair (no loops: chi(host) > 3)
-        details["pairs"] = len(src)
-        details["component_classes"] = class_hist
+        details["pairs"] = 2 * len(edges)  # ordered, and no loops: chi(host) > 3
+        details["component_classes"] = {
+            member.value: sum(c is member for _, c in comps) for member in ComponentClass
+        }
         details["cache_cycles"] = len(cache)
-        details["every_odd_cycle_even"] = ezs_even
+        details["every_odd_cycle_even"] = not len(three) or all(
+            _even_on(three, c).all() for c in odd_cycles(host, nv)
+        )
         details["nonisolated_count"] = eg.vertex_count
         if 0 < eg.vertex_count <= CHROMATIC_HARD_CAP:
-            details["nonisolated_chi"] = chromatic_number_exact(eg.to_graph())
+            details["nonisolated_chi"] = chromatic_number_exact(graph)
         checked = total
         params = {"vertices": nv, "mode": "exhaustive"}
     else:
-        rng = random.Random(seed)
-        draws = 0
-        pair_checks = 0
-        for _ in range(samples):
-            while True:
-                draws += 1
-                f = tuple(rng.randint(1, 3) for _ in range(nv))
-                if not is_isolated(host, f, 3):
-                    break
-            try:
-                vf, cache = coloring.color_in_kh(host, f, cache)
-            except (NoEvenCycleError, InvariantViolationError) as exc:
-                viol.add(f"pipeline failed on {f}: {exc}")
-                continue
-            g = tuple(rng.choice(opts) for opts in allowed_colors(host, f, 3))
-            try:
-                vg, cache = coloring.color_in_kh(host, g, cache)
-            except (NoEvenCycleError, InvariantViolationError) as exc:
-                viol.add(f"pipeline failed on sampled neighbor {g}: {exc}")
-                continue
-            pair_checks += 1
-            if vf.color == vg.color:
-                viol.add(f"sampled adjacent pair colored alike: {f}, {g}")
+        fs, gs, draws = _sample_pairs(host, random.Random(seed), samples)
+        stack = np.stack((fs, gs), axis=1).reshape(-1, nv)  # f0, g0, f1, g1, ...
+        colors, failures, cache = _color_rows_resumed(host, stack, group=2)
+        for r, exc in failures:
+            what = "sampled neighbor " * (r % 2)
+            viol.add(f"pipeline failed on {what}{_fmt(stack[r])}: {exc}")
+        cf, cg = colors[0::2], colors[1::2]
+        for i in np.flatnonzero((cf != 0) & (cf == cg)):
+            viol.add(f"sampled adjacent pair colored alike: {_fmt(fs[i])}, {_fmt(gs[i])}")
         details["draws"] = draws
-        details["pairs"] = pair_checks
+        details["pairs"] = int(np.count_nonzero((cf != 0) & (cg != 0)))
         details["cache_cycles"] = len(cache)
         checked = samples
         params = {"vertices": nv, "mode": "sampled", "samples": samples, "seed": seed}

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from expocolor import coloring
 from expocolor.coloring import (
     Branch,
     ColorVerdict,
@@ -518,7 +519,9 @@ def _loop(h, rows, cache):
     for f in rows:
         try:
             verdict, cache = color_in_kh(h, f, cache)
-        except (ValueError, IsolatedFunctionError, NoEvenCycleError) as exc:
+        except (
+            ValueError, IsolatedFunctionError, NoEvenCycleError, InvariantViolationError
+        ) as exc:
             return verdicts, exc, cache
         branch = list(Branch).index(verdict.branch)
         verdicts.append([verdict.color, branch, verdict.ell.doubled, verdict.p.doubled])
@@ -602,6 +605,27 @@ def test_color_rows_in_kh_stops_at_a_miss_without_an_even_cycle():
     res, cache = _same_as_loop(h, stack, [])
     assert res.failed == 4 and isinstance(res.error, NoEvenCycleError)
     assert [len(c) for c, _ in cache] == [1201]
+
+
+@pytest.mark.parametrize("seed", [1, 5, 8])
+def test_color_rows_in_kh_stops_where_the_decision_fails(seed, monkeypatch, request):
+    # A side comparison stuck on ell/2 fails the first distinct-endpoint
+    # restriction, a miss's own row included (after it appended a cycle),
+    # or a row colored after later misses appended theirs: the result
+    # stops there, and the cache is the one-row loop's at that row.
+    dropped = 0
+    for name in ("wheel5", "moser_spindle", "grotzsch", "chvatal"):
+        h = request.getfixturevalue(name)
+        rows = _host_rows(h, seed)
+        full = len(color_rows_in_kh(h, np.array(rows))[1])
+        with monkeypatch.context() as m:
+            m.setattr(coloring, "_side_of", lambda p2, ell2: 0)
+            res, cache = _same_as_loop(h, rows, [])
+        assert isinstance(res.error, InvariantViolationError)
+        assert "little path equals half the label" in str(res.error)
+        dropped += full - len(cache)
+    if seed == 5:
+        assert dropped > 0  # the Moser spindle's second cycle comes after the stop
 
 
 def test_color_rows_in_kh_rejects_whole_stacks_of_the_wrong_shape_or_dtype(k4):

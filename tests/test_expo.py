@@ -13,6 +13,7 @@ from expocolor.expo import (
     ExpoGraph,
     _check_assignment,
     allowed_colors,
+    allowed_table,
     assignment_grid,
     build_exponential,
     components,
@@ -159,6 +160,24 @@ def test_neighbor_pairs_rejects_bad_stacks():
         neighbor_pairs(h, np.array([[1, 2, 4]]), 3)
     with pytest.raises(ValueError):
         neighbor_pairs(h, np.array([[0, 2, 3]]), 3)
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("cyc", [False, True], ids=["complete", "cycle"])
+def test_allowed_table_matches_allowed_colors_row_by_row(k, cyc):
+    # built vertex-major from the transposed stack; each row must read
+    # exactly the per-row sets, on hosts with isolated vertices too
+    hosts = [make_complete(4), make_cycle(7), Graph.from_edges(6, [(0, 1), (1, 2), (0, 2)])]
+    rng = np.random.default_rng(k + 2 * cyc)
+    for h in hosts:
+        for dtype in (np.int8, np.uint8, np.int64):
+            fs = rng.integers(1, k + 1, size=(300, h.vertex_count)).astype(dtype)
+            table = allowed_table(h, fs, k, cyc)
+            assert table.shape == (300, h.vertex_count, k)
+            for f, got in zip(fs.tolist(), table.tolist()):
+                want = allowed_colors(h, f, k, cyc)
+                assert [tuple(c + 1 for c in range(k) if row[c]) for row in got] == want
+    assert allowed_table(make_cycle(3), np.ones((0, 3), np.int8), k, cyc).shape == (0, 3, k)
 
 
 def test_neighbors_is_product_of_allowed_sets():

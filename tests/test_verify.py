@@ -11,14 +11,21 @@ produces a proper coloring, so no behavioral oracle can see it.
 import contextlib
 import io
 import json
+import math
+import os
+import random
 import shlex
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import expocolor
 from expocolor import cli, coloring, expo, verify, winding
-from expocolor.errors import CapacityError
+from expocolor.errors import CapacityError, InvariantViolationError, NoEvenCycleError
 from expocolor.graphs import Graph, make_complete, make_cycle, make_grotzsch, save_graph
 from expocolor.winding import Half
 
@@ -213,11 +220,19 @@ def test_cli_colors_interleaved_neighbour_pairs_properly(monkeypatch):
     assert _cli_pairs_colored_alike(monkeypatch) == 0
 
 
+def _sampled_pairs_colored_alike() -> int:
+    rep = verify.verify_end_to_end(make_grotzsch(), samples=300, seed=0)
+    alike = [v for v in rep.violations if v.startswith("sampled adjacent pair")]
+    assert len(alike) == len(rep.violations)
+    return len(alike)
+
+
 def test_stuck_side_comparison_detected(monkeypatch):
     monkeypatch.setattr(coloring, "_side_of", lambda p2, ell2: -1)
     assert not verify.verify_proper_coloring_k3(1).passed
     assert not verify.verify_hitting_set(1).passed
     assert not verify.verify_end_to_end(make_complete(4)).passed
+    assert _sampled_pairs_colored_alike() > 0
     assert _cli_pairs_colored_alike(monkeypatch) > 0
 
 
@@ -225,6 +240,7 @@ def test_stuck_side_comparison_detected_other_branch(monkeypatch):
     monkeypatch.setattr(coloring, "_side_of", lambda p2, ell2: 1)
     assert not verify.verify_proper_coloring_k3(1).passed
     assert not verify.verify_hitting_set(1).passed
+    assert _sampled_pairs_colored_alike() > 0
     assert _cli_pairs_colored_alike(monkeypatch) > 0
 
 
@@ -498,3 +514,156 @@ def test_fault_cases_match_the_recording():
 def test_fault_reports_match_recorded(name, monkeypatch):
     want = json.loads(FAULT_GOLDEN.read_text())[name]
     assert fault_outcome(name, monkeypatch) == want
+
+
+# -- end-to-end on row stacks -------------------------------------------------
+
+
+def _sampled(host, samples, seed):
+    """Sampled mode's rows f, their neighbors g and its draw count."""
+    return verify._sample_pairs(host, random.Random(seed), samples)
+
+
+def test_sampled_rows_are_the_first_non_isolated_candidates(grotzsch):
+    fs, gs, draws = _sampled(grotzsch, 300, seed=5)
+    assert not any(expo.is_isolated(grotzsch, f, 3) for f in fs.tolist())
+    # the candidate stream, replayed: draws ends at the last row kept
+    rng, nv, candidates = random.Random(5), grotzsch.vertex_count, []
+    while len(candidates) < draws:
+        block = verify._uniform3(rng, verify._DRAW_ENTRIES // nv * nv) + 1
+        candidates += block.reshape(-1, nv).tolist()
+    kept = [f for f in candidates[:draws] if not expo.is_isolated(grotzsch, f, 3)]
+    assert kept == fs.tolist() and kept[-1] == candidates[draws - 1]
+    rep = verify.verify_end_to_end(grotzsch, samples=300, seed=5)
+    assert rep.passed and rep.details["draws"] == draws and rep.details["pairs"] == 300
+
+
+def test_sampled_neighbors_are_adjacent_on_every_host_edge(grotzsch, chvatal):
+    # checked against the definition, not through allowed_table
+    for h in (grotzsch, chvatal):
+        fs, gs, _ = _sampled(h, 2000, seed=4)
+        for u, v in h.edges():
+            assert np.all(fs[:, u] != gs[:, v]) and np.all(gs[:, u] != fs[:, v])
+        assert gs.min() >= 1 and gs.max() <= 3
+
+
+def test_ten_thousand_k4_samples_cover_k4_evenly(k4):
+    fs, gs, _ = _sampled(k4, 10**4, seed=0)
+    grid = expo.assignment_grid(4, 3)
+    src, nbrs = expo.neighbor_pairs(k4, grid, 3)
+    pairs = set(zip(map(tuple, grid[src].tolist()), map(tuple, nbrs.tolist())))
+    degree = Counter(f for f, _ in pairs)
+    rows = Counter(map(tuple, fs.tolist()))
+    drawn = Counter(zip(map(tuple, fs.tolist()), map(tuple, gs.tolist())))
+    assert set(rows) == set(degree) and len(rows) == 45  # every non-isolated row
+    assert set(drawn) == pairs  # and every ordered adjacent pair
+    # chi-square statistics against uniform rows and uniform neighbors,
+    # each below its degrees of freedom plus six standard deviations
+    expect = 10**4 / len(rows)
+    chi_rows = sum((c - expect) ** 2 / expect for c in rows.values())
+    chi_nbrs = sum(
+        (drawn[p] - rows[p[0]] / degree[p[0]]) ** 2 / (rows[p[0]] / degree[p[0]])
+        for p in pairs
+    )
+    for chi, dof in ((chi_rows, len(rows) - 1), (chi_nbrs, len(pairs) - len(rows))):
+        assert chi < dof + 6 * math.sqrt(2 * dof), (chi, dof)
+
+
+def _one_row_loop(host, stack, group):
+    """color_in_kh on each row in turn from an empty cache; a row failing
+    with NoEvenCycleError or InvariantViolationError is recorded, and the
+    rest of its group of ``group`` rows skipped."""
+    cache, colors, failed, skip = coloring.CycleCache(), [0] * len(stack), [], 0
+    for r, f in enumerate(stack.tolist()):
+        if r < skip:
+            continue
+        try:
+            verdict, cache = coloring.color_in_kh(host, f, cache)
+        except (NoEvenCycleError, InvariantViolationError) as exc:
+            failed.append((r, str(exc)))
+            skip = (r // group + 1) * group
+            continue
+        colors[r] = verdict.color
+    return colors, failed, [cyc.vertices for cyc, _ in cache]
+
+
+def _same_as_one_row_loop(host, stack, group):
+    colors, failures, cache = verify._color_rows_resumed(host, stack, group)
+    want_colors, want_failed, want_cache = _one_row_loop(host, stack, group)
+    assert colors.tolist() == want_colors
+    assert [(r, str(exc)) for r, exc in failures] == want_failed
+    assert [cyc.vertices for cyc, _ in cache] == want_cache
+    return failures
+
+
+@pytest.mark.parametrize("fault", ["none", "side stuck on l/2"])
+@pytest.mark.parametrize("name", ["grotzsch", "moser_spindle", "chvatal"])
+def test_stack_coloring_equals_the_one_row_loop(name, fault, request, monkeypatch):
+    h = request.getfixturevalue(name)
+    fs, gs, _ = _sampled(h, 150, seed=2)
+    stack = np.stack((fs, gs), axis=1).reshape(-1, h.vertex_count)  # f0, g0, f1, ...
+    if fault != "none":
+        monkeypatch.setattr(coloring, "_side_of", lambda p2, ell2: 0)
+    for group in (2, 1):
+        failures = _same_as_one_row_loop(h, stack, group)
+        assert (len(failures) > 0) == (fault != "none")
+
+
+def _failing_search(monkeypatch, count, error):
+    """A search for a fresh even cycle (what find_even_cycle and every
+    cache miss run) that raises ``error`` for the first ``count`` rows
+    reaching it; returns the list of rows that reached it."""
+    real, reached = coloring._even_cycle_search, []
+
+    def bad(h, f):
+        reached.append(tuple(f))
+        if len(reached) <= count:
+            raise error("patched search found nothing")
+        return real(h, f)
+
+    monkeypatch.setattr(coloring, "_even_cycle_search", bad)
+    return reached
+
+
+@pytest.mark.parametrize("error", [NoEvenCycleError, InvariantViolationError])
+def test_failing_search_is_one_violation_per_row_in_both_modes(error, monkeypatch, wheel5):
+    for run, host in (
+        (lambda h: verify.verify_end_to_end(h), wheel5),
+        (lambda h: verify.verify_end_to_end(h, samples=300, seed=1), make_grotzsch()),
+    ):
+        healthy = run(host).to_json_dict()
+        reached = _failing_search(monkeypatch, 3, error)
+        rep = run(host)
+        monkeypatch.undo()
+        failed = reached[:3]
+        assert len(set(failed)) == 3 and len(reached) == 3 + healthy["details"]["cache_cycles"]
+        assert rep.violations == [
+            f"pipeline failed on {f}: patched search found nothing" for f in failed
+        ]
+        # the run goes on past them: only the failing rows' pairs are lost
+        got = rep.to_json_dict()
+        if "draws" in got["details"]:
+            assert got["details"]["pairs"] == healthy["details"]["pairs"] - 3
+            got["details"]["pairs"] = healthy["details"]["pairs"]
+        assert {**got, "violations": [], "passed": True, "wall_time": 0} == {
+            **healthy, "wall_time": 0
+        }
+
+
+def test_verify_path_loads_neither_numpy_ma_nor_numpy_random(tmp_path):
+    graph = tmp_path / "grotzsch.json"
+    save_graph(make_grotzsch(), graph)
+    code = f"""
+import contextlib, io, sys
+from expocolor import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert cli.main(["verify", "all", "--n", "2"]) == 0
+    assert cli.main(["verify", "all", "--n", "2", "--k", "5"]) == 0
+    argv = ["verify", "end-to-end", "--graph", {str(graph)!r}, "--samples", "50"]
+    assert cli.main(argv) == 0
+print(sorted(m for m in sys.modules if m.split(".")[:2] in (["numpy", "ma"], ["numpy", "random"])))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(expocolor.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
