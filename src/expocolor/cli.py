@@ -30,10 +30,11 @@ the input is read again from its start (a pipe is read whole first, so
 that it can be).  On a cycle host the stack is colored by one
 ``coloring.color_rows`` call; on a general host by one
 ``coloring.color_rows_in_kh`` call, of which ``color_in_kh`` is the
-one-row case.  Either way the verdict lines are written at once; on a
-bad row the lines before it are written, then the row, colored alone by
-the one-row routine, raises its own error, which ends the call.  A
-general host's cycle cache is saved whether or not a row failed.
+one-row case.  The verdict lines before the first failing row are
+written at once; then that row, colored alone by the one-row routine,
+raises its own error, which ends the call.  A general host's cycle cache
+is saved whether or not a row failed, holding the cycles found by the
+rows before the failing one and by that row itself.
 """
 
 from __future__ import annotations
@@ -299,40 +300,47 @@ def _parse_edge(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _int_stack(rows: list[tuple[int, ...]], length: int) -> np.ndarray:
-    """The leading JSON rows that one int64 (rows, length) stack holds.
+def _stack(rows: np.ndarray | list[tuple[int, ...]], length: int) -> np.ndarray:
+    """The leading rows that one integer (rows, length) stack holds.
 
-    The stack ends before the first row of another length or with an
-    entry outside int64; coloring stops there, and the one-row routine
-    rejects that row.
+    A digit stack is kept whole, or left empty if its rows have another
+    length.  JSON rows go into an int64 stack that ends before the first
+    row of another length or with an entry outside int64.  Either way
+    the one-row routine rejects the first row the stack leaves out.
     """
+    if isinstance(rows, np.ndarray):
+        return rows if rows.shape[1] == length else np.zeros((0, length), np.uint8)
     end = next((i for i, row in enumerate(rows) if len(row) != length), len(rows))
     try:
         return np.array(rows[:end], dtype=np.int64).reshape(end, length)
     except OverflowError:
         end = next(i for i, row in enumerate(rows) if any(abs(x) >= 2**63 for x in row))
-        return _int_stack(rows[:end], length)
+        return _stack(rows[:end], length)
 
 
-def _verdict_lines(res: RowColors) -> str:
-    """``json.dumps(verdict.to_json_dict())`` of each colored row, one a line."""
+def _first_failed(res: RowColors) -> int:
+    """The first row of the stack that failed, or the row count."""
+    return int(res.failed[0]) if len(res.failed) else len(res.color)
+
+
+def _verdict_lines(res: RowColors, end: int) -> str:
+    """``json.dumps(verdict.to_json_dict())`` of rows ``0..end-1``, one a line."""
     names = [branch.value for branch in Branch]
     return "".join(
         f'{{"color": {color}, "branch": "{names[branch]}", "ell2": {ell2}, "p2": {p2}}}\n'
-        for color, branch, ell2, p2 in zip(
-            res.color.tolist(), res.branch.tolist(), res.ell2.tolist(), res.p2.tolist()
-        )
+        for color, branch, ell2, p2 in zip(*(values[:end].tolist() for values in res[:4]))
     )
 
 
 def _emit(res: RowColors, rows, color_one) -> int:
-    """Write the verdict lines of the colored rows; then the first row that
-    failed, colored alone by the one-row routine ``color_one``, raises its
-    error."""
-    sys.stdout.write(_verdict_lines(res))
-    if res.failed < len(rows):
-        color_one(rows[res.failed])
-        raise InvariantViolationError(f"row {res.failed} failed only in the stack")
+    """Write the verdict lines of the rows before the first that failed or
+    that the stack left out; then that row, colored alone by the one-row
+    routine ``color_one``, raises its error."""
+    first = _first_failed(res)
+    sys.stdout.write(_verdict_lines(res, first))
+    if first < len(rows):
+        color_one(rows[first])
+        raise InvariantViolationError(f"row {first} failed only in the stack")
     return EXIT_OK
 
 
@@ -349,9 +357,9 @@ def _color_on_cycle(
         n = args.n
     edge = _parse_edge(args.edge) if args.edge else None
     ctx = OddCycleCtx.make(n, args.k, edge)
-    stack = rows if isinstance(rows, np.ndarray) else _int_stack(rows, ctx.length)
     color_one = color_vertex if args.k == 3 else color_vertex_ck
-    return _emit(color_rows(stack, ctx), rows, lambda f: color_one(f, ctx))
+    res = color_rows(_stack(rows, ctx.length), ctx)
+    return _emit(res, rows, lambda f: color_one(f, ctx))
 
 
 def _save_cache(path: Path, cache: CycleCache) -> None:
@@ -376,9 +384,12 @@ def _color_on_host(
     cache = CycleCache()
     if cache_path and Path(cache_path).exists():
         cache = CycleCache.loads(Path(cache_path).read_text())
-    stack = rows if isinstance(rows, np.ndarray) else _int_stack(rows, host.vertex_count)
+    loaded = len(cache)
     try:
-        res, cache = color_rows_in_kh(host, stack, cache)
+        res, cache = color_rows_in_kh(host, _stack(rows, host.vertex_count), cache)
+        # keep the cycles that the rows before the first failure found
+        used = res.cycle[: _first_failed(res)].max(initial=-1) + 1
+        del cache.entries[max(loaded, used) :]
         return _emit(res, rows, lambda f: color_in_kh(host, f, cache))
     finally:
         if cache_path:

@@ -8,9 +8,10 @@ Three layers live here, mirroring how the math composes:
   its two strict outcomes decide between the endpoint colors f(a) and
   f(b); equality is provably unreachable and is reported loudly if it
   ever fires.  One call checks and colors a whole stack of rows with
-  one kernel call, and returns the verdicts as arrays up to the first
-  row that fails; ``color_vertex`` / ``color_vertex_ck`` are its
-  one-row case, which raises that row's error.
+  one kernel call, and returns the verdicts of every row as arrays,
+  with the rows that fail and their errors; ``color_vertex`` /
+  ``color_vertex_ck`` are its one-row case, which raises that row's
+  error.
 
 * ``color_graph_baseline`` — the exponential contrast: materialize the
   whole even class, color the f(a)=f(b) assignments directly (they hit
@@ -22,7 +23,8 @@ Three layers live here, mirroring how the math composes:
   already used are retried first, in insertion order, via an explicit
   ``CycleCache`` value threaded through calls.  A stack is scanned one
   cached cycle at a time and colored with one ``color_rows`` call per
-  serving cycle; ``color_in_kh`` is its one-row case.
+  serving cycle, with the same failure contract; ``color_in_kh`` is its
+  one-row case.
 """
 
 from __future__ import annotations
@@ -108,22 +110,24 @@ def _side_of(p2: int, ell2: int) -> int:
 
 
 class RowColors(NamedTuple):
-    """What :func:`color_rows` or :func:`color_rows_in_kh` decided, up to
-    the first row it could not color.
+    """What :func:`color_rows` or :func:`color_rows_in_kh` decided for
+    every row of a stack.
 
     ``color``, ``branch`` (the branch's position in ``Branch``), ``ell2``
-    and ``p2`` are int64 arrays over rows ``0..failed-1``.  ``failed`` is
-    the index of the first row that cannot be colored, or the row count
-    when every row can; ``error`` is the exception the one-row routines
-    raise for that row, not raised, or None.
+    and ``p2`` are int64 arrays over all rows, 0 where a row failed.
+    ``failed`` holds the rows that cannot be colored, in ascending order,
+    and ``errors`` the exception the one-row routines raise for each of
+    them, not raised.  ``cycle`` is set by :func:`color_rows_in_kh` only:
+    the cache index of the cycle that served each row, -1 where it failed.
     """
 
     color: np.ndarray
     branch: np.ndarray
     ell2: np.ndarray
     p2: np.ndarray
-    failed: int
-    error: Exception | None
+    failed: np.ndarray
+    errors: list[Exception]
+    cycle: np.ndarray | None = None
 
 
 def _wrong_shape(ctx: OddCycleCtx) -> ValueError:
@@ -167,69 +171,59 @@ def _verdict(ctx: OddCycleCtx, fa, fb, ell2, p2, fixed, isolated) -> tuple:
     )
 
 
-def _decide(ctx: OddCycleCtx, tours) -> tuple[list, Exception | None]:
-    """The :func:`_verdict` of each row of ``tours`` (its f(a), f(b) and
-    kernel values), up to the first row that fails.
+def _decide(ctx: OddCycleCtx, rows: np.ndarray, tour: tuple, out_of_range=()) -> RowColors:
+    """The :func:`_verdict` of each row of a stack, from its endpoint
+    colors and ``tour``, the stack's :func:`np_tour` outputs.
 
-    Returns the verdicts and the error that stopped them, or None; an
-    iterator is left just past the row that failed, so a second call
-    resumes after it.
+    A row that fails, or whose index is in ``out_of_range`` (its colors
+    were outside 1..k before a stand-in took its place), gets 0s and its
+    error.
     """
-    out = []
-    try:
-        for fa, fb, ell2, p2, fixed, isolated in tours:
-            out.append(_verdict(ctx, fa, fb, ell2, p2, fixed, isolated))
-    except (IsolatedFunctionError, ParityDomainError, InvariantViolationError) as error:
-        return out, error
-    return out, None
-
-
-def _tours(rows: np.ndarray, ctx: OddCycleCtx, tour: tuple):
-    """What :func:`_decide` reads of a stack, row by row: the endpoint
-    colors and ``tour``, the stack's :func:`np_tour` outputs."""
-    ends = rows[:, ctx.a].tolist(), rows[:, ctx.b].tolist()
-    return zip(*ends, *(values.tolist() for values in tour))
-
-
-def _colored_prefix(arr: np.ndarray, ctx: OddCycleCtx) -> tuple[list, Exception | None]:
-    """:func:`color_rows` as (color, branch, ell2, p2) tuples of Python ints,
-    and the error of the first row that fails, or None."""
-    if arr.ndim not in (1, 2) or arr.shape[-1] != ctx.length:
-        return [], _wrong_shape(ctx)
-    if arr.dtype.kind not in "iu":
-        return [], _wrong_dtype(arr)
-    rows = arr.reshape(-1, ctx.length)
-    total = len(rows)
-    if total and (arr.item(arr.argmin()) < 1 or arr.item(arr.argmax()) > ctx.k):
-        bad = (rows.min(axis=1) < 1) | (rows.max(axis=1) > ctx.k)
-        rows = rows[: bad.argmax()]
-    out, error = _decide(ctx, _tours(rows, ctx, np_tour(rows, ctx)))
-    if error is None and len(out) < total:
-        error = _out_of_range(ctx)
-    return out, error
+    out, failed, errors = [], [], []
+    columns = rows[:, ctx.a], rows[:, ctx.b], *tour
+    for r, values in enumerate(zip(*(column.tolist() for column in columns))):
+        try:
+            if r in out_of_range:
+                raise _out_of_range(ctx)
+            out.append(_verdict(ctx, *values))
+        except (ValueError, InvariantViolationError) as error:
+            out.append((0, 0, 0, 0))
+            failed.append(r)
+            errors.append(error.with_traceback(None))
+    verdicts = np.array(out, dtype=np.int64).reshape(-1, 4).T
+    return RowColors(*verdicts, np.array(failed, dtype=np.int64), errors)
 
 
 def color_rows(fs, ctx: OddCycleCtx) -> RowColors:
     """Color a row, or a stack of rows, of C_{2n+1} with one kernel call.
 
     ``fs`` is one assignment (1-d) or a (rows, 2n+1) stack, of any
-    integer dtype.  Rows are taken in order, and the result stops at the
-    first that fails a check, in the order the one-row routines apply
-    them: shape and dtype (which fail every row at once), colors in
-    1..k (on the values as given, before the kernel casts them),
-    isolation, an even fixed-point count, and a little path off ell/2.
-    One :func:`np_tour` call serves every row before the first
-    out-of-range one; the O(1) decision per row is :func:`_side_of`.
+    integer dtype; a stack of another shape or dtype raises ValueError.
+    Every row is colored, or fails the first check it fails in the order
+    the one-row routines apply them: colors in 1..k (on the values as
+    given, before the kernel casts them), isolation, an even fixed-point
+    count, and a little path off ell/2.  One :func:`np_tour` call serves
+    the stack, with a constant row standing in for each out-of-range
+    one; the O(1) decision per row is :func:`_side_of`.
     """
-    out, error = _colored_prefix(np.asarray(fs), ctx)
-    color, branch, ell2, p2 = np.array(out, dtype=np.int64).reshape(-1, 4).T
-    return RowColors(color, branch, ell2, p2, len(out), error)
+    arr = np.asarray(fs)
+    if arr.ndim not in (1, 2) or arr.shape[-1] != ctx.length:
+        raise _wrong_shape(ctx)
+    if arr.dtype.kind not in "iu":
+        raise _wrong_dtype(arr)
+    rows = arr.reshape(-1, ctx.length)
+    bad = ()
+    if len(rows) and (arr.item(arr.argmin()) < 1 or arr.item(arr.argmax()) > ctx.k):
+        mask = (rows.min(axis=1) < 1) | (rows.max(axis=1) > ctx.k)
+        rows = np.where(mask[:, None], 1, rows)
+        bad = set(np.flatnonzero(mask).tolist())
+    return _decide(ctx, rows, np_tour(rows, ctx), bad)
 
 
 def _color_one(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:
     """The one-row case of :func:`color_rows`: its verdict, or its error raised.
 
-    The checks of :func:`_colored_prefix`, in the same order and with the
+    The checks of :func:`color_rows`, in the same order and with the
     same errors, and the same :func:`_verdict`, applied to the row
     directly: at n = 10^3 the stack bookkeeping would be a sizeable share
     of the call.
@@ -476,87 +470,87 @@ def color_rows_in_kh(
     """:func:`color_in_kh` over a stack of rows, with one pass per stage.
 
     ``fs`` is one assignment (1-d) or a (rows, |V(h)|) stack of any
-    integer dtype.  The verdicts, the row the result stops at and its
-    error (see :class:`RowColors`), and the cache left behind are those
-    of calling :func:`color_in_kh` on each row in turn until one raises.
+    integer dtype; a stack of another shape or dtype raises ValueError.
+    The verdicts, the rows that fail and their errors (see
+    :class:`RowColors`), and the cache left behind are those of calling
+    :func:`color_in_kh` on each row in turn, going on past each row that
+    raises.
 
-    * Checks, in the one-row order: shape and dtype (which fail every
-      row at once), then per row the colors in 1..3 and isolation, read
-      from one :func:`expo.allowed_table` of the stack.
+    * Checks, in the one-row order: per row the colors in 1..3 and
+      isolation, read from one :func:`expo.allowed_table` of the stack
+      (a constant row stands in for each out-of-range one).
     * Cache scan: each cached cycle in insertion order, one
       :func:`np_tour` parity pass over the rows no earlier cycle serves.
       A cycle is validated against the host before it is used; one that
-      is not a host cycle fails the first row that reaches it.
+      is not a host cycle fails every row that reaches it.
     * Misses, in input order: the first unserved row goes through
       :func:`color_in_kh`, which searches for and appends a cycle (or
       raises :class:`NoEvenCycleError` or
-      :class:`InvariantViolationError`, which stops the result there);
-      the rows still unserved are then scanned against that cycle only.
-      Since the cache only appends, each row ends up served by the
-      cycle the sequential loop would have found for it.
+      :class:`InvariantViolationError`, which the row fails with); the
+      rows still unserved are then scanned against that cycle only.  Since the cache only appends, each row
+      ends up served by the cycle the sequential loop would have found
+      for it.
     * One :func:`color_rows` call per serving cycle colors its rows'
-      restrictions, and the verdicts are put back in input order.  A
-      row that fails there (unreachable on sound arithmetic) stops the
-      result, and the cycles that misses behind it appended are dropped.
+      restrictions, and the verdicts are put back in input order.
     """
     if cache is None:
         cache = CycleCache()
     arr = np.asarray(fs)
-    verdicts = np.zeros((4, 0), dtype=np.int64)
     if arr.ndim not in (1, 2) or arr.shape[-1] != h.vertex_count:
-        error = ValueError(
+        raise ValueError(
             f"assignment stack must be (rows, {h.vertex_count}), got {arr.shape}"
         )
-        return RowColors(*verdicts, 0, error), cache
     if arr.dtype.kind not in "iu":
-        return RowColors(*verdicts, 0, _wrong_dtype(arr)), cache
+        raise _wrong_dtype(arr)
     rows = arr.reshape(-1, h.vertex_count)
-    end, error = len(rows), None
-    if end and (arr.item(arr.argmin()) < 1 or arr.item(arr.argmax()) > 3):
-        end = int(((rows.min(axis=1) < 1) | (rows.max(axis=1) > 3)).argmax())
-        try:
-            _check_assignment(h, rows[end].tolist(), 3)
-        except ValueError as exc:
-            error = exc
-    isolated = ~allowed_table(h, rows[:end], 3).any(axis=2).all(axis=1)
-    if isolated.any():
-        end, error = int(isolated.argmax()), IsolatedFunctionError(_ISOLATED)
+    errors: dict[int, Exception] = {}
+    bad = np.zeros(len(rows), dtype=bool)
+    if len(rows) and (arr.item(arr.argmin()) < 1 or arr.item(arr.argmax()) > 3):
+        bad = (rows.min(axis=1) < 1) | (rows.max(axis=1) > 3)
+        for r in np.flatnonzero(bad).tolist():
+            try:
+                _check_assignment(h, rows[r].tolist(), 3)
+            except ValueError as exc:
+                errors[r] = exc
+        rows = np.where(bad[:, None], 1, rows)
+    isolated = ~bad & ~allowed_table(h, rows, 3).any(axis=2).all(axis=1)
+    for r in np.flatnonzero(isolated).tolist():
+        errors[r] = IsolatedFunctionError(_ISOLATED)
 
-    serve = np.zeros(end, dtype=np.int64)  # each row's serving cycle
-    sizes = [(-1, len(cache))]  # each miss's row and the cache size after it
-    unserved = np.arange(end)
+    cycle = np.full(len(rows), -1, dtype=np.int64)  # each row's serving cycle
+    unserved = np.flatnonzero(~bad & ~isolated)
     for j, entry in enumerate(cache.entries):
         if not len(unserved):
             break
         try:
             entry[0].validate_in(h)
         except ValueError as exc:
-            end, error, unserved = int(unserved[0]), exc, unserved[:0]
+            errors.update(dict.fromkeys(unserved.tolist(), exc))
+            unserved = unserved[:0]
             break
         even = _even_on(rows, unserved, entry)
-        serve[unserved[even]] = j
+        cycle[unserved[even]] = j
         unserved = unserved[~even]
     while len(unserved):
-        first, rest = int(unserved[0]), unserved[1:]
+        first, unserved = int(unserved[0]), unserved[1:]
+        size = len(cache)
         try:
             color_in_kh(h, rows[first].tolist(), cache)  # a miss: appends a cycle
         except (NoEvenCycleError, InvariantViolationError) as exc:
-            end, error = first, exc
-        sizes.append((first, len(cache)))
-        if end == first:
-            break
-        even = _even_on(rows, rest, cache.entries[-1])
-        serve[first] = serve[rest[even]] = len(cache) - 1
-        unserved = rest[~even]
+            errors[first] = exc
+        if len(cache) > size:  # a row that failed after the append fails below too
+            even = _even_on(rows, unserved, cache.entries[size])
+            cycle[first] = cycle[unserved[even]] = size
+            unserved = unserved[~even]
 
-    verdicts = np.zeros((4, end), dtype=np.int64)
-    served = serve[:end]
-    for j in np.flatnonzero(np.bincount(served)).tolist():
-        idx = np.flatnonzero(served == j)
+    verdicts = np.zeros((4, len(rows)), dtype=np.int64)
+    for j in np.flatnonzero(np.bincount(cycle[cycle >= 0])).tolist():
+        idx = np.flatnonzero(cycle == j)
         cyc, ctx = cache.entries[j]
         res = color_rows(rows[np.ix_(idx, cyc.vertices)], ctx)
-        verdicts[:, idx[: res.failed]] = res[:4]
-        if res.error is not None and idx[res.failed] < end:
-            end, error = int(idx[res.failed]), res.error
-    del cache.entries[[size for row, size in sizes if row <= end][-1] :]
-    return RowColors(*verdicts[:, :end], end, error), cache
+        verdicts[:, idx] = res[:4]
+        errors.update(zip(idx[res.failed].tolist(), res.errors))
+        cycle[idx[res.failed]] = -1
+    failed = sorted(errors)
+    errs = [errors[r].with_traceback(None) for r in failed]
+    return RowColors(*verdicts, np.array(failed, dtype=np.int64), errs, cycle), cache

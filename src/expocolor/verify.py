@@ -15,11 +15,14 @@ every check is a whole-array gather over a block's pairs.  The
 even-class verifiers (hitting set, baseline) hold the even class as one
 row stack: a mask on the endpoint columns splits it, one kernel call
 and :mod:`.coloring`'s decision color it, and edges are checked as one
-(E, 2) index array.  Δ and the kernels are reached through live module
-attributes, tables are rebuilt per call, and coloring goes through
-:mod:`.coloring`'s decision rule and entry points, so corrupting Δ, a
-kernel or the side comparison in a test measurably breaks the reports
-— mutation-style self-tests assert exactly that.
+(E, 2) index array; end-to-end colors its rows with one
+:func:`.coloring.color_rows_in_kh` call.  Either colors every row and
+names each row that fails, which is one violation.  Δ and the kernels
+are reached through live module attributes, tables are rebuilt per
+call, and coloring goes through :mod:`.coloring`'s decision rule and
+entry points, so corrupting Δ, a kernel or the side comparison in a
+test measurably breaks the reports — mutation-style self-tests assert
+exactly that.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coloring, expo, winding
-from .errors import CapacityError, InvariantViolationError, NoEvenCycleError
+from .errors import CapacityError, InvariantViolationError
 from .expo import ComponentClass, ExpoGraph, assignment_grid, is_isolated, row_index
 from .graphs import CHROMATIC_HARD_CAP, Graph, bipartition, chromatic_number_exact
 from .graphs import make_cycle, odd_cycles
@@ -172,23 +175,17 @@ def _color_sweep(
     Returns per grid row the color and 1 + the branch's position in
     ``Branch`` (see ``_BRANCH_OF_CODE``), both 0 where the row is
     uncolored.  One call of the live :func:`.winding.np_tour` serves the
-    whole stack; a row the decision stops at is reported with its error
-    and left uncolored, and the decision resumes after it.
+    whole stack, and one decision pass colors it; each row that fails is
+    reported with its error and left uncolored.
     """
     colors = np.zeros(len(rows), dtype=np.int64)
     branch_codes = np.zeros(len(rows), dtype=np.int8)
     fs = rows[sources]
-    tours = coloring._tours(fs, ctx, winding.np_tour(fs, ctx))
-    start = 0
-    while start < len(sources):
-        out, error = coloring._decide(ctx, tours)
-        stop = start + len(out)
-        color, branch, _, _ = np.array(out, dtype=np.int64).reshape(-1, 4).T
-        colors[sources[start:stop]] = color
-        branch_codes[sources[start:stop]] = branch + 1
-        if error is not None:
-            viol.add(f"coloring failed for f={_fmt(fs[stop])}: {error}")
-        start = stop + 1
+    res = coloring._decide(ctx, fs, winding.np_tour(fs, ctx))
+    colors[sources] = res.color
+    branch_codes[sources] = (res.branch + 1) * (res.color != 0)
+    for r, error in zip(res.failed.tolist(), res.errors):
+        viol.add(f"coloring failed for f={_fmt(fs[r])}: {error}")
     return colors, branch_codes
 
 
@@ -569,28 +566,7 @@ def _even_on(rows: np.ndarray, cyc) -> np.ndarray:
     return fixed % 2 == 0
 
 
-def _color_rows_resumed(host: Graph, stack: np.ndarray, group: int = 1):
-    """:func:`.coloring.color_rows_in_kh` over ``stack`` from an empty cache,
-    resumed at the next group of ``group`` rows past each row failing with
-    NoEvenCycleError or InvariantViolationError (others are raised): the
-    colors (0 where uncolored), the failures as (row, error), the cache.
-    Calls take twice the rows the last failing one colored, doubling on."""
-    colors, failures = np.zeros(len(stack), dtype=np.int64), []
-    cache, start, size = coloring.CycleCache(), 0, len(stack)
-    while start < len(stack):
-        res, cache = coloring.color_rows_in_kh(host, stack[start : start + size], cache)
-        colors[start : start + res.failed] = res.color
-        if res.error is None:
-            start, size = start + size, 2 * size
-            continue
-        if not isinstance(res.error, (NoEvenCycleError, InvariantViolationError)):
-            raise res.error
-        failures.append((start + res.failed, res.error))
-        start, size = ((start + res.failed) // group + 1) * group, 2 * res.failed + 2
-    return colors, failures, cache
-
-
-_DRAW_ENTRIES = 1 << 16  # colors per block of sampled candidate rows
+_DRAW_ENTRIES = 1 << 16  # colors per block of rows drawn or tested for isolation
 
 
 def _uniform3(rng: random.Random, count: int) -> np.ndarray:
@@ -604,13 +580,23 @@ def _uniform3(rng: random.Random, count: int) -> np.ndarray:
     return out[:count]
 
 
+def _not_isolated(host: Graph, rows: np.ndarray) -> np.ndarray:
+    """Whether each row of a non-empty stack has a neighbor, from one
+    :func:`.expo.allowed_table` per block of about ``_DRAW_ENTRIES`` colors."""
+    step = max(_DRAW_ENTRIES // host.vertex_count, 1)
+    blocks = (rows[start : start + step] for start in range(0, len(rows), step))
+    return np.concatenate(
+        [expo.allowed_table(host, block, 3).any(axis=2).all(axis=1) for block in blocks]
+    )
+
+
 def _sample_pairs(host: Graph, rng: random.Random, samples: int):
     """``samples`` seeded non-isolated rows, one uniform neighbor of each,
     and the number of candidate rows drawn up to the last row kept."""
     nv, kept, draws, need = host.vertex_count, [], 0, samples
     while need:
         block = _uniform3(rng, max(_DRAW_ENTRIES // nv, 1) * nv).reshape(-1, nv) + 1
-        live = np.flatnonzero(expo.allowed_table(host, block, 3).any(axis=2).all(axis=1))
+        live = np.flatnonzero(_not_isolated(host, block))
         kept.append(block[live[:need]])
         need -= len(kept[-1])
         draws += len(block) if need else int(live[len(kept[-1]) - 1]) + 1
@@ -641,10 +627,10 @@ def verify_end_to_end(
     three-chromatic components are probed on *every* odd host cycle.
     With ``samples`` set, that many non-isolated assignments (at least
     one) are colored, each with one uniform neighbor.  Candidates are
-    uniform rows drawn in blocks from ``random.Random(seed).randbytes``
-    (a stream that replaced per-row ``randint`` draws: a seed now gives
-    other rows); ``draws`` counts them up to the last one kept.  A row
-    the pipeline fails on is reported first, and its (f, g) pair skipped.
+    uniform rows drawn in blocks from ``random.Random(seed).randbytes``;
+    ``draws`` counts them up to the last one kept.  Either way one
+    :func:`.coloring.color_rows_in_kh` call colors every row, and each
+    row the pipeline fails on is reported and left uncolored.
     """
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -667,13 +653,14 @@ def verify_end_to_end(
         rows = assignment_grid(nv, 3)
         # neighbors of non-isolated rows are non-isolated: the graph on
         # them holds every pair, and vertex i is live[i]
-        live = rows[expo.allowed_table(host, rows, 3).any(axis=2).all(axis=1)]
+        live = rows[_not_isolated(host, rows)]
         eg = ExpoGraph.from_rows(host, 3, False, live)
         comps = expo.components(eg)
         order = np.array([v for members, _ in comps for v in members], dtype=np.int64)
+        res, cache = coloring.color_rows_in_kh(host, live[order])
         colors = np.zeros(len(live), dtype=np.int64)
-        colors[order], failures, cache = _color_rows_resumed(host, live[order])
-        for r, exc in failures:
+        colors[order] = res.color
+        for r, exc in zip(res.failed.tolist(), res.errors):
             viol.add(f"pipeline failed on {eg.vertices[order[r]]}: {exc}")
         for members, _ in comps:
             first = eg.vertices[members[0]]
@@ -709,11 +696,11 @@ def verify_end_to_end(
     else:
         fs, gs, draws = _sample_pairs(host, random.Random(seed), samples)
         stack = np.stack((fs, gs), axis=1).reshape(-1, nv)  # f0, g0, f1, g1, ...
-        colors, failures, cache = _color_rows_resumed(host, stack, group=2)
-        for r, exc in failures:
+        res, cache = coloring.color_rows_in_kh(host, stack)
+        for r, exc in zip(res.failed.tolist(), res.errors):
             what = "sampled neighbor " * (r % 2)
             viol.add(f"pipeline failed on {what}{_fmt(stack[r])}: {exc}")
-        cf, cg = colors[0::2], colors[1::2]
+        cf, cg = res.color[0::2], res.color[1::2]
         for i in np.flatnonzero((cf != 0) & (cf == cg)):
             viol.add(f"sampled adjacent pair colored alike: {_fmt(fs[i])}, {_fmt(gs[i])}")
         details["draws"] = draws

@@ -1,8 +1,10 @@
 """Command-line behavior: formats, exit codes, cache handling."""
 
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,9 +15,13 @@ import numpy as np
 import pytest
 
 import expocolor
-from expocolor import cli, winding
+from expocolor import cli, coloring, winding
 from expocolor.cli import main
-from expocolor.graphs import graph_from_json_dict
+from expocolor.errors import InvariantViolationError, IsolatedFunctionError
+from expocolor.coloring import CycleCache, color_in_kh, color_rows_in_kh, find_even_cycle
+from expocolor.expo import is_isolated
+from expocolor.graphs import graph_from_json_dict, save_graph
+from expocolor.winding import in_even_class
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -459,6 +465,59 @@ def test_color_rejects_malformed_cache_file(cycles, tmp_path, capsys, monkeypatc
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: malformed cycle-cache")
     assert cache_path.read_text() == text
+
+
+def _loop_until_raise(h, rows):
+    """color_in_kh on each row in turn from an empty cache until one
+    raises: the verdict lines, the error or None, and the cache's JSON."""
+    cache, lines = CycleCache(), []
+    for f in rows:
+        try:
+            verdict, cache = color_in_kh(h, f, cache)
+        except (IsolatedFunctionError, InvariantViolationError) as exc:
+            return "".join(lines), exc, cache.to_json_dict()
+        lines.append(json.dumps(verdict.to_json_dict()) + "\n")
+    return "".join(lines), None, cache.to_json_dict()
+
+
+@pytest.mark.parametrize("fault", ["isolated row", "side stuck on l/2"])
+def test_color_general_host_saves_the_cache_of_the_rows_before_a_failure(
+    fault, moser_spindle, tmp_path, capsys, monkeypatch
+):
+    # A fresh cache; the first row finds a cycle c on which it has equal
+    # endpoints, a row fails, and a row behind it misses c.  The stack
+    # call finds that row's cycle too, but the saved cache, like the
+    # output, must be what a row-by-row loop leaves when it stops.
+    h = moser_spindle
+    grid = [list(f) for f in itertools.product((1, 2, 3), repeat=h.vertex_count)]
+    live = [f for f in grid if not is_isolated(h, f, 3)]
+    for first in live:
+        c = find_even_cycle(h, first).vertices
+        if first[c[0]] == first[c[-1]]:
+            break
+    on_c = [f for f in live if in_even_class([f[v] for v in c], len(c) // 2)]
+    miss = next(f for f in live if f not in on_c)
+    if fault == "isolated row":
+        failing = next(f for f in grid if is_isolated(h, f, 3))
+    else:
+        monkeypatch.setattr(coloring, "_side_of", lambda p2, ell2: 0)
+        failing = next(f for f in on_c if f[c[0]] != f[c[-1]])
+    stack = [first, on_c[1], failing, miss, on_c[2]]
+    lines, error, cycles = _loop_until_raise(h, stack)
+    assert lines.count("\n") == 2 and cycles == {"cycles": [list(c)]}
+    assert len(color_rows_in_kh(h, np.array(stack))[1]) == 2
+    graph, cache_path = tmp_path / "moser.json", tmp_path / "fresh.json"
+    save_graph(h, graph)
+    argv = ["color", "--graph", str(graph), "--cache", str(cache_path)]
+    stdin = "\n".join(map(json.dumps, stack))
+    if isinstance(error, IsolatedFunctionError):
+        assert run_cli(argv, stdin, monkeypatch) == 4
+        assert capsys.readouterr() == (lines, f"error: {error}\n")
+    else:
+        with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+            run_cli(argv, stdin, monkeypatch)
+        assert capsys.readouterr().out == lines
+    assert json.loads(cache_path.read_text()) == cycles
 
 
 def test_color_general_host_isolated_exits_4(tmp_path, capsys, monkeypatch):

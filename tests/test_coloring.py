@@ -205,13 +205,32 @@ def _alone(f, ctx):
         return exc
 
 
+def _verdict_row(outcome) -> tuple:
+    """A one-row outcome as a stack's (color, branch position, ell2, p2):
+    the verdict's values, or 0s for an error."""
+    if isinstance(outcome, Exception):
+        return (0, 0, 0, 0)
+    branch = list(Branch).index(outcome.branch)
+    return (outcome.color, branch, outcome.ell.doubled, outcome.p.doubled)
+
+
+def _errors(outcomes) -> list[tuple[int, type, str]]:
+    """Each failing row of a list of one-row outcomes, with its error's
+    type and message."""
+    return [(r, type(o), str(o)) for r, o in enumerate(outcomes) if isinstance(o, Exception)]
+
+
+def _res_errors(res) -> list[tuple[int, type, str]]:
+    return [(r, type(e), str(e)) for r, e in zip(res.failed.tolist(), res.errors)]
+
+
 @pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda d: np.dtype(d).name)
 @pytest.mark.parametrize("n, k", [(2, 3), (3, 3), (2, 5), (3, 7)])
 def test_color_rows_matches_the_one_row_routines(dtype, n, k):
-    # Stacks of mostly colorable rows with a failing row or two mixed in
-    # (odd parity, isolated, a color outside 1..k, the dtype's extremes):
-    # the batch entry must stop at the row where the one-row routine
-    # first raises, with the same error, after the same verdicts.
+    # Stacks of mostly colorable rows with failing rows mixed in (odd
+    # parity, isolated, a color outside 1..k, the dtype's extremes): the
+    # batch entry must give every row the one-row routine's verdict, and
+    # name each row where it raises, with the same error.
     rng = np.random.default_rng([n, k, np.dtype(dtype).num])
     length = 2 * n + 1
     info = np.iinfo(dtype)
@@ -230,7 +249,7 @@ def test_color_rows_matches_the_one_row_routines(dtype, n, k):
         for f in pool:
             (bad if isinstance(_alone(f, ctx), Exception) else good).append(f)
         rows = [good[i] for i in rng.integers(len(good), size=rng.integers(0, 25))]
-        for _ in range(rng.integers(0, 3)):
+        for _ in range(rng.integers(0, 5)):
             row = list(bad[rng.integers(len(bad))])
             if rng.random() < 0.4:
                 row[rng.integers(length)] = [0, k + 1, int(info.max), int(info.min)][
@@ -239,34 +258,25 @@ def test_color_rows_matches_the_one_row_routines(dtype, n, k):
             rows.insert(int(rng.integers(len(rows) + 1)), row)
         stack = np.array(rows, dtype=dtype).reshape(-1, length)
         outcomes = [_alone(f, ctx) for f in stack]
-        failed = next(
-            (i for i, o in enumerate(outcomes) if isinstance(o, Exception)), len(stack)
-        )
         for fs in [stack] + ([stack[0]] if len(stack) else []):
             res = color_rows(fs, ctx)
-            want = outcomes[: min(failed, len(np.atleast_2d(fs)))]
-            got = [
-                ColorVerdict(c, list(Branch)[b], Half(ell2), Half(p2))
-                for c, b, ell2, p2 in zip(*(values.tolist() for values in res[:4]))
-            ]
-            assert (res.failed, got) == (len(want), want), (ctx, stack)
-            if res.failed < len(np.atleast_2d(fs)):
-                alone = outcomes[res.failed]
-                assert (type(res.error), str(res.error)) == (type(alone), str(alone))
-            else:
-                assert res.error is None
+            want = outcomes[: len(np.atleast_2d(fs))]
+            got = list(zip(*(values.tolist() for values in res[:4])))
+            assert got == [_verdict_row(o) for o in want], (ctx, stack)
+            assert _res_errors(res) == _errors(want), (ctx, stack)
+            assert res.cycle is None
 
 
 def test_color_rows_rejects_whole_stacks_of_the_wrong_shape_or_dtype():
     for fs in (np.ones((3, 4), dtype=np.int64), np.ones((2, 2, 5), dtype=np.int64)):
-        res = color_rows(fs, CTX5)
-        assert res.failed == 0 and str(res.error) == "assignment must have 5 entries"
-    res = color_rows(np.ones((3, 5)), CTX5)
-    assert res.failed == 0 and "dtype float64" in str(res.error)
+        with pytest.raises(ValueError, match="^assignment must have 5 entries$"):
+            color_rows(fs, CTX5)
+    with pytest.raises(ValueError, match="dtype float64"):
+        color_rows(np.ones((3, 5)), CTX5)
     with pytest.raises(ValueError, match="assignment must have 5 entries"):
         color_vertex(np.ones((1, 5), dtype=np.int64), CTX5)
     empty = color_rows(np.zeros((0, 5), dtype=np.uint8), CTX5)
-    assert empty.failed == 0 and empty.error is None and empty.color.shape == (0,)
+    assert empty.color.shape == empty.failed.shape == (0,) and empty.errors == []
 
 
 def test_color_vertex_ck_example_and_errors():
@@ -513,19 +523,23 @@ def _host_rows(h, seed: int, count: int = 20) -> list[list[int]]:
 
 
 def _loop(h, rows, cache):
-    """``color_in_kh`` on each row in turn until one raises: the verdicts
-    as (color, branch position, ell2, p2), the error, and the cache."""
-    verdicts = []
+    """``color_in_kh`` on each row in turn, going on past each row that
+    raises: each row's :func:`_verdict_row`, the index of the cycle that
+    served it (-1 where it raised), its outcome, and the cache."""
+    verdicts, cycles, outcomes = [], [], []
     for f in rows:
         try:
             verdict, cache = color_in_kh(h, f, cache)
         except (
             ValueError, IsolatedFunctionError, NoEvenCycleError, InvariantViolationError
         ) as exc:
-            return verdicts, exc, cache
-        branch = list(Branch).index(verdict.branch)
-        verdicts.append([verdict.color, branch, verdict.ell.doubled, verdict.p.doubled])
-    return verdicts, None, cache
+            verdict, cycle = exc, -1
+        else:
+            cycle = cache.entries.index(cache.find_even(h, f))
+        verdicts.append(_verdict_row(verdict))
+        cycles.append(cycle)
+        outcomes.append(verdict)
+    return verdicts, cycles, outcomes, cache
 
 
 def _cache(cycles) -> CycleCache:
@@ -537,12 +551,13 @@ def _cache(cycles) -> CycleCache:
 
 def _same_as_loop(h, rows, cycles):
     """color_rows_in_kh and the one-row loop from the same cache agree on
-    the verdicts, the row they stop at, its error and the final cache."""
-    want, error, want_cache = _loop(h, rows, _cache(cycles))
+    the verdicts, the serving cycles, the rows that fail and their errors,
+    and the final cache."""
+    verdicts, served, outcomes, want_cache = _loop(h, rows, _cache(cycles))
     res, cache = color_rows_in_kh(h, np.array(rows), _cache(cycles))
-    assert res.failed == len(want)
-    assert np.stack(res[:4], axis=1).tolist() == want
-    assert type(res.error) is type(error) and str(res.error) == str(error)
+    assert list(zip(*(values.tolist() for values in res[:4]))) == verdicts
+    assert res.cycle.tolist() == served
+    assert _res_errors(res) == _errors(outcomes)
     assert cache.entries == want_cache.entries
     return res, cache
 
@@ -551,7 +566,7 @@ def _same_as_loop(h, rows, cycles):
 def test_color_rows_in_kh_matches_the_one_row_loop(name, request):
     h = request.getfixturevalue(name)
     rows = _host_rows(h, 1)
-    own = [list(c.vertices) for c, _ in _loop(h, rows, CycleCache())[2]]
+    own = [list(c.vertices) for c, _ in _loop(h, rows, CycleCache())[3]]
     # the distinct cycles that rows of another seed find alone: several, in
     # an order that decides which of them serves a row
     other = list(dict.fromkeys(find_even_cycle(h, f).vertices for f in _host_rows(h, 2)))
@@ -569,70 +584,92 @@ def test_color_rows_in_kh_matches_the_one_row_loop(name, request):
     while not is_isolated(h, isolated := rng.integers(1, 4, size=h.vertex_count).tolist(), 3):
         pass
     out_of_range = rows[5][:3] + [4] + rows[5][4:]
-    failures = {"none": None, "isolated": isolated, "out-of-range": out_of_range}
-    for (cache_name, cycles), (failure, row) in itertools.product(caches.items(), failures.items()):
-        stack = rows if row is None else rows[:13] + [row] + rows[13:]
+    failures = {
+        "none": {},
+        "isolated": {13: isolated},
+        "out-of-range": {13: out_of_range},
+        "several": {2: isolated, 13: out_of_range, 14: isolated, 30: [0] * h.vertex_count},
+    }
+    for (cache_name, cycles), (failure, inserts) in itertools.product(
+        caches.items(), failures.items()
+    ):
+        stack = list(rows)
+        for r, row in inserts.items():
+            stack.insert(r, row)
         res, _ = _same_as_loop(h, stack, cycles)
-        if cache_name == "bad-first":
-            assert res.failed == 0 and "not a host edge" in str(res.error)
+        if cache_name == "bad-first":  # every row fails, at its first check
+            assert res.failed.tolist() == list(range(len(stack)))
+            hosted = [e for r, e in zip(res.failed.tolist(), res.errors) if r not in inserts]
+            assert all("not a host edge" in str(e) for e in hosted)
         elif cache_name in ("empty", "bad-never"):
-            assert res.failed == (len(stack) if row is None else 13)
+            assert res.failed.tolist() == sorted(inserts)
     # a one-row call is the loop on that row
     _same_as_loop(h, rows[:1], [])
-    assert color_rows_in_kh(h, np.array(rows[0]))[0].failed == 1
+    res = color_rows_in_kh(h, np.array(rows[0]))[0]
+    assert res.color.shape == (1,) and not len(res.failed)
 
 
-def test_color_rows_in_kh_stops_where_a_cache_cycle_is_not_a_host_cycle(moser_spindle):
+def test_color_rows_in_kh_fails_every_row_that_reaches_a_cycle_not_of_the_host(moser_spindle):
     # rows odd on the first cached triangle reach the bad cycle behind it
     tri = (1, 2, 3)
     rows = _host_rows(moser_spindle, 4)
     odd = [f for f in itertools.product((1, 2, 3), repeat=7)
            if not is_isolated(moser_spindle, f, 3) and not in_even_class([f[v] for v in tri], 1)]
-    stack = rows[:8] + [list(odd[0])] + rows[8:]
+    stack = rows[:8] + [list(odd[0])] + rows[8:] + [list(odd[1])]
     assert all(in_even_class([f[v] for v in tri], 1) for f in stack[:8])
-    res, _ = _same_as_loop(moser_spindle, stack, [tri, [0, 1, 6]])
-    assert res.failed == 8 and "(1,6) is not a host edge" in str(res.error)
+    res, cache = _same_as_loop(moser_spindle, stack, [tri, [0, 1, 6]])
+    reach = [r for r, f in enumerate(stack) if not in_even_class([f[v] for v in tri], 1)]
+    assert res.failed.tolist() == reach and reach[0] == 8 and len(reach) > 1
+    assert all("(1,6) is not a host edge" in str(e) for e in res.errors)
+    assert len(cache) == 2  # no row gets as far as a search
 
 
-def test_color_rows_in_kh_stops_at_a_miss_without_an_even_cycle():
+def test_color_rows_in_kh_fails_each_miss_without_an_even_cycle():
     # C_1201 is its own only odd cycle: the first even row caches it, and
-    # the row of odd parity on it misses and finds no cycle
+    # each row of odd parity on it misses and finds no cycle
     h = make_cycle(1201)
     rng = np.random.default_rng(6)
     even = [f for f in rng.integers(1, 4, size=(12, 1201)).tolist() if in_even_class(f, 600)]
     odd = [3] + [1, 2] * 600
-    stack = [[1] * 1201] + even[:3] + [odd] + even[3:]
+    stack = [[1] * 1201] + even[:3] + [odd] + even[3:] + [odd]
     res, cache = _same_as_loop(h, stack, [])
-    assert res.failed == 4 and isinstance(res.error, NoEvenCycleError)
+    assert res.failed.tolist() == [4, len(stack) - 1]
+    assert all(isinstance(e, NoEvenCycleError) for e in res.errors)
     assert [len(c) for c, _ in cache] == [1201]
 
 
 @pytest.mark.parametrize("seed", [1, 5, 8])
-def test_color_rows_in_kh_stops_where_the_decision_fails(seed, monkeypatch, request):
-    # A side comparison stuck on ell/2 fails the first distinct-endpoint
-    # restriction, a miss's own row included (after it appended a cycle),
-    # or a row colored after later misses appended theirs: the result
-    # stops there, and the cache is the one-row loop's at that row.
-    dropped = 0
+def test_color_rows_in_kh_fails_each_row_where_the_decision_fails(seed, monkeypatch, request):
+    # A side comparison stuck on ell/2 fails every distinct-endpoint
+    # restriction, a miss's own row included (after it appended a cycle):
+    # each such row is named, and the cache is the healthy run's, since
+    # the cycles a row is served by do not depend on the decision.
+    missed_and_failed = 0
     for name in ("wheel5", "moser_spindle", "grotzsch", "chvatal"):
         h = request.getfixturevalue(name)
         rows = _host_rows(h, seed)
-        full = len(color_rows_in_kh(h, np.array(rows))[1])
+        healthy, full = color_rows_in_kh(h, np.array(rows))
         with monkeypatch.context() as m:
             m.setattr(coloring, "_side_of", lambda p2, ell2: 0)
             res, cache = _same_as_loop(h, rows, [])
-        assert isinstance(res.error, InvariantViolationError)
-        assert "little path equals half the label" in str(res.error)
-        dropped += full - len(cache)
-    if seed == 5:
-        assert dropped > 0  # the Moser spindle's second cycle comes after the stop
+        assert len(res.failed) > 0
+        assert all(isinstance(e, InvariantViolationError) for e in res.errors)
+        assert all("little path equals half the label" in str(e) for e in res.errors)
+        assert cache.entries == full.entries
+        misses = [int(np.flatnonzero(healthy.cycle == j)[0]) for j in range(len(full))]
+        missed_and_failed += len(set(misses) & set(res.failed.tolist()))
+    if seed != 8:  # with seed 8 no miss's own row meets a distinct-endpoint restriction
+        assert missed_and_failed > 0
 
 
 def test_color_rows_in_kh_rejects_whole_stacks_of_the_wrong_shape_or_dtype(k4):
     for fs in (np.ones((2, 5), np.int64), np.ones((2, 2, 4), np.int64), np.ones((2, 4))):
-        res, cache = color_rows_in_kh(k4, fs)
-        assert res.failed == 0 and isinstance(res.error, ValueError) and len(cache) == 0
-    assert color_rows_in_kh(k4, np.ones((0, 4), np.uint8))[0].failed == 0
+        cache = CycleCache()
+        with pytest.raises(ValueError, match="assignment stack must be|dtype float64"):
+            color_rows_in_kh(k4, fs, cache)
+        assert len(cache) == 0
+    res, cache = color_rows_in_kh(k4, np.ones((0, 4), np.uint8))
+    assert res.color.shape == res.cycle.shape == res.failed.shape == (0,) and len(cache) == 0
 
 
 def test_verdict_is_frozen():

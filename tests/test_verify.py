@@ -352,9 +352,9 @@ def _remap_branches(positions):
     def install(monkeypatch):
         real = coloring._decide
 
-        def bad(ctx, columns):
-            out, error = real(ctx, columns)
-            return [(c, positions[b], ell2, p2) for c, b, ell2, p2 in out], error
+        def bad(*args):
+            res = real(*args)
+            return res._replace(branch=np.array(positions, dtype=np.int64)[res.branch])
 
         monkeypatch.setattr(coloring, "_decide", bad)
 
@@ -569,44 +569,71 @@ def test_ten_thousand_k4_samples_cover_k4_evenly(k4):
         assert chi < dof + 6 * math.sqrt(2 * dof), (chi, dof)
 
 
-def _one_row_loop(host, stack, group):
-    """color_in_kh on each row in turn from an empty cache; a row failing
-    with NoEvenCycleError or InvariantViolationError is recorded, and the
-    rest of its group of ``group`` rows skipped."""
-    cache, colors, failed, skip = coloring.CycleCache(), [0] * len(stack), [], 0
+def _one_row_loop(host, stack):
+    """color_in_kh on each row in turn from an empty cache, going on past
+    each row that raises: the colors (0 where a row raised), the failures
+    as (row, message), and the cache's cycles."""
+    cache, colors, failed = coloring.CycleCache(), [0] * len(stack), []
     for r, f in enumerate(stack.tolist()):
-        if r < skip:
-            continue
         try:
             verdict, cache = coloring.color_in_kh(host, f, cache)
         except (NoEvenCycleError, InvariantViolationError) as exc:
             failed.append((r, str(exc)))
-            skip = (r // group + 1) * group
             continue
         colors[r] = verdict.color
     return colors, failed, [cyc.vertices for cyc, _ in cache]
 
 
-def _same_as_one_row_loop(host, stack, group):
-    colors, failures, cache = verify._color_rows_resumed(host, stack, group)
-    want_colors, want_failed, want_cache = _one_row_loop(host, stack, group)
-    assert colors.tolist() == want_colors
-    assert [(r, str(exc)) for r, exc in failures] == want_failed
-    assert [cyc.vertices for cyc, _ in cache] == want_cache
-    return failures
-
-
 @pytest.mark.parametrize("fault", ["none", "side stuck on l/2"])
 @pytest.mark.parametrize("name", ["grotzsch", "moser_spindle", "chvatal"])
 def test_stack_coloring_equals_the_one_row_loop(name, fault, request, monkeypatch):
+    # sampled mode's stack of (f, g) pairs: a failing f no longer takes
+    # its partner g with it, so g is colored, or reported if it fails
     h = request.getfixturevalue(name)
     fs, gs, _ = _sampled(h, 150, seed=2)
     stack = np.stack((fs, gs), axis=1).reshape(-1, h.vertex_count)  # f0, g0, f1, ...
     if fault != "none":
         monkeypatch.setattr(coloring, "_side_of", lambda p2, ell2: 0)
-    for group in (2, 1):
-        failures = _same_as_one_row_loop(h, stack, group)
-        assert (len(failures) > 0) == (fault != "none")
+    res, cache = coloring.color_rows_in_kh(h, stack)
+    colors, failed, cycles = _one_row_loop(h, stack)
+    assert res.color.tolist() == colors
+    assert list(zip(res.failed.tolist(), map(str, res.errors))) == failed
+    assert [cyc.vertices for cyc, _ in cache] == cycles
+    assert (len(failed) > 0) == (fault != "none")
+    if fault != "none":  # some g is reported after its f
+        rows = {r for r, _ in failed}
+        assert any(r % 2 and r - 1 in rows for r in rows)
+
+
+@pytest.mark.parametrize(
+    "name, run, total",
+    [
+        # the totals that a run resuming after each failing row reported
+        ("wheel5", lambda h: verify.verify_end_to_end(h), 96),
+        ("chvatal", lambda h: verify.verify_end_to_end(h), 6630),
+        ("grotzsch", lambda h: verify.verify_end_to_end(h, samples=300, seed=1), None),
+    ],
+)
+def test_faulty_end_to_end_makes_one_pipeline_call(name, run, total, request, monkeypatch):
+    # With the side comparison stuck on ell/2 every distinct-endpoint row
+    # fails; the whole run is still one color_rows_in_kh call.
+    h = request.getfixturevalue(name)
+    monkeypatch.setattr(coloring, "_side_of", lambda p2, ell2: 0)
+    calls = []
+    real = coloring.color_rows_in_kh
+
+    def counted(host, fs, cache=None):
+        calls.append(len(fs))
+        return real(host, fs, cache)
+
+    monkeypatch.setattr(coloring, "color_rows_in_kh", counted)
+    rep = run(h)
+    if total is None:  # sampled: every row of the (f, g) stack that fails
+        fs, gs, _ = _sampled(h, 300, seed=1)
+        total = len(_one_row_loop(h, np.stack((fs, gs), axis=1).reshape(-1, h.vertex_count))[1])
+        assert calls == [600]
+    assert len(calls) == 1
+    assert rep.details["violation_total"] == total
 
 
 def _failing_search(monkeypatch, count, error):
@@ -627,9 +654,16 @@ def _failing_search(monkeypatch, count, error):
 
 @pytest.mark.parametrize("error", [NoEvenCycleError, InvariantViolationError])
 def test_failing_search_is_one_violation_per_row_in_both_modes(error, monkeypatch, wheel5):
-    for run, host in (
-        (lambda h: verify.verify_end_to_end(h), wheel5),
-        (lambda h: verify.verify_end_to_end(h, samples=300, seed=1), make_grotzsch()),
+    for run, host, what, lost in (
+        (lambda h: verify.verify_end_to_end(h), wheel5, ("", "", ""), 0),
+        # sampled mode's stack starts f0, g0, f1: the three rows that reach
+        # the search first, so the first two pairs are lost
+        (
+            lambda h: verify.verify_end_to_end(h, samples=300, seed=1),
+            make_grotzsch(),
+            ("", "sampled neighbor ", ""),
+            2,
+        ),
     ):
         healthy = run(host).to_json_dict()
         reached = _failing_search(monkeypatch, 3, error)
@@ -638,13 +672,13 @@ def test_failing_search_is_one_violation_per_row_in_both_modes(error, monkeypatc
         failed = reached[:3]
         assert len(set(failed)) == 3 and len(reached) == 3 + healthy["details"]["cache_cycles"]
         assert rep.violations == [
-            f"pipeline failed on {f}: patched search found nothing" for f in failed
+            f"pipeline failed on {w}{f}: patched search found nothing"
+            for w, f in zip(what, failed)
         ]
         # the run goes on past them: only the failing rows' pairs are lost
         got = rep.to_json_dict()
-        if "draws" in got["details"]:
-            assert got["details"]["pairs"] == healthy["details"]["pairs"] - 3
-            got["details"]["pairs"] = healthy["details"]["pairs"]
+        assert got["details"]["pairs"] == healthy["details"]["pairs"] - lost
+        got["details"]["pairs"] = healthy["details"]["pairs"]
         assert {**got, "violations": [], "passed": True, "wall_time": 0} == {
             **healthy, "wall_time": 0
         }
