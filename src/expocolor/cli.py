@@ -52,15 +52,16 @@ from typing import BinaryIO, Iterable
 import numpy as np
 
 # ``verify`` stays an eager import although only the ``verify`` subcommand
-# runs it: the package's ``__init__`` loads it anyway (for
-# ``VerificationReport``), and ``_VERIFY_DISPATCH`` holds the verifiers
-# themselves, where a tracer that rebinds functions in the modules already
-# loaded finds them.
+# runs it: ``_VERIFY_DISPATCH`` holds the verifiers themselves, and a
+# tracer that rebinds functions only in the modules already loaded when it
+# installs (right after ``import expocolor.cli``) finds them there.  Loaded
+# on demand, they would run untraced.
 from . import verify as verify_mod
 from .coloring import (
     Branch,
     CycleCache,
     RowColors,
+    _outside,
     color_in_kh,
     color_rows,
     color_rows_in_kh,
@@ -300,22 +301,28 @@ def _parse_edge(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _stack(rows: np.ndarray | list[tuple[int, ...]], length: int) -> np.ndarray:
-    """The leading rows that one integer (rows, length) stack holds.
+def _stack(rows: np.ndarray | list[tuple[int, ...]], length: int, k: int) -> np.ndarray:
+    """The leading rows that one integer (rows, length) stack holds, up
+    to the first row with a color outside 1..k.
 
     A digit stack is kept whole, or left empty if its rows have another
     length.  JSON rows go into an int64 stack that ends before the first
     row of another length or with an entry outside int64.  Either way
-    the one-row routine rejects the first row the stack leaves out.
+    the stack then ends before its first row with a color outside 1..k,
+    since no row after it is written, and the one-row routine rejects the
+    first row the stack leaves out.
     """
     if isinstance(rows, np.ndarray):
-        return rows if rows.shape[1] == length else np.zeros((0, length), np.uint8)
-    end = next((i for i, row in enumerate(rows) if len(row) != length), len(rows))
-    try:
-        return np.array(rows[:end], dtype=np.int64).reshape(end, length)
-    except OverflowError:
-        end = next(i for i, row in enumerate(rows) if any(abs(x) >= 2**63 for x in row))
-        return _stack(rows[:end], length)
+        stack = rows if rows.shape[1] == length else np.zeros((0, length), np.uint8)
+    else:
+        end = next((i for i, row in enumerate(rows) if len(row) != length), len(rows))
+        try:
+            stack = np.array(rows[:end], dtype=np.int64).reshape(end, length)
+        except OverflowError:
+            end = next(i for i, row in enumerate(rows) if any(abs(x) >= 2**63 for x in row))
+            return _stack(rows[:end], length, k)
+    bad = _outside(stack, k)
+    return stack[: bad.argmax()] if bad.any() else stack
 
 
 def _first_failed(res: RowColors) -> int:
@@ -358,7 +365,7 @@ def _color_on_cycle(
     edge = _parse_edge(args.edge) if args.edge else None
     ctx = OddCycleCtx.make(n, args.k, edge)
     color_one = color_vertex if args.k == 3 else color_vertex_ck
-    res = color_rows(_stack(rows, ctx.length), ctx)
+    res = color_rows(_stack(rows, ctx.length, ctx.k), ctx)
     return _emit(res, rows, lambda f: color_one(f, ctx))
 
 
@@ -386,7 +393,7 @@ def _color_on_host(
         cache = CycleCache.loads(Path(cache_path).read_text())
     loaded = len(cache)
     try:
-        res, cache = color_rows_in_kh(host, _stack(rows, host.vertex_count), cache)
+        res, cache = color_rows_in_kh(host, _stack(rows, host.vertex_count, 3), cache)
         # keep the cycles that the rows before the first failure found
         used = res.cycle[: _first_failed(res)].max(initial=-1) + 1
         del cache.entries[max(loaded, used) :]

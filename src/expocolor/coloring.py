@@ -45,9 +45,9 @@ from .errors import (
 from .expo import (
     ExpoGraph,
     _check_assignment,
-    allowed_table,
     full_grid,
     is_isolated,
+    isolated_rows,
     restrict,
 )
 from .graphs import (
@@ -142,6 +142,14 @@ def _out_of_range(ctx: OddCycleCtx) -> ValueError:
     return ValueError(f"colors must be in 1..{ctx.k}")
 
 
+def _outside(rows: np.ndarray, k: int) -> np.ndarray:
+    """Which rows of a (rows, L) stack hold a color outside 1..k; one pass
+    over the whole stack when none does."""
+    if rows.size and (rows.min() < 1 or rows.max() > k):
+        return (rows.min(axis=1) < 1) | (rows.max(axis=1) > k)
+    return np.zeros(len(rows), dtype=bool)
+
+
 def _verdict(ctx: OddCycleCtx, fa, fb, ell2, p2, fixed, isolated) -> tuple:
     """One row's (color, branch position, ell2, p2), from f(a), f(b) and
     the kernel's values for the row; raises the row's error instead.
@@ -212,12 +220,10 @@ def color_rows(fs, ctx: OddCycleCtx) -> RowColors:
     if arr.dtype.kind not in "iu":
         raise _wrong_dtype(arr)
     rows = arr.reshape(-1, ctx.length)
-    bad = ()
-    if len(rows) and (arr.item(arr.argmin()) < 1 or arr.item(arr.argmax()) > ctx.k):
-        mask = (rows.min(axis=1) < 1) | (rows.max(axis=1) > ctx.k)
-        rows = np.where(mask[:, None], 1, rows)
-        bad = set(np.flatnonzero(mask).tolist())
-    return _decide(ctx, rows, np_tour(rows, ctx), bad)
+    bad = _outside(rows, ctx.k)
+    if bad.any():
+        rows = np.where(bad[:, None], 1, rows)
+    return _decide(ctx, rows, np_tour(rows, ctx), set(np.flatnonzero(bad).tolist()))
 
 
 def _color_one(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:
@@ -477,7 +483,7 @@ def color_rows_in_kh(
     raises.
 
     * Checks, in the one-row order: per row the colors in 1..3 and
-      isolation, read from one :func:`expo.allowed_table` of the stack
+      isolation, read from one :func:`expo.isolated_rows` of the stack
       (a constant row stands in for each out-of-range one).
     * Cache scan: each cached cycle in insertion order, one
       :func:`np_tour` parity pass over the rows no earlier cycle serves.
@@ -487,9 +493,9 @@ def color_rows_in_kh(
       :func:`color_in_kh`, which searches for and appends a cycle (or
       raises :class:`NoEvenCycleError` or
       :class:`InvariantViolationError`, which the row fails with); the
-      rows still unserved are then scanned against that cycle only.  Since the cache only appends, each row
-      ends up served by the cycle the sequential loop would have found
-      for it.
+      rows still unserved are then scanned against that cycle only.
+      Since the cache only appends, each row ends up served by the cycle
+      the sequential loop would have found for it.
     * One :func:`color_rows` call per serving cycle colors its rows'
       restrictions, and the verdicts are put back in input order.
     """
@@ -504,16 +510,15 @@ def color_rows_in_kh(
         raise _wrong_dtype(arr)
     rows = arr.reshape(-1, h.vertex_count)
     errors: dict[int, Exception] = {}
-    bad = np.zeros(len(rows), dtype=bool)
-    if len(rows) and (arr.item(arr.argmin()) < 1 or arr.item(arr.argmax()) > 3):
-        bad = (rows.min(axis=1) < 1) | (rows.max(axis=1) > 3)
+    bad = _outside(rows, 3)
+    if bad.any():
         for r in np.flatnonzero(bad).tolist():
             try:
                 _check_assignment(h, rows[r].tolist(), 3)
             except ValueError as exc:
                 errors[r] = exc
         rows = np.where(bad[:, None], 1, rows)
-    isolated = ~bad & ~allowed_table(h, rows, 3).any(axis=2).all(axis=1)
+    isolated = ~bad & isolated_rows(h, rows, 3)
     for r in np.flatnonzero(isolated).tolist():
         errors[r] = IsolatedFunctionError(_ISOLATED)
 

@@ -181,6 +181,29 @@ def allowed_table(
     return allowed.transpose(1, 0, 2)
 
 
+def isolated_rows(
+    h: Graph, fs: np.ndarray, k: int, cycle_target: bool = False
+) -> np.ndarray:
+    """:func:`is_isolated` of every row of a stack, as one bool array.
+
+    ``fs`` is (R, |V(h)|) with colors in 1..k (not checked).  Per vertex
+    v and row, the AND of the compatible-color bitmasks
+    (:func:`_compat_masks`) of v's neighbors is one small int; a row is
+    isolated iff some vertex's AND is 0.  That reads a k-th of the data
+    of :func:`allowed_table`, which holds the same sets as bools.
+    """
+    full = (1 << k) - 1
+    lut = np.array(_compat_masks(k, cycle_target), dtype=np.min_scalar_type(full))
+    cols = np.asarray(fs).T.copy()
+    isolated = np.zeros(cols.shape[1], dtype=bool)
+    for nbrs in h.neighbors:
+        allowed = np.full(cols.shape[1], full, dtype=lut.dtype)
+        for w in nbrs:
+            allowed &= lut[cols[w]]
+        isolated |= allowed == 0
+    return isolated
+
+
 def neighbor_pairs(
     h: Graph, fs: np.ndarray, k: int, cycle_target: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:

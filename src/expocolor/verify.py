@@ -582,12 +582,10 @@ def _uniform3(rng: random.Random, count: int) -> np.ndarray:
 
 def _not_isolated(host: Graph, rows: np.ndarray) -> np.ndarray:
     """Whether each row of a non-empty stack has a neighbor, from one
-    :func:`.expo.allowed_table` per block of about ``_DRAW_ENTRIES`` colors."""
+    :func:`.expo.isolated_rows` per block of about ``_DRAW_ENTRIES`` colors."""
     step = max(_DRAW_ENTRIES // host.vertex_count, 1)
     blocks = (rows[start : start + step] for start in range(0, len(rows), step))
-    return np.concatenate(
-        [expo.allowed_table(host, block, 3).any(axis=2).all(axis=1) for block in blocks]
-    )
+    return ~np.concatenate([expo.isolated_rows(host, block, 3) for block in blocks])
 
 
 def _sample_pairs(host: Graph, rng: random.Random, samples: int):

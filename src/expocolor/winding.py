@@ -36,9 +36,26 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import IsolatedFunctionError, ParityDomainError
+
+
+class _Numpy:
+    """numpy, imported when the kernel first reads it.
+
+    A cycle context and the scalar routines need no numpy, so
+    ``from expocolor.winding import OddCycleCtx`` does not load it.  The
+    first attribute read imports numpy and rebinds this module's ``np``
+    to it, so every later read is numpy's own.
+    """
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy as np
+
+        return getattr(np, name)
+
+
+np = _Numpy()
 
 
 @dataclass(frozen=True, order=True)

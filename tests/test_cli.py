@@ -103,6 +103,30 @@ def test_color_odd_parity_exits_3(capsys, monkeypatch):
     assert "fixed points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("graph", [False, True], ids=["cycle", "host"])
+def test_color_stops_the_stack_before_the_first_out_of_range_row(
+    graph, c5, tmp_path, capsys, monkeypatch
+):
+    # no line after that row is written, so the rows behind it are never
+    # colored; the lines before it and its error are those of the whole run
+    rows = [[1, 1, 1, 1, 1], [2, 1, 1, 1, 1], [1, 1, 4, 1, 1]] + [[1, 2, 1, 2, 3]] * 50
+    seen = []
+    rows_of, rows_in_kh = cli.color_rows, cli.color_rows_in_kh
+    monkeypatch.setattr(cli, "color_rows", lambda fs, ctx: seen.append(len(fs)) or rows_of(fs, ctx))
+    monkeypatch.setattr(
+        cli, "color_rows_in_kh", lambda h, fs, c: seen.append(len(fs)) or rows_in_kh(h, fs, c)
+    )
+    argv = ["color", "--len", "5"]
+    if graph:
+        save_graph(c5, tmp_path / "c5.json")
+        argv = ["color", "--graph", str(tmp_path / "c5.json")]
+    stdin = "\n".join(map(json.dumps, rows))
+    assert run_cli(argv, stdin, monkeypatch) == 2
+    out, err = capsys.readouterr()
+    assert seen == [2] and out.count("\n") == 2
+    assert err == "error: " + ("color 4 outside 1..3\n" if graph else "colors must be in 1..3\n")
+
+
 def test_color_isolated_ck_exits_4(capsys, monkeypatch):
     code = run_cli(["color", "--len", "5", "--k", "5"], "[1,4,2,5,3]", monkeypatch)
     assert code == 4

@@ -18,6 +18,7 @@ from expocolor.expo import (
     build_exponential,
     components,
     is_isolated,
+    isolated_rows,
     neighbor_pairs,
     neighbors,
     restrict,
@@ -178,6 +179,31 @@ def test_allowed_table_matches_allowed_colors_row_by_row(k, cyc):
                 want = allowed_colors(h, f, k, cyc)
                 assert [tuple(c + 1 for c in range(k) if row[c]) for row in got] == want
     assert allowed_table(make_cycle(3), np.ones((0, 3), np.int8), k, cyc).shape == (0, 3, k)
+
+
+@pytest.mark.parametrize("k, cyc", [(3, False), (5, True)], ids=["K3", "C5"])
+def test_isolated_rows_matches_allowed_table_and_is_isolated(k, cyc, grotzsch):
+    # the bitmask AND must mark exactly the rows with an empty allowed set,
+    # on hosts with isolated vertices too, and agree with the scalar test
+    hosts = [
+        make_complete(4),
+        make_cycle(7),
+        grotzsch,
+        Graph.from_edges(6, [(0, 1), (1, 2), (0, 2)]),
+    ]
+    rng = np.random.default_rng(k)
+    seen = set()
+    for h in hosts:
+        for dtype in (np.int8, np.uint8, np.int64):
+            fs = rng.integers(1, k + 1, size=(400, h.vertex_count)).astype(dtype)
+            got = isolated_rows(h, fs, k, cyc)
+            assert got.dtype == bool and got.shape == (400,)
+            want = ~allowed_table(h, fs, k, cyc).any(axis=2).all(axis=1)
+            assert got.tolist() == want.tolist()
+            assert got.tolist() == [is_isolated(h, f, k, cyc) for f in fs.tolist()]
+            seen.update(got.tolist())
+    assert seen == {False, True}
+    assert isolated_rows(make_cycle(3), np.ones((0, 3), np.int8), k, cyc).shape == (0,)
 
 
 def test_neighbors_is_product_of_allowed_sets():
