@@ -22,32 +22,36 @@ variable supplies a default cycle-cache path for ``color --graph``.
 
 ``color`` reads one JSON array, an array of arrays, or one array per
 line.  Rows of one-digit colors, as one array or one array per line
-(what ``json.dumps`` writes for k <= 9), are read from the input in
-blocks of ``winding._BLOCK`` bytes straight into one uint8 stack, so the
-reader holds the digits and a few block-sized buffers; every other input
-goes through ``json.loads``, which also words every input error, after
-the input is read again from its start (a pipe is read whole first, so
-that it can be).  On a cycle host the stack is colored by one
-``coloring.color_rows`` call; on a general host by one
-``coloring.color_rows_in_kh`` call, of which ``color_in_kh`` is the
-one-row case.  The verdict lines before the first failing row are
-written at once; then that row, colored alone by the one-row routine,
-raises its own error, which ends the call.  A general host's cycle cache
-is saved whether or not a row failed, holding the cycles found by the
-rows before the failing one and by that row itself.
+(what ``json.dumps`` writes for k <= 9), are decoded from the input in
+blocks of ``winding._BLOCK`` bytes.  On a cycle host whose rows are
+longer than one kernel pass (``winding._BLOCK`` ids), each block's
+digits go straight on to a ``coloring.RowFeed``, which counts them into
+the Δ kernel as they come, so the call holds a few block-sized buffers
+and each row's verdict, never a row.  Shorter rows, and every row on a
+general host, go into one uint8 stack.  Every other input goes through
+``json.loads``, which also words every input error, after the input is
+read again from its start; a pipe, which cannot seek, is copied to a
+temporary file block by block as it is read, so that it can be.  On a
+cycle host a stack is colored by one ``coloring.color_rows`` call; on a
+general host by one ``coloring.color_rows_in_kh`` call, of which
+``color_in_kh`` is the one-row case.  The verdict lines before the
+first failing row are written at once; then that row's error, the one
+its one-row routine raises, ends the call (a stack's failing row is
+colored alone by that routine again).  A general host's cycle cache is
+saved whether or not a row failed, holding the cycles found by the rows
+before the failing one and by that row itself.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import locale
 import os
 import sys
 from functools import partial
 from pathlib import Path
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -61,7 +65,9 @@ from .coloring import (
     Branch,
     CycleCache,
     RowColors,
+    RowFeed,
     _outside,
+    _wrong_shape,
     color_in_kh,
     color_rows,
     color_rows_in_kh,
@@ -144,26 +150,29 @@ _NOT_MARKS = bytes(set(range(256)) - set(b"[]\n\r"))
 # A (digit, comma) pair of bytes read as one little-endian uint16, less
 # this, is the digit's value; every other pair of bytes comes out above 9.
 _DIGIT_COMMA = np.uint16(ord("0") | ord(",") << 8)
+_Take = Callable[[np.ndarray], object]  # what a block's digits are passed to
 
 
-def _digit_stack(blocks: Iterable[bytes]) -> np.ndarray | None:
-    """The rows of a payload of one-digit arrays, as a uint8 (rows, L) stack.
+def _digits(blocks: Iterable[bytes], take: _Take) -> tuple[int, int] | None:
+    """The (rows, L) shape of a payload of one-digit arrays, whose digits
+    go to ``take`` as they are decoded.
 
     Reads what ``json.dumps`` writes for colors 0..9: one array, or one
     array per line.  Leaving out JSON whitespace, the payload must be
     ``[d,d,...,d]`` repeated with every row of one length; with more
     than one row, no line break may fall inside an array and at least
     one must fall between two.  Returns None for any other payload,
-    which the JSON path then reads or rejects.
+    which the JSON path then reads or rejects; ``take`` may have been
+    given digits of it by then.
 
     The payload comes in blocks of any size and is checked block by
-    block: only the digits are kept, so beyond the stack the reader
-    holds a few block-sized buffers.  Each ``][`` is read as a comma,
-    which joins the rows into one ``[d,d,...,d]`` whose digits sit in
-    (digit, comma) pairs; the first ``]`` gives the row length, and
-    every later join must fall a whole number of rows after it.
+    block: each block's digits are passed on as one uint8 array, rows
+    joined, so the reader holds a few block-sized buffers.  Each ``][``
+    is read as a comma, which joins the rows into one ``[d,d,...,d]``
+    whose digits sit in (digit, comma) pairs; the first ``]`` gives the
+    row length, and every later join must fall a whole number of rows
+    after it.
     """
-    digits = bytearray()
     read = 0  # tokens of the joined payload taken so far
     width = 0  # 2L, where the first ] falls in the joined payload
     joins = 0
@@ -212,17 +221,25 @@ def _digit_stack(blocks: Iterable[bytes]) -> np.ndarray | None:
             values = np.frombuffer(tokens, dtype="<u2", count=pairs) - _DIGIT_COMMA
             if values.max() > 9:
                 return None
-            digits += memoryview(values.astype(np.uint8))
+            take(values.astype(np.uint8))
             read += 2 * pairs
     if len(held) != 2 or held[1] != ord("]") or not ord("0") <= held[0] <= ord("9"):
         return None
-    digits.append(held[0] - ord("0"))
+    take(np.array([held[0] - ord("0")], dtype=np.uint8))
     read += 1  # the joined payload's closing ]
     width = width or read
     rows = read // width
     if read % width or joins != rows - 1 or (rows > 1 and broke_inside):
         return None
-    return np.frombuffer(digits, dtype=np.uint8).reshape(rows, width // 2)
+    return rows, width // 2
+
+
+def _digit_stack(blocks: Iterable[bytes]) -> np.ndarray | None:
+    """The rows of a payload of one-digit arrays, as a uint8 (rows, L)
+    stack; None for any other payload (see :func:`_digits`)."""
+    digits = bytearray()
+    shape = _digits(blocks, digits.extend)
+    return None if shape is None else np.frombuffer(digits, dtype=np.uint8).reshape(shape)
 
 
 def _json_rows(text: str) -> list[tuple[int, ...]]:
@@ -261,37 +278,63 @@ def _json_rows(text: str) -> list[tuple[int, ...]]:
     return out
 
 
-def _read_assignments(path: str | None) -> np.ndarray | list[tuple[int, ...]]:
+def _read_assignments(path: str | None, take: _Take | None = None):
     """The rows of the input file, or of stdin for None or ``-``.
 
-    Rows of one-digit colors come back as the uint8 stack that
-    :func:`_digit_stack` reads from the bytes as they stream in; any
-    other payload, and a text-only stdin such as a ``StringIO``, as the
-    tuples of :func:`_json_rows`, which also words every input error.
+    Rows of one-digit colors are decoded by :func:`_digits` from the
+    bytes as they stream in: into the uint8 stack returned, or, with
+    ``take``, to ``take`` as they come, and then their (rows, L) shape
+    is returned.  Any other payload, and a text-only stdin such as a
+    ``StringIO``, comes back as the tuples of :func:`_json_rows`, which
+    also words every input error.
     """
+    digits = bytearray()
+    take_digits = take or digits.extend
     if path is None or path == "-":
         stdin = sys.stdin
         if not hasattr(stdin, "buffer"):
             return _json_rows(stdin.read())
-        return _read_rows(stdin.buffer, stdin.encoding, stdin.errors)
-    with open(path, "rb") as fh:
-        return _read_rows(fh, locale.getpreferredencoding(False), "strict")
+        rows = _read_rows(stdin.buffer, stdin.encoding, stdin.errors, take_digits)
+    else:
+        with open(path, "rb") as fh:
+            rows = _read_rows(fh, locale.getpreferredencoding(False), "strict", take_digits)
+    if take is None and isinstance(rows, tuple):
+        return np.frombuffer(digits, dtype=np.uint8).reshape(rows)
+    return rows
 
 
-def _read_rows(
-    fh: BinaryIO, encoding: str, errors: str
-) -> np.ndarray | list[tuple[int, ...]]:
-    """:func:`_digit_stack` of ``fh`` in blocks of ``winding._BLOCK``
-    bytes, or else :func:`_json_rows` of its text, read again from where
-    it started.  A stream that cannot seek (a pipe) is read whole first."""
-    if not fh.seekable():
-        fh = io.BytesIO(fh.read())
-    start = fh.tell()
-    stack = _digit_stack(iter(partial(fh.read, winding._BLOCK), b""))
-    if stack is not None:
-        return stack
-    fh.seek(start)
-    return _json_rows(fh.read().decode(encoding, errors))
+def _spooled(blocks: Iterable[bytes], spool: BinaryIO) -> Iterator[bytes]:
+    """The blocks, each written to ``spool`` as it is taken."""
+    for block in blocks:
+        spool.write(block)
+        yield block
+
+
+def _read_rows(fh: BinaryIO, encoding: str, errors: str, take: _Take):
+    """:func:`_digits` of ``fh`` in blocks of ``winding._BLOCK`` bytes,
+    or else :func:`_json_rows` of its text, read again from where it
+    started.  A stream that cannot seek (a pipe) is copied to a
+    temporary file block by block as it is read, and the rest of it
+    once the digit reader gives up, so that the JSON path can read it
+    again from there."""
+    blocks = iter(partial(fh.read, winding._BLOCK), b"")
+    if fh.seekable():
+        start = fh.tell()
+        shape = _digits(blocks, take)
+        if shape is not None:
+            return shape
+        fh.seek(start)
+        return _json_rows(fh.read().decode(encoding, errors))
+    import shutil
+    import tempfile
+
+    with tempfile.TemporaryFile() as spool:
+        shape = _digits(_spooled(blocks, spool), take)
+        if shape is not None:
+            return shape
+        shutil.copyfileobj(fh, spool)
+        spool.seek(0)
+        return _json_rows(spool.read().decode(encoding, errors))
 
 
 def _parse_edge(text: str) -> tuple[int, int]:
@@ -351,9 +394,7 @@ def _emit(res: RowColors, rows, color_one) -> int:
     return EXIT_OK
 
 
-def _color_on_cycle(
-    args: argparse.Namespace, rows: np.ndarray | list[tuple[int, ...]]
-) -> int:
+def _cycle_ctx(args: argparse.Namespace) -> OddCycleCtx:
     if args.len is not None:
         if args.len % 2 == 0 or args.len < 3:
             raise ParityDomainError(
@@ -363,7 +404,38 @@ def _color_on_cycle(
     else:
         n = args.n
     edge = _parse_edge(args.edge) if args.edge else None
-    ctx = OddCycleCtx.make(n, args.k, edge)
+    return OddCycleCtx.make(n, args.k, edge)
+
+
+def _color_on_cycle(args: argparse.Namespace) -> int:
+    """Color the input's rows on the cycle of ``--len``/``--n``.
+
+    Rows longer than one kernel pass are never gathered: the digit
+    reader hands each block's digits to a ``coloring.RowFeed``, which
+    counts them as they come, and only each row's verdict is kept.  The
+    verdict lines before the first row that fails are written, then that
+    row's error, the one its one-row routine raises, ends the call.  An
+    error in the host's arguments is raised after the input is read, so
+    that an input error comes first.
+    """
+    try:
+        ctx, error = _cycle_ctx(args), None
+    except ValueError as exc:
+        ctx, error = None, exc
+    feed = None
+    if ctx is not None and ctx.length > winding._BLOCK:
+        feed = RowFeed(ctx)
+    rows = _read_assignments(args.input, None if feed is None else feed.take)
+    if error is not None:
+        raise error
+    if isinstance(rows, tuple):  # the feed has read every row
+        if rows[1] != ctx.length:
+            raise _wrong_shape(ctx)
+        res = feed.colors()
+        sys.stdout.write(_verdict_lines(res, _first_failed(res)))
+        if len(res.failed):
+            raise res.errors[0]
+        return EXIT_OK
     color_one = color_vertex if args.k == 3 else color_vertex_ck
     res = color_rows(_stack(rows, ctx.length, ctx.k), ctx)
     return _emit(res, rows, lambda f: color_one(f, ctx))
@@ -409,10 +481,9 @@ def cmd_color(args: argparse.Namespace) -> int:
             raise ValueError(
                 "pass exactly one host: --len/--n for a cycle, or --graph"
             )
-        rows = _read_assignments(args.input)
         if args.graph is not None:
-            return _color_on_host(args, rows)
-        return _color_on_cycle(args, rows)
+            return _color_on_host(args, _read_assignments(args.input))
+        return _color_on_cycle(args)
     except ParityDomainError as exc:
         return _fail(str(exc), EXIT_PARITY)
     except (IsolatedFunctionError, NoEvenCycleError) as exc:

@@ -11,7 +11,8 @@ Three layers live here, mirroring how the math composes:
   one kernel call, and returns the verdicts of every row as arrays,
   with the rows that fail and their errors; ``color_vertex`` /
   ``color_vertex_ck`` are its one-row case, which raises that row's
-  error.
+  error.  ``RowFeed`` gives the same verdicts for rows that arrive in
+  pieces, counting each pass as it fills, so no row is held whole.
 
 * ``color_graph_baseline`` — the exponential contrast: materialize the
   whole even class, color the f(a)=f(b) assignments directly (they hit
@@ -58,6 +59,7 @@ from .graphs import (
     make_cycle,
     odd_cycle_in,
 )
+from . import winding
 from .winding import Half, OddCycleCtx, in_even_class, np_tour
 
 
@@ -179,16 +181,17 @@ def _verdict(ctx: OddCycleCtx, fa, fb, ell2, p2, fixed, isolated) -> tuple:
     )
 
 
-def _decide(ctx: OddCycleCtx, rows: np.ndarray, tour: tuple, out_of_range=()) -> RowColors:
-    """The :func:`_verdict` of each row of a stack, from its endpoint
-    colors and ``tour``, the stack's :func:`np_tour` outputs.
+def _decide(ctx: OddCycleCtx, ends: np.ndarray, tour: tuple, out_of_range=()) -> RowColors:
+    """The :func:`_verdict` of each row of a stack, from ``ends``, its
+    (rows, 2) endpoint colors f(a) and f(b), and ``tour``, its
+    :func:`np_tour` outputs.
 
     A row that fails, or whose index is in ``out_of_range`` (its colors
     were outside 1..k before a stand-in took its place), gets 0s and its
     error.
     """
     out, failed, errors = [], [], []
-    columns = rows[:, ctx.a], rows[:, ctx.b], *tour
+    columns = *ends.T, *tour
     for r, values in enumerate(zip(*(column.tolist() for column in columns))):
         try:
             if r in out_of_range:
@@ -223,7 +226,95 @@ def color_rows(fs, ctx: OddCycleCtx) -> RowColors:
     bad = _outside(rows, ctx.k)
     if bad.any():
         rows = np.where(bad[:, None], 1, rows)
-    return _decide(ctx, rows, np_tour(rows, ctx), set(np.flatnonzero(bad).tolist()))
+    ends = rows[:, [ctx.a, ctx.b]]
+    return _decide(ctx, ends, np_tour(rows, ctx), set(np.flatnonzero(bad).tolist()))
+
+
+class RowFeed:
+    """:func:`color_rows` of rows that arrive in pieces, none held whole.
+
+    :meth:`take` reads the ids of the rows one after another, in pieces
+    of any length and integer dtype, and a row ends after every 2n+1
+    ids.  The pieces fill a buffer of one kernel pass, up to
+    ``winding._BLOCK`` ids and the two after them: when it is full,
+    :func:`.winding._pass_counts` counts the pass into the row's
+    histogram, and its last two ids are carried to the front for the
+    next pass.  Ids 0 and 1 of each row are kept for the wrap, and its
+    last pass reads them after id 2n.  Along the way each row's f(a) and
+    f(b) are recorded, and a row with a color outside 1..k is noted (and
+    counted with its colors clipped to 1..k, since it fails anyway).
+    :meth:`colors` then decides every whole row as :func:`color_rows`
+    does.  Beyond each row's values the feed holds the buffer and one
+    pass's counts.
+    """
+
+    def __init__(self, ctx: OddCycleCtx):
+        self.ctx = ctx
+        longest = min(ctx.length, winding._BLOCK)
+        self._offsets = winding._offsets(ctx.k, longest)
+        self._buf = np.empty(longest + 2, dtype=self._offsets.dtype)
+        self._head = np.empty(2, dtype=self._offsets.dtype)  # ids 0 and 1 of the row
+        self._rows: list[tuple] = []  # each whole row's f(a), f(b) and np_tour values
+        self._outside: set[int] = set()  # the rows with a color outside 1..k
+        self._new_row()
+
+    def _new_row(self) -> None:
+        self._next = 0  # the row's next id to arrive
+        self._start = 0  # the id in the buffer's first slot
+        self._fill = 0  # the ids in the buffer
+        self._ends = [0, 0]  # f(a), f(b)
+        self._total = np.zeros(len(self.ctx.bin_fold), dtype=np.int64)
+
+    def _count(self) -> None:
+        """Count the pass the buffer holds, and carry its last two ids."""
+        f = self._buf[: self._fill]
+        self._total += winding._pass_counts(f, self._start, self.ctx, self._offsets)
+        self._buf[:2] = f[-2:]
+        self._start += self._fill - 2
+        self._fill = 2
+
+    def _end_row(self) -> None:
+        """Count the row's last pass, through ids 0 and 1, and keep its values."""
+        for v in self._head:
+            if self._fill == len(self._buf):
+                self._count()
+            self._buf[self._fill] = v
+            self._fill += 1
+        self._count()
+        ell2, p2, flat, bad = self._total.dot(self.ctx.bin_fold).tolist()
+        self._rows.append((*self._ends, ell2, p2, self.ctx.length - flat, bad > 0))
+        self._new_row()
+
+    def take(self, x: np.ndarray) -> None:
+        """Read the next ids of the rows, in order."""
+        k, length, cap = self.ctx.k, self.ctx.length, len(self._buf)
+        while len(x):
+            lo = self._next
+            room = min(cap - self._fill, length - lo)
+            piece, x = x[:room], x[room:]
+            hi = lo + len(piece)
+            if piece.min() < 1 or piece.max() > k:
+                self._outside.add(len(self._rows))
+                piece = piece.clip(1, k)
+            for i, v in enumerate((self.ctx.a, self.ctx.b)):
+                if lo <= v < hi:
+                    self._ends[i] = int(piece[v - lo])
+            if lo < 2:
+                self._head[lo : min(hi, 2)] = piece[: 2 - lo]
+            self._buf[self._fill : self._fill + len(piece)] = piece
+            self._fill += len(piece)
+            self._next = hi
+            if self._fill == cap:
+                self._count()
+            if hi == length:
+                self._end_row()
+
+    def colors(self) -> RowColors:
+        """The :class:`RowColors` of the whole rows read, as
+        :func:`color_rows` gives them for those rows."""
+        values = np.array(self._rows, dtype=np.int64).reshape(-1, 6)
+        tour = *values[:, 2:5].T, values[:, 5] > 0
+        return _decide(self.ctx, values[:, :2], tour, self._outside)
 
 
 def _color_one(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:
@@ -464,10 +555,12 @@ def color_in_kh(
     return verdict, cache
 
 
-def _even_on(rows: np.ndarray, idx: np.ndarray, entry) -> np.ndarray:
-    """Which of ``rows[idx]`` have even parity on the cached cycle ``entry``."""
-    cyc, ctx = entry
-    return np_tour(rows[np.ix_(idx, cyc.vertices)], ctx)[2] % 2 == 0
+def _even_on(rows: np.ndarray, cyc: CycleWitness) -> np.ndarray:
+    """Whether each row, restricted to the host cycle ``cyc``, has an even
+    number of fixed points; one pass of the live :func:`.winding.np_tour`,
+    so a kernel patched in a test reaches every parity check."""
+    ctx = OddCycleCtx.make(len(cyc) // 2, 3)
+    return winding.np_tour(rows[:, cyc.vertices], ctx)[2] % 2 == 0
 
 
 def color_rows_in_kh(
@@ -533,7 +626,7 @@ def color_rows_in_kh(
             errors.update(dict.fromkeys(unserved.tolist(), exc))
             unserved = unserved[:0]
             break
-        even = _even_on(rows, unserved, entry)
+        even = _even_on(rows[unserved], entry[0])
         cycle[unserved[even]] = j
         unserved = unserved[~even]
     while len(unserved):
@@ -544,7 +637,7 @@ def color_rows_in_kh(
         except (NoEvenCycleError, InvariantViolationError) as exc:
             errors[first] = exc
         if len(cache) > size:  # a row that failed after the append fails below too
-            even = _even_on(rows, unserved, cache.entries[size])
+            even = _even_on(rows[unserved], cache.entries[size][0])
             cycle[first] = cycle[unserved[even]] = size
             unserved = unserved[~even]
 

@@ -181,7 +181,7 @@ def _color_sweep(
     colors = np.zeros(len(rows), dtype=np.int64)
     branch_codes = np.zeros(len(rows), dtype=np.int8)
     fs = rows[sources]
-    res = coloring._decide(ctx, fs, winding.np_tour(fs, ctx))
+    res = coloring._decide(ctx, fs[:, [ctx.a, ctx.b]], winding.np_tour(fs, ctx))
     colors[sources] = res.color
     branch_codes[sources] = (res.branch + 1) * (res.color != 0)
     for r, error in zip(res.failed.tolist(), res.errors):
@@ -558,14 +558,6 @@ def verify_baseline(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     return _report("baseline graph coloring", {"n": n}, checked, viol, details, t0)
 
 
-def _even_on(rows: np.ndarray, cyc) -> np.ndarray:
-    """Whether each row, restricted to the host cycle ``cyc``, has an even
-    number of fixed points; from the live :func:`.winding.np_tour`."""
-    ctx = OddCycleCtx.make(len(cyc) // 2, 3)
-    _, _, fixed, _ = winding.np_tour(rows[:, cyc.vertices], ctx)
-    return fixed % 2 == 0
-
-
 _DRAW_ENTRIES = 1 << 16  # colors per block of rows drawn or tested for isolation
 
 
@@ -666,7 +658,7 @@ def verify_end_to_end(
             if serving is None:
                 viol.add(f"no cached cycle serves component of {first}")
                 continue
-            for i in np.flatnonzero(~_even_on(live[list(members)], serving[0])):
+            for i in np.flatnonzero(~coloring._even_on(live[list(members)], serving[0])):
                 viol.add(
                     f"{eg.vertices[members[i]]} has odd parity on its component's "
                     f"cycle {serving[0].vertices}"
@@ -684,7 +676,7 @@ def verify_end_to_end(
         }
         details["cache_cycles"] = len(cache)
         details["every_odd_cycle_even"] = not len(three) or all(
-            _even_on(three, c).all() for c in odd_cycles(host, nv)
+            coloring._even_on(three, c).all() for c in odd_cycles(host, nv)
         )
         details["nonisolated_count"] = eg.vertex_count
         if 0 < eg.vertex_count <= CHROMATIC_HARD_CAP:

@@ -350,17 +350,20 @@ def little_path(f: Sequence[int], ctx: OddCycleCtx) -> Half:
 # wrap.
 #
 # Every input is counted one way.  The kernel walks the tour in passes of
-# at most ``_BLOCK`` ids: each pass casts its slice of ids (plus the two
-# after it, wrapping past id 2n to ids 0 and 1), adds each arc's bin offset,
-# which it derives from k and the edge, and counts the codes with one
-# ``np.bincount`` into a running total.  A stack goes through in tiles of
-# whole rows, and the codes of a tile's r-th row are moved by r times the
-# bin count, so the one bincount gives every row's histogram; a lone row is
-# the one-row case and needs no move.  A tile holds at most ``_BLOCK``
-# entries and at most ``_BLOCK`` bins over its rows, so no temporary grows
-# with the row length, the row count or k: beyond the input and the
-# (rows, 4) result, the kernel holds a few block-sized arrays whatever the
-# input size, and the context nothing of length L.
+# at most ``_BLOCK`` ids: each pass (``_pass_counts``) takes its ids, cast,
+# plus the two after it (wrapping past id 2n to ids 0 and 1), adds each
+# arc's bin offset, which it derives from k and the edge, and counts the
+# codes with one ``np.bincount`` into a running total.  The passes have two
+# sources.  ``np_tour`` slices them from its input: a stack goes through in
+# tiles of whole rows, and the codes of a tile's r-th row are moved by r
+# times the bin count, so the one bincount gives every row's histogram; a
+# lone row is the one-row case and needs no move.  ``coloring.RowFeed``
+# fills them from rows that arrive in pieces, so that no row is held
+# whole.  A tile holds at most ``_BLOCK`` entries and at most ``_BLOCK``
+# bins over its rows, so no temporary grows with the row length, the row
+# count or k: beyond its input and result, the kernel holds a few
+# block-sized arrays whatever the input size, and the context nothing of
+# length L.
 
 _BLOCK = 1 << 16
 
@@ -382,29 +385,53 @@ def _offsets(k: int, size: int) -> np.ndarray:
     return offsets
 
 
+def _pass_counts(
+    f: np.ndarray, start: int, ctx: OddCycleCtx, offsets: np.ndarray
+) -> np.ndarray:
+    """The step histogram of one pass over the chord tour, for each row of ``f``.
+
+    ``f`` is one row (m+2,) or a tile (rows, m+2) of ids start..start+m+1
+    (ids past 2n wrapping to 0 and 1), cast to the dtype of ``offsets``,
+    the :func:`_offsets` table for passes of at least m ids; the pass
+    counts the m arcs leaving ids start..start+m-1.  Each arc's code is
+    its step plus its bin offset, k-1 off the little path and 3k-2 on
+    it.  The path's arcs leave ids a, a+2, ..., a+2(n-1) mod 2n+1, that
+    is the ids of b's parity below b and those of a's parity above it,
+    so the pass reads its offsets from the table at its distance from b
+    (moved by an even number of ids to stay within the table when b lies
+    outside the pass).  In a tile, row r's codes are then moved by r
+    times the bin count, so one ``np.bincount`` counts every row.
+
+    Returns the counts of the ``len(ctx.bin_fold)`` bins, row after row.
+    """
+    bins = len(ctx.bin_fold)
+    m, j = f.shape[-1] - 2, ctx.b - start  # the pass's ids, and b's place
+    if j < 0:
+        j = j % 2 - 2
+    elif j > m:
+        j = m + (j - m) % 2
+    codes = f[..., 2:] - f[..., :-2]
+    at_b = len(offsets) // 2  # the table's entry for id b
+    codes += offsets[at_b - j : at_b - j + m]
+    rows = f.size // f.shape[-1]
+    if f.ndim > 1:
+        codes = codes + np.arange(0, rows * bins, bins)[:, None]
+    # each code carries its row, so the codes are read in memory order
+    return np.bincount(codes.ravel("K"), minlength=rows * bins)
+
+
 def _tour_sum(x: np.ndarray, ctx: OddCycleCtx) -> np.ndarray:
     """The step histogram of the chord tour of each row of ``x``.
 
-    ``x`` is one row (2n+1,) or a tile (rows, 2n+1).  A pass over ids
-    start..stop-1, at most ``_BLOCK`` of them, reads ids start..stop+1
-    cast to the codes' dtype, the last pass wrapping to ids 0 and 1.
-    Each arc's code is its step plus its bin offset, k-1 off the little
-    path and 3k-2 on it.  The path's arcs leave ids a, a+2, ...,
-    a+2(n-1) mod 2n+1, that is the ids of b's parity below b and those
-    of a's parity above it, so a pass reads its offsets from
-    :func:`_offsets` at its distance from b (moved by an even number of
-    ids to stay within the table when b lies outside the pass).  In a
-    tile, row r's codes are then moved by r times the bin count, so one
-    ``np.bincount`` per pass counts every row.
-
-    Returns the counts of the ``len(ctx.bin_fold)`` bins, row after row:
-    (bins,) for a row, (rows * bins,) for a tile.
+    ``x`` is one row (2n+1,) or a tile (rows, 2n+1), sliced into passes
+    of at most ``_BLOCK`` ids for :func:`_pass_counts`: the pass over ids
+    start..stop-1 reads ids start..stop+1 cast to the codes' dtype, the
+    last pass wrapping to ids 0 and 1.  Returns the counts of the
+    ``len(ctx.bin_fold)`` bins, row after row: (bins,) for a row,
+    (rows * bins,) for a tile.
     """
     length = x.shape[-1]
-    longest = min(length, _BLOCK)
-    offsets = _offsets(ctx.k, longest)
-    bins = len(ctx.bin_fold)
-    rows = x.size // length
+    offsets = _offsets(ctx.k, min(length, _BLOCK))
     total = None
     for start in range(0, length, _BLOCK):
         stop = min(start + _BLOCK, length)
@@ -414,17 +441,7 @@ def _tour_sum(x: np.ndarray, ctx: OddCycleCtx) -> np.ndarray:
             dtype=offsets.dtype,
             casting="unsafe",
         )
-        codes = f[..., 2:] - f[..., :-2]
-        m, j = stop - start, ctx.b - start  # the pass's ids, and b's place
-        if j < 0:
-            j = j % 2 - 2
-        elif j > m:
-            j = m + (j - m) % 2
-        codes += offsets[longest + 1 - j : longest + 1 - j + m]
-        if x.ndim > 1:
-            codes = codes + np.arange(0, rows * bins, bins)[:, None]
-        # each code carries its row, so the codes are read in memory order
-        counts = np.bincount(codes.ravel("K"), minlength=rows * bins)
+        counts = _pass_counts(f, start, ctx, offsets)
         if total is None:
             total = counts
         else:

@@ -17,7 +17,7 @@ import pytest
 import expocolor
 from expocolor import cli, coloring, winding
 from expocolor.cli import main
-from expocolor.errors import InvariantViolationError, IsolatedFunctionError
+from expocolor.errors import InvariantViolationError, IsolatedFunctionError, ParityDomainError
 from expocolor.coloring import CycleCache, color_in_kh, color_rows_in_kh, find_even_cycle
 from expocolor.expo import is_isolated
 from expocolor.graphs import graph_from_json_dict, save_graph
@@ -356,11 +356,12 @@ def test_block_reader_at_every_block_edge(payload, tmp_path, monkeypatch):
                 assert got == want, (block, mode)
 
 
-# A color call on C_2000001 holds the row's L digits and a few buffers of
+# A color call on C_2000001 holds no copy of the row, only a few buffers of
 # winding._BLOCK entries: the reader's block, its tokens and their digits,
-# and the kernel's pass arrays, of which bincount's int64 copy of the codes
-# is the largest (8 blocks); 16 blocks are allowed.  The digits grow in a
-# bytearray, which CPython over-allocates by at most an eighth as it grows.
+# and the feed's pass buffer and pass arrays, of which bincount's int64 copy
+# of the codes is the largest (8 blocks); 16 blocks are allowed, with no
+# term for the row.  That holds for a file, for a standard input that can
+# seek, and for a pipe, which is spooled to a temporary file as it is read.
 _LONG_N = 10**6
 
 
@@ -374,9 +375,7 @@ def _long_even_row() -> np.ndarray:
 
 
 def _long_row_call(capsys, argv):
-    """Color the long row with ``main(argv)``; the memory it traced beyond
-    the row and the bytearray's slack, in blocks."""
-    length = 2 * _LONG_N + 1
+    """Color the long row with ``main(argv)``; the memory it traced, in blocks."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -385,7 +384,7 @@ def _long_row_call(capsys, argv):
     finally:
         tracemalloc.stop()
     assert code == 0 and json.loads(capsys.readouterr().out)["color"] in (1, 2, 3)
-    return (peak - length - length // 8) / winding._BLOCK
+    return peak / winding._BLOCK
 
 
 def test_color_of_one_long_row_stays_within_the_readers_memory(tmp_path, capsys):
@@ -402,6 +401,167 @@ def test_color_of_one_long_row_from_stdin_stays_within_the_readers_memory(
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(payload)))
     blocks = _long_row_call(capsys, ["color", "--n", str(_LONG_N)])
     assert blocks < 16, blocks
+
+
+def test_color_of_one_long_row_from_a_pipe_stays_within_the_readers_memory(
+    capsys, monkeypatch
+):
+    payload = json.dumps(_long_even_row().tolist()).encode()
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BufferedReader(_Pipe(payload))))
+    blocks = _long_row_call(capsys, ["color", "--n", str(_LONG_N)])
+    assert blocks < 16, blocks
+
+
+# Rows longer than one kernel pass stream through coloring.RowFeed.  With
+# winding._BLOCK patched small, rows on C_13 take several passes, and the
+# CLI's stdout, stderr and exit code must be those of color_rows on the
+# whole stack and of the one-row routine called row by row.
+_FED_N = 6
+_FED_LENGTH = 2 * _FED_N + 1
+
+
+def _exit_code(exc: Exception) -> int:
+    if isinstance(exc, ParityDomainError):
+        return cli.EXIT_PARITY
+    if isinstance(exc, IsolatedFunctionError):
+        return cli.EXIT_ISOLATED
+    assert isinstance(exc, ValueError), exc
+    return cli.EXIT_USAGE
+
+
+def _stack_outcome(rows, ctx) -> tuple[str, str, int]:
+    """stdout, stderr and exit code from ``color_rows`` on the whole stack."""
+    try:
+        res = coloring.color_rows(np.array(rows, dtype=np.int64), ctx)
+    except ValueError as exc:
+        return "", f"error: {exc}\n", _exit_code(exc)
+    end = int(res.failed[0]) if len(res.failed) else len(rows)
+    names = [branch.value for branch in coloring.Branch]
+    out = "".join(
+        json.dumps({"color": c, "branch": names[b], "ell2": e, "p2": p}) + "\n"
+        for c, b, e, p in zip(*(values[:end].tolist() for values in res[:4]))
+    )
+    if len(res.failed):
+        return out, f"error: {res.errors[0]}\n", _exit_code(res.errors[0])
+    return out, "", 0
+
+
+def _one_row_outcome(rows, ctx) -> tuple[str, str, int]:
+    """stdout, stderr and exit code from the one-row routine, row by row."""
+    color_one = coloring.color_vertex if ctx.k == 3 else coloring.color_vertex_ck
+    out = ""
+    for row in rows:
+        try:
+            out += json.dumps(color_one(row, ctx).to_json_dict()) + "\n"
+        except ValueError as exc:
+            return out, f"error: {exc}\n", _exit_code(exc)
+    return out, "", 0
+
+
+def _fed_rows(k: int, edge, rng, count: int = 1) -> list[list[int]]:
+    """``count`` even-class rows on C_13 into k colors, none isolated: a
+    walk along the chord tour by steps in {0, 2, k-2} that closes."""
+    ctx = winding.OddCycleCtx.make(_FED_N, k, edge)
+    rows = []
+    while len(rows) < count:
+        row = np.zeros(_FED_LENGTH, dtype=np.int64)
+        steps = rng.choice([0, 2, k - 2], size=_FED_LENGTH)
+        row[np.arange(_FED_LENGTH) * 2 % _FED_LENGTH] = (rng.integers(k) + np.cumsum(steps)) % k
+        row += 1
+        _, _, fixed, isolated = winding.np_tour(row, ctx)
+        if not isolated and fixed % 2 == 0 and steps.sum() % k == 0:
+            rows.append(row.tolist())
+    return rows
+
+
+def _fed_call(mode, argv, rows, tmp_path, monkeypatch, capsys) -> tuple[str, str, int]:
+    """``main(argv)`` on the rows as JSON lines, through ``--input``, a
+    byte-backed stdin or a pipe; its stdout, stderr and exit code."""
+    payload = "".join(json.dumps(row) + "\n" for row in rows).encode()
+    if mode == "file":
+        path = tmp_path / "rows.json"
+        path.write_bytes(payload)
+        argv = [*argv, "--input", str(path)]
+    else:
+        raw = io.BytesIO(payload) if mode == "stdin" else io.BufferedReader(_Pipe(payload))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(raw))
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+def _assert_fed_like_stack(rows, k, edge, tmp_path, monkeypatch, capsys):
+    """The fed CLI call on every block size and input mode, against both
+    references; the stack path must not run."""
+    ctx = winding.OddCycleCtx.make(_FED_N, k, edge)
+    want = _stack_outcome(rows, ctx)
+    assert _one_row_outcome(rows, ctx) == want
+    argv = ["color", "--n", str(_FED_N), "--k", str(k), "--edge", f"{edge[0]},{edge[1]}"]
+    monkeypatch.setattr(cli, "color_rows", None)  # a call would raise TypeError
+    for block in (1, 2, 3, 4, 5, _FED_LENGTH - 1):
+        monkeypatch.setattr(winding, "_BLOCK", block)
+        for mode in ("file", "stdin", "pipe"):
+            got = _fed_call(mode, argv, rows, tmp_path, monkeypatch, capsys)
+            assert got == want, (block, mode)
+    return want
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_fed_rows_match_the_stack_for_every_edge(k, tmp_path, monkeypatch, capsys):
+    # b then a fall on each side of every pass edge as the edge moves round
+    rng = np.random.default_rng(k)
+    for x in range(_FED_LENGTH):
+        edge = (x, (x + 1) % _FED_LENGTH)
+        rows = _fed_rows(k, edge, rng, count=3)
+        out, _, code = _assert_fed_like_stack(rows, k, edge, tmp_path, monkeypatch, capsys)
+        assert code == 0 and out.count("\n") == 3
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("at", [0, _FED_N, _FED_LENGTH - 1], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("outside", ["zero", "above"])
+def test_fed_row_with_a_color_outside_exits_2(
+    k, at, outside, tmp_path, monkeypatch, capsys
+):
+    edge = (3, 4)
+    row = _fed_rows(k, edge, np.random.default_rng(at))[0]
+    row[at] = 0 if outside == "zero" else k + 1
+    want = _assert_fed_like_stack([row], k, edge, tmp_path, monkeypatch, capsys)
+    assert want == ("", f"error: colors must be in 1..{k}\n", 2)
+
+
+def test_fed_row_with_odd_parity_exits_3(tmp_path, monkeypatch, capsys):
+    row = [3] + [1, 2] * _FED_N  # one fixed point at each end of the 3
+    want = _assert_fed_like_stack([row], 3, (0, 12), tmp_path, monkeypatch, capsys)
+    assert want[2] == 3 and want[0] == ""
+
+
+def test_fed_isolated_row_exits_4(tmp_path, monkeypatch, capsys):
+    row = [1, 2] + [1] * (_FED_LENGTH - 2)  # chord arc (12, 1) steps by 1 mod 5
+    want = _assert_fed_like_stack([row], 5, (0, 12), tmp_path, monkeypatch, capsys)
+    assert want[2] == 4 and want[0] == ""
+
+
+@pytest.mark.parametrize("width", [_FED_LENGTH - 2, _FED_LENGTH + 2])
+def test_fed_rows_of_the_wrong_width_exit_2(width, tmp_path, monkeypatch, capsys):
+    rows = [[1] * width] * 2
+    want = _assert_fed_like_stack(rows, 3, (0, 12), tmp_path, monkeypatch, capsys)
+    assert want == ("", f"error: assignment must have {_FED_LENGTH} entries\n", 2)
+
+
+@pytest.mark.parametrize("fault", ["parity", "outside", "isolated"])
+def test_fed_rows_stop_at_the_failing_middle_row(fault, tmp_path, monkeypatch, capsys):
+    k = 5 if fault == "isolated" else 3
+    edge = (5, 6)
+    rows = _fed_rows(k, edge, np.random.default_rng(1), count=3)
+    if fault == "parity":
+        rows[1] = [3] + [1, 2] * _FED_N
+    elif fault == "outside":
+        rows[1][_FED_N] = 4
+    else:
+        rows[1] = [1, 2] + [1] * (_FED_LENGTH - 2)
+    out, _, code = _assert_fed_like_stack(rows, k, edge, tmp_path, monkeypatch, capsys)
+    assert out.count("\n") == 1 and code == {"parity": 3, "outside": 2, "isolated": 4}[fault]
 
 
 def test_importing_the_cli_leaves_the_pool_and_bench_unloaded():
