@@ -13,7 +13,8 @@ Subcommands
 ``bench``   time the O(n) per-vertex coloring and the exponential
             baseline.
 
-Exit codes are stable API: 0 success, 1 verification violations,
+Exit codes are stable API: 0 success, 1 verification violations (for
+``color``, a broken internal invariant: ``InvariantViolationError``),
 2 usage, 3 parity-domain error, 4 isolated assignment, 5 capacity.
 
 Cycle vertices are 0-based ids; ``--edge A,B`` names the distinguished
@@ -232,14 +233,6 @@ def _digits(blocks: Iterable[bytes], take: _Take) -> tuple[int, int] | None:
     if read % width or joins != rows - 1 or (rows > 1 and broke_inside):
         return None
     return rows, width // 2
-
-
-def _digit_stack(blocks: Iterable[bytes]) -> np.ndarray | None:
-    """The rows of a payload of one-digit arrays, as a uint8 (rows, L)
-    stack; None for any other payload (see :func:`_digits`)."""
-    digits = bytearray()
-    shape = _digits(blocks, digits.extend)
-    return None if shape is None else np.frombuffer(digits, dtype=np.uint8).reshape(shape)
 
 
 def _json_rows(text: str) -> list[tuple[int, ...]]:
@@ -490,6 +483,8 @@ def cmd_color(args: argparse.Namespace) -> int:
         return _fail(str(exc), EXIT_ISOLATED)
     except CapacityError as exc:
         return _fail(str(exc), EXIT_CAPACITY)
+    except InvariantViolationError as exc:
+        return _fail(str(exc), EXIT_VIOLATIONS)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc), EXIT_USAGE)
 

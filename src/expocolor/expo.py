@@ -7,6 +7,12 @@ with g(v) and g(u) compatible with f(v).  Two targets are supported —
 the complete graph K_k (compatible = different) and the cycle C_k
 (compatible = adjacent on the cycle), selected by ``cycle_target``.
 
+The colors each vertex may take beside f are read from bitmasks, bit
+c-1 for color c: :func:`_allowed_masks` for one row, and
+:func:`allowed_masks` for a stack, the one stacked allowed-set kernel
+behind isolation (:func:`isolated_rows`), neighbor expansion
+(:func:`neighbor_pairs`) and the sampled neighbor draw of the verifiers.
+
 Everything here is exponential in |V(H)| and guarded by explicit caps;
 the point is desk-scale ground truth, not scale.
 """
@@ -62,30 +68,16 @@ def _compatible(x: int, y: int, k: int, cycle_target: bool) -> bool:
 
 
 @cache
-def _compat_table(k: int, cycle_target: bool) -> np.ndarray:
-    """Read-only (k+1, k) bool table: row x marks the colors c in 1..k
-    compatible with x (row 0 is empty).
+def _compat_masks(k: int, cycle_target: bool) -> tuple[int, ...]:
+    """Entry x is the bitmask of the colors c in 1..k compatible with x,
+    bit c-1 for color c (entry 0 is empty).
 
     The one place adjacency is turned into data: the per-row bitmasks
-    and the stack kernel both read it.
+    and the stack kernel :func:`allowed_masks` both read it.
     """
-    tab = np.array(
-        [
-            [x > 0 and _compatible(c, x, k, cycle_target) for c in range(1, k + 1)]
-            for x in range(k + 1)
-        ],
-        dtype=bool,
-    )
-    tab.setflags(write=False)
-    return tab
-
-
-@cache
-def _compat_masks(k: int, cycle_target: bool) -> tuple[int, ...]:
-    """Row x of :func:`_compat_table` as a bitmask, bit c-1 for color c."""
-    return tuple(
-        sum(1 << int(c) for c in np.flatnonzero(row))
-        for row in _compat_table(k, cycle_target)
+    return (0,) + tuple(
+        sum(1 << (c - 1) for c in range(1, k + 1) if _compatible(c, x, k, cycle_target))
+        for x in range(1, k + 1)
     )
 
 
@@ -159,49 +151,35 @@ def row_index(fs: np.ndarray, k: int) -> np.ndarray:
     return idx
 
 
-def allowed_table(
+def allowed_masks(
     h: Graph, fs: np.ndarray, k: int, cycle_target: bool = False
 ) -> np.ndarray:
-    """:func:`allowed_colors` of every row of a stack, as one bool table.
+    """:func:`_allowed_masks` of every row of a stack, vertex-major.
 
-    ``fs`` is (R, |V(h)|) with colors in 1..k (not checked).  Entry
-    ``[r, v, c - 1]`` is True iff color c is compatible with ``fs[r]`` on
-    every neighbor of v: the AND of the compatibility table over v's host
-    neighbors.  Row r is isolated iff some vertex allows no color.
-
-    Built vertex-major, as a (|V(h)|, R, k) table ANDed from contiguous
-    columns of the transposed stack, and returned as its (R, |V(h)|, k) view.
+    ``fs`` is (R, |V(h)|) with colors in 1..k (not checked).  Returns the
+    (|V(h)|, R) array whose entry ``[v, r]`` has bit c-1 set iff color c
+    is compatible with ``fs[r]`` on every neighbor of v: the AND of the
+    neighbors' :func:`_compat_masks`, taken over contiguous columns of
+    the transposed stack.  Row r is isolated iff some entry of column r
+    is 0.  Entries are the narrowest unsigned dtype holding k bits, or
+    Python ints (object) past 64 colors, so every mask is exact.
     """
-    tab = _compat_table(k, cycle_target)
+    full = (1 << k) - 1
+    lut = np.array(_compat_masks(k, cycle_target), dtype=np.min_scalar_type(full))
     cols = np.asarray(fs).T.copy()
-    allowed = np.ones((h.vertex_count, cols.shape[1], k), dtype=bool)
+    allowed = np.full((h.vertex_count, cols.shape[1]), full, dtype=lut.dtype)
     for v, nbrs in enumerate(h.neighbors):
         for w in nbrs:
-            allowed[v] &= tab[cols[w]]
-    return allowed.transpose(1, 0, 2)
+            allowed[v] &= lut[cols[w]]
+    return allowed
 
 
 def isolated_rows(
     h: Graph, fs: np.ndarray, k: int, cycle_target: bool = False
 ) -> np.ndarray:
-    """:func:`is_isolated` of every row of a stack, as one bool array.
-
-    ``fs`` is (R, |V(h)|) with colors in 1..k (not checked).  Per vertex
-    v and row, the AND of the compatible-color bitmasks
-    (:func:`_compat_masks`) of v's neighbors is one small int; a row is
-    isolated iff some vertex's AND is 0.  That reads a k-th of the data
-    of :func:`allowed_table`, which holds the same sets as bools.
-    """
-    full = (1 << k) - 1
-    lut = np.array(_compat_masks(k, cycle_target), dtype=np.min_scalar_type(full))
-    cols = np.asarray(fs).T.copy()
-    isolated = np.zeros(cols.shape[1], dtype=bool)
-    for nbrs in h.neighbors:
-        allowed = np.full(cols.shape[1], full, dtype=lut.dtype)
-        for w in nbrs:
-            allowed &= lut[cols[w]]
-        isolated |= allowed == 0
-    return isolated
+    """:func:`is_isolated` of every row of a stack, as one bool array:
+    some vertex's :func:`allowed_masks` entry is 0."""
+    return (allowed_masks(h, fs, k, cycle_target) == 0).any(axis=0)
 
 
 def neighbor_pairs(
@@ -213,7 +191,8 @@ def neighbor_pairs(
     ``gs[p]`` is a neighbor of ``fs[src[p]]``, sources come in row order
     and each source's neighbors in lexicographic order — exactly what
     :func:`neighbors` streams, row after row.  The product of the
-    :func:`allowed_table` sets is expanded one vertex at a time.
+    :func:`allowed_masks` sets is expanded one vertex at a time, each
+    partial row by the set bits of its vertex's mask.
     """
     fs = np.asarray(fs)
     if fs.ndim != 2 or fs.shape[1] != h.vertex_count:
@@ -222,12 +201,13 @@ def neighbor_pairs(
         )
     if fs.size and (fs.min() < 1 or fs.max() > k):
         raise ValueError(f"colors must be in 1..{k}")
-    allowed = allowed_table(h, fs, k, cycle_target)
-    src = np.flatnonzero(allowed.any(axis=2).all(axis=1))
+    allowed = allowed_masks(h, fs, k, cycle_target)
+    src = np.flatnonzero((allowed != 0).all(axis=0))
+    bits = np.array([1 << c for c in range(k)], dtype=allowed.dtype)
     dtype = _color_dtype(k)
     gs = np.empty((len(src), 0), dtype=dtype)
     for v in range(h.vertex_count):
-        parent, color = np.nonzero(allowed[src, v])
+        parent, color = np.nonzero(allowed[v, src][:, None] & bits)
         src = src[parent]
         gs = np.column_stack((gs[parent], (color + 1).astype(dtype)))
     return src, gs

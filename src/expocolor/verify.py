@@ -379,12 +379,15 @@ def verify_proper_ck(n: int, k: int, cap: int = DEFAULT_CAP) -> VerificationRepo
 
     Sweeps every assignment ``V(C_{2n+1}) -> {1..k}`` for odd ``k >= 5``
     and verifies that three independent isolation tests agree: the
-    number of neighbors enumerated by :func:`.expo.neighbor_pairs` (each
-    pair re-checked here against every host edge), the per-vertex
-    allowed-set test, and the arc-residue test performed by label
-    arithmetic.  Every non-isolated even-class assignment is then
-    colored, and every adjacent pair of such assignments must receive
-    colors that are themselves adjacent on the ``k``-cycle.
+    number of neighbors enumerated by :func:`.expo.neighbor_pairs` from
+    the stacked :func:`.expo.allowed_masks` (each pair re-checked here
+    against every host edge), the per-row allowed-set test
+    :func:`.expo.is_isolated`, and the arc-residue test performed by
+    label arithmetic.  Masks past 64 colors hold Python ints, so every
+    ``k`` the CLI accepts is swept exactly.  Every non-isolated
+    even-class assignment is then colored, and every adjacent pair of
+    such assignments must receive colors that are themselves adjacent
+    on the ``k``-cycle.
     """
     t0 = time.perf_counter()
     ctx, rows, (_, _, fixed, residue_isolated) = _sweep_tour(n, k, cap)
@@ -559,6 +562,12 @@ def verify_baseline(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
 
 
 _DRAW_ENTRIES = 1 << 16  # colors per block of rows drawn or tested for isolation
+# Per 3-color bitmask (bit c-1 for color c): its colors in ascending
+# order, 0 past the last, and the size of its set.
+_NTH_COLOR = np.array(
+    [([c for c in (1, 2, 3) if m >> (c - 1) & 1] + [0, 0, 0])[:3] for m in range(8)], np.uint8
+)
+_SET_SIZE = np.count_nonzero(_NTH_COLOR, axis=1)
 
 
 def _uniform3(rng: random.Random, count: int) -> np.ndarray:
@@ -582,7 +591,13 @@ def _not_isolated(host: Graph, rows: np.ndarray) -> np.ndarray:
 
 def _sample_pairs(host: Graph, rng: random.Random, samples: int):
     """``samples`` seeded non-isolated rows, one uniform neighbor of each,
-    and the number of candidate rows drawn up to the last row kept."""
+    and the number of candidate rows drawn up to the last row kept.
+
+    The neighbor's color at each vertex is uniform over the set of
+    :func:`.expo.allowed_masks`: each mask's size and n-th color are
+    read from ``_SET_SIZE`` and ``_NTH_COLOR``, and the positions are
+    drawn for the 3-sets, then the 2-sets, each in (row, vertex) order.
+    """
     nv, kept, draws, need = host.vertex_count, [], 0, samples
     while need:
         block = _uniform3(rng, max(_DRAW_ENTRIES // nv, 1) * nv).reshape(-1, nv) + 1
@@ -591,14 +606,13 @@ def _sample_pairs(host: Graph, rng: random.Random, samples: int):
         need -= len(kept[-1])
         draws += len(block) if need else int(live[len(kept[-1]) - 1]) + 1
     fs = np.concatenate(kept)
-    allowed = expo.allowed_table(host, fs, 3)
-    size = allowed.sum(axis=2)
+    allowed = expo.allowed_masks(host, fs, 3).T  # (samples, |V|), drawn in C order
+    size = _SET_SIZE[allowed]
     pick = np.zeros(size.shape, dtype=np.uint8)  # position in the allowed set
     pick[size == 3] = _uniform3(rng, np.count_nonzero(size == 3))
     two = np.count_nonzero(size == 2)
     pick[size == 2] = np.unpackbits(np.frombuffer(rng.randbytes(-(-two // 8)), np.uint8))[:two]
-    gs = (allowed.cumsum(axis=2) > pick[..., None]).argmax(axis=2) + 1
-    return fs, gs.astype(np.uint8), draws
+    return fs, _NTH_COLOR[allowed, pick], draws
 
 
 def verify_end_to_end(

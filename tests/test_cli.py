@@ -4,7 +4,6 @@ import io
 import itertools
 import json
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -251,8 +250,11 @@ def digit_rows(data: bytes) -> np.ndarray | None:
 
 def _block_read(data: bytes) -> np.ndarray | None:
     """What the CLI's block reader makes of ``data``, in blocks of
-    ``winding._BLOCK`` bytes."""
-    return cli._digit_stack(iter(partial(io.BytesIO(data).read, winding._BLOCK), b""))
+    ``winding._BLOCK`` bytes: its digits as a uint8 (rows, L) stack, as
+    ``cli._read_assignments`` builds it, or None."""
+    digits = bytearray()
+    shape = cli._digits(iter(partial(io.BytesIO(data).read, winding._BLOCK), b""), digits.extend)
+    return None if shape is None else np.frombuffer(digits, dtype=np.uint8).reshape(shape)
 
 
 def _same_stack(got, want) -> bool:
@@ -564,6 +566,40 @@ def test_fed_rows_stop_at_the_failing_middle_row(fault, tmp_path, monkeypatch, c
     assert out.count("\n") == 1 and code == {"parity": 3, "outside": 2, "isolated": 4}[fault]
 
 
+@pytest.mark.parametrize("path", ["stack", "stack-only", "fed"])
+def test_color_exits_1_when_an_invariant_breaks(path, tmp_path, monkeypatch, capsys):
+    # With the side test stuck at 0, a colorable row whose endpoints differ
+    # breaks the little-path invariant.  Each cycle path writes the verdicts
+    # before that row, then its error, and exits 1, as it does for a row
+    # that fails only in the stack.  The --graph path is the "side stuck
+    # on l/2" case of the cache-saving test above.
+    monkeypatch.setattr(coloring, "_side_of", lambda p2, ell2: 0)
+    ctx = winding.OddCycleCtx.make(_FED_N, 3, (0, 12))
+    fed = _fed_rows(3, (0, 12), np.random.default_rng(2), count=12)
+    equal = [row for row in fed if row[0] == row[12]]
+    rows = [equal[0], next(row for row in fed if row[0] != row[12]), equal[1]]
+    lines = json.dumps(coloring.color_vertex(rows[0], ctx).to_json_dict()) + "\n"
+    with pytest.raises(InvariantViolationError) as error:
+        coloring.color_vertex(rows[1], ctx)
+    error = error.value
+    if path == "fed":
+        monkeypatch.setattr(cli, "color_rows", None)  # a call would raise TypeError
+        monkeypatch.setattr(winding, "_BLOCK", 5)
+    else:
+        monkeypatch.setattr(cli, "RowFeed", None)
+    if path == "stack-only":  # the stack fails row 0, which colors alone
+        real = cli.color_rows
+        monkeypatch.setattr(
+            cli,
+            "color_rows",
+            lambda fs, c: real(fs, c)._replace(failed=np.array([0]), errors=[error]),
+        )
+        lines, error = "", "row 0 failed only in the stack"
+    argv = ["color", "--n", str(_FED_N), "--edge", "0,12"]
+    got = _fed_call("file", argv, rows, tmp_path, monkeypatch, capsys)
+    assert got == (lines, f"error: {error}\n", cli.EXIT_VIOLATIONS)
+
+
 def test_importing_the_cli_leaves_the_pool_and_bench_unloaded():
     # ``color`` needs neither; ``verify --threads`` and ``bench`` import them
     code = (
@@ -694,13 +730,9 @@ def test_color_general_host_saves_the_cache_of_the_rows_before_a_failure(
     save_graph(h, graph)
     argv = ["color", "--graph", str(graph), "--cache", str(cache_path)]
     stdin = "\n".join(map(json.dumps, stack))
-    if isinstance(error, IsolatedFunctionError):
-        assert run_cli(argv, stdin, monkeypatch) == 4
-        assert capsys.readouterr() == (lines, f"error: {error}\n")
-    else:
-        with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
-            run_cli(argv, stdin, monkeypatch)
-        assert capsys.readouterr().out == lines
+    code = 4 if isinstance(error, IsolatedFunctionError) else 1
+    assert run_cli(argv, stdin, monkeypatch) == code
+    assert capsys.readouterr() == (lines, f"error: {error}\n")
     assert json.loads(cache_path.read_text()) == cycles
 
 

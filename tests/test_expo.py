@@ -13,7 +13,7 @@ from expocolor.expo import (
     ExpoGraph,
     _check_assignment,
     allowed_colors,
-    allowed_table,
+    allowed_masks,
     assignment_grid,
     build_exponential,
     components,
@@ -27,15 +27,17 @@ from expocolor.expo import (
 from expocolor.graphs import CycleWitness, Graph, make_complete, make_cycle
 
 
+def ok(x, y, k, cycle_target=False):
+    """Compatibility of two target colors, straight from the definition."""
+    if cycle_target:
+        return (x - y) % k in (1, k - 1)
+    return x != y
+
+
 def brute_adjacent(h, f, g, k, cycle_target=False):
     """Adjacency straight from the definition, no shortcuts."""
-    def ok(x, y):
-        if cycle_target:
-            return (x - y) % k in (1, k - 1)
-        return x != y
-
     for u, v in h.edges():
-        if not ok(f[u], g[v]) or not ok(g[u], f[v]):
+        if not ok(f[u], g[v], k, cycle_target) or not ok(g[u], f[v], k, cycle_target):
             return False
     return True
 
@@ -78,13 +80,11 @@ def test_are_adjacent_cycle_target_example():
 def brute_pairs(h, k, cycle_target=False):
     """Every ordered adjacent pair over the whole space, by the quadratic
     filter of the definition: (source rows, neighbor rows) in grid order."""
-    def ok(x, y):
-        if cycle_target:
-            return (x - y) % k in (1, k - 1)
-        return x != y
-
     ok_tab = np.array(
-        [[x > 0 and y > 0 and ok(x, y) for y in range(k + 1)] for x in range(k + 1)]
+        [
+            [x > 0 and y > 0 and ok(x, y, k, cycle_target) for y in range(k + 1)]
+            for x in range(k + 1)
+        ]
     )
     rows = np.array(list(all_assignments(h, k)), dtype=np.int64)
     srcs, dsts = [], []
@@ -163,28 +163,58 @@ def test_neighbor_pairs_rejects_bad_stacks():
         neighbor_pairs(h, np.array([[0, 2, 3]]), 3)
 
 
-@pytest.mark.parametrize("k", [3, 5])
-@pytest.mark.parametrize("cyc", [False, True], ids=["complete", "cycle"])
-def test_allowed_table_matches_allowed_colors_row_by_row(k, cyc):
+@pytest.mark.parametrize(
+    "k, cyc",
+    [(3, False), (3, True), (5, False), (5, True), (65, True)],
+    ids=["k3-complete", "k3-cycle", "k5-complete", "k5-cycle", "k65-cycle"],
+)
+def test_allowed_masks_matches_the_one_row_functions_row_by_row(k, cyc):
     # built vertex-major from the transposed stack; each row must read
-    # exactly the per-row sets, on hosts with isolated vertices too
-    hosts = [make_complete(4), make_cycle(7), Graph.from_edges(6, [(0, 1), (1, 2), (0, 2)])]
-    rng = np.random.default_rng(k + 2 * cyc)
-    for h in hosts:
-        for dtype in (np.int8, np.uint8, np.int64):
-            fs = rng.integers(1, k + 1, size=(300, h.vertex_count)).astype(dtype)
-            table = allowed_table(h, fs, k, cyc)
-            assert table.shape == (300, h.vertex_count, k)
-            for f, got in zip(fs.tolist(), table.tolist()):
-                want = allowed_colors(h, f, k, cyc)
-                assert [tuple(c + 1 for c in range(k) if row[c]) for row in got] == want
-    assert allowed_table(make_cycle(3), np.ones((0, 3), np.int8), k, cyc).shape == (0, 3, k)
+    # exactly the per-row sets, which must be those of the definition, on
+    # hosts with isolated vertices too, and
+    # on a cycle target its isolation and neighbors too (at most two
+    # colors a vertex keep the products small).  Past 64 colors the masks
+    # are Python ints: on C_3 into 65 colors, rows of colors at both ends
+    # of 1..65 set bits 63 and 64 and step round the cycle from 65 to 1.
+    if k > 64:
+        ends = (1, 2, 3, 63, 64, 65)
+        stacks = [(make_cycle(3), np.array(list(itertools.product(ends, repeat=3))))]
+    else:
+        hosts = [make_complete(4), make_cycle(7), Graph.from_edges(6, [(0, 1), (1, 2), (0, 2)])]
+        rng = np.random.default_rng(k + 2 * cyc)
+        stacks = [
+            (h, rng.integers(1, k + 1, size=(300, h.vertex_count)).astype(dtype))
+            for h in hosts
+            for dtype in (np.int8, np.uint8, np.int64)
+        ]
+    seen = set()
+    for h, fs in stacks:
+        masks = allowed_masks(h, fs, k, cyc)
+        assert masks.shape == (h.vertex_count, len(fs))
+        for f, got in zip(fs.tolist(), masks.T.tolist()):
+            want = allowed_colors(h, f, k, cyc)
+            assert [tuple(c for c in range(1, k + 1) if m >> (c - 1) & 1) for m in got] == want
+            assert want == [
+                tuple(c for c in range(1, k + 1) if all(ok(c, f[w], k, cyc) for w in nbrs))
+                for nbrs in h.neighbors
+            ]
+        if cyc:
+            isolated = isolated_rows(h, fs, k, cyc)
+            assert isolated.tolist() == [is_isolated(h, f, k, cyc) for f in fs.tolist()]
+            seen.update(isolated.tolist())
+            src, gs = neighbor_pairs(h, fs, k, cyc)
+            starts = np.searchsorted(src, np.arange(len(fs) + 1))
+            for r, f in enumerate(fs.tolist()):
+                want = [tuple(g) for g in gs[starts[r] : starts[r + 1]].tolist()]
+                assert list(neighbors(h, f, k, cyc)) == want
+    assert seen == ({False, True} if cyc else set())
+    assert allowed_masks(make_cycle(3), np.ones((0, 3), np.int8), k, cyc).shape == (3, 0)
 
 
 @pytest.mark.parametrize("k, cyc", [(3, False), (5, True)], ids=["K3", "C5"])
-def test_isolated_rows_matches_allowed_table_and_is_isolated(k, cyc, grotzsch):
+def test_isolated_rows_matches_is_isolated(k, cyc, grotzsch):
     # the bitmask AND must mark exactly the rows with an empty allowed set,
-    # on hosts with isolated vertices too, and agree with the scalar test
+    # on hosts with isolated vertices too, as the scalar test does
     hosts = [
         make_complete(4),
         make_cycle(7),
@@ -198,8 +228,6 @@ def test_isolated_rows_matches_allowed_table_and_is_isolated(k, cyc, grotzsch):
             fs = rng.integers(1, k + 1, size=(400, h.vertex_count)).astype(dtype)
             got = isolated_rows(h, fs, k, cyc)
             assert got.dtype == bool and got.shape == (400,)
-            want = ~allowed_table(h, fs, k, cyc).any(axis=2).all(axis=1)
-            assert got.tolist() == want.tolist()
             assert got.tolist() == [is_isolated(h, f, k, cyc) for f in fs.tolist()]
             seen.update(got.tolist())
     assert seen == {False, True}

@@ -539,7 +539,7 @@ def test_sampled_rows_are_the_first_non_isolated_candidates(grotzsch):
 
 
 def test_sampled_neighbors_are_adjacent_on_every_host_edge(grotzsch, chvatal):
-    # checked against the definition, not through allowed_table
+    # checked against the definition, not through expo.allowed_masks
     for h in (grotzsch, chvatal):
         fs, gs, _ = _sampled(h, 2000, seed=4)
         for u, v in h.edges():
