@@ -41,6 +41,12 @@ its one-row routine raises, ends the call (a stack's failing row is
 colored alone by that routine again).  A general host's cycle cache is
 saved whether or not a row failed, holding the cycles found by the rows
 before the failing one and by that row itself.
+
+On a general host a row's color depends on the cache: on which cycles
+it holds, and in what order.  Rows colored through one cache (one call,
+or calls that share one ``--cache`` file) are colored properly against
+each other; separate calls without a shared cache can color adjacent
+rows alike (ROADMAP item 1).
 """
 
 from __future__ import annotations

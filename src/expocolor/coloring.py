@@ -329,6 +329,11 @@ def _color_one(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:
     if arr.ndim != 1 or len(arr) != ctx.length:
         raise _wrong_shape(ctx)
     if arr.dtype.kind not in "iu":
+        # Python ints past int64 make an object array: out of range, not non-integer
+        if arr.dtype == object and all(type(c) is int for c in arr) and not (
+            1 <= min(arr) and max(arr) <= ctx.k
+        ):
+            raise _out_of_range(ctx)
         raise _wrong_dtype(arr)
     if arr.item(arr.argmin()) < 1 or arr.item(arr.argmax()) > ctx.k:
         raise _out_of_range(ctx)
@@ -539,6 +544,11 @@ def color_in_kh(
     the same cache, possibly extended.  Appends must be serialized if a
     cache is shared across workers; reads may race.
 
+    The color depends on the cache: on which cycles it holds, and in
+    what order.  Rows colored through one cache, which only grows, are
+    colored properly against each other; rows colored through separate
+    caches can be adjacent and alike (ROADMAP item 1).
+
     This is the one-row case of :func:`color_rows_in_kh`, which colors a
     stack with the same verdicts and leaves the same cache, and the
     reference it is tested against.
@@ -591,6 +601,11 @@ def color_rows_in_kh(
       the sequential loop would have found for it.
     * One :func:`color_rows` call per serving cycle colors its rows'
       restrictions, and the verdicts are put back in input order.
+
+    As for :func:`color_in_kh`, a row's color depends on which cycles the
+    cache holds, and in what order: the rows of one call, and of calls
+    that pass on the cache one returns, are colored properly against each
+    other, but calls on separate caches can color adjacent rows alike.
     """
     if cache is None:
         cache = CycleCache()

@@ -448,6 +448,16 @@ def _edge_array(g: Graph) -> np.ndarray:
     return np.array(g.edges(), dtype=np.int64).reshape(-1, 2)
 
 
+def _even_class(n: int, cap: int, viol: _Tally) -> ExpoGraph | None:
+    """:func:`coloring.even_class_subgraph`, or None with a violation when
+    building it breaks an invariant (a self-loop in the even class)."""
+    try:
+        return coloring.even_class_subgraph(n, cap=cap)
+    except InvariantViolationError as exc:
+        viol.add(f"even-class subgraph failed outright: {exc}")
+        return None
+
+
 def verify_hitting_set(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     """Check that equal-endpoint assignments hit every odd structure.
 
@@ -459,8 +469,11 @@ def verify_hitting_set(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     """
     t0 = time.perf_counter()
     ctx = OddCycleCtx.make(n, 3)
-    ke = coloring.even_class_subgraph(n, cap=cap)
     viol = _Tally()
+    statement = "hitting set / bipartite remainder"
+    ke = _even_class(n, cap, viol)
+    if ke is None:
+        return _report(statement, {"n": n}, 0, viol, {}, t0)
     expected = {
         f
         for f in itertools.product((1, 2, 3), repeat=ctx.length)
@@ -500,7 +513,6 @@ def verify_hitting_set(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     }
     if ke.vertex_count <= CHROMATIC_HARD_CAP:
         details["even_class_chi"] = chromatic_number_exact(ke_graph)
-    statement = "hitting set / bipartite remainder"
     checked = remainder.vertex_count + len(edges)
     return _report(statement, {"n": n}, checked, viol, details, t0)
 
@@ -516,15 +528,18 @@ def verify_baseline(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     """
     t0 = time.perf_counter()
     ctx = OddCycleCtx.make(n, 3)
-    ke = coloring.even_class_subgraph(n, cap=cap)
     viol = _Tally()
+    statement = "baseline graph coloring"
+    ke = _even_class(n, cap, viol)
+    if ke is None:
+        return _report(statement, {"n": n}, 0, viol, {}, t0)
     checked = ke.vertex_count
     try:
         assigned = coloring.color_graph_baseline(ke, ctx)
     except InvariantViolationError as exc:
         viol.add(f"baseline coloring failed outright: {exc}")
         details = {"even_class_size": ke.vertex_count}
-        return _report("baseline graph coloring", {"n": n}, checked, viol, details, t0)
+        return _report(statement, {"n": n}, checked, viol, details, t0)
     # the values as given, compared as Python objects: a missing vertex is None
     given = np.fromiter(map(assigned.get, ke.vertices), dtype=object)
     for i in np.flatnonzero(~np.isin(given, (1, 2, 3))):
@@ -558,7 +573,7 @@ def verify_baseline(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
         "edges": len(edges),
         "equal_endpoint_count": len(equal),
     }
-    return _report("baseline graph coloring", {"n": n}, checked, viol, details, t0)
+    return _report(statement, {"n": n}, checked, viol, details, t0)
 
 
 _DRAW_ENTRIES = 1 << 16  # colors per block of rows drawn or tested for isolation

@@ -18,7 +18,7 @@ from expocolor import cli, coloring, winding
 from expocolor.cli import main
 from expocolor.errors import InvariantViolationError, IsolatedFunctionError, ParityDomainError
 from expocolor.coloring import CycleCache, color_in_kh, color_rows_in_kh, find_even_cycle
-from expocolor.expo import is_isolated
+from expocolor.expo import allowed_colors, is_isolated
 from expocolor.graphs import graph_from_json_dict, save_graph
 from expocolor.winding import in_even_class
 
@@ -734,6 +734,27 @@ def test_color_general_host_saves_the_cache_of_the_rows_before_a_failure(
     assert run_cli(argv, stdin, monkeypatch) == code
     assert capsys.readouterr() == (lines, f"error: {error}\n")
     assert json.loads(cache_path.read_text()) == cycles
+
+
+@pytest.mark.parametrize("order", ["f first", "g first"])
+def test_color_general_host_calls_sharing_a_cache_color_adjacent_rows_apart(
+    order, grotzsch, tmp_path, capsys, monkeypatch
+):
+    # f and g are adjacent rows of Grötzsch (the Mycielskian of C_5); calls
+    # without a shared cache color both 2, so only the cache file keeps two
+    # calls proper against each other
+    h = grotzsch
+    f = [1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1]
+    g = [3, 2, 2, 3, 2, 3, 2, 2, 3, 2, 2]
+    assert all(c in allowed for c, allowed in zip(g, allowed_colors(h, f, 3)))
+    graph, cache_path = tmp_path / "grotzsch.json", tmp_path / "cache.json"
+    save_graph(h, graph)
+    argv = ["color", "--graph", str(graph), "--cache", str(cache_path)]
+    colors = {}
+    for name, row in (("f", f), ("g", g)) if order == "f first" else (("g", g), ("f", f)):
+        assert run_cli(argv, json.dumps(row), monkeypatch) == 0
+        colors[name] = json.loads(capsys.readouterr().out)["color"]
+    assert colors["f"] != colors["g"]
 
 
 def test_color_general_host_isolated_exits_4(tmp_path, capsys, monkeypatch):

@@ -138,59 +138,14 @@ def test_color_vertex_same_verdict_for_every_integer_form():
         np.array([1, 1, 1, 1, 2**40 + 1], dtype=np.int64),
         np.array([1, 1, 1, 1, -(2**63) + 1], dtype=np.int64),
         (1, 1, 1, 1, 257),
+        (1, 1, 1, 1, 2**64 + 1),  # past int64 and uint64: an object array
+        (1, 1, 1, 1, -(2**64)),
     ],
 )
 def test_color_vertex_range_check_sees_values_before_the_cast(row):
     # Each bad value is 1 modulo 256: an int8 cast taken first would pass it.
     with pytest.raises(ValueError, match="1..3"):
         color_vertex(row, CTX5)
-
-
-def _scalar_verdict(f, ctx):
-    ell, p = label(f, ctx), little_path(f, ctx)  # raise if f is isolated
-    if not in_even_class(f, ctx.n):
-        raise ParityDomainError(f"{f} has odd parity")
-    fa, fb = f[ctx.a], f[ctx.b]
-    if fa == fb:
-        return ColorVerdict(fa, Branch.EQUAL_ENDPOINTS, ell, p)
-    if 2 * p.doubled < ell.doubled:
-        return ColorVerdict(fa, Branch.BELOW_HALF, ell, p)
-    return ColorVerdict(fb, Branch.ABOVE_HALF, ell, p)
-
-
-def _outcome(color, f, ctx):
-    try:
-        return color(f, ctx)
-    except (IsolatedFunctionError, ParityDomainError) as exc:
-        return type(exc)
-
-
-# Colors 128..131 do not fit in int8, and their steps to and from 1..3
-# (up to ±130) overflow it: a kernel that cast to int8 would mis-bin them.
-K131_COLORS = (1, 2, 3, 127, 128, 129, 130, 131)
-
-
-@pytest.mark.parametrize(
-    "n, k, colors",
-    [pytest.param(n, 3, (1, 2, 3), id=str(n)) for n in (1, 2, 3)]
-    + [
-        pytest.param(n, k, tuple(range(1, k + 1)), id=f"{n}-k{k}")
-        for k in (5, 7, 9)
-        for n in (1, 2)
-    ]
-    + [pytest.param(1, 131, K131_COLORS, id="1-k131")],
-)
-def test_color_vertex_matches_scalar_oracle_on_every_edge(n, k, colors):
-    # The default edge (0, 2n) has a = 0, whose chord path never wraps past
-    # id 2n; the other edges start the path elsewhere, and most wrap.  Both
-    # must give the oracle's verdict or raise the same exception class.
-    color = color_vertex if k == 3 else color_vertex_ck
-    length = 2 * n + 1
-    rows = list(itertools.product(colors, repeat=length))
-    for e in range(length):
-        ctx = OddCycleCtx.make(n, k, (e, (e + 1) % length))
-        for f in rows:
-            assert _outcome(color, f, ctx) == _outcome(_scalar_verdict, f, ctx), (ctx.a, f)
 
 
 INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]

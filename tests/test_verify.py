@@ -383,6 +383,16 @@ def _drop_first_distinct_endpoint_row(monkeypatch):
     monkeypatch.setattr(coloring, "even_class_subgraph", bad)
 
 
+def _no_fixed_points(monkeypatch):
+    real = coloring.np_tour
+
+    def bad(fs, ctx):
+        ell2, p2, fixed, isolated = real(fs, ctx)
+        return ell2, p2, fixed * 0, isolated
+
+    monkeypatch.setattr(coloring, "np_tour", bad)
+
+
 def _edit_baseline(edit):
     """A color_graph_baseline whose result ``edit(ke, ctx, colors)`` changes."""
 
@@ -426,6 +436,7 @@ _FAULTS = {
     "verify.bipartition finds none": _no_bipartition(verify),
     "coloring.bipartition finds none": _no_bipartition(coloring),
     "even class loses a distinct-endpoint row": _drop_first_distinct_endpoint_row,
+    "np_tour counts no fixed points": _no_fixed_points,
     "baseline colors the first vertex 4": _edit_baseline(_color_first_vertex_four),
     "baseline leaves the first vertex uncolored": _edit_baseline(_uncolor_first_vertex),
     "baseline colors the first edge alike": _edit_baseline(_color_first_edge_alike),

@@ -1,16 +1,23 @@
 """Arc arithmetic on odd cycles, checked against hand-computed values.
 
 The oracle values here were worked out independently (literal tables,
-hand-walked tours) so the module under test cannot vouch for itself.
+hand-walked tours, and numpy sums over the chord steps) so the module
+under test cannot vouch for itself.
 """
 
 import itertools
 import tracemalloc
+from functools import partial
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from expocolor.errors import IsolatedFunctionError, ParityDomainError
+from expocolor import winding
+from expocolor.coloring import Branch, color_rows, color_vertex, color_vertex_ck
+from expocolor.errors import InvariantViolationError, IsolatedFunctionError, ParityDomainError
 from expocolor.winding import (
     FAR,
     Half,
@@ -226,51 +233,8 @@ def test_label_cycle_codomain_raises_on_isolated():
         little_path((1, 2, 4), ctx)
 
 
-def test_np_labels3_agrees_with_scalar():
-    # Labels of every three-color assignment at n = 2 from one 2-D stack.
-    import numpy as np
-
-    ctx = OddCycleCtx.make(2, 3)
-    rows = list(itertools.product((1, 2, 3), repeat=5))
-    ell2 = np_tour(np.array(rows), ctx)[0]
-    for row, lab in zip(rows, ell2):
-        assert label(row, ctx) == Half(int(lab))
-
-
-def _np_tour_agrees_with_scalar_on_every_edge(k):
-    # Every assignment at n = 2 as one uint8 stack and row by row: label,
-    # little path on every edge, fixed points, and isolation exactly where
-    # the scalar label raises.
-    import numpy as np
-
-    rows = list(itertools.product(range(1, k + 1), repeat=5))
-    for e in range(5):
-        ctx = OddCycleCtx.make(2, k, (e, (e + 1) % 5))
-        stack = np_tour(np.array(rows, dtype=np.uint8), ctx)
-        for i, row in enumerate(rows):
-            ell2, p2, fp, isolated = (x[i].item() for x in stack)
-            assert np_tour(np.array(row, dtype=np.uint8), ctx) == (ell2, p2, fp, isolated)
-            assert fp == len(fixed_points(row, 2))
-            try:
-                want = (label(row, ctx).doubled, little_path(row, ctx).doubled)
-            except IsolatedFunctionError:
-                assert isolated, row
-                continue
-            assert not isolated and (ell2, p2) == want, (ctx.a, row)
-
-
-def test_np_little_paths3_and_fixed_points_agree_with_scalar_on_every_edge():
-    _np_tour_agrees_with_scalar_on_every_edge(3)
-
-
-def test_np_tour_agrees_with_scalar_on_every_edge_k5():
-    _np_tour_agrees_with_scalar_on_every_edge(5)
-
-
 # A couple of randomized extensions past the exhaustive range: hypothesis
-# draws cycle lengths well beyond what the sweeps above can afford.
-from hypothesis import given, settings
-from hypothesis import strategies as st
+# draws cycle lengths well beyond what the sweeps below can afford.
 
 
 @st.composite
@@ -282,8 +246,6 @@ def _odd_assignments(draw):
 
 @given(_odd_assignments())
 def test_label_congruence_on_random_assignments(case):
-    import numpy as np
-
     n, f = case
     ctx = OddCycleCtx.make(n, 3)
     ell = label(f, ctx)
@@ -294,8 +256,6 @@ def test_label_congruence_on_random_assignments(case):
 
 @given(_odd_assignments(), st.integers(min_value=0))
 def test_np_tour_matches_scalar_on_random_edges(case, edge):
-    import numpy as np
-
     n, f = case
     length = 2 * n + 1
     ctx = OddCycleCtx.make(n, 3, (edge % length, (edge + 1) % length))
@@ -306,139 +266,181 @@ def test_np_tour_matches_scalar_on_random_edges(case, edge):
     assert not isolated
 
 
-# -- the kernel at its block boundaries ----------------------------------------
+# -- the kernel and the decision against an independent oracle ----------------
 #
-# np_tour walks the tour in passes of at most winding._BLOCK entries, the last
-# pass of a row wrapping to ids 0 and 1, and tiles a stack by rows, at most
-# _BLOCK entries and _BLOCK bins a tile.  These tests put rows, little paths
-# and stacks on every side of a pass boundary and compare both forms of the
-# kernel with the scalar label / little_path / fixed_points, over every
-# integer dtype.
-
-import numpy as np
-
-from expocolor import winding
+# One comparison checks a (rows, L) stack on one edge against _oracle: np_tour
+# on the stack in each dtype and on sampled rows in the case's 1-d dtypes,
+# color_rows on the stack, the one-row routine on the sampled rows and, where
+# asked, the scalar label / little_path / fixed_points.  The cases are every
+# row of a small cycle on every edge, rows and little paths on either side of
+# a kernel pass (winding._BLOCK patched), rows at n = 10^4, stacks around the
+# tile bounds (at most _BLOCK entries and _BLOCK bins a tile), and hypothesis
+# draws of the cycle, the codomain, the edge, the dtype and the pass size.
 
 _BLOCK = winding._BLOCK
 _INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+_ERRORS = (ValueError, IsolatedFunctionError, ParityDomainError, InvariantViolationError)
 
 
-def _scalar_tour(row, ctx):
-    """(ell2, p2, fixed, isolated) from the scalar reference; ell2 and p2
-    are None for an isolated row, where the scalar functions raise."""
-    fixed = len(fixed_points(row, ctx.n))
+def _oracle(rows, k, edge):
+    """Each row's (ell2, p2, fixed, isolated), an isolating step counting 0,
+    and its verdict row [color, branch position, ell2, p2, -1], or [0, 0, 0,
+    0, the position in _ERRORS of its error]; by numpy sums over the chord
+    steps f(i+2) - f(i), reading nothing from expocolor."""
+    f = rows.astype(np.int64)
+    length = f.shape[1]
+    x, y = edge
+    a, b = (x, y) if x == (y + 1) % length else (y, x)  # n chord steps lead from a to b
+    # doubled Δ by the step's residue mod k; every residue left out isolates
+    if k == 3:
+        delta = {(j - i) % 3: 2 * d for (i, j), d in DELTA3_LITERAL.items()}
+    else:
+        delta = {0: 0, 2: 2, k - 2: -2}
+    value, allowed = np.zeros(k, np.int64), np.zeros(k, bool)
+    value[list(delta)], allowed[list(delta)] = list(delta.values()), True
+    steps = (np.roll(f, -2, axis=1) - f) % k  # the chord arc leaving each id
+    arcs = value[steps]
+    ell2, p2 = arcs.sum(1), arcs[:, (a + 2 * np.arange(length // 2)) % length].sum(1)
+    fixed = (np.roll(f, 1, axis=1) != np.roll(f, -1, axis=1)).sum(1)
+    isolated = ~allowed[steps].all(1)
+    fa, fb, side = f[:, a], f[:, b], np.sign(2 * p2 - ell2)
+    failed = [((f < 1) | (f > k)).any(1), isolated, fixed % 2 == 1, (fa != fb) & (side == 0)]
+    error = np.select(failed, [0, 1, 2, 3], -1)  # in the order the checks apply
+    ok = error < 0
+    branch = np.select([fa == fb, side < 0], [0, 1], 2) * ok
+    color = np.where(branch == 2, fb, fa) * ok
+    return (ell2, p2, fixed, isolated), np.column_stack([color, branch, ell2 * ok, p2 * ok, error])
+
+
+def _non_isolated_rows(rng, count, length, k):
+    """Random rows whose every chord arc steps by 0, 2 or k-2 mod k: steps
+    2e, e in {-1, 0, 1}, along the chord tour, with as many e of the sum's
+    sign set to 0 as the sum's remainder mod k, so that the tour closes."""
+    e = rng.integers(-1, 2, (count, length))
+    excess = np.fmod(e.sum(1), k)[:, None]  # of the sum's sign, so that many e of it exist
+    e[(e == np.sign(excess)) & (np.cumsum(e == np.sign(excess), 1) <= abs(excess))] = 0
+    colors = rng.integers(k, size=(count, 1)) + 2 * (np.cumsum(e, 1) - e)
+    rows = np.empty((count, length), np.int64)
+    rows[:, (2 * np.arange(length)) % length] = 1 + colors % k
+    return rows
+
+
+def _outcome(color, f, ctx):
+    """The one-row routine's verdict or error, as a row of _oracle's verdicts."""
     try:
-        return label(row, ctx).doubled, little_path(row, ctx).doubled, fixed, False
+        v = color(f, ctx)
+    except (ValueError, InvariantViolationError) as exc:
+        return [0, 0, 0, 0, _ERRORS.index(type(exc))]
+    return [v.color, list(Branch).index(v.branch), v.ell.doubled, v.p.doubled, -1]
+
+
+def _scalar_tour(f, ctx):
+    """(ell2, p2, fixed, isolated) by the scalar reference; ell2 and p2 are
+    None for an isolated row, where label and little_path raise."""
+    fixed = len(fixed_points(f, ctx.n))
+    try:
+        return label(f, ctx).doubled, little_path(f, ctx).doubled, fixed, False
     except IsolatedFunctionError:
         return None, None, fixed, True
 
 
-def _agrees(got, want):
-    ell2, p2, fixed, isolated = want
-    if isolated:
-        return tuple(got[2:]) == (fixed, True)
-    return tuple(got) == want
+def _compare(rows, k, edge, dtypes, row_dtypes=(), every=1, scalar=False, stack=True):
+    """np_tour on the stack in ``dtypes`` and on every ``every``-th row in
+    ``row_dtypes``, the scalar reference and the one-row routine on those
+    rows, and color_rows on the stack, each against _oracle."""
+    ctx = OddCycleCtx.make(rows.shape[1] // 2, k, edge)
+    tour, verdicts = _oracle(rows, k, edge)
+    for dtype in dtypes:
+        got = np_tour(rows.astype(dtype), ctx)
+        assert all(np.array_equal(x, y) for x, y in zip(got, tour)), (edge, dtype)
+    sampled, tours = rows[::every], list(zip(*(x[::every].tolist() for x in tour)))
+    for dtype in row_dtypes:
+        assert [np_tour(f, ctx) for f in sampled.astype(dtype)] == tours, (edge, dtype)
+    if scalar:
+        want = [(None, None, t[2], True) if t[3] else t for t in tours]
+        assert [_scalar_tour(tuple(f), ctx) for f in sampled.tolist()] == want, edge
+    if stack:
+        res = color_rows(rows, ctx)
+        got = np.column_stack([*res[:4], np.full(len(rows), -1)])
+        got[res.failed, 4] = [_ERRORS.index(type(e)) for e in res.errors]
+        assert np.array_equal(got, verdicts), edge
+    color = color_vertex if k == 3 else color_vertex_ck
+    outcomes = [_outcome(color, tuple(f), ctx) for f in sampled.tolist()]
+    assert outcomes == verdicts[::every].tolist(), edge
 
 
-def _non_isolated_row(rng, length, k):
-    """A random row whose every chord arc steps by 0, 2 or k-2 mod k."""
-    while True:
-        steps = rng.choice([0, 2, k - 2], size=length)
-        if steps.sum() % k == 0:
-            break
-    row = np.empty(length, dtype=np.int64)
-    tour = (2 * np.arange(length)) % length  # ids in chord-tour order
-    row[tour] = 1 + (np.cumsum(steps) - steps[0]) % k
-    return row
+def _grid(colors, length):
+    return np.array(list(itertools.product(colors, repeat=length)))
 
 
-def _edges_around_blocks(length, block):
-    """Edges whose little path starts at id 0, on either side of a pass
-    boundary, or at id 2n (so that it wraps past 2n at once)."""
-    starts = {0, 1, block - 1, block, block + 1, length - 1}
-    return [(a, (a - 1) % length) for a in sorted(s for s in starts if s < length)]
+def _seeded(seed, length, k, non_isolated, uniform):
+    rng = np.random.default_rng(seed)
+    rows = _non_isolated_rows(rng, non_isolated, length, k)
+    return np.concatenate([rows, rng.integers(1, k + 1, (uniform, length))])
 
 
-@pytest.mark.parametrize("k", [3, 5])
-@pytest.mark.parametrize(
-    "offset", [-1, 0, 1, 2, _BLOCK + 1],
-    ids=["block-1", "block", "block+1", "block+2", "2block+1"],
-)
-def test_np_tour_matches_scalar_across_pass_boundaries(offset, k, monkeypatch):
-    # A cycle length is odd: for an even offset the pass size is one less
-    # than _BLOCK, so that lengths block-1 .. block+2 and 2*block+1 all occur.
-    block = _BLOCK if offset % 2 else _BLOCK - 1
-    monkeypatch.setattr(winding, "_BLOCK", block)
-    length = block + offset
-    n = length // 2
-    rng = np.random.default_rng([offset + 1, k])
-    rows = [_non_isolated_row(rng, length, k), rng.integers(1, k + 1, length)]
-    for row in rows:
-        values = tuple(row.tolist())
-        # the label and the fixed points do not depend on the edge
-        ell2, _, fixed, isolated = _scalar_tour(values, OddCycleCtx.make(n, k))
-        for edge in _edges_around_blocks(length, block):
-            ctx = OddCycleCtx.make(n, k, edge)
-            p2 = None if isolated else little_path(values, ctx).doubled
-            want = (ell2, p2, fixed, isolated)
-            for dtype in _INT_DTYPES:
-                got = np_tour(row.astype(dtype), ctx)
-                assert _agrees(got, want), (edge, dtype)
-            stack = np_tour(np.stack([row, row]).astype(np.uint8), ctx)
-            assert all(_agrees([x[i].item() for x in stack], want) for i in (0, 1))
+# Colors 128..131 do not fit in int8, and their steps to and from 1..3
+# (up to ±130) overflow it: a kernel that cast to int8 would mis-bin them.
+K131_COLORS = (1, 2, 3, 127, 128, 129, 130, 131)
+
+def _cases():
+    """Each case: k, its stack (made when it runs), its edges, the _BLOCK it
+    patches in, and the knobs of _compare."""
+    cases = {}
+    grids = [(n, 3, (1, 2, 3)) for n in (1, 2, 3)]
+    grids += [(n, k, tuple(range(1, k + 1))) for k in (5, 7, 9) for n in (1, 2)]
+    for n, k, colors in grids + [(1, 131, K131_COLORS)]:
+        # The default edge (0, 2n) has a = 0, whose chord path never wraps
+        # past id 2n; the other edges start the path elsewhere, and most
+        # wrap.  At k = 7 and 9 nearly every row is isolated and the one-row
+        # routine on each is the cost, so color_rows is left out there.
+        length, small = 2 * n + 1, n <= 2 and k <= 5
+        grid = partial(_grid, colors, length)
+        edges = [(e, (e + 1) % length) for e in range(length)]
+        knobs = dict(row_dtypes=(np.uint8,) if small else (), scalar=small, stack=k not in (7, 9))
+        cases[f"grid-n{n}-k{k}"] = (k, grid, edges, None, knobs)
+    for k in (3, 5):
+        # A cycle length is odd: for an even offset the pass size is one
+        # less than _BLOCK, so that lengths block-1 .. block+2 and 2*block+1
+        # all occur.  The little paths start at id 0, on either side of a
+        # pass boundary, or at id 2n (so that they wrap past 2n at once).
+        offsets = [-1, 0, 1, 2, _BLOCK + 1]
+        for name, offset in zip(["block-1", "block", "block+1", "block+2", "2block+1"], offsets):
+            block = _BLOCK if offset % 2 else _BLOCK - 1
+            length = block + offset
+            starts = {0, 1, block - 1, block, block + 1, length - 1}
+            edges = [(a, (a - 1) % length) for a in sorted(starts) if a < length]
+            rows = partial(_seeded, [offset + 1, k], length, k, 1, 1)
+            cases[f"{name}-k{k}"] = (k, rows, edges, block, dict(row_dtypes=tuple(_INT_DTYPES)))
+        n = 10**4
+        edges = [(0, 2 * n), (n, n - 1), (2 * n, 2 * n - 1)]
+        rows = partial(_seeded, k, 2 * n + 1, k, 3, 2)
+        cases[f"n10000-k{k}"] = (k, rows, edges, None, dict(row_dtypes=(np.int64,)))
+        for rows, length in [
+            (_BLOCK // 11, 11),  # rows x L just below _BLOCK: one tile for k = 3
+            (_BLOCK // 11 + 1, 11),  # just above: a second tile of one row
+            (2 * (_BLOCK // 11) + 3, 11),
+            (_BLOCK // 5 + 1, 5),
+            (_BLOCK // 10 + 1, 3),  # rows x bins just above _BLOCK for k = 3
+            (3, _BLOCK + 1),  # rows longer than a pass: one row per tile
+        ]:
+            stack = partial(_seeded, [rows, length, k], length, k, (rows + 1) // 2, rows // 2)
+            knobs = dict(row_dtypes=(np.int64,), every=max(1, rows // 400))
+            cases[f"tile-{rows}x{length}-k{k}"] = (k, stack, [(1, 0)], None, knobs)
+    return cases
 
 
-@pytest.mark.parametrize("k", [3, 5])
-def test_np_tour_matches_scalar_at_n_ten_thousand(k):
-    n = 10**4
-    rng = np.random.default_rng(k)
-    rows = np.stack([_non_isolated_row(rng, 2 * n + 1, k) for _ in range(3)])
-    rows = np.concatenate([rows, rng.integers(1, k + 1, (2, 2 * n + 1))])
-    for edge in [(0, 2 * n), (n, n - 1), (2 * n, 2 * n - 1)]:
-        ctx = OddCycleCtx.make(n, k, edge)
-        stack = np_tour(rows, ctx)
-        for i, row in enumerate(rows):
-            want = _scalar_tour(tuple(row.tolist()), ctx)
-            assert _agrees(np_tour(row, ctx), want)
-            assert _agrees([x[i].item() for x in stack], want)
+_CASES = _cases()
 
 
-@pytest.mark.parametrize("k", [3, 5])
-@pytest.mark.parametrize("shape", [
-    (_BLOCK // 11, 11),  # rows x L just below _BLOCK: one tile for k = 3
-    (_BLOCK // 11 + 1, 11),  # just above: a second tile of one row
-    (2 * (_BLOCK // 11) + 3, 11),
-    (_BLOCK // 5 + 1, 5),
-    (_BLOCK // 10 + 1, 3),  # rows x bins just above _BLOCK for k = 3
-    (3, _BLOCK + 1),  # rows longer than a pass: one row per tile
-])
-def test_np_tour_stack_tiles_match_the_rows(shape, k):
-    rows, length = shape
-    n = length // 2
-    rng = np.random.default_rng([rows, length, k])
-    stack = rng.integers(1, k + 1, shape)
-    stack[::2] = [_non_isolated_row(rng, length, k) for _ in range(0, rows, 2)]
-    ctx = OddCycleCtx.make(n, k, (1, 0))
-    for dtype in _INT_DTYPES:
-        got = np_tour(stack.astype(dtype), ctx)
-        assert all(x.shape == (rows,) for x in got)
-        if dtype is _INT_DTYPES[0]:
-            want = got
-        else:
-            assert all(np.array_equal(x, y) for x, y in zip(got, want)), dtype
-    # every row of the stack equals the scalar reference (a sample of them
-    # for the long rows), and so does the 1-d form
-    for i in range(0, rows, max(1, rows // 400)):
-        row = tuple(stack[i].tolist())
-        expect = _scalar_tour(row, ctx)
-        assert _agrees([x[i].item() for x in want], expect), i
-        assert _agrees(np_tour(stack[i], ctx), expect), i
-
-
-# The same comparison with hypothesis drawing the cycle, the codomain, the
-# edge, the dtype and the pass size: the bin offsets of every pass are
-# derived from the edge and the pass start, so the passes must agree with
-# the scalar tour wherever the edge and the pass boundaries fall.
+@pytest.mark.parametrize("k, rows, edges, block, knobs", list(_CASES.values()), ids=list(_CASES))
+def test_kernel_matches_the_oracle(k, rows, edges, block, knobs, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(winding, "_BLOCK", block)
+    rows = rows()
+    dtypes = [dtype for dtype in _INT_DTYPES if np.iinfo(dtype).max >= k]
+    for edge in edges:
+        _compare(rows, k, edge, dtypes, **knobs)
 
 
 @st.composite
@@ -448,34 +450,33 @@ def _tour_cases(draw):
     length = 2 * n + 1
     # colors along the chord tour by steps of 0, 2 or k-2, or at random;
     # the closing step is whatever the others leave, so some rows are
-    # isolated for k >= 5
-    colors = st.lists(st.integers(1, k), min_size=length, max_size=length)
+    # isolated for k >= 5.  A row is one draw of L bytes (read mod 3 or mod
+    # k), as drawing its entries one by one takes most of the test's time.
+    raw = st.binary(min_size=length, max_size=length).map(lambda b: np.frombuffer(b, np.uint8))
+    colors = raw.map(lambda b: (1 + b % k).tolist())
     if draw(st.booleans()):
-        steps = st.lists(st.sampled_from([0, 2, k - 2]), min_size=length, max_size=length)
+        steps = np.array([0, 2, k - 2])[draw(raw) % 3]
         tour = (2 * np.arange(length)) % length
         row = np.empty(length, dtype=np.int64)
-        row[tour] = 1 + np.cumsum(draw(steps)) % k
+        row[tour] = 1 + np.cumsum(steps) % k
     else:
         row = np.array(draw(colors))
     others = draw(st.lists(colors, max_size=3))
     e = draw(st.integers(0, length - 1))
     dtype = draw(st.sampled_from(_INT_DTYPES))
     block = draw(st.integers(min_value=1, max_value=length + 3))
-    return OddCycleCtx.make(n, k, (e, (e + 1) % length)), row, others, dtype, block
+    return k, (e, (e + 1) % length), np.array([row.tolist()] + others), dtype, block
 
 
 @settings(max_examples=300, deadline=None)
 @given(_tour_cases())
-def test_np_tour_matches_scalar_on_drawn_passes(case):
-    ctx, row, others, dtype, block = case
-    stack = np.array([row.tolist()] + others).astype(dtype)
+def test_kernel_matches_the_oracle_on_drawn_passes(case):
+    # the bin offsets of every pass are derived from the edge and the pass
+    # start, so the passes must agree wherever the edge and the pass
+    # boundaries fall
+    k, edge, stack, dtype, block = case
     with mock.patch.object(winding, "_BLOCK", block):
-        rows = [np_tour(f, ctx) for f in stack]
-        tours = np_tour(stack, ctx)
-    for i, f in enumerate(stack):
-        want = _scalar_tour(tuple(f.tolist()), ctx)
-        assert _agrees(rows[i], want), i
-        assert _agrees([x[i].item() for x in tours], want), i
+        _compare(stack.astype(dtype), k, edge, [dtype], [dtype], scalar=True)
 
 
 def test_np_tour_rejects_rows_of_the_wrong_length():
