@@ -42,11 +42,16 @@ colored alone by that routine again).  A general host's cycle cache is
 saved whether or not a row failed, holding the cycles found by the rows
 before the failing one and by that row itself.
 
-On a general host a row's color depends on the cache: on which cycles
-it holds, and in what order.  Rows colored through one cache (one call,
-or calls that share one ``--cache`` file) are colored properly against
-each other; separate calls without a shared cache can color adjacent
-rows alike (ROADMAP item 1).
+On a general host the first cached cycle on which a row is even serves
+it, and a miss finds the cycle ``coloring.find_even_cycle`` names, which
+is fixed by the host and the row's component: C*, the host's BFS odd
+cycle, whenever the row is even on it.  A call from an empty cache whose
+first searched row is even on C* colors every row even on C* through
+C*, as any other such call does.  A color still depends on the cache
+when an earlier cached cycle is even for the row: a loaded ``--cache``
+file that does not start with C*, or a call whose first searched row is
+odd on C*.  Rows colored through one cache are colored properly against
+each other.
 """
 
 from __future__ import annotations

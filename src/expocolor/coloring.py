@@ -20,8 +20,10 @@ Three layers live here, mirroring how the math composes:
 
 * ``find_even_cycle`` / ``color_rows_in_kh`` — the general-host
   pipeline: pick an odd cycle of H on which the assignment has an even
-  number of fixed points, restrict, and color the restriction.  Cycles
-  already used are retried first, in insertion order, via an explicit
+  number of fixed points, restrict, and color the restriction.  The
+  search is one rule fixed by H: C*(H), one BFS odd cycle, when the
+  assignment is even on it, else the least even cycle.  Cycles already
+  used are retried first, in insertion order, via an explicit
   ``CycleCache`` value threaded through calls.  A stack is scanned one
   cached cycle at a time and colored with one ``color_rows`` call per
   serving cycle, with the same failure contract; ``color_in_kh`` is its
@@ -136,12 +138,20 @@ def _wrong_shape(ctx: OddCycleCtx) -> ValueError:
     return ValueError(f"assignment must have {ctx.length} entries")
 
 
-def _wrong_dtype(arr: np.ndarray) -> ValueError:
-    return ValueError(f"colors must be integers, got dtype {arr.dtype}")
-
-
 def _out_of_range(ctx: OddCycleCtx) -> ValueError:
     return ValueError(f"colors must be in 1..{ctx.k}")
+
+
+def _row_past_int64(arr: np.ndarray, k: int) -> list[int]:
+    """The first row of ``arr``, a row or a stack of a non-integer dtype,
+    with a color outside 1..k, when every entry is a Python int: a color
+    past int64 and uint64 makes an object array, out of range rather than
+    non-integer.  Raises the dtype error otherwise."""
+    if arr.dtype == object and all(type(c) is int for c in arr.flat):
+        for row in arr.reshape(-1, arr.shape[-1]).tolist():
+            if min(row) < 1 or max(row) > k:
+                return row
+    raise ValueError(f"colors must be integers, got dtype {arr.dtype}")
 
 
 def _outside(rows: np.ndarray, k: int) -> np.ndarray:
@@ -209,8 +219,9 @@ def color_rows(fs, ctx: OddCycleCtx) -> RowColors:
     """Color a row, or a stack of rows, of C_{2n+1} with one kernel call.
 
     ``fs`` is one assignment (1-d) or a (rows, 2n+1) stack, of any
-    integer dtype; a stack of another shape or dtype raises ValueError.
-    Every row is colored, or fails the first check it fails in the order
+    integer dtype; a stack of another shape or dtype raises ValueError,
+    the one-row error of its first out-of-range row where a color past
+    int64 made it an object array.  Every row is colored, or fails the first check it fails in the order
     the one-row routines apply them: colors in 1..k (on the values as
     given, before the kernel casts them), isolation, an even fixed-point
     count, and a little path off ell/2.  One :func:`np_tour` call serves
@@ -221,7 +232,8 @@ def color_rows(fs, ctx: OddCycleCtx) -> RowColors:
     if arr.ndim not in (1, 2) or arr.shape[-1] != ctx.length:
         raise _wrong_shape(ctx)
     if arr.dtype.kind not in "iu":
-        raise _wrong_dtype(arr)
+        _row_past_int64(arr, ctx.k)
+        raise _out_of_range(ctx)
     rows = arr.reshape(-1, ctx.length)
     bad = _outside(rows, ctx.k)
     if bad.any():
@@ -329,12 +341,8 @@ def _color_one(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:
     if arr.ndim != 1 or len(arr) != ctx.length:
         raise _wrong_shape(ctx)
     if arr.dtype.kind not in "iu":
-        # Python ints past int64 make an object array: out of range, not non-integer
-        if arr.dtype == object and all(type(c) is int for c in arr) and not (
-            1 <= min(arr) and max(arr) <= ctx.k
-        ):
-            raise _out_of_range(ctx)
-        raise _wrong_dtype(arr)
+        _row_past_int64(arr, ctx.k)
+        raise _out_of_range(ctx)
     if arr.item(arr.argmin()) < 1 or arr.item(arr.argmax()) > ctx.k:
         raise _out_of_range(ctx)
     fa, fb = arr.item(ctx.a), arr.item(ctx.b)
@@ -427,12 +435,12 @@ def color_graph_baseline(ke: ExpoGraph, ctx: OddCycleCtx) -> dict[tuple[int, ...
 def find_even_cycle(h: Graph, f: Sequence[int]) -> CycleWitness:
     """An odd cycle of h on which f has an even number of fixed points.
 
-    Fast path: split V(h) into the vertices colored {1,2} and those
-    colored {3}; an odd cycle inside either part sees at most two
-    distinct colors, and around any single-tour traversal a two-valued
-    sequence changes an even number of times, so its restriction parity
-    is even.  Fallback: the shortest (then lexicographically least) odd
-    cycle with even parity, by a bounded search over the odd cycles.
+    One rule, fixed by h alone: C*(h) = :func:`.graphs.odd_cycle_in`
+    (one BFS of h) when f is even on it, else the shortest (then
+    lexicographically least) odd cycle with even parity, by a bounded
+    search over the odd cycles.  Parity on an odd cycle is the same for
+    every row of a component of K_3^h, so every row of a component gets
+    the same cycle, whatever was colored before it.
     """
     if is_isolated(h, f, 3):  # also checks the length and the colors
         raise IsolatedFunctionError("assignment is isolated; no cycle choice can help")
@@ -442,18 +450,9 @@ def find_even_cycle(h: Graph, f: Sequence[int]) -> CycleWitness:
 def _even_cycle_search(h: Graph, f: Sequence[int]) -> CycleWitness:
     """:func:`find_even_cycle` for an f already checked to be a valid,
     non-isolated assignment of h."""
-    for color_class in ((1, 2), (3,)):
-        keep = [v for v in range(h.vertex_count) if f[v] in color_class]
-        sub, old = h.induced(keep)
-        found = odd_cycle_in(sub)
-        if found is not None:
-            cyc = CycleWitness.canonical([old[v] for v in found.vertices])
-            if not in_even_class(restrict(h, f, cyc), len(cyc) // 2):
-                raise InvariantViolationError(
-                    f"two-colored cycle {cyc.vertices} has odd parity"
-                )
-            return cyc
-
+    star = odd_cycle_in(h)
+    if star is not None and in_even_class(restrict(h, f, star), len(star) // 2):
+        return star
     cyc = least_odd_cycle(
         h, lambda vs: in_even_class(tuple(f[v] for v in vs), len(vs) // 2)
     )
@@ -544,10 +543,12 @@ def color_in_kh(
     the same cache, possibly extended.  Appends must be serialized if a
     cache is shared across workers; reads may race.
 
-    The color depends on the cache: on which cycles it holds, and in
-    what order.  Rows colored through one cache, which only grows, are
-    colored properly against each other; rows colored through separate
-    caches can be adjacent and alike (ROADMAP item 1).
+    The color depends on the cache only where an earlier cached cycle
+    is even for f: a miss appends :func:`find_even_cycle`'s cycle, fixed
+    by h and f's component, so from an empty cache every f even on C*
+    is colored through C* unless a row odd on C* missed first.  Rows
+    colored through one cache, which only grows, are colored properly
+    against each other.
 
     This is the one-row case of :func:`color_rows_in_kh`, which colors a
     stack with the same verdicts and leaves the same cache, and the
@@ -579,8 +580,9 @@ def color_rows_in_kh(
     """:func:`color_in_kh` over a stack of rows, with one pass per stage.
 
     ``fs`` is one assignment (1-d) or a (rows, |V(h)|) stack of any
-    integer dtype; a stack of another shape or dtype raises ValueError.
-    The verdicts, the rows that fail and their errors (see
+    integer dtype; a stack of another shape or dtype raises ValueError,
+    the one-row error of its first out-of-range row where a color past
+    int64 made it an object array.  The verdicts, the rows that fail and their errors (see
     :class:`RowColors`), and the cache left behind are those of calling
     :func:`color_in_kh` on each row in turn, going on past each row that
     raises.
@@ -594,18 +596,21 @@ def color_rows_in_kh(
       is not a host cycle fails every row that reaches it.
     * Misses, in input order: the first unserved row goes through
       :func:`color_in_kh`, which searches for and appends a cycle (or
-      raises :class:`NoEvenCycleError` or
-      :class:`InvariantViolationError`, which the row fails with); the
+      raises :class:`NoEvenCycleError`, or an
+      :class:`InvariantViolationError` from coloring the row after the
+      append, which the row fails with); the
       rows still unserved are then scanned against that cycle only.
       Since the cache only appends, each row ends up served by the cycle
       the sequential loop would have found for it.
     * One :func:`color_rows` call per serving cycle colors its rows'
       restrictions, and the verdicts are put back in input order.
 
-    As for :func:`color_in_kh`, a row's color depends on which cycles the
-    cache holds, and in what order: the rows of one call, and of calls
-    that pass on the cache one returns, are colored properly against each
-    other, but calls on separate caches can color adjacent rows alike.
+    As for :func:`color_in_kh`, a row's color depends on the cache only
+    where an earlier cached cycle is even for it: from an empty cache
+    whose first miss is even on C*, every row even on C* is colored
+    through C*, whatever the input order.  The rows of one call, and of
+    calls that pass on the cache one returns, are colored properly
+    against each other.
     """
     if cache is None:
         cache = CycleCache()
@@ -615,7 +620,8 @@ def color_rows_in_kh(
             f"assignment stack must be (rows, {h.vertex_count}), got {arr.shape}"
         )
     if arr.dtype.kind not in "iu":
-        raise _wrong_dtype(arr)
+        # raises: the row holds a color outside 1..3
+        _check_assignment(h, _row_past_int64(arr, 3), 3)
     rows = arr.reshape(-1, h.vertex_count)
     errors: dict[int, Exception] = {}
     bad = _outside(rows, 3)

@@ -89,20 +89,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
 
-    def induced(self, keep: Iterable[int]) -> tuple["Graph", list[int]]:
-        """Subgraph induced on ``keep``; returns (graph, old-id list).
-
-        New vertex i corresponds to the i-th smallest kept old id.
-        """
-        old = sorted(set(keep))
-        index = {o: i for i, o in enumerate(old)}
-        edges = [
-            (index[u], index[v])
-            for u, v in self.edges()
-            if u in index and v in index
-        ]
-        return Graph.from_edges(len(old), edges), old
-
 
 @dataclass(frozen=True)
 class CycleWitness:

@@ -736,25 +736,28 @@ def test_color_general_host_saves_the_cache_of_the_rows_before_a_failure(
     assert json.loads(cache_path.read_text()) == cycles
 
 
+@pytest.mark.parametrize("shared", [False, True], ids=["no cache", "shared cache"])
 @pytest.mark.parametrize("order", ["f first", "g first"])
-def test_color_general_host_calls_sharing_a_cache_color_adjacent_rows_apart(
-    order, grotzsch, tmp_path, capsys, monkeypatch
+def test_color_general_host_calls_color_adjacent_rows_apart(
+    order, shared, grotzsch, tmp_path, capsys, monkeypatch
 ):
-    # f and g are adjacent rows of Grötzsch (the Mycielskian of C_5); calls
-    # without a shared cache color both 2, so only the cache file keeps two
-    # calls proper against each other
+    # f and g are adjacent rows of Grötzsch (the Mycielskian of C_5), both
+    # even on C* = (0, 1, 2, 3, 4): separate calls color them through it,
+    # with or without a cache file they share, in either order
     h = grotzsch
     f = [1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1]
     g = [3, 2, 2, 3, 2, 3, 2, 2, 3, 2, 2]
     assert all(c in allowed for c, allowed in zip(g, allowed_colors(h, f, 3)))
-    graph, cache_path = tmp_path / "grotzsch.json", tmp_path / "cache.json"
+    graph = tmp_path / "grotzsch.json"
     save_graph(h, graph)
-    argv = ["color", "--graph", str(graph), "--cache", str(cache_path)]
+    argv = ["color", "--graph", str(graph)]
+    if shared:
+        argv += ["--cache", str(tmp_path / "cache.json")]
     colors = {}
     for name, row in (("f", f), ("g", g)) if order == "f first" else (("g", g), ("f", f)):
         assert run_cli(argv, json.dumps(row), monkeypatch) == 0
         colors[name] = json.loads(capsys.readouterr().out)["color"]
-    assert colors["f"] != colors["g"]
+    assert colors == {"f": 2, "g": 3}
 
 
 def test_color_general_host_isolated_exits_4(tmp_path, capsys, monkeypatch):

@@ -30,12 +30,18 @@ from expocolor.expo import (
     ExpoGraph,
     allowed_colors,
     build_exponential,
+    full_grid,
     is_isolated,
+    isolated_rows,
+    neighbor_pairs,
     neighbors,
     restrict,
+    row_index,
 )
 from expocolor.graphs import (
     CycleWitness,
+    least_odd_cycle,
+    make_complete,
     make_cycle,
     make_mycielski,
     odd_cycle_in,
@@ -130,22 +136,30 @@ def test_color_vertex_same_verdict_for_every_integer_form():
 
 
 @pytest.mark.parametrize(
-    "row",
+    "call, row",
     [
-        np.array([1, 1, 1, 1, 257], dtype=np.int64),
-        np.array([1, 1, 1, 1, -255], dtype=np.int64),
-        np.array([1, 1, 1, 1, 257], dtype=np.uint16),
-        np.array([1, 1, 1, 1, 2**40 + 1], dtype=np.int64),
-        np.array([1, 1, 1, 1, -(2**63) + 1], dtype=np.int64),
-        (1, 1, 1, 1, 257),
-        (1, 1, 1, 1, 2**64 + 1),  # past int64 and uint64: an object array
-        (1, 1, 1, 1, -(2**64)),
+        *(
+            (color_vertex, row)
+            for row in (
+                np.array([1, 1, 1, 1, 257], dtype=np.int64),
+                np.array([1, 1, 1, 1, -255], dtype=np.int64),
+                np.array([1, 1, 1, 1, 257], dtype=np.uint16),
+                np.array([1, 1, 1, 1, 2**40 + 1], dtype=np.int64),
+                np.array([1, 1, 1, 1, -(2**63) + 1], dtype=np.int64),
+                (1, 1, 1, 1, 257),
+                (1, 1, 1, 1, 2**64 + 1),  # past int64 and uint64: an object array
+                (1, 1, 1, 1, -(2**64)),
+            )
+        ),
+        # the stack entry points raise their one-row case's error for such a row
+        (lambda f, ctx: color_rows([[1] * 5, f], ctx), (1, 1, 1, 1, 2**64 + 1)),
+        (lambda f, ctx: color_rows_in_kh(make_complete(4), [f[1:]]), (1, 1, 1, 1, 2**64)),
     ],
 )
-def test_color_vertex_range_check_sees_values_before_the_cast(row):
+def test_color_vertex_range_check_sees_values_before_the_cast(call, row):
     # Each bad value is 1 modulo 256: an int8 cast taken first would pass it.
     with pytest.raises(ValueError, match="1..3"):
-        color_vertex(row, CTX5)
+        call(row, CTX5)
 
 
 INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
@@ -309,10 +323,10 @@ def test_find_even_cycle_k4(k4):
     from expocolor.expo import restrict
 
     cyc = find_even_cycle(k4, (1, 1, 1, 1))
-    assert cyc.vertices == (0, 1, 2)
-    # two-valued assignments take the fast path and stay even
+    assert cyc.vertices == (0, 1, 2) == odd_cycle_in(k4).vertices
+    # a two-valued assignment is even on every odd cycle, so C* serves it
     cyc = find_even_cycle(k4, (1, 2, 2, 1))
-    cyc.validate_in(k4)
+    assert cyc.vertices == (0, 1, 2)
     assert in_even_class(restrict(k4, (1, 2, 2, 1), cyc), len(cyc) // 2)
     with pytest.raises(IsolatedFunctionError):
         find_even_cycle(k4, (1, 2, 3, 1))
@@ -320,13 +334,14 @@ def test_find_even_cycle_k4(k4):
 
 def test_find_even_cycle_fallback_skips_odd_parity():
     # bowtie: two triangles sharing vertex 2; f is proper (odd parity) on
-    # the first triangle, two-valued (even) on the second.  Neither color
-    # class induces an odd cycle, so the enumeration fallback must run
-    # and skip the odd-parity triangle.
+    # the first triangle, C* = (0, 1, 2), and two-valued (even) on the
+    # second.  So the enumeration fallback must run and skip the
+    # odd-parity triangle.
     from expocolor.graphs import Graph
 
     bowtie = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
     f = (1, 2, 3, 1, 1)
+    assert odd_cycle_in(bowtie).vertices == (0, 1, 2)
     cyc = find_even_cycle(bowtie, f)
     assert cyc.vertices == (2, 3, 4)
 
@@ -338,6 +353,7 @@ def test_find_even_cycle_parity_is_even(k4, grotzsch):
 
     rng = random.Random(3)
     for h in (k4, grotzsch):
+        star = odd_cycle_in(h)
         found = 0
         while found < 25:
             f = tuple(rng.randint(1, 3) for _ in range(h.vertex_count))
@@ -347,22 +363,26 @@ def test_find_even_cycle_parity_is_even(k4, grotzsch):
             cyc = find_even_cycle(h, f)
             cyc.validate_in(h)
             assert in_even_class(restrict(h, f, cyc), len(cyc) // 2)
+            # C* serves every row that is even on it
+            if in_even_class(restrict(h, f, star), len(star) // 2):
+                assert cyc == star
 
 
 def test_find_even_cycle_fallback_is_bounded():
     # Mycielski(C_13) has 27 vertices and tens of thousands of odd cycles.
-    # This row induces no odd cycle in either color class, so the fallback
-    # runs; it must return the least even cycle without listing them all.
+    # The fallback must return the least even cycle without listing them
+    # all.  This row is even on C*, which find_even_cycle returns without
+    # the fallback, so the fallback is called on it directly.
     h = make_mycielski(make_cycle(13))
     f = (3, 2, 3, 2, 2, 3, 2, 3, 3, 3, 2, 2, 3, 2, 3, 3, 2, 2, 3, 3, 2, 3, 2, 3, 2, 2, 3)
-    for color_class in ((1, 2), (3,)):
-        sub, _ = h.induced(v for v in range(h.vertex_count) if f[v] in color_class)
-        assert odd_cycle_in(sub) is None
-    least = next(
-        c for c in odd_cycles(h, 5) if in_even_class(restrict(h, f, c), len(c) // 2)
-    )
-    assert find_even_cycle(h, f) == least
+
+    def accept(vs):
+        return in_even_class(tuple(f[v] for v in vs), len(vs) // 2)
+
+    least = next(c for c in odd_cycles(h, 5) if accept(c.vertices))
+    assert least_odd_cycle(h, accept) == least
     assert least.vertices == (0, 1, 13, 26, 14)
+    assert find_even_cycle(h, f) == odd_cycle_in(h) == least
 
 
 def test_find_even_cycle_none_exists(c5):
@@ -625,6 +645,84 @@ def test_color_rows_in_kh_rejects_whole_stacks_of_the_wrong_shape_or_dtype(k4):
         assert len(cache) == 0
     res, cache = color_rows_in_kh(k4, np.ones((0, 4), np.uint8))
     assert res.color.shape == res.cycle.shape == res.failed.shape == (0,) and len(cache) == 0
+
+
+# -- explicit coloring: a row's color comes from h and the row alone ---------
+
+
+def _all_pairs(h):
+    """Every non-isolated row of h, and each adjacent pair of them as
+    indices into that stack."""
+    grid = full_grid(h, 3, 10**6)
+    live = grid[~isolated_rows(h, grid, 3)]
+    src, gs = neighbor_pairs(h, live, 3)
+    return live, src, np.searchsorted(row_index(live, 3), row_index(gs, 3))
+
+
+def _sampled_pairs(h):
+    """Seeded adjacent pairs of h, stacked, and their indices into the stack."""
+    rows = np.array(_host_rows(h, 4, 150))
+    return rows, np.arange(0, len(rows), 2), np.arange(1, len(rows), 2)
+
+
+def _alike_alone(h, rows, src, dst) -> int:
+    """How many pairs (rows[src[i]], rows[dst[i]]) come out alike when each
+    row is colored alone, by its own color_rows_in_kh call from an empty
+    cache."""
+    colors = np.array([color_rows_in_kh(h, f)[0].color[0] for f in rows])
+    return int(np.sum(colors[src] == colors[dst]))
+
+
+def _changed_by_order(h, rows, orders: int = 8) -> int:
+    """How many colors of one color_rows_in_kh call on all rows change when
+    the rows come in seeded shuffled orders."""
+    want = color_rows_in_kh(h, rows)[0].color
+    rng = np.random.default_rng(5)
+    changed = 0
+    for _ in range(orders):
+        order = rng.permutation(len(rows))
+        changed += int(np.sum(color_rows_in_kh(h, rows[order])[0].color != want[order]))
+    return changed
+
+
+@pytest.mark.parametrize(
+    "name, pairs",
+    [
+        ("k4", _all_pairs),
+        ("wheel5", _all_pairs),
+        ("moser_spindle", _all_pairs),
+        ("grotzsch", _sampled_pairs),
+        ("chvatal", _sampled_pairs),
+    ],
+)
+def test_rows_colored_alone_color_adjacent_rows_apart(name, pairs, request):
+    h = request.getfixturevalue(name)
+    assert _alike_alone(h, *pairs(h)) == 0
+
+
+@pytest.mark.parametrize("name", ["k4", "wheel5", "grotzsch"])
+def test_one_call_colors_do_not_depend_on_row_order(name, request):
+    h = request.getfixturevalue(name)
+    assert _changed_by_order(h, _all_pairs(h)[0]) == 0
+
+
+@pytest.mark.parametrize(
+    "name, check",
+    [("k4", "order"), ("wheel5", "order"), ("grotzsch", "order"), ("moser_spindle", "alone")],
+)
+def test_a_c_star_that_depends_on_the_call_is_caught(name, check, request, monkeypatch):
+    # C* alternates, call after call, between the BFS cycle and the last
+    # odd cycle no longer than it: the checks above must see it
+    h = request.getfixturevalue(name)
+    star = odd_cycle_in(h)
+    *_, other = odd_cycles(h, len(star))
+    calls = itertools.cycle([star, other])
+    monkeypatch.setattr(coloring, "odd_cycle_in", lambda g: next(calls))
+    live, src, dst = _all_pairs(h)
+    if check == "order":
+        assert _changed_by_order(h, live) > 0
+    else:
+        assert _alike_alone(h, live, src, dst) > 0
 
 
 def test_verdict_is_frozen():
