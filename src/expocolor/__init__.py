@@ -82,7 +82,6 @@ _PUBLIC = {
     "verify": ("VerificationReport",),
     "winding": (
         "FAR",
-        "Half",
         "OddCycleCtx",
         "chord_order",
         "delta3",

@@ -18,8 +18,9 @@ Exit codes are stable API: 0 success, 1 verification violations (for
 2 usage, 3 parity-domain error, 4 isolated assignment, 5 capacity.
 
 Cycle vertices are 0-based ids; ``--edge A,B`` names the distinguished
-edge by those ids (default ``0,2n``).  The ``EXPO_CACHE`` environment
-variable supplies a default cycle-cache path for ``color --graph``.
+edge by those ids (default ``0,2n``).  ``color --graph`` keeps its
+cycle cache in the file named by ``--cache``, and only there: without
+the option it starts from an empty cache and writes none.
 
 ``color`` reads one JSON array, an array of arrays, or one array per
 line.  Rows of one-digit colors, as one array or one array per line
@@ -463,10 +464,9 @@ def _color_on_host(
     if args.k != 3:
         raise ValueError("general-host coloring supports only --k 3")
     host = load_graph(args.graph)
-    cache_path = args.cache or os.environ.get("EXPO_CACHE")
     cache = CycleCache()
-    if cache_path and Path(cache_path).exists():
-        cache = CycleCache.loads(Path(cache_path).read_text())
+    if args.cache and Path(args.cache).exists():
+        cache = CycleCache.loads(Path(args.cache).read_text())
     loaded = len(cache)
     try:
         res, cache = color_rows_in_kh(host, _stack(rows, host.vertex_count, 3), cache)
@@ -475,8 +475,8 @@ def _color_on_host(
         del cache.entries[max(loaded, used) :]
         return _emit(res, rows, lambda f: color_in_kh(host, f, cache))
     finally:
-        if cache_path:
-            _save_cache(Path(cache_path), cache)
+        if args.cache:
+            _save_cache(Path(args.cache), cache)
 
 
 def cmd_color(args: argparse.Namespace) -> int:
@@ -669,7 +669,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     color.add_argument("--graph", help="host graph JSON (general-host mode)")
     color.add_argument(
-        "--cache", help="cycle-cache path (general-host mode; env EXPO_CACHE)"
+        "--cache",
+        help="cycle-cache file, read if present and written back (general-host mode)",
     )
     color.add_argument(
         "--input", help="assignments file (default '-' for stdin)"

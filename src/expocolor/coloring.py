@@ -4,7 +4,8 @@ Three layers live here, mirroring how the math composes:
 
 * ``color_rows`` — color even-class assignments on an odd cycle in
   O(n) arithmetic each, by comparing the little-path value p_f against
-  half the label ℓ_f.  The comparison is exact (doubled integers) and
+  half the label ℓ_f.  Both are carried doubled, as the ints 2p_f and
+  2ℓ_f that :mod:`.winding` gives, so the comparison is exact and
   its two strict outcomes decide between the endpoint colors f(a) and
   f(b); equality is provably unreachable and is reported loudly if it
   ever fires.  One call checks and colors a whole stack of rows with
@@ -46,6 +47,7 @@ from .errors import (
     ParityDomainError,
 )
 from .expo import (
+    DEFAULT_CAP,
     ExpoGraph,
     _check_assignment,
     full_grid,
@@ -62,7 +64,7 @@ from .graphs import (
     odd_cycle_in,
 )
 from . import winding
-from .winding import Half, OddCycleCtx, in_even_class, np_tour
+from .winding import OddCycleCtx, in_even_class, np_tour
 
 
 class Branch(Enum):
@@ -80,22 +82,22 @@ _BRANCHES = tuple(Branch)
 class ColorVerdict:
     """A color plus the exact certificate that justifies it.
 
-    ``ell`` and ``p`` are the label and little-path values; the branch
-    records whether the endpoints agreed or which side of ell/2 the
-    little path fell on.
+    ``ell2`` and ``p2`` are the doubled label and little-path values
+    (2ℓ_f and 2p_f, exact ints); the branch records whether the endpoints
+    agreed or which side of ell/2 the little path fell on.
     """
 
     color: int
     branch: Branch
-    ell: Half
-    p: Half
+    ell2: int
+    p2: int
 
     def to_json_dict(self) -> dict:
         return {
             "color": self.color,
             "branch": self.branch.value,
-            "ell2": self.ell.doubled,
-            "p2": self.p.doubled,
+            "ell2": self.ell2,
+            "p2": self.p2,
         }
 
 
@@ -347,7 +349,7 @@ def _color_one(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:
         raise _out_of_range(ctx)
     fa, fb = arr.item(ctx.a), arr.item(ctx.b)
     color, branch, ell2, p2 = _verdict(ctx, fa, fb, *np_tour(arr, ctx))
-    return ColorVerdict(color, _BRANCHES[branch], Half(ell2), Half(p2))
+    return ColorVerdict(color, _BRANCHES[branch], ell2, p2)
 
 
 def color_vertex(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:
@@ -374,7 +376,7 @@ def color_vertex_ck(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:
     return _color_one(f, ctx)
 
 
-def even_class_subgraph(n: int, cap: int = 10**6) -> ExpoGraph:
+def even_class_subgraph(n: int, cap: int = DEFAULT_CAP) -> ExpoGraph:
     """The exponential graph over C_{2n+1} induced on even-parity assignments."""
     h = make_cycle(2 * n + 1)
     rows = full_grid(h, 3, cap)

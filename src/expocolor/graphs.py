@@ -425,10 +425,13 @@ def graph_to_json_dict(g: Graph) -> dict:
 
 def graph_from_json_dict(d: Mapping) -> Graph:
     try:
-        n = int(d["n"])
-        edges = [(int(u), int(v)) for u, v in d["edges"]]
+        n, edges = d["n"], [(u, v) for u, v in d["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
+    # exact types, as for assignment rows: bool is an int subclass, and
+    # int() would quietly truncate a float or parse a string
+    if {type(x) for x in (n, *(x for edge in edges for x in edge))} != {int}:
+        raise ValueError("malformed graph JSON: n and every vertex id must be integers")
     return Graph.from_edges(n, edges)
 
 

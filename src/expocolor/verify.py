@@ -37,11 +37,11 @@ import numpy as np
 from . import coloring, expo, winding
 from .errors import CapacityError, InvariantViolationError
 from .expo import ComponentClass, ExpoGraph, assignment_grid, is_isolated, row_index
+from .expo import DEFAULT_CAP
 from .graphs import CHROMATIC_HARD_CAP, Graph, bipartition, chromatic_number_exact
 from .graphs import make_cycle, odd_cycles
-from .winding import Half, OddCycleCtx, in_even_class
+from .winding import OddCycleCtx, in_even_class
 
-DEFAULT_CAP = 10**6
 _KEEP_VIOLATIONS = 50
 # Source rows per neighbor_pairs call in the pair sweeps: bounds the
 # (pairs, 2n+1) arrays a sweep holds at once, whatever the space size.
@@ -120,7 +120,7 @@ def _arc_table(k: int) -> np.ndarray:
         for j in range(1, k + 1):
             d = winding.arc_value(i, j, k)
             if d is not winding.FAR:
-                tab[i, j] = d.doubled
+                tab[i, j] = d
     return tab
 
 
@@ -160,6 +160,12 @@ def _pair_blocks(ctx: OddCycleCtx, rows: np.ndarray, sources: np.ndarray):
 
 def _fmt(row: np.ndarray) -> tuple[int, ...]:
     return tuple(row.tolist())
+
+
+def _half(doubled) -> str:
+    """The value whose double is ``doubled``: ``3`` for 6, ``3/2`` for 3."""
+    d = int(doubled)
+    return str(d // 2) if d % 2 == 0 else f"{d}/2"
 
 
 # The branch of each branch code :func:`_color_sweep` returns; None for 0.
@@ -211,12 +217,12 @@ def verify_label_congruences(n: int, cap: int = DEFAULT_CAP) -> VerificationRepo
     # In doubled values: 3 | l iff 6 | 2l, and l is even iff 4 | 2l.
     viol = _Tally()
     for i in np.nonzero(ell2 % 6 != 0)[0]:
-        viol.add(f"label {Half(int(ell2[i]))} not divisible by 3 for f={_fmt(fs[i])}")
+        viol.add(f"label {_half(ell2[i])} not divisible by 3 for f={_fmt(fs[i])}")
     for i in np.nonzero(distinct_ends & (p2 % 6 == 0))[0]:
-        viol.add(f"little path {Half(int(p2[i]))} divisible by 3 for f={_fmt(fs[i])}")
+        viol.add(f"little path {_half(p2[i])} divisible by 3 for f={_fmt(fs[i])}")
     for i in np.nonzero(ell2 % 4 != 2 * (fp_counts % 2))[0]:
         viol.add(
-            f"label {Half(int(ell2[i]))} and fixed-point count "
+            f"label {_half(ell2[i])} and fixed-point count "
             f"{fp_counts[i]} differ in parity for f={_fmt(fs[i])}"
         )
 
@@ -247,7 +253,7 @@ def verify_chord_step_identity(n: int, cap: int = DEFAULT_CAP) -> VerificationRe
             viol.add(
                 f"arc ({x},{(x + 2) % ctx.length}) of f={_fmt(f[row])} breaks the "
                 f"identity against g={_fmt(g[row])} "
-                f"(residual {Half(int(residual[row, x]))})"
+                f"(residual {_half(residual[row, x])})"
             )
     details: dict = {}
     return _report("chord-step identity", {"n": n, "k": 3}, pairs, viol, details, t0)
@@ -270,8 +276,8 @@ def verify_label_invariance(n: int, k: int, cap: int = DEFAULT_CAP) -> Verificat
         lab_f, lab_g = ell2[i], ell2[j]
         for row in np.flatnonzero(lab_g != lab_f):
             viol.add(
-                f"labels differ: {Half(int(lab_f[row]))} for f={_fmt(f[row])} vs "
-                f"{Half(int(lab_g[row]))} for g={_fmt(g[row])}"
+                f"labels differ: {_half(lab_f[row])} for f={_fmt(f[row])} vs "
+                f"{_half(lab_g[row])} for g={_fmt(g[row])}"
             )
         # the doubled value of the interleaved tour f_1,g_2,f_3,...,g_1,f_2,...:
         # sum_i Δ(f(u_i), g(u_{i+1})) + sum_i Δ(g(u_i), f(u_{i+1}))
@@ -280,14 +286,14 @@ def verify_label_invariance(n: int, k: int, cap: int = DEFAULT_CAP) -> Verificat
         bad = 2 * lab_f != -inter if k == 3 else lab_f != inter
         for row in np.flatnonzero(bad):
             viol.add(
-                f"interleaved tour value {Half(int(inter[row]))} does not determine "
-                f"label {Half(int(lab_f[row]))} for f={_fmt(f[row])}, g={_fmt(g[row])}"
+                f"interleaved tour value {_half(inter[row])} does not determine "
+                f"label {_half(lab_f[row])} for f={_fmt(f[row])}, g={_fmt(g[row])}"
             )
         if k >= 5:
             bad = i[(lab_f % 2 != 0) | ((lab_f // 2) % k != 0)]  # sorted, as i is
             for r in bad[np.diff(bad, prepend=-1) != 0]:  # each source once
                 viol.add(
-                    f"label {Half(int(ell2[r]))} of non-isolated f={_fmt(rows[r])} "
+                    f"label {_half(ell2[r])} of non-isolated f={_fmt(rows[r])} "
                     "not in k*Z"
                 )
     details: dict = {}

@@ -16,12 +16,13 @@ API here speaks ids.
 dispatches on the codomain.  For 3 colors, arcs take values in
 {-1, 0, +1} (``delta3``).  For a cycle codomain C_k with odd k >= 5,
 arcs take values in {0, ±1/2, ±1} (``delta_k``), with a distinguished
-FAR marker for steps no arc of an adjacent pair can take.  Values are
-kept exact with :class:`Half` (a doubled integer); floats never appear.
-The scalar :func:`label` and :func:`little_path` walk the tour arc by
-arc and are the reference; :func:`np_tour` is the one vectorized
-kernel, for every codomain, and reads its arc values from
-:func:`arc_value`.
+FAR marker for steps no arc of an adjacent pair can take.
+:func:`arc_value` gives every arc value doubled, as a plain int, so
+half-steps stay exact and floats never appear; labels and little paths
+are doubled the same way.  The scalar :func:`label` and
+:func:`little_path` walk the tour arc by arc and are the reference;
+:func:`np_tour` is the one vectorized kernel, for every codomain, and
+reads its arc values from :func:`arc_value`.
 
 For cycle codomains, a chord arc whose color step falls outside
 {0, 2, k-2} mod k means the assignment has no neighbors at all, so
@@ -58,56 +59,6 @@ class _Numpy:
 np = _Numpy()
 
 
-@dataclass(frozen=True, order=True)
-class Half:
-    """An exact half-integer, stored as twice its value.
-
-    ``Half(doubled=3)`` is 3/2; the value is integral iff ``doubled``
-    is even.  Supports addition, negation, and integer scaling — all
-    closed and exact.
-    """
-
-    doubled: int = 0
-
-    @classmethod
-    def from_int(cls, value: int) -> "Half":
-        return cls(2 * value)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.doubled % 2 == 0
-
-    def as_int(self) -> int:
-        if not self.is_integer:
-            raise ValueError(f"{self} is not an integer")
-        return self.doubled // 2
-
-    def __add__(self, other: "Half") -> "Half":
-        if not isinstance(other, Half):
-            return NotImplemented
-        return Half(self.doubled + other.doubled)
-
-    def __sub__(self, other: "Half") -> "Half":
-        if not isinstance(other, Half):
-            return NotImplemented
-        return Half(self.doubled - other.doubled)
-
-    def __neg__(self) -> "Half":
-        return Half(-self.doubled)
-
-    def __mul__(self, scale: int) -> "Half":
-        if not isinstance(scale, int):
-            return NotImplemented
-        return Half(self.doubled * scale)
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        if self.doubled % 2 == 0:
-            return str(self.doubled // 2)
-        return f"{self.doubled}/2"
-
-
 class _Far:
     """Marker for color steps that no arc of an adjacent pair can take."""
 
@@ -128,26 +79,26 @@ def delta3(i: int, j: int) -> int:
 
 
 def delta_k(i: int, j: int, k: int):
-    """Arc value for colors on the cycle C_k, odd k >= 5.
+    """Doubled arc value for colors on the cycle C_k, odd k >= 5.
 
     By the residue of j-i mod k: 2 -> +1, k-2 -> -1, 1 -> +1/2,
     k-1 -> -1/2, 0 -> 0; any other residue -> the FAR marker.
-    Returns Half or FAR.
+    Returns twice the value as an int (2, -2, 1, -1, 0), or FAR.
     """
     _check_cycle_codomain(k)
     if not (1 <= i <= k and 1 <= j <= k):
         raise ValueError(f"colors must be in 1..{k}, got ({i},{j})")
     r = (j - i) % k
     if r == 0:
-        return Half(0)
+        return 0
     if r == 2:
-        return Half(2)
+        return 2
     if r == k - 2:
-        return Half(-2)
+        return -2
     if r == 1:
-        return Half(1)
+        return 1
     if r == k - 1:
-        return Half(-1)
+        return -1
     return FAR
 
 
@@ -162,9 +113,9 @@ def _check_cycle_codomain(k: int) -> None:
 
 
 def arc_value(i: int, j: int, k: int):
-    """Δ for any supported codomain, as Half or FAR; dispatches on k."""
+    """Doubled Δ for any supported codomain, as an int or FAR; dispatches on k."""
     if k == 3:
-        return Half.from_int(delta3(i, j))
+        return 2 * delta3(i, j)
     return delta_k(i, j, k)
 
 
@@ -253,11 +204,11 @@ class OddCycleCtx:
         fold = np.zeros((2, len(steps), 4), dtype=np.int64)
         for s, d in enumerate(steps):
             value = arc_value(1, 1 + d % k, k)
-            if value is FAR or value.doubled % 2:
+            if value is FAR or value % 2:
                 fold[:, s, 3] = 1
             else:
-                fold[:, s, 0] = value.doubled
-                fold[1, s, 1] = value.doubled
+                fold[:, s, 0] = value
+                fold[1, s, 1] = value
         fold[:, k - 1, 2] = 1
         fold = fold.reshape(-1, 4)
         fold.setflags(write=False)
@@ -300,31 +251,31 @@ def _check_colors(f: Sequence[int], k: int) -> None:
             raise ValueError(f"color {c} outside 1..{k}")
 
 
-def _tour_value(f: Sequence[int], arcs: Iterable[tuple[int, int]], ctx: OddCycleCtx) -> Half:
+def _tour_value(f: Sequence[int], arcs: Iterable[tuple[int, int]], ctx: OddCycleCtx) -> int:
     k = ctx.k
-    if k == 3:
-        return Half.from_int(sum(delta3(f[u], f[v]) for u, v in arcs))
     doubled = 0
     for u, v in arcs:
-        d = delta_k(f[u], f[v], k)
-        if d is FAR or d.doubled % 2 != 0:
+        d = arc_value(f[u], f[v], k)
+        if d is FAR or d % 2 != 0:
             raise IsolatedFunctionError(
                 f"assignment is isolated: chord arc ({u},{v}) steps by "
                 f"{(f[v] - f[u]) % k} mod {k}, outside {{0, 2, {k - 2}}}"
             )
-        doubled += d.doubled
-    return Half(doubled)
+        doubled += d
+    return doubled
 
 
-def label(f: Sequence[int], ctx: OddCycleCtx) -> Half:
-    """ℓ_f: total arc value of f around the chord cycle."""
+def label(f: Sequence[int], ctx: OddCycleCtx) -> int:
+    """2ℓ_f: the doubled total arc value of f around the chord cycle,
+    the ``ell2`` of :func:`np_tour`."""
     _check_assignment(f, ctx.n)
     _check_colors(f, ctx.k)
     return _tour_value(f, chord_order(ctx.n), ctx)
 
 
-def little_path(f: Sequence[int], ctx: OddCycleCtx) -> Half:
-    """p_f: total arc value of f along the n-arc chord path from a to b.
+def little_path(f: Sequence[int], ctx: OddCycleCtx) -> int:
+    """2p_f: the doubled total arc value of f along the n-arc chord path
+    from a to b, the ``p2`` of :func:`np_tour`.
 
     Isolated assignments have no little path: for cycle codomains the
     whole chord tour is screened first, so an impossible step anywhere

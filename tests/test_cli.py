@@ -22,6 +22,8 @@ from expocolor.expo import allowed_colors, is_isolated
 from expocolor.graphs import graph_from_json_dict, save_graph
 from expocolor.winding import in_even_class
 
+from test_graphs import NON_INTEGER_GRAPHS
+
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
     if stdin_text is not None:
@@ -632,21 +634,40 @@ def test_color_explicit_edge(capsys, monkeypatch):
 
 
 def test_color_general_host_with_cache_env(tmp_path, capsys, monkeypatch):
+    # the cycle cache lives in the --cache file only: EXPO_CACHE names none
     k4 = tmp_path / "k4.json"
     assert main(["gen", "complete", "--k", "4", "--out", str(k4)]) == 0
+    rows = "[[1,1,1,1],[2,2,1,1]]"
+    assert run_cli(["color", "--graph", str(k4)], rows, monkeypatch) == 0
+    plain = capsys.readouterr().out
+    assert len(plain.splitlines()) == 2
+    stray = tmp_path / "stray.json"
+    monkeypatch.setenv("EXPO_CACHE", str(stray))
+    assert run_cli(["color", "--graph", str(k4)], rows, monkeypatch) == 0
+    assert capsys.readouterr().out == plain and not stray.exists()
     cache_path = tmp_path / "cache.json"
-    monkeypatch.setenv("EXPO_CACHE", str(cache_path))
-    code = run_cli(["color", "--graph", str(k4)], "[[1,1,1,1],[2,2,1,1]]", monkeypatch)
-    assert code == 0
-    lines = [json.loads(x) for x in capsys.readouterr().out.splitlines()]
-    assert len(lines) == 2
-    cached = json.loads(cache_path.read_text())
-    assert cached["cycles"] == [[0, 1, 2]]
+    argv = ["color", "--graph", str(k4), "--cache", str(cache_path)]
+    assert run_cli(argv, rows, monkeypatch) == 0
+    assert capsys.readouterr().out == plain
+    assert json.loads(cache_path.read_text())["cycles"] == [[0, 1, 2]]
     # second run reuses the cache file
-    code = run_cli(["color", "--graph", str(k4)], "[3,3,2,2]", monkeypatch)
-    assert code == 0
+    assert run_cli(argv, "[3,3,2,2]", monkeypatch) == 0
     assert json.loads(cache_path.read_text())["cycles"] == [[0, 1, 2]]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("graph", NON_INTEGER_GRAPHS.values(), ids=NON_INTEGER_GRAPHS)
+def test_color_and_verify_reject_non_integer_graph(graph, tmp_path, capsys, monkeypatch):
+    # a usage error (exit 2), not a host read with int()
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    assert run_cli(["color", "--graph", str(path)], "[1,1,2,2]", monkeypatch) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: malformed graph JSON")
+    argv = ["verify", "end-to-end", "--graph", str(path), "--samples", "5"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: malformed graph JSON")
 
 
 def test_cache_save_is_atomic(tmp_path, capsys, monkeypatch):

@@ -47,7 +47,7 @@ from expocolor.graphs import (
     odd_cycle_in,
     odd_cycles,
 )
-from expocolor.winding import Half, OddCycleCtx, in_even_class, label, little_path
+from expocolor.winding import OddCycleCtx, in_even_class, label, little_path
 
 from test_expo import brute_adjacent
 
@@ -58,8 +58,8 @@ def test_frozen_verdicts():
     v = color_vertex((2, 1, 1, 1, 1), CTX5)
     assert v.color == 2
     assert v.branch is Branch.BELOW_HALF
-    assert v.ell == Half(0)
-    assert v.p == Half(-2)
+    assert v.ell2 == 0
+    assert v.p2 == -2
     assert v.to_json_dict() == {
         "color": 2, "branch": "BelowHalf", "ell2": 0, "p2": -2
     }
@@ -125,8 +125,7 @@ def test_color_vertex_same_verdict_for_every_integer_form():
     for f in itertools.product((1, 2, 3), repeat=5):
         if in_even_class(f, 2):
             want = color_vertex(f, CTX5)
-            ell, p = label(f, CTX5), little_path(f, CTX5)
-            assert (want.ell, want.p) == (ell, p), f
+            assert (want.ell2, want.p2) == (label(f, CTX5), little_path(f, CTX5)), f
             for name, form in ROW_FORMS.items():
                 assert color_vertex(form(f), CTX5) == want, (name, f)
         else:
@@ -180,7 +179,7 @@ def _verdict_row(outcome) -> tuple:
     if isinstance(outcome, Exception):
         return (0, 0, 0, 0)
     branch = list(Branch).index(outcome.branch)
-    return (outcome.color, branch, outcome.ell.doubled, outcome.p.doubled)
+    return (outcome.color, branch, outcome.ell2, outcome.p2)
 
 
 def _errors(outcomes) -> list[tuple[int, type, str]]:
@@ -726,7 +725,7 @@ def test_a_c_star_that_depends_on_the_call_is_caught(name, check, request, monke
 
 
 def test_verdict_is_frozen():
-    v = ColorVerdict(color=1, branch=Branch.EQUAL_ENDPOINTS, ell=Half(0), p=Half(0))
+    v = ColorVerdict(color=1, branch=Branch.EQUAL_ENDPOINTS, ell2=0, p2=0)
     with pytest.raises(AttributeError):
         v.color = 2
     assert json.loads(json.dumps(v.to_json_dict()))["branch"] == "EqualEndpoints"

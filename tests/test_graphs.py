@@ -280,6 +280,24 @@ def test_json_rejects_malformed():
         graph_from_json_dict({"n": 2, "edges": [[0, 2]]})
 
 
+# Graph JSON that int() would read as a graph: it truncates a float,
+# parses a string and takes true as 1.
+NON_INTEGER_GRAPHS = {
+    "float n": {"n": 4.9, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]},
+    "float id": {"n": 4, "edges": [[0, 1.7], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]},
+    "boolean n": {"n": True, "edges": []},
+    "boolean id": {"n": 2, "edges": [[0, True]]},
+    "string n": {"n": "4", "edges": [[0, 1]]},
+    "string id": {"n": 2, "edges": [["0", 1]]},
+}
+
+
+@pytest.mark.parametrize("d", NON_INTEGER_GRAPHS.values(), ids=NON_INTEGER_GRAPHS)
+def test_json_rejects_non_integer_n_and_ids(d):
+    with pytest.raises(ValueError, match="malformed graph JSON"):
+        graph_from_json_dict(d)
+
+
 def test_dot_output_mentions_every_edge(c5):
     dot = graph_to_dot(c5)
     assert dot.startswith("graph")

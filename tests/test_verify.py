@@ -27,7 +27,6 @@ import expocolor
 from expocolor import cli, coloring, expo, verify, winding
 from expocolor.errors import CapacityError, InvariantViolationError, NoEvenCycleError
 from expocolor.graphs import Graph, make_complete, make_cycle, make_grotzsch, save_graph
-from expocolor.winding import Half
 
 GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
 
@@ -99,7 +98,7 @@ def _corrupt_delta_k(monkeypatch):
 
     def bad(i, j, k):
         if (j - i) % k == 2:
-            return Half(-2)  # should be +1
+            return -2  # doubled -1; should be doubled +1, that is 2
         return real(i, j, k)
 
     monkeypatch.setattr(winding, "delta_k", bad)
@@ -134,6 +133,33 @@ def _corrupt_kernel(monkeypatch):
         return ell2 + 2, p2, fixed, isolated & False  # one arc too many, no isolation
 
     monkeypatch.setattr(winding, "np_tour", bad)
+
+
+def test_violation_messages_print_half_integers_exactly(monkeypatch):
+    # The verifiers hold values doubled; a message prints the value itself,
+    # as an integer when it is one and as "d/2" otherwise.
+    real = winding.np_tour
+
+    def violations(shift, verifier, *args):
+        def shifted(fs, ctx):
+            ell2, p2, fixed, isolated = real(fs, ctx)
+            return ell2 + shift, p2 + 3, fixed, isolated
+
+        monkeypatch.setattr(winding, "np_tour", shifted)
+        return verifier(*args).violations
+
+    congruences = violations(1, verify.verify_label_congruences, 1)
+    assert congruences[0] == "label 1/2 not divisible by 3 for f=(1, 1, 1)"
+    assert "label -5/2 not divisible by 3 for f=(1, 2, 3)" in congruences
+    assert violations(1, verify.verify_label_invariance, 1, 5)[0] == (
+        "interleaved tour value 0 does not determine label 1/2 "
+        "for f=(1, 1, 1), g=(2, 2, 2)"
+    )
+    congruences = violations(3, verify.verify_label_congruences, 1)
+    assert congruences[0] == "label 3/2 not divisible by 3 for f=(1, 1, 1)"
+    congruences = violations(2, verify.verify_label_congruences, 1)
+    assert congruences[0] == "label 1 not divisible by 3 for f=(1, 1, 1)"
+    assert "label -2 not divisible by 3 for f=(1, 2, 3)" in congruences
 
 
 def test_corrupt_kernel_detected_by_arithmetic_verifiers(monkeypatch):

@@ -20,7 +20,6 @@ from expocolor.coloring import Branch, color_rows, color_vertex, color_vertex_ck
 from expocolor.errors import InvariantViolationError, IsolatedFunctionError, ParityDomainError
 from expocolor.winding import (
     FAR,
-    Half,
     OddCycleCtx,
     arc_value,
     chord_order,
@@ -61,23 +60,13 @@ def test_delta3_rejects_out_of_range_colors():
         delta3(1, 4)
 
 
-def test_half_arithmetic_is_exact():
-    one_half = Half(1)
-    assert one_half + one_half == Half.from_int(1)
-    assert Half.from_int(2) - one_half == Half(3)
-    assert (-one_half).doubled == -1
-    assert Half.from_int(1).is_integer and Half.from_int(1).as_int() == 1
-    assert not Half(1).is_integer
-    assert str(Half(3)) == "3/2"
-    assert Half(4) > Half(1)
-
-
 def test_delta_k_frozen_cases():
-    assert delta_k(1, 3, 5) == Half.from_int(1)  # residue 2
-    assert delta_k(2, 7, 7) == Half.from_int(-1)  # residue k-2
-    assert delta_k(1, 2, 5) == Half(1)  # residue 1 -> +1/2
-    assert delta_k(2, 1, 5) == Half(-1)  # residue k-1 -> -1/2
-    assert delta_k(4, 4, 9) == Half(0)
+    # doubled values: +1 is 2, +1/2 is 1
+    assert delta_k(1, 3, 5) == 2  # residue 2
+    assert delta_k(2, 7, 7) == -2  # residue k-2
+    assert delta_k(1, 2, 5) == 1  # residue 1 -> +1/2
+    assert delta_k(2, 1, 5) == -1  # residue k-1 -> -1/2
+    assert delta_k(4, 4, 9) == 0
     assert delta_k(1, 4, 7) is FAR  # residue 3 is unreachable for a pair
 
 
@@ -88,15 +77,15 @@ def test_delta_k_residue_classes_exhaustively():
                 r = (j - i) % k
                 got = delta_k(i, j, k)
                 if r == 0:
-                    assert got == Half(0)
+                    assert got == 0
                 elif r == 2:
-                    assert got == Half(2)
+                    assert got == 2
                 elif r == k - 2:
-                    assert got == Half(-2)
+                    assert got == -2
                 elif r == 1:
-                    assert got == Half(1)
+                    assert got == 1
                 elif r == k - 1:
-                    assert got == Half(-1)
+                    assert got == -1
                 else:
                     assert got is FAR
 
@@ -113,7 +102,7 @@ def test_delta_k_refuses_three_colors():
 
 
 def test_arc_value_dispatches_on_k():
-    assert arc_value(1, 2, 3) == Half.from_int(delta3(1, 2))
+    assert arc_value(1, 2, 3) == 2 * delta3(1, 2)
     assert arc_value(1, 2, 5) == delta_k(1, 2, 5)
 
 
@@ -190,30 +179,31 @@ def test_fixed_points_definition_exhaustive_n2():
 
 def test_label_frozen_examples():
     ctx = OddCycleCtx.make(2, 3)
-    assert label((1, 2, 1, 2, 3), ctx) == Half.from_int(-3)
-    assert label((1, 1, 1, 1, 1), ctx) == Half(0)
-    assert little_path((2, 1, 1, 1, 1), ctx) == Half.from_int(-1)
-    assert little_path((1, 1, 1, 1, 2), ctx) == Half.from_int(1)
+    # doubled values: the label of (1, 2, 1, 2, 3) is -3
+    assert label((1, 2, 1, 2, 3), ctx) == -6
+    assert label((1, 1, 1, 1, 1), ctx) == 0
+    assert little_path((2, 1, 1, 1, 1), ctx) == -2
+    assert little_path((1, 1, 1, 1, 2), ctx) == 2
 
 
 def test_label_multiple_of_three_for_all_assignments():
     ctx = OddCycleCtx.make(2, 3)
     for f in itertools.product((1, 2, 3), repeat=5):
         lab = label(f, ctx)
-        assert lab.is_integer and lab.as_int() % 3 == 0
+        assert lab % 2 == 0 and (lab // 2) % 3 == 0
 
 
 def test_label_is_sum_over_hand_walked_tour():
     ctx = OddCycleCtx.make(2, 3)
     for f in ((1, 2, 3, 1, 2), (3, 3, 1, 2, 2), (2, 1, 3, 3, 1)):
         by_hand = sum(DELTA3_LITERAL[(f[u], f[v])] for u, v in chord_order(2))
-        assert label(f, ctx) == Half.from_int(by_hand)
+        assert label(f, ctx) == 2 * by_hand
 
 
 def test_label_cycle_codomain_frozen_examples():
     ctx = OddCycleCtx.make(1, 5)
-    assert label((1, 3, 1), ctx) == Half(0)
-    assert label((1, 3, 3), ctx) == Half(0)
+    assert label((1, 3, 1), ctx) == 0
+    assert label((1, 3, 3), ctx) == 0
     # At n=1, k=5 every non-isolated label is 0: the three arcs are each
     # at most 1 in magnitude and the label must be a multiple of 5.
     for f in itertools.product(range(1, 6), repeat=3):
@@ -221,7 +211,7 @@ def test_label_cycle_codomain_frozen_examples():
             lab = label(f, ctx)
         except IsolatedFunctionError:
             continue
-        assert lab == Half(0), f
+        assert lab == 0, f
 
 
 def test_label_cycle_codomain_raises_on_isolated():
@@ -248,10 +238,10 @@ def _odd_assignments(draw):
 def test_label_congruence_on_random_assignments(case):
     n, f = case
     ctx = OddCycleCtx.make(n, 3)
-    ell = label(f, ctx)
-    assert ell.doubled % 2 == 0
-    assert (ell.doubled // 2) % 3 == 0
-    assert np_tour(np.array([f]), ctx)[0].tolist() == [ell.doubled]
+    ell2 = label(f, ctx)
+    assert ell2 % 2 == 0
+    assert (ell2 // 2) % 3 == 0
+    assert np_tour(np.array([f]), ctx)[0].tolist() == [ell2]
 
 
 @given(_odd_assignments(), st.integers(min_value=0))
@@ -260,8 +250,8 @@ def test_np_tour_matches_scalar_on_random_edges(case, edge):
     length = 2 * n + 1
     ctx = OddCycleCtx.make(n, 3, (edge % length, (edge + 1) % length))
     ell2, p2, fp, isolated = np_tour(np.array(f, dtype=np.uint8), ctx)
-    assert ell2 == label(f, ctx).doubled
-    assert p2 == little_path(f, ctx).doubled
+    assert ell2 == label(f, ctx)
+    assert p2 == little_path(f, ctx)
     assert fp == len(fixed_points(f, n))
     assert not isolated
 
@@ -331,7 +321,7 @@ def _outcome(color, f, ctx):
         v = color(f, ctx)
     except (ValueError, InvariantViolationError) as exc:
         return [0, 0, 0, 0, _ERRORS.index(type(exc))]
-    return [v.color, list(Branch).index(v.branch), v.ell.doubled, v.p.doubled, -1]
+    return [v.color, list(Branch).index(v.branch), v.ell2, v.p2, -1]
 
 
 def _scalar_tour(f, ctx):
@@ -339,7 +329,7 @@ def _scalar_tour(f, ctx):
     None for an isolated row, where label and little_path raise."""
     fixed = len(fixed_points(f, ctx.n))
     try:
-        return label(f, ctx).doubled, little_path(f, ctx).doubled, fixed, False
+        return label(f, ctx), little_path(f, ctx), fixed, False
     except IsolatedFunctionError:
         return None, None, fixed, True
 
