@@ -9,6 +9,8 @@ at once and therefore touches all ``3**(2n+1)`` assignments, already
 
 from __future__ import annotations
 
+import os
+import platform
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -46,6 +48,21 @@ class BenchResult:
             "rep_seconds": list(self.rep_seconds),
             "details": dict(self.details),
         }
+
+
+def environment() -> dict:
+    """What the figures of a run depend on besides the code: the CPUs, the
+    Python and numpy versions, and the ``OPENBLAS_NUM_THREADS`` value the
+    process ran with (None when unset)."""
+    usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    return {
+        "mode": "environment",
+        "cpu_count": os.cpu_count(),
+        "cpus_usable": os.cpu_count() if usable is None else len(usable),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
 
 
 def random_even_assignment(

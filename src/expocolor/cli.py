@@ -17,6 +17,14 @@ Exit codes are stable API: 0 success, 1 verification violations (for
 ``color``, a broken internal invariant: ``InvariantViolationError``),
 2 usage, 3 parity-domain error, 4 isolated assignment, 5 capacity.
 
+Importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless it is
+already set, and only then loads numpy.  expocolor never calls BLAS,
+and the worker thread OpenBLAS would otherwise start at numpy's import
+costs every call start-up time (see README, "Cold start").  The
+``expocolor`` command, ``python -m expocolor.cli`` and the workers of
+``verify --threads`` all run with it; the library modules leave the
+variable alone.
+
 Cycle vertices are 0-based ids; ``--edge A,B`` names the distinguished
 edge by those ids (default ``0,2n``).  ``color --graph`` keeps its
 cycle cache in the file named by ``--cache``, and only there: without
@@ -57,10 +65,16 @@ each other.
 
 from __future__ import annotations
 
+import os
+
+# expocolor never calls BLAS, and the worker thread OpenBLAS starts when
+# numpy loads only costs start-up time; ask for one thread before the
+# first import that loads numpy.  A value already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import json
 import locale
-import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -624,6 +638,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(json.dumps(res.to_json_dict()))
         if slope is not None:
             print(json.dumps({"mode": "slope", "slope": slope, "ns": ns}))
+        print(json.dumps(bench_mod.environment()))
     else:
         print(f"{'mode':<10}{'n':>10}{'reps':>6}{'median_s':>14}  notes")
         for res in results:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import coloring, expo, winding
 from .errors import CapacityError, InvariantViolationError
-from .expo import ComponentClass, ExpoGraph, assignment_grid, is_isolated, row_index
+from .expo import ComponentClass, ExpoGraph, assignment_grid, row_index
 from .expo import DEFAULT_CAP
 from .graphs import CHROMATIC_HARD_CAP, Graph, bipartition, chromatic_number_exact
 from .graphs import make_cycle, odd_cycles
@@ -387,13 +387,13 @@ def verify_proper_ck(n: int, k: int, cap: int = DEFAULT_CAP) -> VerificationRepo
     and verifies that three independent isolation tests agree: the
     number of neighbors enumerated by :func:`.expo.neighbor_pairs` from
     the stacked :func:`.expo.allowed_masks` (each pair re-checked here
-    against every host edge), the per-row allowed-set test
-    :func:`.expo.is_isolated`, and the arc-residue test performed by
-    label arithmetic.  Masks past 64 colors hold Python ints, so every
-    ``k`` the CLI accepts is swept exactly.  Every non-isolated
-    even-class assignment is then colored, and every adjacent pair of
-    such assignments must receive colors that are themselves adjacent
-    on the ``k``-cycle.
+    against every host edge), an allowed-set test read from this
+    verifier's own color-adjacency table (:func:`_compat_isolated`), and
+    the arc-residue test performed by label arithmetic.  Masks past 64
+    colors hold Python ints, so every ``k`` the CLI accepts is swept
+    exactly.  Every non-isolated even-class assignment is then colored,
+    and every adjacent pair of such assignments must receive colors that
+    are themselves adjacent on the ``k``-cycle.
     """
     t0 = time.perf_counter()
     ctx, rows, (_, _, fixed, residue_isolated) = _sweep_tour(n, k, cap)
@@ -417,11 +417,11 @@ def verify_proper_ck(n: int, k: int, cap: int = DEFAULT_CAP) -> VerificationRepo
             )
         degree += np.bincount(i[adjacent], minlength=total)
     pair_iso = degree == 0
-    fast_iso = [is_isolated(host, f, k, cycle_target=True) for f in _row_tuples(rows)]
-    for r in np.flatnonzero((pair_iso != fast_iso) | (pair_iso != residue_isolated)):
+    table_iso = _compat_isolated(host, rows, compat)
+    for r in np.flatnonzero((pair_iso != table_iso) | (pair_iso != residue_isolated)):
         viol.add(
             f"isolation tests disagree for f={_fmt(rows[r])}: pair-count="
-            f"{pair_iso[r]}, allowed-set={fast_iso[r]}, arc-residue={residue_isolated[r]}"
+            f"{pair_iso[r]}, allowed-set={table_iso[r]}, arc-residue={residue_isolated[r]}"
         )
     sources = np.flatnonzero(~pair_iso & even_mask)
     colors, _ = _color_sweep(ctx, rows, sources, viol)
@@ -447,6 +447,20 @@ def verify_proper_ck(n: int, k: int, cap: int = DEFAULT_CAP) -> VerificationRepo
     }
     statement = "per-vertex coloring (cycle codomain)"
     return _report(statement, {"n": n, "k": k}, total, viol, details, t0)
+
+
+def _compat_isolated(host: Graph, rows: np.ndarray, compat: np.ndarray) -> np.ndarray:
+    """Which rows are isolated, read from the adjacency table ``compat``
+    alone, ``_BLOCK_ROWS`` rows at a time: a vertex's allowed colors are
+    the colors adjacent to the color of every neighbour, ANDed, and a row
+    is isolated iff some vertex has none left."""
+    isolated = np.zeros(len(rows), dtype=bool)
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        fs = rows[start : start + _BLOCK_ROWS]
+        for near in host.neighbors:
+            allowed = np.logical_and.reduce([compat[fs[:, w], 1:] for w in near])
+            isolated[start : start + len(fs)] |= ~allowed.any(axis=1)
+    return isolated
 
 
 def _edge_array(g: Graph) -> np.ndarray:

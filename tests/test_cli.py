@@ -614,6 +614,44 @@ def test_importing_the_cli_leaves_the_pool_and_bench_unloaded():
     assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
 
 
+def _in_fresh_python(code: str, blas_threads: str | None) -> str:
+    """Standard output of ``code`` run by a new interpreter on this package,
+    with ``OPENBLAS_NUM_THREADS`` set to ``blas_threads``, or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(expocolor.__file__).resolve().parents[1])
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+_BLAS_AND_THREADS = (
+    "import os, sys; print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+    "len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else '-')"
+)
+
+
+def test_importing_the_cli_asks_for_one_blas_thread():
+    # numpy loads with the CLI, so on Linux OpenBLAS starts no worker
+    got = _in_fresh_python(f"import expocolor.cli; {_BLAS_AND_THREADS}", None)
+    assert got == ("1 1" if sys.platform == "linux" else "1 -")
+
+
+def test_importing_the_cli_keeps_a_user_blas_setting():
+    got = _in_fresh_python(f"import expocolor.cli; {_BLAS_AND_THREADS}", "2")
+    assert got.split()[0] == "2"
+
+
+def test_library_imports_leave_the_blas_setting_alone():
+    code = (
+        "import os, sys, expocolor, expocolor.winding, expocolor.graphs, "
+        "expocolor.expo, expocolor.coloring, expocolor.verify, expocolor.bench; "
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'expocolor.cli' in sys.modules)"
+    )
+    assert _in_fresh_python(code, None) == "None False"
+
+
 def test_color_long_host_cycle_without_even_parity_exits_4(tmp_path, capsys, monkeypatch):
     # C_1201 is its own only odd cycle, and this row has odd parity on it;
     # the cycle search must report that, not overflow the recursion limit.
@@ -902,6 +940,13 @@ def test_bench_json_output(capsys):
     assert rows[0]["mode"] == "explicit"
     assert rows[0]["reps"] == 3
     assert len(rows[0]["rep_seconds"]) == 3
+    env = rows[-1]
+    assert set(env) == {
+        "mode", "cpu_count", "cpus_usable", "python", "numpy", "openblas_num_threads"
+    }
+    assert env["mode"] == "environment"
+    assert env["numpy"] == np.__version__
+    assert env["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
 
 
 def test_bench_baseline_table(capsys):

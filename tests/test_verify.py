@@ -171,8 +171,24 @@ def test_corrupt_kernel_detected_by_arithmetic_verifiers(monkeypatch):
     assert not verify.verify_proper_ck(1, 5).passed
 
 
-def test_is_isolated_stuck_false_detected_by_proper_ck(monkeypatch):
-    monkeypatch.setattr(verify, "is_isolated", lambda *args, **kwargs: False)
+@pytest.mark.parametrize("n, k", [(1, 5), (2, 5), (1, 7), (1, 65)])
+def test_table_isolation_matches_is_isolated(n, k):
+    # proper-ck's own isolation reference against the per-row allowed sets;
+    # the k = 65 grid is thinned to every 97th row
+    ctx, rows = verify._sweep_grid(n, k, verify.DEFAULT_CAP)
+    host = make_cycle(ctx.length)
+    compat = np.zeros((k + 1, k + 1), dtype=bool)
+    for x in range(1, k + 1):
+        compat[x, x % k + 1] = compat[x % k + 1, x] = True
+    rows = rows[:: 97 if k > 9 else 1]
+    want = [expo.is_isolated(host, tuple(f), k, cycle_target=True) for f in rows.tolist()]
+    assert verify._compat_isolated(host, rows, compat).tolist() == want
+
+
+def test_table_isolation_stuck_false_detected_by_proper_ck(monkeypatch):
+    monkeypatch.setattr(
+        verify, "_compat_isolated", lambda host, rows, compat: np.zeros(len(rows), dtype=bool)
+    )
     rep = verify.verify_proper_ck(1, 5)
     assert not rep.passed
     assert all("isolation tests disagree" in v for v in rep.violations)
