@@ -554,6 +554,8 @@ def _verify_jobs(args: argparse.Namespace) -> list[tuple[str, dict]]:
     ns = _verify_ns(args)
     if args.samples is not None and args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     host = load_graph(args.graph) if args.graph else make_complete(4)
     end_to_end = {"host": host, "cap": args.cap, "samples": args.samples, "seed": args.seed}
     if args.suite == "all":
@@ -586,7 +588,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.threads > 1 and len(jobs) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=args.threads) as pool:
+            # a pool forks every worker at its first submit
+            with ProcessPoolExecutor(max_workers=min(args.threads, len(jobs))) as pool:
                 reports = list(pool.map(_run_verify_job, jobs))
         else:
             reports = [_run_verify_job(job) for job in jobs]
@@ -631,7 +634,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             if args.mode == "explicit" and len(results) >= 2
             else None
         )
-    except (ValueError, CapacityError) as exc:
+    except CapacityError as exc:
+        return _fail(str(exc), EXIT_CAPACITY)
+    except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
     if args.format == "json":
         for res in results:

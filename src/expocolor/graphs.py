@@ -446,8 +446,8 @@ def save_graph(g: Graph, path) -> None:
         fh.write("\n")
 
 
-def graph_to_dot(g: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def graph_to_dot(g: Graph) -> str:
+    lines = ["graph G {"]
     lines += [f"  {v};" for v in range(g.vertex_count)]
     lines += [f"  {u} -- {v};" for u, v in g.edges()]
     lines.append("}")

@@ -78,14 +78,13 @@ class VerificationReport:
 class _Tally:
     """Violation collector that keeps a readable prefix but counts all."""
 
-    def __init__(self, keep: int = _KEEP_VIOLATIONS):
+    def __init__(self):
         self.items: list[str] = []
         self.total = 0
-        self._keep = keep
 
     def add(self, msg: str) -> None:
         self.total += 1
-        if len(self.items) < self._keep:
+        if len(self.items) < _KEEP_VIOLATIONS:
             self.items.append(msg)
 
     def finish(self, details: dict) -> list[str]:

@@ -17,11 +17,12 @@ import expocolor
 from expocolor import cli, coloring, winding
 from expocolor.cli import main
 from expocolor.errors import InvariantViolationError, IsolatedFunctionError, ParityDomainError
-from expocolor.coloring import CycleCache, color_in_kh, color_rows_in_kh, find_even_cycle
+from expocolor.coloring import color_rows_in_kh, find_even_cycle
 from expocolor.expo import allowed_colors, is_isolated
 from expocolor.graphs import graph_from_json_dict, save_graph
 from expocolor.winding import in_even_class
 
+from hosts import kh_loop
 from test_graphs import NON_INTEGER_GRAPHS
 
 
@@ -70,40 +71,6 @@ def test_gen_missing_params(capsys):
     capsys.readouterr()
 
 
-def test_color_single_cycle_stdin(capsys, monkeypatch):
-    code = run_cli(["color", "--len", "5"], "[2,1,1,1,1]", monkeypatch)
-    assert code == 0
-    verdict = json.loads(capsys.readouterr().out)
-    assert verdict == {"color": 2, "branch": "BelowHalf", "ell2": 0, "p2": -2}
-
-
-def test_color_accepts_array_of_arrays_and_jsonl(capsys, monkeypatch):
-    code = run_cli(["color", "--len", "5"], "[[1,1,1,1,1],[1,1,1,1,2]]", monkeypatch)
-    assert code == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [json.loads(x)["color"] for x in lines] == [1, 2]
-
-    code = run_cli(
-        ["color", "--n", "2"], "[1,1,1,1,1]\n[1,1,1,1,2]\n", monkeypatch
-    )
-    assert code == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [json.loads(x)["color"] for x in lines] == [1, 2]
-
-
-def test_color_input_file(tmp_path, capsys):
-    src = tmp_path / "rows.json"
-    src.write_text("[1,1,1,1,1]")
-    assert main(["color", "--len", "5", "--input", str(src)]) == 0
-    assert json.loads(capsys.readouterr().out)["branch"] == "EqualEndpoints"
-
-
-def test_color_odd_parity_exits_3(capsys, monkeypatch):
-    code = run_cli(["color", "--len", "5"], "[1,2,1,2,3]", monkeypatch)
-    assert code == 3
-    assert "fixed points" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("graph", [False, True], ids=["cycle", "host"])
 def test_color_stops_the_stack_before_the_first_out_of_range_row(
     graph, c5, tmp_path, capsys, monkeypatch
@@ -128,53 +95,46 @@ def test_color_stops_the_stack_before_the_first_out_of_range_row(
     assert err == "error: " + ("color 4 outside 1..3\n" if graph else "colors must be in 1..3\n")
 
 
-def test_color_isolated_ck_exits_4(capsys, monkeypatch):
-    code = run_cli(["color", "--len", "5", "--k", "5"], "[1,4,2,5,3]", monkeypatch)
-    assert code == 4
-    capsys.readouterr()
-
-
-def test_color_usage_errors(capsys, monkeypatch):
-    # no host at all
-    assert run_cli(["color"], "[1,1,1]", monkeypatch) == 2
-    capsys.readouterr()
-    # both kinds of host
-    monkeypatch.setattr(sys, "stdin", io.StringIO("[1,1,1]"))
-    assert main(["color", "--len", "3", "--graph", "whatever.json"]) == 2
-    capsys.readouterr()
-    # malformed assignment payload
-    monkeypatch.setattr(sys, "stdin", io.StringIO('{"not": "rows"}'))
-    assert main(["color", "--len", "3"]) == 2
-    capsys.readouterr()
-
-
 @pytest.mark.parametrize(
-    "payload",
-    ["[true, 2, 1, 1, 1]", "[[1, 1, 1, 1, 1], [false, 1, 1, 1, 1]]", "[1, 1, 1, 1, true]\n"],
+    "argv, stdin, code, colors",
+    [
+        (["color", "--len", "3", "--graph", "whatever.json"], "[1,1,1]", 2, []),  # two hosts
+        (["color", "--len", "3"], '{"not": "rows"}', 2, []),
+        (["color", "--len", "5"], "[[1,1,1,1,1],[1,1,1,1,2]]", 0, [1, 2]),
+        (["color", "--len", "5", "--k", "5"], "[1,4,2,5,3]", 4, []),
+        (["color", "--graph", "{tmp}/k4.json"], "[1,2,3,1]", 4, []),
+    ],
 )
-def test_color_rejects_json_booleans(payload, capsys, monkeypatch):
-    # json.loads gives bool for true/false, and bool is an int subclass.
-    assert run_cli(["color", "--n", "2"], payload, monkeypatch) == 2
+def test_color_calls_the_golden_corpus_lacks(
+    argv, stdin, code, colors, k4, tmp_path, capsys, monkeypatch
+):
+    # tests/data/color_golden.json holds the other cases of each kind: an
+    # array of arrays under --n and --graph, an isolated row after a good one
+    save_graph(k4, tmp_path / "k4.json")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert run_cli(argv, stdin, monkeypatch) == code
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error:")
+    assert [json.loads(line)["color"] for line in out.splitlines()] == colors
+    assert err.startswith("error: ") == (code != 0)
 
 
 @pytest.mark.parametrize(
     "payload",
     [
+        # json.loads gives bool for true/false, and bool is an int subclass
+        "[true, 2, 1, 1, 1]",
+        "[[1, 1, 1, 1, 1], [false, 1, 1, 1, 1]]",
+        "[1, 1, 1, 1, true]\n",
         "[1.0, 2, 1, 1, 1]",
         "[null, 1, 1, 1, 1]",
         '["1", 1, 1, 1, 1]',
-        "[[1], 1, 1, 1, 1]",
-        "[1, [1], 1, 1, 1]",
         "[[1, 1, 1, 1, 1], [1, 1, 1, 1, 1.5]]",
-        "[[1, 1, 1, 1, 1], 3]",
-        "[[]]",
         "[1, 1, 1, 1, 1]\n[1, 1, null, 1, 1]\n",
-        "[1, 1, 1, 1, 1]\n7\n",
     ],
 )
 def test_color_rejects_non_integer_colors(payload, capsys, monkeypatch):
+    # tests/data/color_golden.json holds the other cases: [[1], 1, 1, 1, 1],
+    # [1, [1], 1, 1, 1], [[1, 1, 1, 1, 1], 3], [[]] and a 7 after a row
     assert run_cli(["color", "--n", "2"], payload, monkeypatch) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:")
@@ -419,7 +379,7 @@ def test_color_of_one_long_row_from_a_pipe_stays_within_the_readers_memory(
 # Rows longer than one kernel pass stream through coloring.RowFeed.  With
 # winding._BLOCK patched small, rows on C_13 take several passes, and the
 # CLI's stdout, stderr and exit code must be those of color_rows on the
-# whole stack and of the one-row routine called row by row.
+# whole stack (which test_winding.py checks against the one-row routine).
 _FED_N = 6
 _FED_LENGTH = 2 * _FED_N + 1
 
@@ -429,6 +389,8 @@ def _exit_code(exc: Exception) -> int:
         return cli.EXIT_PARITY
     if isinstance(exc, IsolatedFunctionError):
         return cli.EXIT_ISOLATED
+    if isinstance(exc, InvariantViolationError):
+        return cli.EXIT_VIOLATIONS
     assert isinstance(exc, ValueError), exc
     return cli.EXIT_USAGE
 
@@ -439,7 +401,13 @@ def _stack_outcome(rows, ctx) -> tuple[str, str, int]:
         res = coloring.color_rows(np.array(rows, dtype=np.int64), ctx)
     except ValueError as exc:
         return "", f"error: {exc}\n", _exit_code(exc)
-    end = int(res.failed[0]) if len(res.failed) else len(rows)
+    return _cli_outcome(res)
+
+
+def _cli_outcome(res) -> tuple[str, str, int]:
+    """stdout, stderr and exit code of a ``color`` call whose rows got
+    ``res``: the verdicts before the first failing row, then its error."""
+    end = int(res.failed[0]) if len(res.failed) else len(res.color)
     names = [branch.value for branch in coloring.Branch]
     out = "".join(
         json.dumps({"color": c, "branch": names[b], "ell2": e, "p2": p}) + "\n"
@@ -447,18 +415,6 @@ def _stack_outcome(rows, ctx) -> tuple[str, str, int]:
     )
     if len(res.failed):
         return out, f"error: {res.errors[0]}\n", _exit_code(res.errors[0])
-    return out, "", 0
-
-
-def _one_row_outcome(rows, ctx) -> tuple[str, str, int]:
-    """stdout, stderr and exit code from the one-row routine, row by row."""
-    color_one = coloring.color_vertex if ctx.k == 3 else coloring.color_vertex_ck
-    out = ""
-    for row in rows:
-        try:
-            out += json.dumps(color_one(row, ctx).to_json_dict()) + "\n"
-        except ValueError as exc:
-            return out, f"error: {exc}\n", _exit_code(exc)
     return out, "", 0
 
 
@@ -495,11 +451,10 @@ def _fed_call(mode, argv, rows, tmp_path, monkeypatch, capsys) -> tuple[str, str
 
 
 def _assert_fed_like_stack(rows, k, edge, tmp_path, monkeypatch, capsys):
-    """The fed CLI call on every block size and input mode, against both
-    references; the stack path must not run."""
+    """The fed CLI call on every block size and input mode, against the
+    stack; the stack path must not run."""
     ctx = winding.OddCycleCtx.make(_FED_N, k, edge)
     want = _stack_outcome(rows, ctx)
-    assert _one_row_outcome(rows, ctx) == want
     argv = ["color", "--n", str(_FED_N), "--k", str(k), "--edge", f"{edge[0]},{edge[1]}"]
     monkeypatch.setattr(cli, "color_rows", None)  # a call would raise TypeError
     for block in (1, 2, 3, 4, 5, _FED_LENGTH - 1):
@@ -663,14 +618,6 @@ def test_color_long_host_cycle_without_even_parity_exits_4(tmp_path, capsys, mon
     assert out == "" and "no odd cycle" in err
 
 
-def test_color_explicit_edge(capsys, monkeypatch):
-    # edge 2,3 orients to (3,2); (1,1,2,2,1) keeps endpoints 2,1 distinct
-    code = run_cli(["color", "--len", "5", "--edge", "2,3"], "[1,1,2,2,1]", monkeypatch)
-    assert code == 0
-    verdict = json.loads(capsys.readouterr().out)
-    assert verdict["color"] in (1, 2)
-
-
 def test_color_general_host_with_cache_env(tmp_path, capsys, monkeypatch):
     # the cycle cache lives in the --cache file only: EXPO_CACHE names none
     k4 = tmp_path / "k4.json"
@@ -746,19 +693,6 @@ def test_color_rejects_malformed_cache_file(cycles, tmp_path, capsys, monkeypatc
     assert cache_path.read_text() == text
 
 
-def _loop_until_raise(h, rows):
-    """color_in_kh on each row in turn from an empty cache until one
-    raises: the verdict lines, the error or None, and the cache's JSON."""
-    cache, lines = CycleCache(), []
-    for f in rows:
-        try:
-            verdict, cache = color_in_kh(h, f, cache)
-        except (IsolatedFunctionError, InvariantViolationError) as exc:
-            return "".join(lines), exc, cache.to_json_dict()
-        lines.append(json.dumps(verdict.to_json_dict()) + "\n")
-    return "".join(lines), None, cache.to_json_dict()
-
-
 @pytest.mark.parametrize("fault", ["isolated row", "side stuck on l/2"])
 def test_color_general_host_saves_the_cache_of_the_rows_before_a_failure(
     fault, moser_spindle, tmp_path, capsys, monkeypatch
@@ -782,16 +716,15 @@ def test_color_general_host_saves_the_cache_of_the_rows_before_a_failure(
         monkeypatch.setattr(coloring, "_side_of", lambda p2, ell2: 0)
         failing = next(f for f in on_c if f[c[0]] != f[c[-1]])
     stack = [first, on_c[1], failing, miss, on_c[2]]
-    lines, error, cycles = _loop_until_raise(h, stack)
-    assert lines.count("\n") == 2 and cycles == {"cycles": [list(c)]}
-    assert len(color_rows_in_kh(h, np.array(stack))[1]) == 2
+    want = kh_loop(h, stack)[0]
+    assert want.failed[0] == 2 and len(color_rows_in_kh(h, np.array(stack))[1]) == 2
+    cycles = kh_loop(h, stack[:3])[1].to_json_dict()  # the loop's cache when it stops
+    assert cycles == {"cycles": [list(c)]}
     graph, cache_path = tmp_path / "moser.json", tmp_path / "fresh.json"
     save_graph(h, graph)
     argv = ["color", "--graph", str(graph), "--cache", str(cache_path)]
-    stdin = "\n".join(map(json.dumps, stack))
-    code = 4 if isinstance(error, IsolatedFunctionError) else 1
-    assert run_cli(argv, stdin, monkeypatch) == code
-    assert capsys.readouterr() == (lines, f"error: {error}\n")
+    code = run_cli(argv, "\n".join(map(json.dumps, stack)), monkeypatch)
+    assert (*capsys.readouterr(), code) == _cli_outcome(want)
     assert json.loads(cache_path.read_text()) == cycles
 
 
@@ -817,14 +750,6 @@ def test_color_general_host_calls_color_adjacent_rows_apart(
         assert run_cli(argv, json.dumps(row), monkeypatch) == 0
         colors[name] = json.loads(capsys.readouterr().out)["color"]
     assert colors == {"f": 2, "g": 3}
-
-
-def test_color_general_host_isolated_exits_4(tmp_path, capsys, monkeypatch):
-    k4 = tmp_path / "k4.json"
-    main(["gen", "complete", "--k", "4", "--out", str(k4)])
-    code = run_cli(["color", "--graph", str(k4)], "[1,2,3,1]", monkeypatch)
-    assert code == 4
-    capsys.readouterr()
 
 
 def test_verify_single_suite_jsonl(capsys):
@@ -858,9 +783,18 @@ def test_verify_all_with_threads(capsys):
     assert all(r["passed"] for r in reports)
 
 
-def test_verify_capacity_exits_5(capsys):
-    assert main(["verify", "proper-k3", "--n", "10"]) == 5
-    assert "cap" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv, vertices",
+    [
+        (["verify", "proper-k3", "--n", "10"], 3**21),
+        (["bench", "--mode", "baseline", "--n", "7"], 3**15),
+    ],
+    ids=["verify", "bench"],
+)
+def test_capacity_exits_5(argv, vertices, capsys):
+    assert main(argv) == 5
+    want = f"error: exponential graph needs {vertices} vertices, cap is 1000000\n"
+    assert capsys.readouterr().err == want
 
 
 @pytest.mark.parametrize("suite", ["proper-k3", "hitting-set", "baseline"])
@@ -876,6 +810,7 @@ def test_verify_capacity_message_counts_vertices(suite, capsys):
         ["verify", "all", "--n-max", "-1"],
         ["verify", "end-to-end", "--samples", "0"],
         ["verify", "end-to-end", "--samples", "-3"],
+        ["verify", "label-congruence", "--n", "1", "--threads", "0"],
     ],
 )
 def test_verify_rejects_vacuous_runs(argv, capsys):
@@ -883,6 +818,31 @@ def test_verify_rejects_vacuous_runs(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "must be at least 1" in err
+
+
+def test_verify_threads_start_no_more_workers_than_jobs(capsys, monkeypatch):
+    # a pool forks all of its workers at the first submit: never more than
+    # there are jobs (a stand-in pool runs them inline)
+    import concurrent.futures
+
+    workers = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    assert main(["verify", "label-congruence", "--n-max", "2", "--threads", "64"]) == 0
+    assert workers == [2] and capsys.readouterr().err.count("[PASS]") == 2
 
 
 def test_verify_violations_exit_1(capsys, monkeypatch):

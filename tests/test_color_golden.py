@@ -13,7 +13,7 @@ reaches the CLI in one of four ways:
 
 ``{tmp}`` in an argv stands for a directory holding the host graphs
 ``k4.json`` (the complete graph on four vertices), ``grotzsch.json`` and
-``moser.json`` (the Moser spindle), and the cycle caches of
+``moser.json`` (the Moser spindle of ``hosts.py``), and the cycle caches of
 :data:`CACHES`.  The directory is reset before every call, so a call that
 passes ``--cache`` starts from the recorded file (or from none, for
 ``{tmp}/fresh.json``); the file it leaves behind is recorded as
@@ -35,20 +35,18 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import expocolor
 from expocolor.cli import main
-from expocolor.expo import allowed_colors, is_isolated
-from expocolor.graphs import Graph, make_complete, make_grotzsch, save_graph
+from expocolor.expo import is_isolated
+from expocolor.graphs import make_complete, make_grotzsch, save_graph
 from expocolor.winding import OddCycleCtx, in_even_class, np_tour
+from hosts import MOSER, host_rows, isolated_row
 
 GOLDEN = Path(__file__).parent / "data" / "color_golden.json"
 MODES = ("text", "bytes", "file")
 
-MOSER = Graph.from_edges(
-    7,
-    [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 4), (0, 5), (4, 5), (4, 6), (5, 6), (3, 6)],
-)
 # Cycle-cache files in ``{tmp}``: odd cycles of the hosts, and cycles that
 # are not host cycles (a missing edge, a vertex the host lacks).
 GROTZSCH_CYCLES = [[0, 1, 2, 3, 4], [0, 1, 5, 10, 6], [0, 4, 3, 2, 6]]
@@ -119,9 +117,10 @@ def _host_dir(tmp: Path) -> Path:
     return tmp
 
 
-def test_color_calls_match_recorded_golden(tmp_path):
-    corpus = json.loads(GOLDEN.read_text())
-    assert len(corpus) > 100
+@pytest.mark.parametrize("mode", [*MODES, "process"])
+def test_color_calls_match_recorded_golden(mode, tmp_path):
+    corpus = [case for case in json.loads(GOLDEN.read_text()) if case["mode"] == mode]
+    assert len(corpus) > (5 if mode == "process" else 100)
     for case in corpus:
         got = _run(case["argv"], case["stdin"], case["mode"], tmp_path)
         want = {key: case[key] for key in ("stdout", "stderr", "exit", "cache") if key in case}
@@ -140,24 +139,6 @@ def _even_rows(rng, count: int, n: int, k: int) -> list[list[int]]:
         _, _, fixed, isolated = np_tour(fs, ctx)
         out.extend(fs[(fixed % 2 == 0) & ~isolated].tolist())
     return out[:count]
-
-
-def _host_rows(rng, count: int, h: Graph) -> list[list[int]]:
-    """Random non-isolated assignments of h, each followed by a random
-    neighbour of it: 2 * count rows."""
-    out: list[list[int]] = []
-    while len(out) < 2 * count:
-        f = rng.integers(1, 4, size=h.vertex_count).tolist()
-        if not is_isolated(h, f, 3):
-            out += [f, [int(rng.choice(s)) for s in allowed_colors(h, f, 3)]]
-    return out
-
-
-def _isolated_row(rng, h: Graph) -> list[int]:
-    while True:
-        f = rng.integers(1, 4, size=h.vertex_count).tolist()
-        if is_isolated(h, f, 3):
-            return f
 
 
 def _lines(rows, sep: str = ", ", end: str = "\n") -> str:
@@ -283,8 +264,8 @@ def _cases() -> list[tuple[list[str], str]]:
     ]
     # larger hosts, with and without a cycle cache
     grotzsch = make_grotzsch()
-    grows = _host_rows(rng, 30, grotzsch)
-    g_iso, m_iso = _isolated_row(rng, grotzsch), _isolated_row(rng, MOSER)
+    grows = host_rows(grotzsch, rng, 30)
+    g_iso, m_iso = isolated_row(grotzsch, rng), isolated_row(MOSER, rng)
     # rows of Moser with odd parity on its first cached triangle are rare
     # (12 of 459 non-isolated rows), so a few are put in by hand
     tri = MOSER_CYCLES[0]
@@ -293,7 +274,7 @@ def _cases() -> list[tuple[list[str], str]]:
         for f in itertools.product((1, 2, 3), repeat=7)
         if not is_isolated(MOSER, f, 3) and not in_even_class([f[v] for v in tri], 1)
     ]
-    mrows = _host_rows(rng, 26, MOSER)
+    mrows = host_rows(MOSER, rng, 26)
     for i, f in enumerate(off_tri[::3]):
         mrows.insert(7 * i + 3, f)
     on_tri = [f for f in mrows if in_even_class([f[v] for v in tri], 1)]

@@ -47,34 +47,12 @@ from expocolor.graphs import (
     odd_cycle_in,
     odd_cycles,
 )
-from expocolor.winding import OddCycleCtx, in_even_class, label, little_path
+from expocolor.winding import OddCycleCtx, in_even_class
 
+from hosts import assert_same_colors, host_rows, isolated_row, kh_loop
 from test_expo import brute_adjacent
 
 CTX5 = OddCycleCtx.make(2, 3)
-
-
-def test_frozen_verdicts():
-    v = color_vertex((2, 1, 1, 1, 1), CTX5)
-    assert v.color == 2
-    assert v.branch is Branch.BELOW_HALF
-    assert v.ell2 == 0
-    assert v.p2 == -2
-    assert v.to_json_dict() == {
-        "color": 2, "branch": "BelowHalf", "ell2": 0, "p2": -2
-    }
-
-    v = color_vertex((1, 1, 1, 1, 1), CTX5)
-    assert (v.color, v.branch) == (1, Branch.EQUAL_ENDPOINTS)
-    assert v.to_json_dict() == {
-        "color": 1, "branch": "EqualEndpoints", "ell2": 0, "p2": 0
-    }
-
-    v = color_vertex((1, 1, 1, 1, 2), CTX5)
-    assert (v.color, v.branch) == (2, Branch.ABOVE_HALF)
-    assert v.to_json_dict() == {
-        "color": 2, "branch": "AboveHalf", "ell2": 0, "p2": 2
-    }
 
 
 def test_color_vertex_validates_input():
@@ -90,6 +68,8 @@ def test_color_vertex_validates_input():
         color_vertex(np.array([1.0, 1.0, 1.0, 1.0, 1.0]), CTX5)
     with pytest.raises(ValueError):
         color_vertex((1, 1, 1, 1, 1), OddCycleCtx.make(2, 5))
+    with pytest.raises(ValueError):
+        color_vertex_ck((1, 1, 1, 1, 1), CTX5)  # k=3 context
 
 
 def test_color_vertex_proper_on_even_pairs_n1():
@@ -102,36 +82,6 @@ def test_color_vertex_proper_on_even_pairs_n1():
     for f in evens:
         for g in neighbors(h, f, 3):
             assert verdicts[f].color != verdicts[g].color
-
-
-def test_color_vertex_accepts_numpy_rows():
-    arr = np.array([2, 1, 1, 1, 1], dtype=np.int8)
-    assert color_vertex(arr, CTX5).color == 2
-
-
-ROW_FORMS = {
-    "uint8": lambda f: np.array(f, dtype=np.uint8),
-    "int8": lambda f: np.array(f, dtype=np.int8),
-    "int16": lambda f: np.array(f, dtype=np.int16),
-    "int64": lambda f: np.array(f, dtype=np.int64),
-    "list": list,
-    "tuple": tuple,
-}
-
-
-def test_color_vertex_same_verdict_for_every_integer_form():
-    # Unsigned rows once wrapped in the chord-step subtraction: every form
-    # of every assignment at n = 2 must get the tuple's verdict or error.
-    for f in itertools.product((1, 2, 3), repeat=5):
-        if in_even_class(f, 2):
-            want = color_vertex(f, CTX5)
-            assert (want.ell2, want.p2) == (label(f, CTX5), little_path(f, CTX5)), f
-            for name, form in ROW_FORMS.items():
-                assert color_vertex(form(f), CTX5) == want, (name, f)
-        else:
-            for name, form in ROW_FORMS.items():
-                with pytest.raises(ParityDomainError):
-                    color_vertex(form(f), CTX5)
 
 
 @pytest.mark.parametrize(
@@ -161,80 +111,6 @@ def test_color_vertex_range_check_sees_values_before_the_cast(call, row):
         call(row, CTX5)
 
 
-INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
-
-
-def _alone(f, ctx):
-    """The one-row routine's verdict for f, or the exception it raised."""
-    color = color_vertex if ctx.k == 3 else color_vertex_ck
-    try:
-        return color(f, ctx)
-    except (ValueError, InvariantViolationError) as exc:
-        return exc
-
-
-def _verdict_row(outcome) -> tuple:
-    """A one-row outcome as a stack's (color, branch position, ell2, p2):
-    the verdict's values, or 0s for an error."""
-    if isinstance(outcome, Exception):
-        return (0, 0, 0, 0)
-    branch = list(Branch).index(outcome.branch)
-    return (outcome.color, branch, outcome.ell2, outcome.p2)
-
-
-def _errors(outcomes) -> list[tuple[int, type, str]]:
-    """Each failing row of a list of one-row outcomes, with its error's
-    type and message."""
-    return [(r, type(o), str(o)) for r, o in enumerate(outcomes) if isinstance(o, Exception)]
-
-
-def _res_errors(res) -> list[tuple[int, type, str]]:
-    return [(r, type(e), str(e)) for r, e in zip(res.failed.tolist(), res.errors)]
-
-
-@pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda d: np.dtype(d).name)
-@pytest.mark.parametrize("n, k", [(2, 3), (3, 3), (2, 5), (3, 7)])
-def test_color_rows_matches_the_one_row_routines(dtype, n, k):
-    # Stacks of mostly colorable rows with failing rows mixed in (odd
-    # parity, isolated, a color outside 1..k, the dtype's extremes): the
-    # batch entry must give every row the one-row routine's verdict, and
-    # name each row where it raises, with the same error.
-    rng = np.random.default_rng([n, k, np.dtype(dtype).num])
-    length = 2 * n + 1
-    info = np.iinfo(dtype)
-    # uniform rows, and rows over two colors a chord step of 2 apart,
-    # which no cycle codomain isolates
-    pool = np.concatenate(
-        (
-            rng.integers(1, k + 1, size=(60, length)),
-            rng.integers(1, k - 1, size=(60, 1)) + 2 * rng.integers(2, size=(60, length)),
-        )
-    ).tolist()
-    for trial in range(12):
-        e = int(rng.integers(length))
-        ctx = OddCycleCtx.make(n, k, (e, (e + 1) % length))
-        good, bad = [], []
-        for f in pool:
-            (bad if isinstance(_alone(f, ctx), Exception) else good).append(f)
-        rows = [good[i] for i in rng.integers(len(good), size=rng.integers(0, 25))]
-        for _ in range(rng.integers(0, 5)):
-            row = list(bad[rng.integers(len(bad))])
-            if rng.random() < 0.4:
-                row[rng.integers(length)] = [0, k + 1, int(info.max), int(info.min)][
-                    rng.integers(4)
-                ]
-            rows.insert(int(rng.integers(len(rows) + 1)), row)
-        stack = np.array(rows, dtype=dtype).reshape(-1, length)
-        outcomes = [_alone(f, ctx) for f in stack]
-        for fs in [stack] + ([stack[0]] if len(stack) else []):
-            res = color_rows(fs, ctx)
-            want = outcomes[: len(np.atleast_2d(fs))]
-            got = list(zip(*(values.tolist() for values in res[:4])))
-            assert got == [_verdict_row(o) for o in want], (ctx, stack)
-            assert _res_errors(res) == _errors(want), (ctx, stack)
-            assert res.cycle is None
-
-
 def test_color_rows_rejects_whole_stacks_of_the_wrong_shape_or_dtype():
     for fs in (np.ones((3, 4), dtype=np.int64), np.ones((2, 2, 5), dtype=np.int64)):
         with pytest.raises(ValueError, match="^assignment must have 5 entries$"):
@@ -245,18 +121,6 @@ def test_color_rows_rejects_whole_stacks_of_the_wrong_shape_or_dtype():
         color_vertex(np.ones((1, 5), dtype=np.int64), CTX5)
     empty = color_rows(np.zeros((0, 5), dtype=np.uint8), CTX5)
     assert empty.color.shape == empty.failed.shape == (0,) and empty.errors == []
-
-
-def test_color_vertex_ck_example_and_errors():
-    ctx = OddCycleCtx.make(2, 5)
-    v = color_vertex_ck((1, 3, 1, 3, 1), ctx)
-    assert (v.color, v.branch) == (1, Branch.EQUAL_ENDPOINTS)
-    with pytest.raises(IsolatedFunctionError):
-        color_vertex_ck((1, 4, 2, 5, 3), ctx)  # every chord step is 1 mod 5
-    with pytest.raises(ParityDomainError):
-        color_vertex_ck((1, 2, 3, 4, 5), ctx)  # five fixed points, odd
-    with pytest.raises(ValueError):
-        color_vertex_ck((1, 1, 1, 1, 1), CTX5)  # k=3 context
 
 
 def test_color_vertex_ck_proper_exhaustive_tiny():
@@ -485,37 +349,6 @@ def test_color_in_kh_proper_on_sampled_pairs(grotzsch):
 # -- a stack on a general host against the one-row loop -----------------------
 
 
-def _host_rows(h, seed: int, count: int = 20) -> list[list[int]]:
-    """Seeded non-isolated rows of h, each followed by a sampled neighbour."""
-    rng = np.random.default_rng(seed)
-    rows: list[list[int]] = []
-    while len(rows) < 2 * count:
-        f = rng.integers(1, 4, size=h.vertex_count).tolist()
-        if not is_isolated(h, f, 3):
-            rows += [f, [int(rng.choice(s)) for s in allowed_colors(h, f, 3)]]
-    return rows
-
-
-def _loop(h, rows, cache):
-    """``color_in_kh`` on each row in turn, going on past each row that
-    raises: each row's :func:`_verdict_row`, the index of the cycle that
-    served it (-1 where it raised), its outcome, and the cache."""
-    verdicts, cycles, outcomes = [], [], []
-    for f in rows:
-        try:
-            verdict, cache = color_in_kh(h, f, cache)
-        except (
-            ValueError, IsolatedFunctionError, NoEvenCycleError, InvariantViolationError
-        ) as exc:
-            verdict, cycle = exc, -1
-        else:
-            cycle = cache.entries.index(cache.find_even(h, f))
-        verdicts.append(_verdict_row(verdict))
-        cycles.append(cycle)
-        outcomes.append(verdict)
-    return verdicts, cycles, outcomes, cache
-
-
 def _cache(cycles) -> CycleCache:
     cache = CycleCache()
     for cyc in cycles:
@@ -527,11 +360,9 @@ def _same_as_loop(h, rows, cycles):
     """color_rows_in_kh and the one-row loop from the same cache agree on
     the verdicts, the serving cycles, the rows that fail and their errors,
     and the final cache."""
-    verdicts, served, outcomes, want_cache = _loop(h, rows, _cache(cycles))
+    want, want_cache = kh_loop(h, rows, _cache(cycles))
     res, cache = color_rows_in_kh(h, np.array(rows), _cache(cycles))
-    assert list(zip(*(values.tolist() for values in res[:4]))) == verdicts
-    assert res.cycle.tolist() == served
-    assert _res_errors(res) == _errors(outcomes)
+    assert_same_colors(res, want)
     assert cache.entries == want_cache.entries
     return res, cache
 
@@ -539,11 +370,11 @@ def _same_as_loop(h, rows, cycles):
 @pytest.mark.parametrize("name", ["k4", "wheel5", "moser_spindle", "grotzsch", "chvatal"])
 def test_color_rows_in_kh_matches_the_one_row_loop(name, request):
     h = request.getfixturevalue(name)
-    rows = _host_rows(h, 1)
-    own = [list(c.vertices) for c, _ in _loop(h, rows, CycleCache())[3]]
+    rows = host_rows(h, 1)
+    own = [list(c.vertices) for c, _ in kh_loop(h, rows)[1]]
     # the distinct cycles that rows of another seed find alone: several, in
     # an order that decides which of them serves a row
-    other = list(dict.fromkeys(find_even_cycle(h, f).vertices for f in _host_rows(h, 2)))
+    other = list(dict.fromkeys(find_even_cycle(h, f).vertices for f in host_rows(h, 2)))
     bad = [0, 1, h.vertex_count]  # (1, |V|) is no host edge
     caches = {
         "empty": [],
@@ -554,9 +385,7 @@ def test_color_rows_in_kh_matches_the_one_row_loop(name, request):
         "bad-behind": other + [bad],
         "bad-never": own + [bad],  # every row is served before it
     }
-    rng = np.random.default_rng(3)
-    while not is_isolated(h, isolated := rng.integers(1, 4, size=h.vertex_count).tolist(), 3):
-        pass
+    isolated = isolated_row(h, 3)
     out_of_range = rows[5][:3] + [4] + rows[5][4:]
     failures = {
         "none": {},
@@ -586,7 +415,7 @@ def test_color_rows_in_kh_matches_the_one_row_loop(name, request):
 def test_color_rows_in_kh_fails_every_row_that_reaches_a_cycle_not_of_the_host(moser_spindle):
     # rows odd on the first cached triangle reach the bad cycle behind it
     tri = (1, 2, 3)
-    rows = _host_rows(moser_spindle, 4)
+    rows = host_rows(moser_spindle, 4)
     odd = [f for f in itertools.product((1, 2, 3), repeat=7)
            if not is_isolated(moser_spindle, f, 3) and not in_even_class([f[v] for v in tri], 1)]
     stack = rows[:8] + [list(odd[0])] + rows[8:] + [list(odd[1])]
@@ -621,7 +450,7 @@ def test_color_rows_in_kh_fails_each_row_where_the_decision_fails(seed, monkeypa
     missed_and_failed = 0
     for name in ("wheel5", "moser_spindle", "grotzsch", "chvatal"):
         h = request.getfixturevalue(name)
-        rows = _host_rows(h, seed)
+        rows = host_rows(h, seed)
         healthy, full = color_rows_in_kh(h, np.array(rows))
         with monkeypatch.context() as m:
             m.setattr(coloring, "_side_of", lambda p2, ell2: 0)
@@ -660,7 +489,7 @@ def _all_pairs(h):
 
 def _sampled_pairs(h):
     """Seeded adjacent pairs of h, stacked, and their indices into the stack."""
-    rows = np.array(_host_rows(h, 4, 150))
+    rows = np.array(host_rows(h, 4, 150))
     return rows, np.arange(0, len(rows), 2), np.arange(1, len(rows), 2)
 
 
@@ -725,32 +554,9 @@ def test_a_c_star_that_depends_on_the_call_is_caught(name, check, request, monke
 
 
 def test_verdict_is_frozen():
-    v = ColorVerdict(color=1, branch=Branch.EQUAL_ENDPOINTS, ell2=0, p2=0)
+    v = ColorVerdict(color=2, branch=Branch.BELOW_HALF, ell2=0, p2=-2)
     with pytest.raises(AttributeError):
-        v.color = 2
-    assert json.loads(json.dumps(v.to_json_dict()))["branch"] == "EqualEndpoints"
-
-
-# Randomized check far past the exhaustive n <= 3 range: whatever the
-# branch, the verdict must copy one distinguished endpoint, and the
-# equal-endpoint branch must fire exactly when the endpoints agree.
-from hypothesis import given
-from hypothesis import strategies as st
-
-from expocolor.bench import random_even_assignment
-
-
-@given(st.integers(0, 2**31 - 1), st.integers(1, 30))
-def test_color_vertex_copies_an_endpoint(seed, n):
-    rng = np.random.default_rng(seed)
-    f, _ = random_even_assignment(n, rng)
-    ctx = OddCycleCtx.make(n, 3)
-    v = color_vertex(f, ctx)
-    fa, fb = int(f[ctx.a]), int(f[ctx.b])
-    assert v.color in (fa, fb)
-    if v.branch is Branch.EQUAL_ENDPOINTS:
-        assert fa == fb and v.color == fa
-    else:
-        assert fa != fb
-        assert v.color == (fa if v.branch is Branch.BELOW_HALF else fb)
-    assert color_vertex(f, ctx) == v
+        v.color = 1
+    # the line color_golden.json records first
+    want = {"color": 2, "branch": "BelowHalf", "ell2": 0, "p2": -2}
+    assert json.loads(json.dumps(v.to_json_dict())) == want

@@ -27,6 +27,7 @@ import expocolor
 from expocolor import cli, coloring, expo, verify, winding
 from expocolor.errors import CapacityError, InvariantViolationError, NoEvenCycleError
 from expocolor.graphs import Graph, make_complete, make_cycle, make_grotzsch, save_graph
+from hosts import assert_same_colors, kh_loop
 
 GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
 
@@ -53,14 +54,6 @@ def test_report_json_shape():
     assert d["checked"] == 27
     assert d["violations"] == []
     assert "wall_time" in d and "details" in d
-
-
-def test_checked_counts_match_closed_forms():
-    # 3^(2n+1) assignments; even class (3^L + 2^(L+1) - 1) / 2
-    for n, total, even in ((1, 27, 21), (2, 243, 153), (3, 2187, 1221)):
-        rep = verify.verify_label_congruences(n)
-        assert rep.checked == total
-        assert rep.details["even_class_size"] == even
 
 
 def test_capacity_errors_carry_requirements():
@@ -208,8 +201,9 @@ def test_non_adjacent_kernel_pair_detected_by_proper_ck(monkeypatch):
     assert any("non-adjacent" in v for v in rep.violations)
 
 
+@pytest.mark.parametrize("command", list(json.loads(GOLDEN.read_text())))
 def test_reports_match_recorded_golden(
-    tmp_path, capsys, wheel5, moser_spindle, chvatal
+    command, tmp_path, capsys, wheel5, moser_spindle, chvatal
 ):
     # Reports recorded from earlier implementations (the sweeps before
     # neighbor_pairs; the exhaustive end-to-end runs before components
@@ -217,7 +211,6 @@ def test_reports_match_recorded_golden(
     # before they colored the even class as one row stack), wall_time
     # dropped; every command must reproduce them exactly.  Chvátal is
     # the largest exhaustive host: 3^12 rows, 13,347 of them not isolated.
-    golden = json.loads(GOLDEN.read_text())
     hosts = {
         "grotzsch.json": make_grotzsch(),
         "wheel5.json": wheel5,
@@ -227,15 +220,12 @@ def test_reports_match_recorded_golden(
     for name, host in hosts.items():
         save_graph(host, tmp_path / name)
     out = tmp_path / "reports.jsonl"
-    for command, want in golden.items():
-        argv = [
-            str(tmp_path / arg) if arg in hosts else arg for arg in shlex.split(command)
-        ]
-        assert cli.main(argv + ["--out", str(out)]) == 0, command
-        got = [json.loads(line) for line in out.read_text().splitlines()]
-        for report in got:
-            report.pop("wall_time")
-        assert got == want, command
+    argv = [str(tmp_path / arg) if arg in hosts else arg for arg in shlex.split(command)]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    got = [json.loads(line) for line in out.read_text().splitlines()]
+    for report in got:
+        report.pop("wall_time")
+    assert got == json.loads(GOLDEN.read_text())[command]
     capsys.readouterr()
 
 
@@ -622,21 +612,6 @@ def test_ten_thousand_k4_samples_cover_k4_evenly(k4):
         assert chi < dof + 6 * math.sqrt(2 * dof), (chi, dof)
 
 
-def _one_row_loop(host, stack):
-    """color_in_kh on each row in turn from an empty cache, going on past
-    each row that raises: the colors (0 where a row raised), the failures
-    as (row, message), and the cache's cycles."""
-    cache, colors, failed = coloring.CycleCache(), [0] * len(stack), []
-    for r, f in enumerate(stack.tolist()):
-        try:
-            verdict, cache = coloring.color_in_kh(host, f, cache)
-        except (NoEvenCycleError, InvariantViolationError) as exc:
-            failed.append((r, str(exc)))
-            continue
-        colors[r] = verdict.color
-    return colors, failed, [cyc.vertices for cyc, _ in cache]
-
-
 @pytest.mark.parametrize("fault", ["none", "side stuck on l/2"])
 @pytest.mark.parametrize("name", ["grotzsch", "moser_spindle", "chvatal"])
 def test_stack_coloring_equals_the_one_row_loop(name, fault, request, monkeypatch):
@@ -648,14 +623,12 @@ def test_stack_coloring_equals_the_one_row_loop(name, fault, request, monkeypatc
     if fault != "none":
         monkeypatch.setattr(coloring, "_side_of", lambda p2, ell2: 0)
     res, cache = coloring.color_rows_in_kh(h, stack)
-    colors, failed, cycles = _one_row_loop(h, stack)
-    assert res.color.tolist() == colors
-    assert list(zip(res.failed.tolist(), map(str, res.errors))) == failed
-    assert [cyc.vertices for cyc, _ in cache] == cycles
+    want, want_cache = kh_loop(h, stack.tolist())
+    assert_same_colors(res, want)
+    assert cache.entries == want_cache.entries
+    failed = set(want.failed.tolist())
     assert (len(failed) > 0) == (fault != "none")
-    if fault != "none":  # some g is reported after its f
-        rows = {r for r, _ in failed}
-        assert any(r % 2 and r - 1 in rows for r in rows)
+    assert fault == "none" or any(r % 2 and r - 1 in failed for r in failed)  # a g after its f
 
 
 @pytest.mark.parametrize(
@@ -683,7 +656,7 @@ def test_faulty_end_to_end_makes_one_pipeline_call(name, run, total, request, mo
     rep = run(h)
     if total is None:  # sampled: every row of the (f, g) stack that fails
         fs, gs, _ = _sampled(h, 300, seed=1)
-        total = len(_one_row_loop(h, np.stack((fs, gs), axis=1).reshape(-1, h.vertex_count))[1])
+        total = len(kh_loop(h, np.stack((fs, gs), axis=1).reshape(-1, h.vertex_count))[0].failed)
         assert calls == [600]
     assert len(calls) == 1
     assert rep.details["violation_total"] == total

@@ -112,15 +112,15 @@ def test_chord_order_hand_walked():
     assert chord_order(2) == ((0, 2), (2, 4), (4, 1), (1, 3), (3, 0))
 
 
-def test_chord_order_is_a_single_tour():
-    for n in (1, 2, 3, 4, 7):
-        arcs = chord_order(n)
-        length = 2 * n + 1
-        assert len(arcs) == length
-        # each arc starts where the previous one ended, and the tour closes
-        for (u1, v1), (u2, v2) in zip(arcs, arcs[1:] + arcs[:1]):
-            assert v1 == u2
-        assert sorted(u for u, _ in arcs) == list(range(length))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_chord_order_is_a_single_tour(n):
+    arcs = chord_order(n)
+    length = 2 * n + 1
+    assert len(arcs) == length
+    # each arc starts where the previous one ended, and the tour closes
+    for (u1, v1), (u2, v2) in zip(arcs, arcs[1:] + arcs[:1]):
+        assert v1 == u2
+    assert sorted(u for u, _ in arcs) == list(range(length))
 
 
 def test_orient_edge_picks_the_n_arc_direction():
@@ -260,12 +260,15 @@ def test_np_tour_matches_scalar_on_random_edges(case, edge):
 #
 # One comparison checks a (rows, L) stack on one edge against _oracle: np_tour
 # on the stack in each dtype and on sampled rows in the case's 1-d dtypes,
-# color_rows on the stack, the one-row routine on the sampled rows and, where
-# asked, the scalar label / little_path / fixed_points.  The cases are every
-# row of a small cycle on every edge, rows and little paths on either side of
-# a kernel pass (winding._BLOCK patched), rows at n = 10^4, stacks around the
-# tile bounds (at most _BLOCK entries and _BLOCK bins a tile), and hypothesis
-# draws of the cycle, the codomain, the edge, the dtype and the pass size.
+# color_rows on the stack and on one 1-d row, the one-row routine on the
+# sampled rows (as tuples, lists and in the 1-d dtypes) and, where asked, the
+# scalar label / little_path / fixed_points.  It is the one statement of
+# these routines: the cases are every row of a small cycle on every edge,
+# rows with colors outside 1..k in every dtype, rows and little paths on
+# either side of a kernel pass (winding._BLOCK patched), rows at n = 10^4,
+# stacks around the tile bounds (at most _BLOCK entries and _BLOCK bins a
+# tile), and hypothesis draws of the cycle, the codomain, the edge, the
+# dtype and the pass size.
 
 _BLOCK = winding._BLOCK
 _INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
@@ -316,12 +319,22 @@ def _non_isolated_rows(rng, count, length, k):
 
 
 def _outcome(color, f, ctx):
-    """The one-row routine's verdict or error, as a row of _oracle's verdicts."""
+    """The one-row routine's verdict or error, as a row of _oracle's
+    verdicts, and the error's message (None for a verdict)."""
     try:
         v = color(f, ctx)
     except (ValueError, InvariantViolationError) as exc:
-        return [0, 0, 0, 0, _ERRORS.index(type(exc))]
-    return [v.color, list(Branch).index(v.branch), v.ell2, v.p2, -1]
+        return [0, 0, 0, 0, _ERRORS.index(type(exc))], str(exc)
+    return [v.color, list(Branch).index(v.branch), v.ell2, v.p2, -1], None
+
+
+def _verdicts(res):
+    """color_rows' result as rows of _oracle's verdicts, and its errors'
+    messages by row."""
+    assert res.cycle is None
+    got = np.column_stack([*res[:4], np.full(len(res.color), -1)])
+    got[res.failed, 4] = [_ERRORS.index(type(e)) for e in res.errors]
+    return got, dict(zip(res.failed.tolist(), map(str, res.errors)))
 
 
 def _scalar_tour(f, ctx):
@@ -335,28 +348,42 @@ def _scalar_tour(f, ctx):
 
 
 def _compare(rows, k, edge, dtypes, row_dtypes=(), every=1, scalar=False, stack=True):
-    """np_tour on the stack in ``dtypes`` and on every ``every``-th row in
-    ``row_dtypes``, the scalar reference and the one-row routine on those
-    rows, and color_rows on the stack, each against _oracle."""
+    """Each against _oracle: np_tour on the stack in ``dtypes`` and on every
+    ``every``-th row in ``row_dtypes``, and the scalar reference on those
+    rows, all three on the rows with colors in 1..k only; the one-row
+    routine on the sampled rows as tuples or lists and in ``row_dtypes``;
+    and color_rows on the stack and on its first row, with the messages
+    of the one-row routine on rows of the stack's dtype."""
     ctx = OddCycleCtx.make(rows.shape[1] // 2, k, edge)
     tour, verdicts = _oracle(rows, k, edge)
+    inside = ((rows >= 1) & (rows <= k)).all(1)
     for dtype in dtypes:
-        got = np_tour(rows.astype(dtype), ctx)
-        assert all(np.array_equal(x, y) for x, y in zip(got, tour)), (edge, dtype)
-    sampled, tours = rows[::every], list(zip(*(x[::every].tolist() for x in tour)))
-    for dtype in row_dtypes:
-        assert [np_tour(f, ctx) for f in sampled.astype(dtype)] == tours, (edge, dtype)
-    if scalar:
-        want = [(None, None, t[2], True) if t[3] else t for t in tours]
-        assert [_scalar_tour(tuple(f), ctx) for f in sampled.tolist()] == want, edge
-    if stack:
-        res = color_rows(rows, ctx)
-        got = np.column_stack([*res[:4], np.full(len(rows), -1)])
-        got[res.failed, 4] = [_ERRORS.index(type(e)) for e in res.errors]
-        assert np.array_equal(got, verdicts), edge
+        got = np_tour(rows[inside].astype(dtype), ctx)
+        assert all(np.array_equal(x, y[inside]) for x, y in zip(got, tour)), (edge, dtype)
+    sampled, want = rows[::every], verdicts[::every].tolist()
+    tours = list(zip(*(x[::every][inside[::every]].tolist() for x in tour)))
     color = color_vertex if k == 3 else color_vertex_ck
-    outcomes = [_outcome(color, tuple(f), ctx) for f in sampled.tolist()]
-    assert outcomes == verdicts[::every].tolist(), edge
+    forms = itertools.cycle((tuple, list))
+    assert [_outcome(color, form(f), ctx)[0] for form, f in zip(forms, sampled.tolist())] == want
+    messages = None
+    for dtype in row_dtypes:
+        in_dtype = sampled.astype(dtype)
+        assert [np_tour(f, ctx) for f in in_dtype[inside[::every]]] == tours, (edge, dtype)
+        outcomes = [_outcome(color, f, ctx) for f in in_dtype]
+        assert [verdict for verdict, _ in outcomes] == want, (edge, dtype)
+        if dtype == rows.dtype:
+            messages = [message for _, message in outcomes]
+    if scalar:
+        got = [_scalar_tour(tuple(f), ctx) for f in sampled[inside[::every]].tolist()]
+        assert got == [(None, None, t[2], True) if t[3] else t for t in tours], edge
+    if stack:
+        got, by_row = _verdicts(color_rows(rows, ctx))
+        assert np.array_equal(got, verdicts), edge
+        if messages is not None:
+            assert [by_row.get(r) for r in range(0, len(rows), every)] == messages, edge
+        got, by_row = _verdicts(color_rows(rows[0], ctx))  # one row, given 1-d
+        assert got.tolist() == verdicts[:1].tolist(), edge
+        assert messages is None or by_row.get(0) == messages[0], edge
 
 
 def _grid(colors, length):
@@ -367,6 +394,18 @@ def _seeded(seed, length, k, non_isolated, uniform):
     rng = np.random.default_rng(seed)
     rows = _non_isolated_rows(rng, non_isolated, length, k)
     return np.concatenate([rows, rng.integers(1, k + 1, (uniform, length))])
+
+
+def _with_outside(seed, length, k, dtype):
+    """_seeded's rows in ``dtype``, a third of them with one color outside
+    1..k: 0, k + 1, or the dtype's least or greatest value."""
+    rows = _seeded(seed, length, k, 30, 30).astype(dtype)
+    rng = np.random.default_rng(seed)
+    info = np.iinfo(dtype)
+    bad = rng.permutation(len(rows))[: len(rows) // 3]
+    values = np.array([0, k + 1, info.min, info.max], dtype=dtype)[rng.integers(4, size=len(bad))]
+    rows[bad, rng.integers(length, size=len(bad))] = values
+    return rows
 
 
 # Colors 128..131 do not fit in int8, and their steps to and from 1..3
@@ -384,11 +423,22 @@ def _cases():
         # past id 2n; the other edges start the path elsewhere, and most
         # wrap.  At k = 7 and 9 nearly every row is isolated and the one-row
         # routine on each is the cost, so color_rows is left out there.
+        # The one-row routine takes the k = 3 rows in four dtypes besides
+        # tuples and lists (unsigned rows once wrapped in the chord-step
+        # subtraction).
         length, small = 2 * n + 1, n <= 2 and k <= 5
         grid = partial(_grid, colors, length)
         edges = [(e, (e + 1) % length) for e in range(length)]
-        knobs = dict(row_dtypes=(np.uint8,) if small else (), scalar=small, stack=k not in (7, 9))
+        row_dtypes = (np.uint8, np.int8, np.int16, np.int64)[: 4 if k == 3 else 1]
+        knobs = dict(row_dtypes=row_dtypes if small else (), scalar=small, stack=k not in (7, 9))
         cases[f"grid-n{n}-k{k}"] = (k, grid, edges, None, knobs)
+    for (n, k), dtype in itertools.product([(2, 3), (3, 3), (2, 5), (3, 7)], _INT_DTYPES):
+        # failing rows of every kind, some with a color outside 1..k: 0, k + 1
+        # or the dtype's extremes, which the range check must see uncast
+        name = f"outside-n{n}-k{k}-{np.dtype(dtype).name}"
+        rows = partial(_with_outside, [n, k, np.dtype(dtype).num], 2 * n + 1, k, dtype)
+        edges = [(e, (e + 1) % (2 * n + 1)) for e in range(2 * n + 1)]
+        cases[name] = (k, rows, edges, None, dict(dtypes=[dtype], row_dtypes=(dtype,)))
     for k in (3, 5):
         # A cycle length is odd: for an even offset the pass size is one
         # less than _BLOCK, so that lengths block-1 .. block+2 and 2*block+1
@@ -428,9 +478,9 @@ def test_kernel_matches_the_oracle(k, rows, edges, block, knobs, monkeypatch):
     if block is not None:
         monkeypatch.setattr(winding, "_BLOCK", block)
     rows = rows()
-    dtypes = [dtype for dtype in _INT_DTYPES if np.iinfo(dtype).max >= k]
+    knobs = {"dtypes": [dtype for dtype in _INT_DTYPES if np.iinfo(dtype).max >= k], **knobs}
     for edge in edges:
-        _compare(rows, k, edge, dtypes, **knobs)
+        _compare(rows, k, edge, **knobs)
 
 
 @st.composite
