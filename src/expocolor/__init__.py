@@ -27,7 +27,9 @@ loaded when it installs (as ``perfbench``'s does, right after
 ``import expocolor.cli``) finds the verifiers only there.  :mod:`.coloring`
 binds the :mod:`.expo` and :mod:`.graphs` functions it calls at import,
 so that patching a name such as ``coloring.bipartition`` reaches every
-call.
+call.  The two rules of :mod:`.winding`, Δ (``winding.arc_value``) and
+the kernel (``winding.np_tour``), are bound nowhere else: every module
+reads them from :mod:`.winding` when it calls them.
 """
 
 import importlib
@@ -84,8 +86,6 @@ _PUBLIC = {
         "FAR",
         "OddCycleCtx",
         "chord_order",
-        "delta3",
-        "delta_k",
         "fixed_points",
         "in_even_class",
         "label",

@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import coloring
-from .winding import OddCycleCtx, np_tour
+from . import coloring, winding
+from .winding import OddCycleCtx
 
 DEFAULT_SWEEP = (10**3, 10**4, 10**5, 10**6)
 # the baseline touches all 3**(2n+1) assignments, so its sweep stays tiny
@@ -79,7 +79,7 @@ def random_even_assignment(
     while True:
         tries += 1
         f = rng.integers(1, 4, size=ctx.length, dtype=np.int64)
-        if np_tour(f, ctx)[2] % 2 == 0:
+        if winding.np_tour(f, ctx)[2] % 2 == 0:
             return f, tries
 
 

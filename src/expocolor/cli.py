@@ -28,7 +28,10 @@ variable alone.
 Cycle vertices are 0-based ids; ``--edge A,B`` names the distinguished
 edge by those ids (default ``0,2n``).  ``color --graph`` keeps its
 cycle cache in the file named by ``--cache``, and only there: without
-the option it starts from an empty cache and writes none.
+the option it starts from an empty cache and writes none.  An option
+that does not apply to the host is a usage error (exit 2): ``--edge``
+with ``--graph``, ``--cache`` on a cycle, and ``--len`` with an ``--n``
+that names another cycle (for ``verify``, ``--cycle-len`` and ``--n``).
 
 ``color`` reads one JSON array, an array of arrays, or one array per
 line.  Rows of one-digit colors, as one array or one array per line
@@ -73,6 +76,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import io
 import json
 import locale
 import sys
@@ -303,17 +307,19 @@ def _read_assignments(path: str | None, take: _Take | None = None):
     Rows of one-digit colors are decoded by :func:`_digits` from the
     bytes as they stream in: into the uint8 stack returned, or, with
     ``take``, to ``take`` as they come, and then their (rows, L) shape
-    is returned.  Any other payload, and a text-only stdin such as a
-    ``StringIO``, comes back as the tuples of :func:`_json_rows`, which
-    also words every input error.
+    is returned.  Any other payload comes back as the tuples of
+    :func:`_json_rows`, which also words every input error.  A text-only
+    stdin, such as a ``StringIO``, is read as its UTF-8 bytes.
     """
     digits = bytearray()
     take_digits = take or digits.extend
     if path is None or path == "-":
         stdin = sys.stdin
-        if not hasattr(stdin, "buffer"):
-            return _json_rows(stdin.read())
-        rows = _read_rows(stdin.buffer, stdin.encoding, stdin.errors, take_digits)
+        if hasattr(stdin, "buffer"):
+            fh, encoding, errors = stdin.buffer, stdin.encoding, stdin.errors
+        else:
+            fh, encoding, errors = io.BytesIO(stdin.read().encode()), "utf-8", "strict"
+        rows = _read_rows(fh, encoding, errors, take_digits)
     else:
         with open(path, "rb") as fh:
             rows = _read_rows(fh, locale.getpreferredencoding(False), "strict", take_digits)
@@ -413,15 +419,18 @@ def _emit(res: RowColors, rows, color_one) -> int:
     return EXIT_OK
 
 
+def _same_cycle(flag: str, length: int | None, n: int | None) -> None:
+    """Reject a cycle length (``flag``) and an ``--n`` that name two cycles."""
+    if length is not None and n is not None and length != 2 * n + 1:
+        raise ValueError(
+            f"{flag} {length} and --n {n} name different cycles (--n {n} is {flag} {2 * n + 1})"
+        )
+
+
 def _cycle_ctx(args: argparse.Namespace) -> OddCycleCtx:
-    if args.len is not None:
-        if args.len % 2 == 0 or args.len < 3:
-            raise ParityDomainError(
-                f"cycle length must be odd and >= 3, got {args.len}"
-            )
-        n = (args.len - 1) // 2
-    else:
-        n = args.n
+    if args.len is not None and (args.len % 2 == 0 or args.len < 3):
+        raise ParityDomainError(f"cycle length must be odd and >= 3, got {args.len}")
+    n = args.n if args.n is not None else (args.len - 1) // 2
     edge = _parse_edge(args.edge) if args.edge else None
     return OddCycleCtx.make(n, args.k, edge)
 
@@ -499,6 +508,11 @@ def cmd_color(args: argparse.Namespace) -> int:
             raise ValueError(
                 "pass exactly one host: --len/--n for a cycle, or --graph"
             )
+        _same_cycle("--len", args.len, args.n)
+        if args.graph is None and args.cache is not None:
+            raise ValueError("--cache applies only to a --graph host")
+        if args.graph is not None and args.edge is not None:
+            raise ValueError("--edge applies only to a --len/--n cycle host")
         if args.graph is not None:
             return _color_on_host(args, _read_assignments(args.input))
         return _color_on_cycle(args)
@@ -526,6 +540,7 @@ def _verify_ns(args: argparse.Namespace) -> list[int]:
             raise ValueError(
                 f"--cycle-len must be odd and >= 3, got {args.cycle_len}"
             )
+        _same_cycle("--cycle-len", args.cycle_len, args.n)
         return [(args.cycle_len - 1) // 2]
     if args.n is not None:
         return [args.n]

@@ -64,7 +64,7 @@ from .graphs import (
     odd_cycle_in,
 )
 from . import winding
-from .winding import OddCycleCtx, in_even_class, np_tour
+from .winding import OddCycleCtx, in_even_class
 
 
 class Branch(Enum):
@@ -144,13 +144,15 @@ def _out_of_range(ctx: OddCycleCtx) -> ValueError:
     return ValueError(f"colors must be in 1..{ctx.k}")
 
 
-def _row_past_int64(arr: np.ndarray, k: int) -> list[int]:
-    """The first row of ``arr``, a row or a stack of a non-integer dtype,
-    with a color outside 1..k, when every entry is a Python int: a color
-    past int64 and uint64 makes an object array, out of range rather than
-    non-integer.  Raises the dtype error otherwise."""
-    if arr.dtype == object and all(type(c) is int for c in arr.flat):
-        for row in arr.reshape(-1, arr.shape[-1]).tolist():
+def _row_past_int64(fs, arr: np.ndarray, k: int) -> list[int]:
+    """The first row of ``fs``, which numpy made ``arr`` of a non-integer
+    dtype, with a color outside 1..k, when every entry is a Python int:
+    with a color past int64, Python ints make a float64 array (below
+    2^64) or an object array, out of range rather than non-integer.
+    Raises the dtype error otherwise."""
+    ints = arr if isinstance(fs, np.ndarray) else np.array(fs, dtype=object)
+    if ints.shape == arr.shape and all(type(c) is int for c in ints.flat):
+        for row in ints.reshape(-1, arr.shape[-1]).tolist():
             if min(row) < 1 or max(row) > k:
                 return row
     raise ValueError(f"colors must be integers, got dtype {arr.dtype}")
@@ -196,7 +198,7 @@ def _verdict(ctx: OddCycleCtx, fa, fb, ell2, p2, fixed, isolated) -> tuple:
 def _decide(ctx: OddCycleCtx, ends: np.ndarray, tour: tuple, out_of_range=()) -> RowColors:
     """The :func:`_verdict` of each row of a stack, from ``ends``, its
     (rows, 2) endpoint colors f(a) and f(b), and ``tour``, its
-    :func:`np_tour` outputs.
+    :func:`.winding.np_tour` outputs.
 
     A row that fails, or whose index is in ``out_of_range`` (its colors
     were outside 1..k before a stand-in took its place), gets 0s and its
@@ -222,26 +224,28 @@ def color_rows(fs, ctx: OddCycleCtx) -> RowColors:
 
     ``fs`` is one assignment (1-d) or a (rows, 2n+1) stack, of any
     integer dtype; a stack of another shape or dtype raises ValueError,
-    the one-row error of its first out-of-range row where a color past
-    int64 made it an object array.  Every row is colored, or fails the first check it fails in the order
-    the one-row routines apply them: colors in 1..k (on the values as
-    given, before the kernel casts them), isolation, an even fixed-point
-    count, and a little path off ell/2.  One :func:`np_tour` call serves
-    the stack, with a constant row standing in for each out-of-range
-    one; the O(1) decision per row is :func:`_side_of`.
+    the one-row error of its first out-of-range row where Python ints
+    past int64 made it a float64 or object array.  Every row is colored,
+    or fails the first check it fails in the order the one-row routines
+    apply them: colors in 1..k (on the values as given, before the
+    kernel casts them), isolation, an even fixed-point count, and a
+    little path off ell/2.  One :func:`.winding.np_tour` call serves the
+    stack, with a constant row standing in for each out-of-range one;
+    the O(1) decision per row is :func:`_side_of`.
     """
     arr = np.asarray(fs)
     if arr.ndim not in (1, 2) or arr.shape[-1] != ctx.length:
         raise _wrong_shape(ctx)
     if arr.dtype.kind not in "iu":
-        _row_past_int64(arr, ctx.k)
+        _row_past_int64(fs, arr, ctx.k)
         raise _out_of_range(ctx)
     rows = arr.reshape(-1, ctx.length)
     bad = _outside(rows, ctx.k)
     if bad.any():
         rows = np.where(bad[:, None], 1, rows)
     ends = rows[:, [ctx.a, ctx.b]]
-    return _decide(ctx, ends, np_tour(rows, ctx), set(np.flatnonzero(bad).tolist()))
+    tour = winding.np_tour(rows, ctx)
+    return _decide(ctx, ends, tour, set(np.flatnonzero(bad).tolist()))
 
 
 class RowFeed:
@@ -343,12 +347,12 @@ def _color_one(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:
     if arr.ndim != 1 or len(arr) != ctx.length:
         raise _wrong_shape(ctx)
     if arr.dtype.kind not in "iu":
-        _row_past_int64(arr, ctx.k)
+        _row_past_int64(f, arr, ctx.k)
         raise _out_of_range(ctx)
     if arr.item(arr.argmin()) < 1 or arr.item(arr.argmax()) > ctx.k:
         raise _out_of_range(ctx)
     fa, fb = arr.item(ctx.a), arr.item(ctx.b)
-    color, branch, ell2, p2 = _verdict(ctx, fa, fb, *np_tour(arr, ctx))
+    color, branch, ell2, p2 = _verdict(ctx, fa, fb, *winding.np_tour(arr, ctx))
     return ColorVerdict(color, _BRANCHES[branch], ell2, p2)
 
 
@@ -380,7 +384,7 @@ def even_class_subgraph(n: int, cap: int = DEFAULT_CAP) -> ExpoGraph:
     """The exponential graph over C_{2n+1} induced on even-parity assignments."""
     h = make_cycle(2 * n + 1)
     rows = full_grid(h, 3, cap)
-    _, _, fixed, _ = np_tour(rows, OddCycleCtx.make(n, 3))
+    _, _, fixed, _ = winding.np_tour(rows, OddCycleCtx.make(n, 3))
     sub = ExpoGraph.from_rows(h, 3, False, rows[fixed % 2 == 0])
     if sub.loops:
         raise InvariantViolationError(
@@ -397,9 +401,9 @@ def color_graph_baseline(ke: ExpoGraph, ctx: OddCycleCtx) -> dict[tuple[int, ...
     odd cycle, so the rest is bipartite and its two sides take f(a)
     and f(b) respectively.  Proper by construction; the bipartition
     step is where the exponential cost lives.  The even class is one
-    row stack: one :func:`np_tour` call checks its parity, a mask on
-    the endpoint columns splits off the remainder, and the colors are
-    gathered from the endpoint columns.
+    row stack: one :func:`.winding.np_tour` call checks its parity, a
+    mask on the endpoint columns splits off the remainder, and the colors
+    are gathered from the endpoint columns.
     """
     if ke.k != 3 or ke.cycle_target:
         raise ValueError("baseline expects a three-color exponential graph")
@@ -412,7 +416,7 @@ def color_graph_baseline(ke: ExpoGraph, ctx: OddCycleCtx) -> dict[tuple[int, ...
         if not host.has_edge(i, (i + 1) % ctx.length):
             raise ValueError("host is not the odd cycle the context describes")
     rows = np.array(ke.vertices, dtype=np.int64).reshape(-1, ctx.length)
-    odd = np_tour(rows, ctx)[2] % 2 != 0
+    odd = winding.np_tour(rows, ctx)[2] % 2 != 0
     if odd.any():
         f = ke.vertices[odd.argmax()]
         raise ValueError(f"assignment {f} has odd parity; not an even-class graph")
@@ -570,8 +574,7 @@ def color_in_kh(
 
 def _even_on(rows: np.ndarray, cyc: CycleWitness) -> np.ndarray:
     """Whether each row, restricted to the host cycle ``cyc``, has an even
-    number of fixed points; one pass of the live :func:`.winding.np_tour`,
-    so a kernel patched in a test reaches every parity check."""
+    number of fixed points; one :func:`.winding.np_tour` pass."""
     ctx = OddCycleCtx.make(len(cyc) // 2, 3)
     return winding.np_tour(rows[:, cyc.vertices], ctx)[2] % 2 == 0
 
@@ -583,19 +586,19 @@ def color_rows_in_kh(
 
     ``fs`` is one assignment (1-d) or a (rows, |V(h)|) stack of any
     integer dtype; a stack of another shape or dtype raises ValueError,
-    the one-row error of its first out-of-range row where a color past
-    int64 made it an object array.  The verdicts, the rows that fail and their errors (see
-    :class:`RowColors`), and the cache left behind are those of calling
-    :func:`color_in_kh` on each row in turn, going on past each row that
-    raises.
+    the one-row error of its first out-of-range row where Python ints
+    past int64 made it a float64 or object array.  The verdicts, the rows
+    that fail and their errors (see :class:`RowColors`), and the cache
+    left behind are those of calling :func:`color_in_kh` on each row in
+    turn, going on past each row that raises.
 
     * Checks, in the one-row order: per row the colors in 1..3 and
       isolation, read from one :func:`expo.isolated_rows` of the stack
       (a constant row stands in for each out-of-range one).
     * Cache scan: each cached cycle in insertion order, one
-      :func:`np_tour` parity pass over the rows no earlier cycle serves.
-      A cycle is validated against the host before it is used; one that
-      is not a host cycle fails every row that reaches it.
+      :func:`.winding.np_tour` parity pass over the rows no earlier cycle
+      serves.  A cycle is validated against the host before it is used;
+      one that is not a host cycle fails every row that reaches it.
     * Misses, in input order: the first unserved row goes through
       :func:`color_in_kh`, which searches for and appends a cycle (or
       raises :class:`NoEvenCycleError`, or an
@@ -623,7 +626,7 @@ def color_rows_in_kh(
         )
     if arr.dtype.kind not in "iu":
         # raises: the row holds a color outside 1..3
-        _check_assignment(h, _row_past_int64(arr, 3), 3)
+        _check_assignment(h, _row_past_int64(fs, arr, 3), 3)
     rows = arr.reshape(-1, h.vertex_count)
     errors: dict[int, Exception] = {}
     bad = _outside(rows, 3)

@@ -9,20 +9,20 @@ can compare them against closed-form enumeration sizes.
 The arithmetic verifiers take labels, little paths, fixed-point counts
 and isolation from :func:`.winding.np_tour`, the kernel that colors,
 in one call over the whole assignment space; only arcs *between* two
-assignments are valued from a pairwise Δ table.  Adjacent pairs come
-from :func:`.expo.neighbor_pairs` in fixed blocks of source rows, and
-every check is a whole-array gather over a block's pairs.  The
-even-class verifiers (hitting set, baseline) hold the even class as one
-row stack: a mask on the endpoint columns splits it, one kernel call
-and :mod:`.coloring`'s decision color it, and edges are checked as one
-(E, 2) index array; end-to-end colors its rows with one
+assignments are valued from a pairwise Δ table, built from
+:func:`.winding.arc_value` on every call.  Adjacent pairs come from
+:func:`.expo.neighbor_pairs` in fixed blocks of source rows, and every
+check is a whole-array gather over a block's pairs.  The even-class
+verifiers (hitting set, baseline) hold the even class as one row stack:
+a mask on the endpoint columns splits it, one
+:func:`.coloring.color_rows` call colors it, and edges are checked as
+one (E, 2) index array; end-to-end colors its rows with one
 :func:`.coloring.color_rows_in_kh` call.  Either colors every row and
-names each row that fails, which is one violation.  Δ and the kernels
-are reached through live module attributes, tables are rebuilt per
-call, and coloring goes through :mod:`.coloring`'s decision rule and
-entry points, so corrupting Δ, a kernel or the side comparison in a
-test measurably breaks the reports — mutation-style self-tests assert
-exactly that.
+names each row that fails, which is one violation.  Every verifier
+reaches Δ and the kernel as ``winding.arc_value`` and
+``winding.np_tour``, and colors through :mod:`.coloring`'s entry points,
+so a fault in Δ, the kernel, the decision or the stack routine itself
+breaks the reports: mutation-style self-tests assert exactly that.
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ def _arc_table(k: int) -> np.ndarray:
     """(k+1)x(k+1) int8 table of doubled Δ over colors 1..k; FAR cells are 0.
 
     Values arcs *between* two assignments, which the chord-tour kernel
-    never sees.  Rebuilt from the live :func:`winding.arc_value` on every
-    call, so monkeypatched Δ flows into every sweep.  Callers must only
+    never sees.  Rebuilt from :func:`winding.arc_value` on every call, so
+    a fault in Δ reaches every sweep.  Callers must only
     gather cells they know are not FAR (arcs between adjacent
     assignments).
     """
@@ -134,8 +134,7 @@ def _sweep_tour(n: int, k: int, cap: int):
 
     Returns ``(ctx, rows, (ell2, p2, fixed, isolated))`` with ``rows``
     from :func:`.expo.assignment_grid`; look an assignment up by
-    :func:`.expo.row_index`.  The kernel is read through the live
-    :mod:`.winding` attribute, so the sweeps check the code that colors.
+    :func:`.expo.row_index`.  The kernel is the one that colors.
     """
     ctx, rows = _sweep_grid(n, k, cap)
     return ctx, rows, winding.np_tour(rows, ctx)
@@ -146,7 +145,7 @@ def _pair_blocks(ctx: OddCycleCtx, rows: np.ndarray, sources: np.ndarray):
 
     Yields ``(i, j, f, g)`` for each block of ``_BLOCK_ROWS`` sources:
     the grid rows of both ends and the (pairs, 2n+1) assignments, pairs
-    ordered by source, then neighbor.  The pairs come from the live
+    ordered by source, then neighbor.  The pairs come from
     :func:`.expo.neighbor_pairs` (cycle codomain for k >= 5).
     """
     host = make_cycle(ctx.length)
@@ -175,18 +174,17 @@ _EQUAL_CODE = _BRANCH_OF_CODE.index(coloring.Branch.EQUAL_ENDPOINTS)
 def _color_sweep(
     ctx: OddCycleCtx, rows: np.ndarray, sources: np.ndarray, viol: _Tally
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Color ``rows[sources]`` as one stack with :mod:`.coloring`'s decision.
+    """Color ``rows[sources]`` with one :func:`.coloring.color_rows` call.
 
     Returns per grid row the color and 1 + the branch's position in
     ``Branch`` (see ``_BRANCH_OF_CODE``), both 0 where the row is
-    uncolored.  One call of the live :func:`.winding.np_tour` serves the
-    whole stack, and one decision pass colors it; each row that fails is
-    reported with its error and left uncolored.
+    uncolored.  Each row that fails is reported with its error and left
+    uncolored.
     """
     colors = np.zeros(len(rows), dtype=np.int64)
     branch_codes = np.zeros(len(rows), dtype=np.int8)
     fs = rows[sources]
-    res = coloring._decide(ctx, fs[:, [ctx.a, ctx.b]], winding.np_tour(fs, ctx))
+    res = coloring.color_rows(fs, ctx)
     colors[sources] = res.color
     branch_codes[sources] = (res.branch + 1) * (res.color != 0)
     for r, error in zip(res.failed.tolist(), res.errors):
@@ -660,9 +658,11 @@ def verify_end_to_end(
     With ``samples=None`` all ``3 ** |V(host)|`` assignments are
     processed: isolated ones (an empty allowed set) are counted, and the
     rest colored through one cycle cache as one stack, component after
-    component.  Members of a component must be even on the cycle serving
-    its first member, adjacent members differ in color, and members of
-    three-chromatic components are probed on *every* odd host cycle.
+    component.  The members of a component that the pipeline colors must
+    share one serving cycle, as its ``RowColors.cycle`` records it, every
+    member must be even on that cycle, adjacent members differ in color,
+    and members of three-chromatic components are probed on *every* odd
+    host cycle.
     With ``samples`` set, that many non-isolated assignments (at least
     one) are colored, each with one uniform neighbor.  Candidates are
     uniform rows drawn in blocks from ``random.Random(seed).randbytes``;
@@ -698,18 +698,25 @@ def verify_end_to_end(
         res, cache = coloring.color_rows_in_kh(host, live[order])
         colors = np.zeros(len(live), dtype=np.int64)
         colors[order] = res.color
+        cycles = np.empty(len(live), dtype=np.int64)
+        cycles[order] = res.cycle
         for r, exc in zip(res.failed.tolist(), res.errors):
             viol.add(f"pipeline failed on {eg.vertices[order[r]]}: {exc}")
         for members, _ in comps:
-            first = eg.vertices[members[0]]
-            serving = cache.find_even(host, first)
-            if serving is None:
-                viol.add(f"no cached cycle serves component of {first}")
+            served = cycles[list(members)]
+            served = served[served >= 0]  # a row that failed is reported above
+            if not len(served):
                 continue
-            for i in np.flatnonzero(~coloring._even_on(live[list(members)], serving[0])):
+            if (served != served[0]).any():
+                viol.add(
+                    f"component of {eg.vertices[members[0]]} served by cycles "
+                    f"{[cache.entries[j][0].vertices for j in sorted(set(served.tolist()))]}"
+                )
+            cyc = cache.entries[served[0]][0]
+            for i in np.flatnonzero(~coloring._even_on(live[list(members)], cyc)):
                 viol.add(
                     f"{eg.vertices[members[i]]} has odd parity on its component's "
-                    f"cycle {serving[0].vertices}"
+                    f"cycle {cyc.vertices}"
                 )
         graph = eg.to_graph()
         edges = _edge_array(graph)

@@ -12,17 +12,16 @@ Index convention: cycle vertices are 0-based ids ``0..2n``; writing
 has id ``i-1``.  The shift is confined to this docstring — every public
 API here speaks ids.
 
-Δ is defined once, by the color step mod k, and :func:`arc_value`
-dispatches on the codomain.  For 3 colors, arcs take values in
-{-1, 0, +1} (``delta3``).  For a cycle codomain C_k with odd k >= 5,
-arcs take values in {0, ±1/2, ±1} (``delta_k``), with a distinguished
-FAR marker for steps no arc of an adjacent pair can take.
-:func:`arc_value` gives every arc value doubled, as a plain int, so
-half-steps stay exact and floats never appear; labels and little paths
-are doubled the same way.  The scalar :func:`label` and
-:func:`little_path` walk the tour arc by arc and are the reference;
-:func:`np_tour` is the one vectorized kernel, for every codomain, and
-reads its arc values from :func:`arc_value`.
+Δ is defined once, by the color step mod k, in :func:`arc_value`.  For
+3 colors, arcs take values in {-1, 0, +1}; for a cycle codomain C_k
+with odd k >= 5, in {0, ±1/2, ±1}, with a distinguished FAR marker for
+steps no arc of an adjacent pair can take.  :func:`arc_value` gives
+every arc value doubled, as a plain int, so half-steps stay exact and
+floats never appear; labels and little paths are doubled the same way.
+The scalar :func:`label` and :func:`little_path` walk the tour arc by
+arc and are the reference; :func:`np_tour` is the one vectorized
+kernel, for every codomain, and reads its arc values from
+:func:`arc_value`.
 
 For cycle codomains, a chord arc whose color step falls outside
 {0, 2, k-2} mod k means the assignment has no neighbors at all, so
@@ -71,52 +70,22 @@ class _Far:
 FAR = _Far()
 
 
-def delta3(i: int, j: int) -> int:
-    """Arc value for 3 colors: +1 on (1,2),(2,3),(3,1), -1 reversed, 0 equal."""
-    if i not in (1, 2, 3) or j not in (1, 2, 3):
-        raise ValueError(f"colors must be in 1..3, got ({i},{j})")
-    return (j - i + 1) % 3 - 1
+def arc_value(i: int, j: int, k: int):
+    """Doubled Δ of the arc from color i to color j, k colors, odd k >= 3.
 
-
-def delta_k(i: int, j: int, k: int):
-    """Doubled arc value for colors on the cycle C_k, odd k >= 5.
-
-    By the residue of j-i mod k: 2 -> +1, k-2 -> -1, 1 -> +1/2,
-    k-1 -> -1/2, 0 -> 0; any other residue -> the FAR marker.
-    Returns twice the value as an int (2, -2, 1, -1, 0), or FAR.
+    By the residue r of j-i mod k.  For k = 3: 1 -> +1, 2 -> -1, 0 -> 0.
+    For k >= 5: 2 -> +1, k-2 -> -1, 1 -> +1/2, k-1 -> -1/2, 0 -> 0, and
+    any other residue -> the FAR marker.  Returns twice the value as an
+    int (2, -2, 1, -1, 0), or FAR.
     """
-    _check_cycle_codomain(k)
+    if k < 3 or k % 2 == 0:
+        raise ParityDomainError(f"codomain size must be odd and >= 3, got {k}")
     if not (1 <= i <= k and 1 <= j <= k):
         raise ValueError(f"colors must be in 1..{k}, got ({i},{j})")
     r = (j - i) % k
-    if r == 0:
-        return 0
-    if r == 2:
-        return 2
-    if r == k - 2:
-        return -2
-    if r == 1:
-        return 1
-    if r == k - 1:
-        return -1
-    return FAR
-
-
-def _check_cycle_codomain(k: int) -> None:
     if k == 3:
-        raise ParityDomainError(
-            "delta_k needs k >= 5; the three-color table is delta3 "
-            "(the k=3 residue cases would overlap)"
-        )
-    if k < 5 or k % 2 == 0:
-        raise ParityDomainError(f"codomain cycle length must be odd and >= 5, got {k}")
-
-
-def arc_value(i: int, j: int, k: int):
-    """Doubled Δ for any supported codomain, as an int or FAR; dispatches on k."""
-    if k == 3:
-        return 2 * delta3(i, j)
-    return delta_k(i, j, k)
+        return (0, 2, -2)[r]
+    return {0: 0, 2: 2, k - 2: -2, 1: 1, k - 1: -1}.get(r, FAR)
 
 
 def chord_order(n: int) -> tuple[tuple[int, int], ...]:

@@ -119,6 +119,36 @@ def test_color_calls_the_golden_corpus_lacks(
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["color", "--len", "5", "--n", "7"],
+            "--len 5 and --n 7 name different cycles (--n 7 is --len 15)",
+        ),
+        (
+            ["color", "--n", "2", "--cache", "{tmp}/cache.json"],
+            "--cache applies only to a --graph host",
+        ),
+        (
+            ["color", "--graph", "{tmp}/k4.json", "--edge", "0,1"],
+            "--edge applies only to a --len/--n cycle host",
+        ),
+        (
+            ["verify", "little-path", "--cycle-len", "5", "--n", "1"],
+            "--cycle-len 5 and --n 1 name different cycles (--n 1 is --cycle-len 3)",
+        ),
+    ],
+    ids=["len-and-n", "cache-on-a-cycle", "edge-on-a-graph", "verify-cycle-len-and-n"],
+)
+def test_host_options_that_do_not_apply_exit_2(argv, message, k4, tmp_path, capsys, monkeypatch):
+    save_graph(k4, tmp_path / "k4.json")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert run_cli(argv, "[1, 1, 1, 1, 1]", monkeypatch) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "cache.json").exists()
+
+
+@pytest.mark.parametrize(
     "payload",
     [
         # json.loads gives bool for true/false, and bool is an int subclass
@@ -138,6 +168,13 @@ def test_color_rejects_non_integer_colors(payload, capsys, monkeypatch):
     assert run_cli(["color", "--n", "2"], payload, monkeypatch) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:")
+
+
+def test_text_only_stdin_goes_through_the_byte_reader(monkeypatch):
+    # a StringIO has no byte buffer: its UTF-8 bytes take the digit reader
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[1,2,1]\n[3,3,3]\n"))
+    rows = cli._read_assignments(None)
+    assert rows.dtype == np.uint8 and rows.tolist() == [[1, 2, 1], [3, 3, 3]]
 
 
 _NOT_DIGITS = ["true", "1.0", "null", '"1"', "-1", "12", "1e0", "[1]", "00", "-", "x", "/", ":"]
@@ -765,6 +802,9 @@ def test_verify_cycle_len_flag(capsys):
     assert main(["verify", "little-path", "--cycle-len", "5", "--k", "5"]) == 0
     rep = json.loads(capsys.readouterr().out.strip())
     assert rep["params"] == {"n": 2, "k": 5}
+    # an --n that names the same cycle is accepted
+    assert main(["verify", "little-path", "--cycle-len", "5", "--n", "2", "--k", "5"]) == 0
+    assert json.loads(capsys.readouterr().out.strip())["params"] == {"n": 2, "k": 5}
 
 
 def test_verify_all_quick(capsys):
@@ -846,14 +886,14 @@ def test_verify_threads_start_no_more_workers_than_jobs(capsys, monkeypatch):
 
 
 def test_verify_violations_exit_1(capsys, monkeypatch):
-    real = winding.delta3
+    real = winding.arc_value
 
-    def bad(i, j):
-        if (i, j) == (1, 2):
+    def bad(i, j, k):
+        if (i, j, k) == (1, 2, 3):
             return 0
-        return real(i, j)
+        return real(i, j, k)
 
-    monkeypatch.setattr(winding, "delta3", bad)
+    monkeypatch.setattr(winding, "arc_value", bad)
     assert main(["verify", "chord-step", "--n", "1"]) == 1
     out, err = capsys.readouterr()
     rep = json.loads(out.strip())

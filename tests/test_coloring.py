@@ -96,13 +96,16 @@ def test_color_vertex_proper_on_even_pairs_n1():
                 np.array([1, 1, 1, 1, 2**40 + 1], dtype=np.int64),
                 np.array([1, 1, 1, 1, -(2**63) + 1], dtype=np.int64),
                 (1, 1, 1, 1, 257),
+                (1, 1, 1, 1, 2**63 + 1),  # past int64, below 2**64: a float64 array
                 (1, 1, 1, 1, 2**64 + 1),  # past int64 and uint64: an object array
                 (1, 1, 1, 1, -(2**64)),
             )
         ),
         # the stack entry points raise their one-row case's error for such a row
         (lambda f, ctx: color_rows([[1] * 5, f], ctx), (1, 1, 1, 1, 2**64 + 1)),
+        (lambda f, ctx: color_rows([[1] * 5, f], ctx), (1, 1, 1, 1, 2**64 - 255)),
         (lambda f, ctx: color_rows_in_kh(make_complete(4), [f[1:]]), (1, 1, 1, 1, 2**64)),
+        (lambda f, ctx: color_rows_in_kh(make_complete(4), [f[1:]]), (1, 1, 1, 1, 2**63 + 1)),
     ],
 )
 def test_color_vertex_range_check_sees_values_before_the_cast(call, row):

@@ -1,7 +1,9 @@
-"""The names other code reaches the package by: ``__all__`` and the layer
-functions that ``perfbench/tracer.py`` wraps by name; and what each import
-loads, each read from ``sys.modules`` in a fresh interpreter."""
+"""The names other code reaches the package by: ``__all__``, the layer
+functions that ``perfbench/tracer.py`` wraps by name, and the one binding
+of Δ and of the kernel; and what each import loads, each read from
+``sys.modules`` in a fresh interpreter."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -117,3 +119,17 @@ def test_public_names_load_on_demand_from_their_submodules():
         expocolor.no_such_name
     # a name that only a submodule makes public is not re-exported
     assert not hasattr(expocolor, "color_rows_in_kh")
+
+
+def test_only_winding_binds_delta_and_the_kernel():
+    # Δ and the kernel have one patch point each, winding.arc_value and
+    # winding.np_tour: every other module looks them up in winding per call
+    bound = []
+    for path in sorted((SRC / "expocolor").glob("*.py")):
+        if path.stem == "winding":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("winding"):
+                names = {alias.name for alias in node.names} & {"arc_value", "np_tour", "*"}
+                bound += [f"{path.name}:{node.lineno} {name}" for name in sorted(names)]
+    assert bound == []

@@ -1,11 +1,13 @@
 """The verifiers themselves: green on healthy code, red under injected faults.
 
-The mutation tests patch live module attributes (the verifiers rebuild
-their tables from them, and look up the kernel, on every call), corrupt
-one ingredient at a time, and assert the relevant reports stop being
-clean.  The side comparison is stuck at one branch rather than flipped:
-a pure flip merely swaps which endpoint color each side takes and still
-produces a proper coloring, so no behavioral oracle can see it.
+The mutation tests patch one name per rule, corrupt one ingredient at a
+time, and assert the relevant reports stop being clean: Δ is
+``winding.arc_value`` and the kernel ``winding.np_tour`` (the verifiers
+rebuild their tables and look up the kernel on every call), and the
+verifiers color through ``coloring.color_rows`` itself.  The side
+comparison is stuck at one branch rather than flipped: a pure flip
+merely swaps which endpoint color each side takes and still produces a
+proper coloring, so no behavioral oracle can see it.
 """
 
 import contextlib
@@ -26,7 +28,14 @@ import pytest
 import expocolor
 from expocolor import cli, coloring, expo, verify, winding
 from expocolor.errors import CapacityError, InvariantViolationError, NoEvenCycleError
-from expocolor.graphs import Graph, make_complete, make_cycle, make_grotzsch, save_graph
+from expocolor.graphs import (
+    Graph,
+    make_complete,
+    make_cycle,
+    make_grotzsch,
+    odd_cycles,
+    save_graph,
+)
 from hosts import assert_same_colors, kh_loop
 
 GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
@@ -76,25 +85,25 @@ def test_end_to_end_rejects_three_colorable_hosts():
 
 
 def _corrupt_delta3(monkeypatch):
-    real = winding.delta3
+    real = winding.arc_value
 
-    def bad(i, j):
-        if (i, j) == (1, 2):
-            return 0  # should be +1
-        return real(i, j)
+    def bad(i, j, k):
+        if (i, j, k) == (1, 2, 3):
+            return 0  # should be 2, the doubled +1
+        return real(i, j, k)
 
-    monkeypatch.setattr(winding, "delta3", bad)
+    monkeypatch.setattr(winding, "arc_value", bad)
 
 
 def _corrupt_delta_k(monkeypatch):
-    real = winding.delta_k
+    real = winding.arc_value
 
     def bad(i, j, k):
-        if (j - i) % k == 2:
+        if k >= 5 and (j - i) % k == 2:
             return -2  # doubled -1; should be doubled +1, that is 2
         return real(i, j, k)
 
-    monkeypatch.setattr(winding, "delta_k", bad)
+    monkeypatch.setattr(winding, "arc_value", bad)
 
 
 def test_corrupt_delta3_detected_by_arithmetic_verifiers(monkeypatch):
@@ -324,10 +333,30 @@ def test_sweep_makes_one_kernel_pass_however_many_rows_fail(run, monkeypatch):
         return real(fs, ctx)
 
     monkeypatch.setattr(winding, "np_tour", counted)
-    monkeypatch.setattr(coloring, "np_tour", counted)
     rep = run()
     failed = _coloring_failures(rep)
     assert len(calls) <= 2 < len(failed), (calls, len(failed))
+
+
+def test_fault_inside_color_rows_alone_is_detected(monkeypatch):
+    # the range check of color_rows flags row 0 of every stack; the kernel,
+    # the decision and the one-row routines are untouched
+    def first_row_outside(rows, k):
+        bad = np.zeros(len(rows), dtype=bool)
+        bad[:1] = True
+        return bad
+
+    monkeypatch.setattr(coloring, "_outside", first_row_outside)
+    for rep in (
+        verify.verify_proper_coloring_k3(1),
+        verify.verify_proper_ck(1, 5),
+        verify.verify_hitting_set(1),
+        verify.verify_baseline(1),
+    ):
+        k = rep.params.get("k", 3)
+        failed = [v for v in rep.violations if v.startswith("coloring failed")]
+        assert len(failed) == 1, rep.statement
+        assert failed[0].endswith(f"colors must be in 1..{k}"), failed
 
 
 def test_corrupt_bipartition_detected_by_baseline(monkeypatch):
@@ -416,13 +445,13 @@ def _drop_first_distinct_endpoint_row(monkeypatch):
 
 
 def _no_fixed_points(monkeypatch):
-    real = coloring.np_tour
+    real = winding.np_tour
 
     def bad(fs, ctx):
         ell2, p2, fixed, isolated = real(fs, ctx)
         return ell2, p2, fixed * 0, isolated
 
-    monkeypatch.setattr(coloring, "np_tour", bad)
+    monkeypatch.setattr(winding, "np_tour", bad)
 
 
 def _edit_baseline(edit):
@@ -660,6 +689,23 @@ def test_faulty_end_to_end_makes_one_pipeline_call(name, run, total, request, mo
         assert calls == [600]
     assert len(calls) == 1
     assert rep.details["violation_total"] == total
+
+
+def test_end_to_end_checks_each_component_against_its_serving_cycle(monkeypatch, wheel5):
+    # the pipeline's record says the first row was served by a cycle that
+    # no other row of its component was served by
+    real = coloring.color_rows_in_kh
+
+    def split(h, fs, cache=None):
+        res, cache = real(h, fs, cache)
+        used = [cyc for cyc, _ in cache.entries]
+        cache.append(next(c for c in odd_cycles(h, h.vertex_count) if c not in used))
+        return res._replace(cycle=np.r_[len(cache) - 1, res.cycle[1:]]), cache
+
+    monkeypatch.setattr(coloring, "color_rows_in_kh", split)
+    rep = verify.verify_end_to_end(wheel5)
+    split_components = [v for v in rep.violations if v.startswith("component of ")]
+    assert len(split_components) == 1, rep.violations
 
 
 def _failing_search(monkeypatch, count, error):

@@ -23,8 +23,6 @@ from expocolor.winding import (
     OddCycleCtx,
     arc_value,
     chord_order,
-    delta3,
-    delta_k,
     fixed_points,
     in_even_class,
     label,
@@ -42,68 +40,27 @@ DELTA3_LITERAL = {
 }
 
 
-def test_delta3_matches_literal_table():
-    for (i, j), want in DELTA3_LITERAL.items():
-        assert delta3(i, j) == want, (i, j)
+# Doubled Δ for k >= 5 by the residue of the step j - i mod k, written out:
+# ±2 (Δ = ±1) on the steps 2 and k - 2, ±1 (Δ = ±1/2) on 1 and k - 1, and
+# FAR on every other step.
+DELTA_K_LITERAL = {
+    5: (0, 1, 2, -2, -1),
+    7: (0, 1, 2, FAR, FAR, -2, -1),
+    9: (0, 1, 2, FAR, FAR, FAR, FAR, -2, -1),
+}
 
 
-def test_delta3_is_antisymmetric():
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            assert delta3(i, j) == -delta3(j, i)
-
-
-def test_delta3_rejects_out_of_range_colors():
-    with pytest.raises(ValueError):
-        delta3(0, 1)
-    with pytest.raises(ValueError):
-        delta3(1, 4)
-
-
-def test_delta_k_frozen_cases():
-    # doubled values: +1 is 2, +1/2 is 1
-    assert delta_k(1, 3, 5) == 2  # residue 2
-    assert delta_k(2, 7, 7) == -2  # residue k-2
-    assert delta_k(1, 2, 5) == 1  # residue 1 -> +1/2
-    assert delta_k(2, 1, 5) == -1  # residue k-1 -> -1/2
-    assert delta_k(4, 4, 9) == 0
-    assert delta_k(1, 4, 7) is FAR  # residue 3 is unreachable for a pair
-
-
-def test_delta_k_residue_classes_exhaustively():
-    for k in (5, 7, 9):
-        for i in range(1, k + 1):
-            for j in range(1, k + 1):
-                r = (j - i) % k
-                got = delta_k(i, j, k)
-                if r == 0:
-                    assert got == 0
-                elif r == 2:
-                    assert got == 2
-                elif r == k - 2:
-                    assert got == -2
-                elif r == 1:
-                    assert got == 1
-                elif r == k - 1:
-                    assert got == -1
-                else:
-                    assert got is FAR
-
-
-def test_delta_k_refuses_three_colors():
-    # At k=3 the residue classes 1, 2, k-2 and k-1 overlap; the
-    # three-color table is its own function.
-    with pytest.raises(ParityDomainError, match="delta3"):
-        delta_k(1, 2, 3)
-    with pytest.raises(ParityDomainError):
-        delta_k(1, 2, 4)
-    with pytest.raises(ParityDomainError):
-        delta_k(1, 1, 1)
-
-
-def test_arc_value_dispatches_on_k():
-    assert arc_value(1, 2, 3) == 2 * delta3(1, 2)
-    assert arc_value(1, 2, 5) == delta_k(1, 2, 5)
+def test_arc_value_matches_literal_tables():
+    for k in (3, 5, 7, 9):
+        for i, j in itertools.product(range(1, k + 1), repeat=2):
+            want = 2 * DELTA3_LITERAL[i, j] if k == 3 else DELTA_K_LITERAL[k][(j - i) % k]
+            assert arc_value(i, j, k) == want, (i, j, k)  # FAR equals only itself
+    for i, j, k in [(0, 1, 3), (1, 4, 3), (1, 6, 5), (-1, 1, 7)]:
+        with pytest.raises(ValueError, match=f"colors must be in 1..{k}"):
+            arc_value(i, j, k)
+    for k in (1, 2, 4, 6):
+        with pytest.raises(ParityDomainError, match="odd and >= 3"):
+            arc_value(1, 1, k)
 
 
 def test_chord_order_hand_walked():
@@ -353,7 +310,8 @@ def _compare(rows, k, edge, dtypes, row_dtypes=(), every=1, scalar=False, stack=
     rows, all three on the rows with colors in 1..k only; the one-row
     routine on the sampled rows as tuples or lists and in ``row_dtypes``;
     and color_rows on the stack and on its first row, with the messages
-    of the one-row routine on rows of the stack's dtype."""
+    of the one-row routine on the tuples and lists (and on the rows in the
+    stack's dtype)."""
     ctx = OddCycleCtx.make(rows.shape[1] // 2, k, edge)
     tour, verdicts = _oracle(rows, k, edge)
     inside = ((rows >= 1) & (rows <= k)).all(1)
@@ -364,26 +322,26 @@ def _compare(rows, k, edge, dtypes, row_dtypes=(), every=1, scalar=False, stack=
     tours = list(zip(*(x[::every][inside[::every]].tolist() for x in tour)))
     color = color_vertex if k == 3 else color_vertex_ck
     forms = itertools.cycle((tuple, list))
-    assert [_outcome(color, form(f), ctx)[0] for form, f in zip(forms, sampled.tolist())] == want
-    messages = None
+    outcomes = [_outcome(color, form(f), ctx) for form, f in zip(forms, sampled.tolist())]
+    assert [verdict for verdict, _ in outcomes] == want
+    messages = [message for _, message in outcomes]
     for dtype in row_dtypes:
         in_dtype = sampled.astype(dtype)
         assert [np_tour(f, ctx) for f in in_dtype[inside[::every]]] == tours, (edge, dtype)
         outcomes = [_outcome(color, f, ctx) for f in in_dtype]
         assert [verdict for verdict, _ in outcomes] == want, (edge, dtype)
         if dtype == rows.dtype:
-            messages = [message for _, message in outcomes]
+            assert [message for _, message in outcomes] == messages, (edge, dtype)
     if scalar:
         got = [_scalar_tour(tuple(f), ctx) for f in sampled[inside[::every]].tolist()]
         assert got == [(None, None, t[2], True) if t[3] else t for t in tours], edge
     if stack:
         got, by_row = _verdicts(color_rows(rows, ctx))
         assert np.array_equal(got, verdicts), edge
-        if messages is not None:
-            assert [by_row.get(r) for r in range(0, len(rows), every)] == messages, edge
+        assert [by_row.get(r) for r in range(0, len(rows), every)] == messages, edge
         got, by_row = _verdicts(color_rows(rows[0], ctx))  # one row, given 1-d
         assert got.tolist() == verdicts[:1].tolist(), edge
-        assert messages is None or by_row.get(0) == messages[0], edge
+        assert by_row.get(0) == messages[0], edge
 
 
 def _grid(colors, length):
