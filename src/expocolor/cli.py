@@ -15,7 +15,20 @@ Subcommands
 
 Exit codes are stable API: 0 success, 1 verification violations (for
 ``color``, a broken internal invariant: ``InvariantViolationError``),
-2 usage, 3 parity-domain error, 4 isolated assignment, 5 capacity.
+2 usage or a write error on standard output, 3 parity-domain error,
+4 isolated assignment, 5 capacity.
+
+The ``expocolor`` command and ``python -m expocolor.cli`` run
+:func:`run`, the process entry.  It calls ``gc.freeze()`` before it
+parses anything: the start-up heap (the loaded modules, some 22,000
+objects the cyclic collector tracks) lives until exit, and frozen it is
+skipped by the collector's full passes, those of the call and the
+several of interpreter exit.  Then it runs :func:`main` on ``sys.argv``
+and flushes standard output, so that a write error there (a closed
+pipe) is reported and exits 2 whether it came during the call or at
+that flush.  ``main(argv)`` leaves the caller's collector alone: the
+tests, perfbench's traced calls and library callers keep their own GC
+state.
 
 Importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless it is
 already set, and only then loads numpy.  expocolor never calls BLAS,
@@ -76,13 +89,14 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import gc
 import io
 import json
 import locale
 import sys
 from functools import partial
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -113,7 +127,6 @@ from .errors import (
     ParityDomainError,
 )
 from .graphs import (
-    Graph,
     graph_to_dot,
     graph_to_json_dict,
     load_graph,
@@ -756,5 +769,24 @@ def main(argv: list[str] | None = None) -> int:
     return args.func(args)
 
 
+def run() -> NoReturn:
+    """The process entry (see the module docstring): freeze the start-up
+    heap, run :func:`main` on ``sys.argv``, flush standard output and
+    exit with the code.  A failed flush exits 2 and points fd 1 at
+    ``os.devnull``, so that the flush at exit has nothing left to retry.
+    """
+    gc.freeze()
+    code = main()
+    if sys.stdout is not None:  # None when the process started with fd 1 closed
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            code = _fail(str(exc), EXIT_USAGE)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

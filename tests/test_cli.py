@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, cache handling."""
 
+import gc
 import io
 import itertools
 import json
@@ -970,3 +971,72 @@ def test_console_script_wiring():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 3
+
+
+def test_main_leaves_the_callers_gc_alone(capsys, monkeypatch):
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert main(["gen", "cycle", "--len", "3"]) == 0
+    assert run_cli(["color", "--len", "5"], "[1,1,2,2,1]", monkeypatch) == 0
+    assert main(["gen", "cycle", "--len", "4"]) == 2
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+    capsys.readouterr()
+
+
+@pytest.fixture
+def unfreeze():
+    yield
+    gc.unfreeze()
+
+
+@pytest.mark.parametrize(
+    ("argv", "code"), [(["gen", "cycle", "--len", "3"], 0), (["gen", "cycle", "--len", "4"], 2)]
+)
+def test_process_entry_freezes_then_exits_with_mains_code(
+    argv, code, unfreeze, capsys, monkeypatch
+):
+    events = []
+    real_freeze, real_parser = gc.freeze, cli.build_parser
+    monkeypatch.setattr(gc, "freeze", lambda: (events.append("freeze"), real_freeze()))
+    monkeypatch.setattr(cli, "build_parser", lambda: (events.append("parse"), real_parser())[1])
+    monkeypatch.setattr(sys, "argv", ["expocolor", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert (events, exc.value.code) == (["freeze", "parse"], code)
+    assert gc.get_freeze_count() > 0
+    capsys.readouterr()
+
+
+def _cli_process(argv, unbuffered=False, **kwargs):
+    """``python -m expocolor.cli argv`` on this package, stderr captured."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(expocolor.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "expocolor.cli", *argv], stderr=subprocess.PIPE, env=env, **kwargs
+    )
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_exits_2(unbuffered):
+    # whether the write fails inside ``color`` (unbuffered) or at the
+    # entry's flush, the call reports it once and exits 2
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_process(
+            ["color", "--len", "5"], unbuffered, input=b"[1,1,2,2,1]\n", stdout=write_end
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+def test_a_call_started_with_fd_1_closed_exits_0(tmp_path):
+    # Python sets ``sys.stdout`` to None; the entry has nothing to flush
+    out = tmp_path / "c3.json"
+    proc = _cli_process(
+        ["gen", "cycle", "--len", "3", "--out", str(out)], preexec_fn=lambda: os.close(1)
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(out.read_text())["n"] == 3
