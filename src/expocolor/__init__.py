@@ -13,13 +13,20 @@ access imports the submodule that owns it (PEP 562) and keeps the name
 here.  A submodule loads only what it imports itself:
 
 * :mod:`.errors` loads nothing, and :mod:`.graphs` only :mod:`.errors`
-  (no numpy);
+  (no numpy and no ``dataclasses``);
 * :mod:`.winding` loads :mod:`.errors`, and numpy only when its kernel
-  first runs (a cycle context and the scalar routines need none);
+  first runs (a cycle context and the scalar routines need none; no
+  ``dataclasses`` either);
 * :mod:`.expo` loads numpy and :mod:`.graphs`;
 * :mod:`.coloring` loads :mod:`.expo` and :mod:`.winding`, and
   :mod:`.verify` and :mod:`.bench` load :mod:`.coloring`;
 * :mod:`.cli` loads every submodule but :mod:`.bench`.
+
+So the records of these three layers (``Graph``, ``CycleWitness``,
+``OddCycleCtx``) are plain classes, not dataclasses: ``dataclasses``
+loads ``inspect`` (and ``ast``, ``dis``, ``tokenize``), which took more
+than half of a fresh cycle-context setup.  The modules that load numpy
+keep their dataclasses, since numpy loads ``inspect`` itself.
 
 Two imports stay eager on purpose.  :mod:`.cli` loads :mod:`.verify` up
 front because a tracer that rebinds functions in the modules already

@@ -89,6 +89,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import errno
 import gc
 import io
 import json
@@ -143,6 +144,21 @@ EXIT_USAGE = 2
 EXIT_PARITY = 3
 EXIT_ISOLATED = 4
 EXIT_CAPACITY = 5
+
+
+class _ClosedStdout(io.TextIOBase):
+    """``sys.stdout`` of a process started with fd 1 closed, which Python
+    leaves None: writing text raises the error a write to the closed
+    descriptor gives, so the call reports it and exits 2 as for any
+    write error on standard output.  Writing no text is no write, as on
+    an open stream, so a call that fails before its first verdict line
+    keeps its own error."""
+
+    def write(self, text: str) -> int:
+        if text:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        return 0
+
 
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -626,7 +642,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
     lines = [json.dumps(report.to_json_dict()) for report in reports]
-    _write_text("\n".join(lines), args.out)
+    try:
+        _write_text("\n".join(lines), args.out)
+    except OSError as exc:
+        return _fail(str(exc), EXIT_USAGE)
     for report in reports:
         status = "PASS" if report.passed else "FAIL"
         params = " ".join(f"{key}={val}" for key, val in report.params.items())
@@ -666,25 +685,28 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return _fail(str(exc), EXIT_CAPACITY)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    if args.format == "json":
-        for res in results:
-            print(json.dumps(res.to_json_dict()))
-        if slope is not None:
-            print(json.dumps({"mode": "slope", "slope": slope, "ns": ns}))
-        print(json.dumps(bench_mod.environment()))
-    else:
-        print(f"{'mode':<10}{'n':>10}{'reps':>6}{'median_s':>14}  notes")
-        for res in results:
-            if res.mode == "explicit":
-                note = f"cycle_length={res.details['cycle_length']}"
-            else:
-                note = f"assignments={res.details['assignments_touched']}"
-            print(
-                f"{res.mode:<10}{res.n:>10}{res.reps:>6}"
-                f"{res.median_seconds:>14.6f}  {note}"
-            )
-        if slope is not None:
-            print(f"log-log slope over n={ns}: {slope:.3f}")
+    try:
+        if args.format == "json":
+            for res in results:
+                print(json.dumps(res.to_json_dict()))
+            if slope is not None:
+                print(json.dumps({"mode": "slope", "slope": slope, "ns": ns}))
+            print(json.dumps(bench_mod.environment()))
+        else:
+            print(f"{'mode':<10}{'n':>10}{'reps':>6}{'median_s':>14}  notes")
+            for res in results:
+                if res.mode == "explicit":
+                    note = f"cycle_length={res.details['cycle_length']}"
+                else:
+                    note = f"assignments={res.details['assignments_touched']}"
+                print(
+                    f"{res.mode:<10}{res.n:>10}{res.reps:>6}"
+                    f"{res.median_seconds:>14.6f}  {note}"
+                )
+            if slope is not None:
+                print(f"log-log slope over n={ns}: {slope:.3f}")
+    except OSError as exc:
+        return _fail(str(exc), EXIT_USAGE)
     return EXIT_OK
 
 
@@ -774,17 +796,20 @@ def run() -> NoReturn:
     heap, run :func:`main` on ``sys.argv``, flush standard output and
     exit with the code.  A failed flush exits 2 and points fd 1 at
     ``os.devnull``, so that the flush at exit has nothing left to retry.
+    A process started with fd 1 closed writes to a :class:`_ClosedStdout`,
+    so a call that writes its result there exits 2 too.
     """
     gc.freeze()
+    if sys.stdout is None:
+        sys.stdout = _ClosedStdout()
     code = main()
-    if sys.stdout is not None:  # None when the process started with fd 1 closed
-        try:
-            sys.stdout.flush()
-        except OSError as exc:
-            code = _fail(str(exc), EXIT_USAGE)
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        code = _fail(str(exc), EXIT_USAGE)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     sys.exit(code)
 
 

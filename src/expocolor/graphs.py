@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapacityError, ParityDomainError
@@ -23,45 +22,71 @@ from .errors import CapacityError, ParityDomainError
 CHROMATIC_HARD_CAP = 256
 
 
-@dataclass(frozen=True)
 class Graph:
     """Immutable simple undirected graph over vertex ids ``0..n-1``.
 
     ``neighbors[v]`` is a sorted tuple of v's neighbors. No self-loops;
-    adjacency is symmetric by construction.
+    adjacency is symmetric by construction.  Equal and hashed by value,
+    read-only, pickled by its two fields.
     """
 
+    __slots__ = ("vertex_count", "neighbors")
     vertex_count: int
     neighbors: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.vertex_count < 0:
+    def __init__(self, vertex_count: int, neighbors: tuple[tuple[int, ...], ...]):
+        if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
-        if len(self.neighbors) != self.vertex_count:
+        if len(neighbors) != vertex_count:
             raise ValueError("adjacency length != vertex_count")
-        for v, nbrs in enumerate(self.neighbors):
+        for v, nbrs in enumerate(neighbors):
             for u in nbrs:
-                if not 0 <= u < self.vertex_count:
+                if not 0 <= u < vertex_count:
                     raise ValueError(f"neighbor id {u} out of range")
                 if u == v:
                     raise ValueError(f"self-loop at vertex {v}")
             if list(nbrs) != sorted(set(nbrs)):
                 raise ValueError(f"adjacency of {v} not sorted/deduped")
-        for v, nbrs in enumerate(self.neighbors):
+        for v, nbrs in enumerate(neighbors):
             for u in nbrs:
-                if v not in self.neighbors[u]:
+                if v not in neighbors[u]:
                     raise ValueError(f"asymmetric edge ({v},{u})")
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "neighbors", neighbors)
 
     @classmethod
     def _built(cls, vertex_count: int, neighbors: tuple[tuple[int, ...], ...]) -> "Graph":
         """A graph over adjacency that its builder already made sorted,
         deduplicated, symmetric and loop-free, so the checks of
-        ``__post_init__`` are skipped; every graph from outside input
-        keeps them."""
+        ``__init__`` are skipped; every graph from outside input keeps
+        them."""
         graph = object.__new__(cls)
         object.__setattr__(graph, "vertex_count", vertex_count)
         object.__setattr__(graph, "neighbors", neighbors)
         return graph
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertex_count, self.neighbors) == (other.vertex_count, other.neighbors)
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self.neighbors))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(vertex_count={self.vertex_count!r}, "
+            f"neighbors={self.neighbors!r})"
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.vertex_count, self.neighbors)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -90,7 +115,6 @@ class Graph:
         return len(self.neighbors[v])
 
 
-@dataclass(frozen=True)
 class CycleWitness:
     """An odd cycle of a host graph, as an ordered vertex tuple.
 
@@ -98,16 +122,38 @@ class CycleWitness:
     length is odd and at least 3.  Witnesses are kept in canonical form:
     rotated so the minimum vertex comes first, direction chosen so the
     second entry is smaller than the last (kills reflection duplicates).
+    Equal and hashed by value, read-only, pickled by its vertices.
     """
 
+    __slots__ = ("vertices",)
     vertices: tuple[int, ...]
 
-    def __post_init__(self):
-        vs = self.vertices
-        if len(vs) < 3 or len(vs) % 2 == 0:
+    def __init__(self, vertices: tuple[int, ...]):
+        if len(vertices) < 3 or len(vertices) % 2 == 0:
             raise ValueError("cycle length must be odd and >= 3")
-        if len(set(vs)) != len(vs):
+        if len(set(vertices)) != len(vertices):
             raise ValueError("cycle vertices must be distinct")
+        object.__setattr__(self, "vertices", vertices)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices
+
+    def __hash__(self) -> int:
+        return hash((self.vertices,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(vertices={self.vertices!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.vertices,)
 
     def __len__(self) -> int:
         return len(self.vertices)

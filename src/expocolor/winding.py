@@ -32,7 +32,6 @@ matter: they arise when valuing arcs *between* two adjacent assignments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
@@ -124,7 +123,6 @@ def orient_edge(edge: Iterable[int], n: int) -> tuple[int, int]:
     raise ValueError(f"({x},{y}) is not an edge of a {length}-cycle")
 
 
-@dataclass(frozen=True)
 class OddCycleCtx:
     """Everything fixed before coloring: cycle size, codomain and edge.
 
@@ -132,21 +130,49 @@ class OddCycleCtx:
     :func:`orient_edge`.  Built in O(1) via :meth:`make`; direct
     construction validates consistency.  The kernel's fold table
     (:attr:`bin_fold`, O(k)) is derived on first use; the context holds
-    nothing whose size grows with the cycle.
+    nothing whose size grows with the cycle.  Equal and hashed by its
+    four fields, read-only, pickled by them (the fold table is derived
+    again).
     """
 
+    # ``__dict__`` holds the cached fold table
+    __slots__ = ("n", "k", "a", "b", "__dict__")
     n: int
     k: int
     a: int
     b: int
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ParityDomainError(f"n must be >= 1, got {self.n}")
-        if self.k < 3 or self.k % 2 == 0:
-            raise ParityDomainError(f"codomain size must be odd and >= 3, got {self.k}")
-        if orient_edge((self.a, self.b), self.n) != (self.a, self.b):
-            raise ValueError(f"(a,b)=({self.a},{self.b}) is not n-arc oriented")
+    def __init__(self, n: int, k: int, a: int, b: int):
+        if n < 1:
+            raise ParityDomainError(f"n must be >= 1, got {n}")
+        if k < 3 or k % 2 == 0:
+            raise ParityDomainError(f"codomain size must be odd and >= 3, got {k}")
+        if orient_edge((a, b), n) != (a, b):
+            raise ValueError(f"(a,b)=({a},{b}) is not n-arc oriented")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.k, self.a, self.b) == (other.n, other.k, other.a, other.b)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.k, self.a, self.b))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n!r}, k={self.k!r}, a={self.a!r}, b={self.b!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.n, self.k, self.a, self.b)
 
     @classmethod
     def make(cls, n: int, k: int, edge: Iterable[int] | None = None) -> "OddCycleCtx":

@@ -1040,3 +1040,30 @@ def test_a_call_started_with_fd_1_closed_exits_0(tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert json.loads(out.read_text())["n"] == 3
+
+
+@pytest.mark.parametrize(
+    ("argv", "stdin", "code", "stderr"),
+    [
+        (["gen", "cycle", "--len", "3"], None, 2, "error: [Errno 9] Bad file descriptor\n"),
+        (["color", "--len", "5"], b"[1,1,2,2,1]\n", 2, "error: [Errno 9] Bad file descriptor\n"),
+        (
+            ["verify", "chord-step", "--n", "1"],
+            None,
+            2,
+            "error: [Errno 9] Bad file descriptor\n",
+        ),
+        # a call that fails before it writes keeps its own error and code
+        (
+            ["color", "--len", "5"],
+            b"[1,1,2,1,3]\n",
+            3,
+            "error: assignment has 3 fixed points (odd); only the even class "
+            "is colorable this way\n",
+        ),
+    ],
+    ids=["gen", "color", "verify", "color-parity"],
+)
+def test_a_write_to_fd_1_closed_at_start_exits_2(argv, stdin, code, stderr):
+    proc = _cli_process(argv, input=stdin, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr.decode()) == (code, stderr)

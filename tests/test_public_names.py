@@ -100,6 +100,20 @@ def test_graphs_import_loads_no_numpy():
     assert "numpy" not in loaded
 
 
+@pytest.mark.parametrize("layer", ["cycle-context", "load-graph"])
+def test_the_layers_without_numpy_load_no_dataclasses(layer, tmp_path):
+    # ``dataclasses`` imports ``inspect`` (and ``ast``, ``dis``,
+    # ``tokenize``), the larger part of these layers' import time
+    path = tmp_path / "c5.json"
+    path.write_text('{"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]}')
+    statement = {
+        "cycle-context": "from expocolor.winding import OddCycleCtx\nOddCycleCtx.make(3, 3)",
+        "load-graph": f"from expocolor.graphs import load_graph\nload_graph({str(path)!r})",
+    }[layer]
+    loaded = _loaded_after(statement)
+    assert {"dataclasses", "inspect", "numpy"} & loaded == set()
+
+
 def test_cli_import_loads_every_traced_module():
     # the tracer rebinds functions only in the modules loaded when it
     # installs, right after ``import expocolor.cli``
