@@ -3,17 +3,18 @@
 Three layers live here, mirroring how the math composes:
 
 * ``color_rows`` — color even-class assignments on an odd cycle in
-  O(n) arithmetic each, by comparing the little-path value p_f against
-  half the label ℓ_f.  Both are carried doubled, as the ints 2p_f and
-  2ℓ_f that :mod:`.winding` gives, so the comparison is exact and
-  its two strict outcomes decide between the endpoint colors f(a) and
-  f(b); equality is provably unreachable and is reported loudly if it
-  ever fires.  One call checks and colors a whole stack of rows with
-  one kernel call, and returns the verdicts of every row as arrays,
-  with the rows that fail and their errors; ``color_vertex`` /
-  ``color_vertex_ck`` are its one-row case, which raises that row's
-  error.  ``RowFeed`` gives the same verdicts for rows that arrive in
-  pieces, counting each pass as it fills, so no row is held whole.
+  O(n) arithmetic each: one :func:`.winding.np_tour` call counts each
+  row's fixed points, isolation, and doubled label 2ℓ_f and little path
+  2p_f (exact ints), and one O(1) rule, the table ``_RULE``, decides the
+  row.  The first check a row fails gives its code and error: colors in
+  1..k (code 6), isolation (3), an even fixed-point count (4).  Then
+  f(a) = f(b) colors f(a) (0, EqualEndpoints), else p_f below ℓ_f/2
+  colors f(a) (1, BelowHalf) and above it f(b) (2, AboveHalf); p_f on
+  ℓ_f/2 is provably unreachable and reported loudly (5).  A stack reads
+  the table by columns, with every row's verdict and error returned;
+  ``color_vertex`` / ``color_vertex_ck`` raise their one row's error.
+  ``RowFeed`` gives the same verdicts for rows that arrive in pieces,
+  counting each pass as it fills, so no row is held whole.
 
 * ``color_graph_baseline`` — the exponential contrast: materialize the
   whole even class, color the f(a)=f(b) assignments directly (they hit
@@ -101,18 +102,29 @@ class ColorVerdict:
         }
 
 
-def _side_of(p2: int, ell2: int) -> int:
-    """Which side of ell/2 the little path falls on: -1 below, +1 above.
+def _side_of(p2, ell2):
+    """Which side of ell/2 the little path falls on: -1 below, +1 above,
+    0 on it, for ints or elementwise for int64 arrays (``* 1`` makes one
+    side an int: numpy subtracts no bool array from another).
 
     Arguments are doubled values (p2 = 2p, ell2 = 2l); the exact test
     is sign(2*p2 - ell2), since p - l/2 and 2*p2 - ell2 share a sign.
     """
     d = 2 * p2 - ell2
-    if d < 0:
-        return -1
-    if d > 0:
-        return 1
-    return 0
+    return (d > 0) * 1 - (d < 0)
+
+
+# The decision, _RULE[isolated][fixed-point count odd][f(a) == f(b)][side + 1]
+# for side = _side_of(p2, ell2), in the module docstring's codes; plain
+# tuples, read as they are for one row and through np.asarray by columns.
+_FAILS_ISOLATED, _FAILS_PARITY, _FAILS_ON_HALF, _FAILS_RANGE = 3, 4, 5, 6
+_RULE = (
+    (  # not isolated
+        ((1, _FAILS_ON_HALF, 2), (0, 0, 0)),  # even: f(a) != f(b), f(a) == f(b)
+        ((_FAILS_PARITY,) * 3,) * 2,  # odd
+    ),
+    (((_FAILS_ISOLATED,) * 3,) * 2,) * 2,  # isolated
+)
 
 
 class RowColors(NamedTuple):
@@ -166,57 +178,44 @@ def _outside(rows: np.ndarray, k: int) -> np.ndarray:
     return np.zeros(len(rows), dtype=bool)
 
 
-def _verdict(ctx: OddCycleCtx, fa, fb, ell2, p2, fixed, isolated) -> tuple:
-    """One row's (color, branch position, ell2, p2), from f(a), f(b) and
-    the kernel's values for the row; raises the row's error instead.
-
-    Isolation is checked first, then parity, then the branch rule.
-    """
-    if isolated:
-        raise IsolatedFunctionError(
+def _error(ctx: OddCycleCtx, code: int, fixed: int, p2: int, ell2: int) -> Exception:
+    """The error, not raised, of a row whose decision is ``code``, past
+    the branches."""
+    if code == _FAILS_RANGE:
+        return _out_of_range(ctx)
+    if code == _FAILS_ISOLATED:
+        return IsolatedFunctionError(
             f"assignment is isolated: a chord arc steps outside "
             f"{{0, 2, {ctx.k - 2}}} mod {ctx.k}"
         )
-    if fixed % 2 != 0:
-        raise ParityDomainError(
+    if code == _FAILS_PARITY:
+        return ParityDomainError(
             f"assignment has {fixed} fixed points (odd); "
             "only the even class is colorable this way"
         )
-    if fa == fb:
-        return fa, 0, ell2, p2
-    side = _side_of(p2, ell2)
-    if side < 0:
-        return fa, 1, ell2, p2
-    if side > 0:
-        return fb, 2, ell2, p2
-    raise InvariantViolationError(
+    return InvariantViolationError(
         f"little path equals half the label (p2={p2}, ell2={ell2}); "
         "this is unreachable for even-class assignments"
     )
 
 
-def _decide(ctx: OddCycleCtx, ends: np.ndarray, tour: tuple, out_of_range=()) -> RowColors:
-    """The :func:`_verdict` of each row of a stack, from ``ends``, its
-    (rows, 2) endpoint colors f(a) and f(b), and ``tour``, its
-    :func:`.winding.np_tour` outputs.
-
-    A row that fails, or whose index is in ``out_of_range`` (its colors
-    were outside 1..k before a stand-in took its place), gets 0s and its
-    error.
+def _decide(ctx: OddCycleCtx, ends: np.ndarray, tour: tuple, outside) -> RowColors:
+    """``_RULE`` read by columns, for a stack with (rows, 2) endpoint
+    colors ``ends`` and :func:`.winding.np_tour` outputs ``tour``; a row
+    where ``outside`` is true held a color outside 1..k before a stand-in
+    took its place.  A row that fails gets 0s and its error.
     """
-    out, failed, errors = [], [], []
-    columns = *ends.T, *tour
-    for r, values in enumerate(zip(*(column.tolist() for column in columns))):
-        try:
-            if r in out_of_range:
-                raise _out_of_range(ctx)
-            out.append(_verdict(ctx, *values))
-        except (ValueError, InvariantViolationError) as error:
-            out.append((0, 0, 0, 0))
-            failed.append(r)
-            errors.append(error.with_traceback(None))
-    verdicts = np.array(out, dtype=np.int64).reshape(-1, 4).T
-    return RowColors(*verdicts, np.array(failed, dtype=np.int64), errors)
+    fa, fb = ends.T.astype(np.int64)
+    ell2, p2, fixed, isolated = tour
+    iso, equal = isolated.astype(np.intp), (fa == fb).astype(np.intp)
+    code = np.asarray(_RULE)[iso, fixed % 2, equal, _side_of(p2, ell2) + 1]
+    code = np.where(outside, _FAILS_RANGE, code)
+    failed = np.flatnonzero(code >= len(_BRANCHES))
+    columns = (code, fixed, p2, ell2)
+    errors = [_error(ctx, *row) for row in zip(*(c[failed].tolist() for c in columns))]
+    colored = code < len(_BRANCHES)
+    verdicts = (np.where(code == 2, fb, fa), code, ell2, p2)
+    return RowColors(*(v * colored for v in verdicts), failed, errors)
 
 
 def color_rows(fs, ctx: OddCycleCtx) -> RowColors:
@@ -227,11 +226,10 @@ def color_rows(fs, ctx: OddCycleCtx) -> RowColors:
     the one-row error of its first out-of-range row where Python ints
     past int64 made it a float64 or object array.  Every row is colored,
     or fails the first check it fails in the order the one-row routines
-    apply them: colors in 1..k (on the values as given, before the
-    kernel casts them), isolation, an even fixed-point count, and a
-    little path off ell/2.  One :func:`.winding.np_tour` call serves the
-    stack, with a constant row standing in for each out-of-range one;
-    the O(1) decision per row is :func:`_side_of`.
+    apply them (see the module docstring), colors in 1..k read on the
+    values as given.  One :func:`.winding.np_tour` call serves the stack,
+    with a constant row standing in for each out-of-range one, and one
+    lookup of ``_RULE`` by columns decides every row.
     """
     arr = np.asarray(fs)
     if arr.ndim not in (1, 2) or arr.shape[-1] != ctx.length:
@@ -244,8 +242,7 @@ def color_rows(fs, ctx: OddCycleCtx) -> RowColors:
     if bad.any():
         rows = np.where(bad[:, None], 1, rows)
     ends = rows[:, [ctx.a, ctx.b]]
-    tour = winding.np_tour(rows, ctx)
-    return _decide(ctx, ends, tour, set(np.flatnonzero(bad).tolist()))
+    return _decide(ctx, ends, winding.np_tour(rows, ctx), bad)
 
 
 class RowFeed:
@@ -272,8 +269,7 @@ class RowFeed:
         self._offsets = winding._offsets(ctx.k, longest)
         self._buf = np.empty(longest + 2, dtype=self._offsets.dtype)
         self._head = np.empty(2, dtype=self._offsets.dtype)  # ids 0 and 1 of the row
-        self._rows: list[tuple] = []  # each whole row's f(a), f(b) and np_tour values
-        self._outside: set[int] = set()  # the rows with a color outside 1..k
+        self._rows: list[tuple] = []  # each whole row's f(a), f(b), np_tour values and outside
         self._new_row()
 
     def _new_row(self) -> None:
@@ -281,6 +277,7 @@ class RowFeed:
         self._start = 0  # the id in the buffer's first slot
         self._fill = 0  # the ids in the buffer
         self._ends = [0, 0]  # f(a), f(b)
+        self._outside = False  # whether a color is outside 1..k
         self._total = np.zeros(len(self.ctx.bin_fold), dtype=np.int64)
 
     def _count(self) -> None:
@@ -300,7 +297,8 @@ class RowFeed:
             self._fill += 1
         self._count()
         ell2, p2, flat, bad = self._total.dot(self.ctx.bin_fold).tolist()
-        self._rows.append((*self._ends, ell2, p2, self.ctx.length - flat, bad > 0))
+        row = (*self._ends, ell2, p2, self.ctx.length - flat, bad > 0, self._outside)
+        self._rows.append(row)
         self._new_row()
 
     def take(self, x: np.ndarray) -> None:
@@ -312,7 +310,7 @@ class RowFeed:
             piece, x = x[:room], x[room:]
             hi = lo + len(piece)
             if piece.min() < 1 or piece.max() > k:
-                self._outside.add(len(self._rows))
+                self._outside = True
                 piece = piece.clip(1, k)
             for i, v in enumerate((self.ctx.a, self.ctx.b)):
                 if lo <= v < hi:
@@ -329,19 +327,18 @@ class RowFeed:
 
     def colors(self) -> RowColors:
         """The :class:`RowColors` of the whole rows read, as
-        :func:`color_rows` gives them for those rows."""
-        values = np.array(self._rows, dtype=np.int64).reshape(-1, 6)
+        :func:`color_rows` gives them: one lookup of ``_RULE`` by columns."""
+        values = np.array(self._rows, dtype=np.int64).reshape(-1, 7)
         tour = *values[:, 2:5].T, values[:, 5] > 0
-        return _decide(self.ctx, values[:, :2], tour, self._outside)
+        return _decide(self.ctx, values[:, :2], tour, values[:, 6] > 0)
 
 
 def _color_one(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:
     """The one-row case of :func:`color_rows`: its verdict, or its error raised.
 
-    The checks of :func:`color_rows`, in the same order and with the
-    same errors, and the same :func:`_verdict`, applied to the row
-    directly: at n = 10^3 the stack bookkeeping would be a sizeable share
-    of the call.
+    The same checks and errors: colors in 1..k, then one lookup of
+    ``_RULE`` with scalars, on the row directly, since at n = 10^3 the stack
+    bookkeeping would be a sizeable share of the call.
     """
     arr = np.asarray(f)
     if arr.ndim != 1 or len(arr) != ctx.length:
@@ -352,8 +349,11 @@ def _color_one(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:
     if arr.item(arr.argmin()) < 1 or arr.item(arr.argmax()) > ctx.k:
         raise _out_of_range(ctx)
     fa, fb = arr.item(ctx.a), arr.item(ctx.b)
-    color, branch, ell2, p2 = _verdict(ctx, fa, fb, *winding.np_tour(arr, ctx))
-    return ColorVerdict(color, _BRANCHES[branch], ell2, p2)
+    ell2, p2, fixed, isolated = winding.np_tour(arr, ctx)
+    code = _RULE[isolated][fixed % 2][fa == fb][_side_of(p2, ell2) + 1]
+    if code >= len(_BRANCHES):
+        raise _error(ctx, code, fixed, p2, ell2)
+    return ColorVerdict(fb if code == 2 else fa, _BRANCHES[code], ell2, p2)
 
 
 def color_vertex(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:

@@ -390,7 +390,8 @@ def test_verifier_reports_are_deterministic():
 # Each fault below breaks one ingredient of the even-class checks, and the
 # full hitting-set and baseline reports it produces (wall_time dropped), or
 # the message of what they raise, were recorded from an implementation that
-# colored and checked the even class one vertex at a time.  Together with the
+# colored and checked the even class one vertex at a time (the partial-parity
+# fault's, from a decision made row by row in Python).  Together with the
 # direct calls of color_graph_baseline, they reach every violation and guard
 # of those checks, so the row-stack rewrite must replay them exactly.  The
 # file maps every FAULT_CASES name to its fault_outcome (run under a fresh
@@ -454,6 +455,20 @@ def _no_fixed_points(monkeypatch):
     monkeypatch.setattr(winding, "np_tour", bad)
 
 
+def _odd_parity_where_fa_is_1(monkeypatch):
+    """A decision that reads one more fixed point on the rows with f(a) = 1:
+    those rows fail on parity, the others are decided as before.  Unlike
+    ``_no_fixed_points`` it leaves the even class whole, so the sweeps
+    reach the coloring."""
+    real = coloring._decide
+
+    def bad(ctx, ends, tour, *rest):
+        ell2, p2, fixed, isolated = tour
+        return real(ctx, ends, (ell2, p2, fixed + (ends[:, 0] == 1), isolated), *rest)
+
+    monkeypatch.setattr(coloring, "_decide", bad)
+
+
 def _edit_baseline(edit):
     """A color_graph_baseline whose result ``edit(ke, ctx, colors)`` changes."""
 
@@ -498,6 +513,7 @@ _FAULTS = {
     "coloring.bipartition finds none": _no_bipartition(coloring),
     "even class loses a distinct-endpoint row": _drop_first_distinct_endpoint_row,
     "np_tour counts no fixed points": _no_fixed_points,
+    "decision reads odd parity where f(a) = 1": _odd_parity_where_fa_is_1,
     "baseline colors the first vertex 4": _edit_baseline(_color_first_vertex_four),
     "baseline leaves the first vertex uncolored": _edit_baseline(_uncolor_first_vertex),
     "baseline colors the first edge alike": _edit_baseline(_color_first_edge_alike),
