@@ -22,10 +22,13 @@ here.  A submodule loads only what it imports itself:
   :mod:`.verify` and :mod:`.bench` load :mod:`.coloring`;
 * :mod:`.cli` loads every submodule but :mod:`.bench`.
 
-So the records of these three layers (``Graph``, ``CycleWitness``,
-``OddCycleCtx``) are plain classes, not dataclasses: ``dataclasses``
-loads ``inspect`` (and ``ast``, ``dis``, ``tokenize``), which took more
-than half of a fresh cycle-context setup.  The modules that load numpy
+So the records of these layers (``Graph``, ``CycleWitness``,
+``OddCycleCtx``) are not dataclasses: ``dataclasses`` loads ``inspect``
+(and ``ast``, ``dis``, ``tokenize``), which took more than half of a
+fresh cycle-context setup.  They share one base, ``errors._Record``,
+which makes a record read-only and equal, hashed, shown and pickled by
+its fields; it lives in :mod:`.errors`, the one module that both
+:mod:`.graphs` and :mod:`.winding` import.  The modules that load numpy
 keep their dataclasses, since numpy loads ``inspect`` itself.
 
 Two imports stay eager on purpose.  :mod:`.cli` loads :mod:`.verify` up

@@ -45,16 +45,21 @@ the option it starts from an empty cache and writes none.  An option
 that does not apply to the host is a usage error (exit 2): ``--edge``
 with ``--graph``, ``--cache`` on a cycle, and ``--len`` with an ``--n``
 that names another cycle (for ``verify``, ``--cycle-len`` and ``--n``).
+So is a ``verify`` option that its one suite never reads: ``--k``
+outside the suites that take a codomain, ``--samples``, ``--seed`` and
+``--graph`` outside ``end-to-end``, the cycle's size on ``end-to-end``,
+and ``--seed`` without ``--samples``.  ``verify all`` reads them all.
 
 ``color`` reads one JSON array, an array of arrays, or one array per
 line.  Rows of one-digit colors, as one array or one array per line
 (what ``json.dumps`` writes for k <= 9), are decoded from the input in
 blocks of ``winding._BLOCK`` bytes.  On a cycle host whose rows are
 longer than one kernel pass (``winding._BLOCK`` ids), each block's
-digits go straight on to a ``coloring.RowFeed``, which counts them into
-the Δ kernel as they come, so the call holds a few block-sized buffers
-and each row's verdict, never a row.  Shorter rows, and every row on a
-general host, go into one uint8 stack.  Every other input goes through
+digits go straight on to a ``coloring.RowFeed``, which counts them as
+one pass of the Δ kernel as they arrive, with no buffer of its own, so
+the call holds a few block-sized arrays and each row's verdict, never a
+row.  Shorter rows, and every row on a general host, go into one uint8
+stack.  Every other input goes through
 ``json.loads``, which also words every input error, after the input is
 read again from its start; a pipe, which cannot seek, is copied to a
 temporary file block by block as it is read, so that it can be.  On a
@@ -469,11 +474,11 @@ def _color_on_cycle(args: argparse.Namespace) -> int:
 
     Rows longer than one kernel pass are never gathered: the digit
     reader hands each block's digits to a ``coloring.RowFeed``, which
-    counts them as they come, and only each row's verdict is kept.  The
-    verdict lines before the first row that fails are written, then that
-    row's error, the one its one-row routine raises, ends the call.  An
-    error in the host's arguments is raised after the input is read, so
-    that an input error comes first.
+    counts them as one kernel pass on arrival, and only each row's
+    verdict is kept.  The verdict lines before the first row that fails
+    are written, then that row's error, the one its one-row routine
+    raises, ends the call.  An error in the host's arguments is raised
+    after the input is read, so that an input error comes first.
     """
     try:
         ctx, error = _cycle_ctx(args), None
@@ -573,9 +578,10 @@ def _verify_ns(args: argparse.Namespace) -> list[int]:
         return [(args.cycle_len - 1) // 2]
     if args.n is not None:
         return [args.n]
-    if args.n_max < 1:
-        raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
-    return list(range(1, args.n_max + 1))
+    n_max = 2 if args.n_max is None else args.n_max
+    if n_max < 1:
+        raise ValueError(f"--n-max must be at least 1, got {n_max}")
+    return list(range(1, n_max + 1))
 
 
 # Every suite and its verifier, in the order ``verify all`` runs them
@@ -594,27 +600,51 @@ _VERIFY_DISPATCH = {
 _SUITES_TAKING_K = {"label-invariance", "little-path", "proper-ck"}
 
 
+def _unread_options(args: argparse.Namespace) -> list[str]:
+    """The options given that the one suite ``args.suite`` never reads
+    (``verify all`` reads every one): the cycle's size on ``end-to-end``,
+    the sampling and the host elsewhere, ``--k`` outside
+    ``_SUITES_TAKING_K``.  Their defaults are None, so that an option
+    given is told from one left out."""
+    if args.suite == "end-to-end":
+        unread = ["--n", "--n-max", "--cycle-len"]
+    else:
+        unread = ["--samples", "--seed", "--graph"]
+    if args.suite not in _SUITES_TAKING_K:
+        unread.append("--k")
+    return [flag for flag in unread if getattr(args, flag[2:].replace("-", "_")) is not None]
+
+
 def _verify_jobs(args: argparse.Namespace) -> list[tuple[str, dict]]:
+    if args.suite != "all":
+        unread = _unread_options(args)
+        if unread:
+            raise ValueError(f"verify {args.suite} takes no {', '.join(unread)}")
+        if args.seed is not None and args.samples is None:
+            raise ValueError("--seed needs --samples: the exhaustive run draws nothing")
     ns = _verify_ns(args)
     if args.samples is not None and args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
-    host = load_graph(args.graph) if args.graph else make_complete(4)
-    end_to_end = {"host": host, "cap": args.cap, "samples": args.samples, "seed": args.seed}
+    k = 3 if args.k is None else args.k
     if args.suite == "all":
-        suites = [s for s in _VERIFY_DISPATCH if s != "proper-ck" or args.k >= 5]
-    elif args.suite == "proper-ck" and args.k < 5:
+        suites = [s for s in _VERIFY_DISPATCH if s != "proper-ck" or k >= 5]
+    elif args.suite == "proper-ck" and k < 5:
         raise ValueError("proper-ck requires an odd --k >= 5")
     else:
         suites = [args.suite]
     jobs = []
     for suite in suites:
         if suite == "end-to-end":
-            jobs.append((suite, end_to_end))
+            host = load_graph(args.graph) if args.graph else make_complete(4)
+            seed = 0 if args.seed is None else args.seed
+            jobs.append(
+                (suite, {"host": host, "cap": args.cap, "samples": args.samples, "seed": seed})
+            )
         else:
-            k = {"k": args.k} if suite in _SUITES_TAKING_K else {}
-            jobs.extend((suite, {"n": n, **k, "cap": args.cap}) for n in ns)
+            k_arg = {"k": k} if suite in _SUITES_TAKING_K else {}
+            jobs.extend((suite, {"n": n, **k_arg, "cap": args.cap}) for n in ns)
     return jobs
 
 
@@ -751,12 +781,12 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("suite", choices=(*_VERIFY_DISPATCH, "all"))
     ver.add_argument("--n", type=int, help="single cycle half-length")
     ver.add_argument(
-        "--n-max", type=int, default=2, help="run n = 1..n_max (default 2)"
+        "--n-max", type=int, help="run n = 1..n_max (default 2)"
     )
     ver.add_argument("--cycle-len", type=int, help="cycle length instead of --n")
-    ver.add_argument("--k", type=int, default=3, help="codomain size (odd)")
+    ver.add_argument("--k", type=int, help="codomain size (odd, default 3)")
     ver.add_argument("--cap", type=int, default=verify_mod.DEFAULT_CAP)
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=int, help="end-to-end sampling seed (default 0)")
     ver.add_argument(
         "--samples",
         type=int,

@@ -14,7 +14,7 @@ Three layers live here, mirroring how the math composes:
   the table by columns, with every row's verdict and error returned;
   ``color_vertex`` / ``color_vertex_ck`` raise their one row's error.
   ``RowFeed`` gives the same verdicts for rows that arrive in pieces,
-  counting each pass as it fills, so no row is held whole.
+  counting each piece as it arrives, so no row is held whole.
 
 * ``color_graph_baseline`` — the exponential contrast: materialize the
   whole even class, color the f(a)=f(b) assignments directly (they hit
@@ -250,63 +250,50 @@ class RowFeed:
 
     :meth:`take` reads the ids of the rows one after another, in pieces
     of any length and integer dtype, and a row ends after every 2n+1
-    ids.  The pieces fill a buffer of one kernel pass, up to
-    ``winding._BLOCK`` ids and the two after them: when it is full,
-    :func:`.winding._pass_counts` counts the pass into the row's
-    histogram, and its last two ids are carried to the front for the
-    next pass.  Ids 0 and 1 of each row are kept for the wrap, and its
-    last pass reads them after id 2n.  Along the way each row's f(a) and
-    f(b) are recorded, and a row with a color outside 1..k is noted (and
-    counted with its colors clipped to 1..k, since it fails anyway).
-    :meth:`colors` then decides every whole row as :func:`color_rows`
-    does.  Beyond each row's values the feed holds the buffer and one
-    pass's counts.
+    ids.  Each piece, cut at the row's end and at ``winding._BLOCK``
+    ids, is counted as it arrives: the two ids carried from the piece
+    before go in front of it, and :func:`.winding._pass_counts` counts
+    the arcs that leave them and every id of the piece but its last two,
+    which are carried on.  Ids 0 and 1 of each row are kept, and at its
+    end one more call counts the carried ids' arcs through them.  Along
+    the way each row's f(a) and f(b) are recorded, and a row with a
+    color outside 1..k is noted (and counted with its colors clipped to
+    1..k, since it fails anyway).  :meth:`colors` then decides every
+    whole row as :func:`color_rows` does.  Beyond each row's values the
+    feed holds four ids and one pass's counts.
     """
 
     def __init__(self, ctx: OddCycleCtx):
         self.ctx = ctx
-        longest = min(ctx.length, winding._BLOCK)
-        self._offsets = winding._offsets(ctx.k, longest)
-        self._buf = np.empty(longest + 2, dtype=self._offsets.dtype)
+        self._longest = min(ctx.length, winding._BLOCK)  # a piece's most ids
+        # the wrap at a row's end counts two arcs in one pass
+        self._offsets = winding._offsets(ctx.k, max(self._longest, 2))
         self._head = np.empty(2, dtype=self._offsets.dtype)  # ids 0 and 1 of the row
         self._rows: list[tuple] = []  # each whole row's f(a), f(b), np_tour values and outside
         self._new_row()
 
     def _new_row(self) -> None:
         self._next = 0  # the row's next id to arrive
-        self._start = 0  # the id in the buffer's first slot
-        self._fill = 0  # the ids in the buffer
+        self._carry = self._head[:0]  # the ids whose arcs are not counted yet
         self._ends = [0, 0]  # f(a), f(b)
         self._outside = False  # whether a color is outside 1..k
         self._total = np.zeros(len(self.ctx.bin_fold), dtype=np.int64)
 
-    def _count(self) -> None:
-        """Count the pass the buffer holds, and carry its last two ids."""
-        f = self._buf[: self._fill]
-        self._total += winding._pass_counts(f, self._start, self.ctx, self._offsets)
-        self._buf[:2] = f[-2:]
-        self._start += self._fill - 2
-        self._fill = 2
-
-    def _end_row(self) -> None:
-        """Count the row's last pass, through ids 0 and 1, and keep its values."""
-        for v in self._head:
-            if self._fill == len(self._buf):
-                self._count()
-            self._buf[self._fill] = v
-            self._fill += 1
-        self._count()
-        ell2, p2, flat, bad = self._total.dot(self.ctx.bin_fold).tolist()
-        row = (*self._ends, ell2, p2, self.ctx.length - flat, bad > 0, self._outside)
-        self._rows.append(row)
-        self._new_row()
+    def _count(self, piece: np.ndarray) -> None:
+        """Count the arcs that leave the carried ids and every id of
+        ``piece`` but its last two, and carry those two on."""
+        f = np.concatenate((self._carry, piece), dtype=self._offsets.dtype, casting="unsafe")
+        if len(f) > 2:
+            start = self._next - len(self._carry)
+            self._total += winding._pass_counts(f, start, self.ctx, self._offsets)
+        self._carry = f[-2:].copy()
 
     def take(self, x: np.ndarray) -> None:
         """Read the next ids of the rows, in order."""
-        k, length, cap = self.ctx.k, self.ctx.length, len(self._buf)
+        k, length = self.ctx.k, self.ctx.length
         while len(x):
             lo = self._next
-            room = min(cap - self._fill, length - lo)
+            room = min(self._longest, length - lo)
             piece, x = x[:room], x[room:]
             hi = lo + len(piece)
             if piece.min() < 1 or piece.max() > k:
@@ -317,13 +304,14 @@ class RowFeed:
                     self._ends[i] = int(piece[v - lo])
             if lo < 2:
                 self._head[lo : min(hi, 2)] = piece[: 2 - lo]
-            self._buf[self._fill : self._fill + len(piece)] = piece
-            self._fill += len(piece)
+            self._count(piece)
             self._next = hi
-            if self._fill == cap:
-                self._count()
             if hi == length:
-                self._end_row()
+                self._count(self._head)  # the carried ids' arcs, through ids 0 and 1
+                ell2, p2, flat, bad = self._total.dot(self.ctx.bin_fold).tolist()
+                row = (*self._ends, ell2, p2, length - flat, bad > 0, self._outside)
+                self._rows.append(row)
+                self._new_row()
 
     def colors(self) -> RowColors:
         """The :class:`RowColors` of the whole rows read, as

@@ -1,10 +1,50 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its record base.
 
-The CLI maps these onto stable exit codes, so the distinctions matter:
-bad arguments, exceeded capacity caps, parity-domain rejections, isolated
-functions, and internal invariant violations are all different failure
-modes with different meanings to a caller.
+The CLI maps the exceptions onto stable exit codes, so the distinctions
+matter: bad arguments, exceeded capacity caps, parity-domain rejections,
+isolated functions, and internal invariant violations are all different
+failure modes with different meanings to a caller.
+
+``_Record``, the base of the records, lives here: this module loads
+nothing, and it is the one module both ``graphs`` and ``winding`` import.
 """
+
+
+class _Record:
+    """Read-only; equal, hashed, shown and pickled by ``_fields``, which
+    a subclass also lists in its ``__slots__`` and sets once with
+    :meth:`_set`.  Unpickling calls ``__init__``, which validates."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class CapacityError(Exception):

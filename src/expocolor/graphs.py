@@ -15,22 +15,22 @@ import json
 from collections import deque
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import CapacityError, ParityDomainError
+from .errors import CapacityError, ParityDomainError, _Record
 
 # chromatic_number_exact is a desk-scale oracle, refused outright above the
 # hard cap.
 CHROMATIC_HARD_CAP = 256
 
 
-class Graph:
+class Graph(_Record):
     """Immutable simple undirected graph over vertex ids ``0..n-1``.
 
     ``neighbors[v]`` is a sorted tuple of v's neighbors. No self-loops;
-    adjacency is symmetric by construction.  Equal and hashed by value,
-    read-only, pickled by its two fields.
+    adjacency is symmetric by construction.  A read-only record of its
+    two fields (see ``errors._Record``).
     """
 
-    __slots__ = ("vertex_count", "neighbors")
+    __slots__ = _fields = ("vertex_count", "neighbors")
     vertex_count: int
     neighbors: tuple[tuple[int, ...], ...]
 
@@ -51,8 +51,7 @@ class Graph:
             for u in nbrs:
                 if v not in neighbors[u]:
                     raise ValueError(f"asymmetric edge ({v},{u})")
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "neighbors", neighbors)
+        self._set(vertex_count, neighbors)
 
     @classmethod
     def _built(cls, vertex_count: int, neighbors: tuple[tuple[int, ...], ...]) -> "Graph":
@@ -61,32 +60,8 @@ class Graph:
         ``__init__`` are skipped; every graph from outside input keeps
         them."""
         graph = object.__new__(cls)
-        object.__setattr__(graph, "vertex_count", vertex_count)
-        object.__setattr__(graph, "neighbors", neighbors)
+        graph._set(vertex_count, neighbors)
         return graph
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vertex_count, self.neighbors) == (other.vertex_count, other.neighbors)
-
-    def __hash__(self) -> int:
-        return hash((self.vertex_count, self.neighbors))
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(vertex_count={self.vertex_count!r}, "
-            f"neighbors={self.neighbors!r})"
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.vertex_count, self.neighbors)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -115,17 +90,17 @@ class Graph:
         return len(self.neighbors[v])
 
 
-class CycleWitness:
+class CycleWitness(_Record):
     """An odd cycle of a host graph, as an ordered vertex tuple.
 
     Consecutive vertices (cyclically) must be adjacent in the host; the
     length is odd and at least 3.  Witnesses are kept in canonical form:
     rotated so the minimum vertex comes first, direction chosen so the
     second entry is smaller than the last (kills reflection duplicates).
-    Equal and hashed by value, read-only, pickled by its vertices.
+    A read-only record of its vertices (see ``errors._Record``).
     """
 
-    __slots__ = ("vertices",)
+    __slots__ = _fields = ("vertices",)
     vertices: tuple[int, ...]
 
     def __init__(self, vertices: tuple[int, ...]):
@@ -133,27 +108,7 @@ class CycleWitness:
             raise ValueError("cycle length must be odd and >= 3")
         if len(set(vertices)) != len(vertices):
             raise ValueError("cycle vertices must be distinct")
-        object.__setattr__(self, "vertices", vertices)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.vertices == other.vertices
-
-    def __hash__(self) -> int:
-        return hash((self.vertices,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(vertices={self.vertices!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.vertices,)
+        self._set(vertices)
 
     def __len__(self) -> int:
         return len(self.vertices)

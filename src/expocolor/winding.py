@@ -12,16 +12,12 @@ Index convention: cycle vertices are 0-based ids ``0..2n``; writing
 has id ``i-1``.  The shift is confined to this docstring — every public
 API here speaks ids.
 
-Δ is defined once, by the color step mod k, in :func:`arc_value`.  For
-3 colors, arcs take values in {-1, 0, +1}; for a cycle codomain C_k
-with odd k >= 5, in {0, ±1/2, ±1}, with a distinguished FAR marker for
-steps no arc of an adjacent pair can take.  :func:`arc_value` gives
-every arc value doubled, as a plain int, so half-steps stay exact and
-floats never appear; labels and little paths are doubled the same way.
-The scalar :func:`label` and :func:`little_path` walk the tour arc by
-arc and are the reference; :func:`np_tour` is the one vectorized
-kernel, for every codomain, and reads its arc values from
-:func:`arc_value`.
+Δ is defined once, by the color step mod k, in :func:`arc_value`, which
+gives every arc value doubled, as a plain int, so that half-steps stay
+exact; labels and little paths are doubled the same way.  The scalar
+:func:`label` and :func:`little_path` walk the tour arc by arc and are
+the reference; :func:`np_tour` is the one vectorized kernel, for every
+codomain, and reads its arc values from :func:`arc_value`.
 
 For cycle codomains, a chord arc whose color step falls outside
 {0, 2, k-2} mod k means the assignment has no neighbors at all, so
@@ -35,7 +31,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
-from .errors import IsolatedFunctionError, ParityDomainError
+from .errors import IsolatedFunctionError, ParityDomainError, _Record
 
 
 class _Numpy:
@@ -123,20 +119,18 @@ def orient_edge(edge: Iterable[int], n: int) -> tuple[int, int]:
     raise ValueError(f"({x},{y}) is not an edge of a {length}-cycle")
 
 
-class OddCycleCtx:
+class OddCycleCtx(_Record):
     """Everything fixed before coloring: cycle size, codomain and edge.
 
-    ``a``/``b`` are the distinguished edge oriented per
-    :func:`orient_edge`.  Built in O(1) via :meth:`make`; direct
-    construction validates consistency.  The kernel's fold table
-    (:attr:`bin_fold`, O(k)) is derived on first use; the context holds
-    nothing whose size grows with the cycle.  Equal and hashed by its
-    four fields, read-only, pickled by them (the fold table is derived
-    again).
+    A read-only record (``errors._Record``); ``a``/``b`` is the
+    distinguished edge, oriented per :func:`orient_edge`.  Built in O(1)
+    via :meth:`make`; direct construction validates consistency.  The
+    fold table (:attr:`bin_fold`, O(k)) is derived on first use, and
+    again after a round trip; nothing held grows with the cycle.
     """
 
-    # ``__dict__`` holds the cached fold table
-    __slots__ = ("n", "k", "a", "b", "__dict__")
+    _fields = ("n", "k", "a", "b")
+    __slots__ = (*_fields, "__dict__")  # ``__dict__`` holds the cached fold table
     n: int
     k: int
     a: int
@@ -149,30 +143,7 @@ class OddCycleCtx:
             raise ParityDomainError(f"codomain size must be odd and >= 3, got {k}")
         if orient_edge((a, b), n) != (a, b):
             raise ValueError(f"(a,b)=({a},{b}) is not n-arc oriented")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.k, self.a, self.b) == (other.n, other.k, other.a, other.b)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.k, self.a, self.b))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(n={self.n!r}, k={self.k!r}, a={self.a!r}, b={self.b!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.n, self.k, self.a, self.b)
+        self._set(n, k, a, b)
 
     @classmethod
     def make(cls, n: int, k: int, edge: Iterable[int] | None = None) -> "OddCycleCtx":
@@ -285,31 +256,20 @@ def little_path(f: Sequence[int], ctx: OddCycleCtx) -> int:
 
 # -- the vectorized kernel ----------------------------------------------------
 #
-# The scalar functions above are the reference; ``np_tour`` is their numpy
-# form for every odd k >= 3, serving the exhaustive sweeps and the O(n)
-# coloring hot path alike.  Δ depends on the colors of an arc only through
-# the step d = f(i+2) - f(i) mod k, so one histogram of the steps (d in
-# -(k-1)..k-1), split by whether the arc is on the little path, is all the
-# kernel counts; ``OddCycleCtx.bin_fold`` turns the counts into the label,
-# the little path, the fixed points (arcs with d != 0) and isolation.  The
-# steps are taken after a cast to a signed dtype, so unsigned input cannot
-# wrap.
+# Δ depends on the colors of an arc only through the step d = f(i+2) -
+# f(i) mod k, so one histogram of the steps (d in -(k-1)..k-1), split by
+# whether the arc is on the little path, is all ``np_tour`` counts;
+# ``OddCycleCtx.bin_fold`` turns the counts into the label, the little
+# path, the fixed points (arcs with d != 0) and isolation.  The steps are
+# taken after a cast to a signed dtype, so unsigned input cannot wrap.
 #
-# Every input is counted one way.  The kernel walks the tour in passes of
-# at most ``_BLOCK`` ids: each pass (``_pass_counts``) takes its ids, cast,
-# plus the two after it (wrapping past id 2n to ids 0 and 1), adds each
-# arc's bin offset, which it derives from k and the edge, and counts the
-# codes with one ``np.bincount`` into a running total.  The passes have two
-# sources.  ``np_tour`` slices them from its input: a stack goes through in
-# tiles of whole rows, and the codes of a tile's r-th row are moved by r
-# times the bin count, so the one bincount gives every row's histogram; a
-# lone row is the one-row case and needs no move.  ``coloring.RowFeed``
-# fills them from rows that arrive in pieces, so that no row is held
-# whole.  A tile holds at most ``_BLOCK`` entries and at most ``_BLOCK``
-# bins over its rows, so no temporary grows with the row length, the row
-# count or k: beyond its input and result, the kernel holds a few
-# block-sized arrays whatever the input size, and the context nothing of
-# length L.
+# Every input is counted one way, in passes of at most ``_BLOCK`` ids:
+# ``_pass_counts`` takes a pass's ids, cast, and the two after it (past
+# id 2n, ids 0 and 1), adds each arc's bin offset and counts the codes
+# with one ``np.bincount``.  ``np_tour`` hands ``_tour_sum`` tiles of
+# whole rows, at most ``_BLOCK`` entries and bins each, to slice into
+# passes (the codes of a tile's r-th row moved by r times the bin count);
+# ``coloring.RowFeed`` counts each piece of a row as it arrives.
 
 _BLOCK = 1 << 16
 

@@ -360,9 +360,9 @@ def test_block_reader_at_every_block_edge(payload, tmp_path, monkeypatch):
 
 # A color call on C_2000001 holds no copy of the row, only a few buffers of
 # winding._BLOCK entries: the reader's block, its tokens and their digits,
-# and the feed's pass buffer and pass arrays, of which bincount's int64 copy
-# of the codes is the largest (8 blocks); 16 blocks are allowed, with no
-# term for the row.  That holds for a file, for a standard input that can
+# and the feed's pass arrays, of which bincount's int64 copy of the codes
+# is the largest (8 blocks); 16 blocks are allowed, with no term for the
+# row.  That holds for a file, for a standard input that can
 # seek, and for a pipe, which is spooled to a temporary file as it is read.
 _LONG_N = 10**6
 
@@ -859,6 +859,65 @@ def test_verify_rejects_vacuous_runs(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "must be at least 1" in err
+
+
+# An option that a suite never reads is a usage error, named in the message;
+# --graph names a file that does not exist, so its rejection comes before
+# any load.
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["chord-step", "--n", "1", "--k", "5"], "--k"),
+        (["end-to-end", "--k", "3"], "--k"),
+        (["label-congruence", "--n", "1", "--samples", "9"], "--samples"),
+        (["label-congruence", "--n", "1", "--seed", "3"], "--seed"),
+        (["label-congruence", "--n", "1", "--samples", "9", "--seed", "3"], "--samples, --seed"),
+        (["proper-k3", "--n", "1", "--graph", "missing.json"], "--graph"),
+        (["end-to-end", "--n", "7", "--samples", "5"], "--n"),
+        (["end-to-end", "--n-max", "1"], "--n-max"),
+        (["end-to-end", "--cycle-len", "3"], "--cycle-len"),
+    ],
+)
+def test_verify_rejects_an_option_its_suite_never_reads(argv, unread, capsys):
+    assert main(["verify", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: verify {argv[0]} takes no {unread}\n"
+
+
+def test_verify_rejects_a_seed_without_samples(capsys):
+    assert main(["verify", "end-to-end", "--seed", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --seed needs --samples: the exhaustive run draws nothing\n"
+
+
+def test_verify_all_accepts_every_option(tmp_path, capsys):
+    k4 = tmp_path / "k4.json"
+    assert main(["gen", "complete", "--k", "4", "--out", str(k4)]) == 0
+    argv = ["verify", "all", "--n", "1", "--k", "5", "--samples", "3", "--seed", "4"]
+    assert main([*argv, "--graph", str(k4)]) == 0
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(reports) == len(cli._VERIFY_DISPATCH)
+    assert reports[-1]["params"] == {"vertices": 4, "mode": "sampled", "samples": 3, "seed": 4}
+
+
+@pytest.mark.parametrize(
+    "given, defaults",
+    [
+        (["end-to-end", "--samples", "5"], ["end-to-end", "--samples", "5", "--seed", "0"]),
+        (["little-path", "--n", "1"], ["little-path", "--n", "1", "--k", "3"]),
+        (["chord-step"], ["chord-step", "--n-max", "2"]),
+    ],
+    ids=["seed", "k", "n-max"],
+)
+def test_verify_defaults_give_the_reports_of_the_explicit_options(given, defaults, capsys):
+    reports = []
+    for argv in (given, defaults):
+        assert main(["verify", *argv]) == 0
+        reports.append([json.loads(line) for line in capsys.readouterr().out.splitlines()])
+    for report in reports:
+        for r in report:
+            r.pop("wall_time")
+    assert reports[0] == reports[1]
 
 
 def test_verify_threads_start_no_more_workers_than_jobs(capsys, monkeypatch):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from expocolor import coloring
+from expocolor import coloring, winding
 from expocolor.coloring import (
     Branch,
     ColorVerdict,
@@ -124,6 +124,62 @@ def test_color_rows_rejects_whole_stacks_of_the_wrong_shape_or_dtype():
         color_vertex(np.ones((1, 5), dtype=np.int64), CTX5)
     empty = color_rows(np.zeros((0, 5), dtype=np.uint8), CTX5)
     assert empty.color.shape == empty.failed.shape == (0,) and empty.errors == []
+
+
+# coloring.RowFeed against color_rows: a stack of C_13 rows, colored and
+# failing on every check, fed as one stream of ids cut at seeded random
+# lengths (single ids, pieces across several rows, and, with
+# winding._BLOCK patched below the row length, pieces longer than a pass).
+def _chord_rows(rng, ctx: OddCycleCtx, count: int) -> np.ndarray:
+    """Rows whose chord steps are all 0 or ±2 mod k, so none is isolated;
+    the parity of each is that of its nonzero steps, even or odd at random."""
+    length, k = ctx.length, ctx.k
+    rows = []
+    while len(rows) < count:
+        e = rng.integers(-1, 2, length)
+        if e.sum() % k == 0:
+            f = np.empty(length, dtype=np.int64)
+            f[(2 * np.arange(length)) % length] = 1 + (rng.integers(k) + 2 * (np.cumsum(e) - e)) % k
+            rows.append(f)
+    return np.array(rows)
+
+
+def _feed_stack(rng, ctx: OddCycleCtx) -> np.ndarray:
+    rows = [_chord_rows(rng, ctx, 16), rng.integers(1, ctx.k + 1, (4, ctx.length))]
+    for bad in (0, ctx.k + 1, -7, 200):
+        row = _chord_rows(rng, ctx, 1)
+        row[0, rng.integers(ctx.length)] = bad
+        rows.append(row)
+    stack = np.concatenate(rows)
+    return stack[rng.permutation(len(stack))]
+
+
+@pytest.mark.parametrize("block", [1, 4, 64])
+@pytest.mark.parametrize(
+    "k, edge, seed", [(3, None, 1), (3, (6, 7), 2), (5, None, 3), (7, (3, 2), 4)]
+)
+def test_row_feed_gives_the_colors_of_the_whole_stack(k, edge, seed, block, monkeypatch):
+    ctx = OddCycleCtx.make(6, k, edge)
+    rng = np.random.default_rng(seed)
+    stack = _feed_stack(rng, ctx)
+    want = color_rows(stack, ctx)
+    kinds = {type(e) for e in want.errors}
+    assert {ValueError, ParityDomainError} | ({IsolatedFunctionError} if k > 3 else set()) <= kinds
+    assert len(want.failed) < len(stack)
+    monkeypatch.setattr(winding, "_BLOCK", block)
+    ids = stack.ravel().astype(np.int16 if seed % 2 else np.int64)
+    feed = coloring.RowFeed(ctx)
+    start = 0
+    while start < len(ids):
+        size = int(rng.choice([1, 1, 2, 3, 5, ctx.length, 2 * ctx.length + 3, 40]))
+        feed.take(ids[start : start + size])
+        start += size
+    got = feed.colors()
+    for name in ("color", "branch", "ell2", "p2", "failed"):
+        have, expected = getattr(got, name), getattr(want, name)
+        assert have.dtype == expected.dtype and np.array_equal(have, expected), name
+    assert [(type(e), str(e)) for e in got.errors] == [(type(e), str(e)) for e in want.errors]
+    assert got.cycle is None
 
 
 def test_color_vertex_ck_proper_exhaustive_tiny():

@@ -1,7 +1,7 @@
 """The names other code reaches the package by: ``__all__``, the layer
-functions that ``perfbench/tracer.py`` wraps by name, and the one binding
-of Δ and of the kernel; and what each import loads, each read from
-``sys.modules`` in a fresh interpreter."""
+functions that ``perfbench/tracer.py`` wraps by name, the one binding
+of Δ and of the kernel, and the one record base; and what each import
+loads, each read from ``sys.modules`` in a fresh interpreter."""
 
 import ast
 import importlib
@@ -147,3 +147,21 @@ def test_only_winding_binds_delta_and_the_kernel():
                 names = {alias.name for alias in node.names} & {"arc_value", "np_tour", "*"}
                 bound += [f"{path.name}:{node.lineno} {name}" for name in sorted(names)]
     assert bound == []
+
+
+def test_the_records_take_their_methods_from_the_one_base():
+    # "read-only; equal, hashed, shown and pickled by _fields" is stated
+    # once, in errors._Record: no record class, nor a class between it and
+    # the base, defines one of those methods again
+    from expocolor.errors import _Record
+    from expocolor.graphs import CycleWitness, Graph
+    from expocolor.winding import OddCycleCtx
+
+    methods = {"__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__", "__reduce__"}
+    assert methods <= set(vars(_Record))
+    for record in (Graph, CycleWitness, OddCycleCtx):
+        assert issubclass(record, _Record)
+        below_base = record.__mro__[: record.__mro__.index(_Record)]
+        assert [(c.__name__, sorted(methods & set(vars(c)))) for c in below_base] == [
+            (record.__name__, [])
+        ]
