@@ -1,87 +1,11 @@
-"""Command-line front end: generate, color, verify, and benchmark.
+"""Command-line front end: ``gen``, ``color``, ``verify`` and ``bench``.
 
-Subcommands
------------
-``gen``     write a cycle, complete, or Mycielski-construction graph as
-            JSON (or DOT).
-``color``   color assignments — either on a single odd cycle (pass
-            ``--len``/``--n``) or on an arbitrary host graph through the
-            cycle-cache pipeline (pass ``--graph``).
-``verify``  run one brute-force verification suite (or ``all``),
-            emitting one JSON report per line plus a summary table on
-            stderr.
-``bench``   time the O(n) per-vertex coloring and the exponential
-            baseline.
-
-Exit codes are stable API: 0 success, 1 verification violations (for
-``color``, a broken internal invariant: ``InvariantViolationError``),
-2 usage or a write error on standard output, 3 parity-domain error,
-4 isolated assignment, 5 capacity.
-
-The ``expocolor`` command and ``python -m expocolor.cli`` run
-:func:`run`, the process entry.  It calls ``gc.freeze()`` before it
-parses anything: the start-up heap (the loaded modules, some 22,000
-objects the cyclic collector tracks) lives until exit, and frozen it is
-skipped by the collector's full passes, those of the call and the
-several of interpreter exit.  Then it runs :func:`main` on ``sys.argv``
-and flushes standard output, so that a write error there (a closed
-pipe) is reported and exits 2 whether it came during the call or at
-that flush.  ``main(argv)`` leaves the caller's collector alone: the
-tests, perfbench's traced calls and library callers keep their own GC
-state.
-
-Importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless it is
-already set, and only then loads numpy.  expocolor never calls BLAS,
-and the worker thread OpenBLAS would otherwise start at numpy's import
-costs every call start-up time (see README, "Cold start").  The
-``expocolor`` command, ``python -m expocolor.cli`` and the workers of
-``verify --threads`` all run with it; the library modules leave the
-variable alone.
-
-Cycle vertices are 0-based ids; ``--edge A,B`` names the distinguished
-edge by those ids (default ``0,2n``).  ``color --graph`` keeps its
-cycle cache in the file named by ``--cache``, and only there: without
-the option it starts from an empty cache and writes none.  An option
-that does not apply to the host is a usage error (exit 2): ``--edge``
-with ``--graph``, ``--cache`` on a cycle, and ``--len`` with an ``--n``
-that names another cycle (for ``verify``, ``--cycle-len`` and ``--n``).
-So is a ``verify`` option that its one suite never reads: ``--k``
-outside the suites that take a codomain, ``--samples``, ``--seed`` and
-``--graph`` outside ``end-to-end``, the cycle's size on ``end-to-end``,
-and ``--seed`` without ``--samples``.  ``verify all`` reads them all.
-
-``color`` reads one JSON array, an array of arrays, or one array per
-line.  Rows of one-digit colors, as one array or one array per line
-(what ``json.dumps`` writes for k <= 9), are decoded from the input in
-blocks of ``winding._BLOCK`` bytes.  On a cycle host whose rows are
-longer than one kernel pass (``winding._BLOCK`` ids), each block's
-digits go straight on to a ``coloring.RowFeed``, which counts them as
-one pass of the Δ kernel as they arrive, with no buffer of its own, so
-the call holds a few block-sized arrays and each row's verdict, never a
-row.  Shorter rows, and every row on a general host, go into one uint8
-stack.  Every other input goes through
-``json.loads``, which also words every input error, after the input is
-read again from its start; a pipe, which cannot seek, is copied to a
-temporary file block by block as it is read, so that it can be.  On a
-cycle host a stack is colored by one ``coloring.color_rows`` call; on a
-general host by one ``coloring.color_rows_in_kh`` call, of which
-``color_in_kh`` is the one-row case.  The verdict lines before the
-first failing row are written at once; then that row's error, the one
-its one-row routine raises, ends the call (a stack's failing row is
-colored alone by that routine again).  A general host's cycle cache is
-saved whether or not a row failed, holding the cycles found by the rows
-before the failing one and by that row itself.
-
-On a general host the first cached cycle on which a row is even serves
-it, and a miss finds the cycle ``coloring.find_even_cycle`` names, which
-is fixed by the host and the row's component: C*, the host's BFS odd
-cycle, whenever the row is even on it.  A call from an empty cache whose
-first searched row is even on C* colors every row even on C* through
-C*, as any other such call does.  A color still depends on the cache
-when an earlier cached cycle is even for the row: a loaded ``--cache``
-file that does not start with C*, or a call whose first searched row is
-odd on C*.  Rows colored through one cache are colored properly against
-each other.
+Each value has one option, and an option that the call never reads is a
+usage error (README, "Command line", states the rules).  Exit codes are
+stable API: 0 success, 1 verification violations (for ``color``, a
+broken internal invariant: ``InvariantViolationError``), 2 usage or a
+write error on standard output, 3 parity-domain error, 4 isolated
+assignment, 5 capacity.
 """
 
 from __future__ import annotations
@@ -453,24 +377,8 @@ def _emit(res: RowColors, rows, color_one) -> int:
     return EXIT_OK
 
 
-def _same_cycle(flag: str, length: int | None, n: int | None) -> None:
-    """Reject a cycle length (``flag``) and an ``--n`` that name two cycles."""
-    if length is not None and n is not None and length != 2 * n + 1:
-        raise ValueError(
-            f"{flag} {length} and --n {n} name different cycles (--n {n} is {flag} {2 * n + 1})"
-        )
-
-
-def _cycle_ctx(args: argparse.Namespace) -> OddCycleCtx:
-    if args.len is not None and (args.len % 2 == 0 or args.len < 3):
-        raise ParityDomainError(f"cycle length must be odd and >= 3, got {args.len}")
-    n = args.n if args.n is not None else (args.len - 1) // 2
-    edge = _parse_edge(args.edge) if args.edge else None
-    return OddCycleCtx.make(n, args.k, edge)
-
-
 def _color_on_cycle(args: argparse.Namespace) -> int:
-    """Color the input's rows on the cycle of ``--len``/``--n``.
+    """Color the input's rows on the cycle C_{2n+1} of ``--n``.
 
     Rows longer than one kernel pass are never gathered: the digit
     reader hands each block's digits to a ``coloring.RowFeed``, which
@@ -481,7 +389,8 @@ def _color_on_cycle(args: argparse.Namespace) -> int:
     after the input is read, so that an input error comes first.
     """
     try:
-        ctx, error = _cycle_ctx(args), None
+        edge = _parse_edge(args.edge) if args.edge else None
+        ctx, error = OddCycleCtx.make(args.n, args.k, edge), None
     except ValueError as exc:
         ctx, error = None, exc
     feed = None
@@ -538,15 +447,12 @@ def _color_on_host(
 
 def cmd_color(args: argparse.Namespace) -> int:
     try:
-        if (args.graph is None) == (args.len is None and args.n is None):
-            raise ValueError(
-                "pass exactly one host: --len/--n for a cycle, or --graph"
-            )
-        _same_cycle("--len", args.len, args.n)
+        if (args.graph is None) == (args.n is None):
+            raise ValueError("pass exactly one host: --n for a cycle, or --graph")
         if args.graph is None and args.cache is not None:
             raise ValueError("--cache applies only to a --graph host")
         if args.graph is not None and args.edge is not None:
-            raise ValueError("--edge applies only to a --len/--n cycle host")
+            raise ValueError("--edge applies only to an --n cycle host")
         if args.graph is not None:
             return _color_on_host(args, _read_assignments(args.input))
         return _color_on_cycle(args)
@@ -568,22 +474,6 @@ def cmd_color(args: argparse.Namespace) -> int:
 _BUILTIN_HOST = "complete graph on 4 vertices"
 
 
-def _verify_ns(args: argparse.Namespace) -> list[int]:
-    if args.cycle_len is not None:
-        if args.cycle_len % 2 == 0 or args.cycle_len < 3:
-            raise ValueError(
-                f"--cycle-len must be odd and >= 3, got {args.cycle_len}"
-            )
-        _same_cycle("--cycle-len", args.cycle_len, args.n)
-        return [(args.cycle_len - 1) // 2]
-    if args.n is not None:
-        return [args.n]
-    n_max = 2 if args.n_max is None else args.n_max
-    if n_max < 1:
-        raise ValueError(f"--n-max must be at least 1, got {n_max}")
-    return list(range(1, n_max + 1))
-
-
 # Every suite and its verifier, in the order ``verify all`` runs them
 # (proper-ck only for k >= 5).  The values are the verifiers themselves.
 _VERIFY_DISPATCH = {
@@ -602,17 +492,18 @@ _SUITES_TAKING_K = {"label-invariance", "little-path", "proper-ck"}
 
 def _unread_options(args: argparse.Namespace) -> list[str]:
     """The options given that the one suite ``args.suite`` never reads
-    (``verify all`` reads every one): the cycle's size on ``end-to-end``,
-    the sampling and the host elsewhere, ``--k`` outside
+    (``verify all`` reads every one): ``--n`` on ``end-to-end``, and
+    ``--cap`` there too when it samples, since it builds no grid; the
+    sampling and the host elsewhere; ``--k`` outside
     ``_SUITES_TAKING_K``.  Their defaults are None, so that an option
     given is told from one left out."""
     if args.suite == "end-to-end":
-        unread = ["--n", "--n-max", "--cycle-len"]
+        unread = ["--n"] if args.samples is None else ["--n", "--cap"]
     else:
         unread = ["--samples", "--seed", "--graph"]
     if args.suite not in _SUITES_TAKING_K:
         unread.append("--k")
-    return [flag for flag in unread if getattr(args, flag[2:].replace("-", "_")) is not None]
+    return [flag for flag in unread if getattr(args, flag[2:]) is not None]
 
 
 def _verify_jobs(args: argparse.Namespace) -> list[tuple[str, dict]]:
@@ -620,14 +511,17 @@ def _verify_jobs(args: argparse.Namespace) -> list[tuple[str, dict]]:
         unread = _unread_options(args)
         if unread:
             raise ValueError(f"verify {args.suite} takes no {', '.join(unread)}")
-        if args.seed is not None and args.samples is None:
-            raise ValueError("--seed needs --samples: the exhaustive run draws nothing")
-    ns = _verify_ns(args)
+    if args.seed is not None and args.samples is None:
+        raise ValueError("--seed needs --samples: the exhaustive run draws nothing")
+    ns = [1, 2] if args.n is None else args.n
+    if min(ns) < 1:
+        raise ValueError(f"--n must be at least 1, got {min(ns)}")
     if args.samples is not None and args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     k = 3 if args.k is None else args.k
+    cap = verify_mod.DEFAULT_CAP if args.cap is None else args.cap
     if args.suite == "all":
         suites = [s for s in _VERIFY_DISPATCH if s != "proper-ck" or k >= 5]
     elif args.suite == "proper-ck" and k < 5:
@@ -640,11 +534,11 @@ def _verify_jobs(args: argparse.Namespace) -> list[tuple[str, dict]]:
             host = load_graph(args.graph) if args.graph else make_complete(4)
             seed = 0 if args.seed is None else args.seed
             jobs.append(
-                (suite, {"host": host, "cap": args.cap, "samples": args.samples, "seed": seed})
+                (suite, {"host": host, "cap": cap, "samples": args.samples, "seed": seed})
             )
         else:
             k_arg = {"k": k} if suite in _SUITES_TAKING_K else {}
-            jobs.extend((suite, {"n": n, **k_arg, "cap": args.cap}) for n in ns)
+            jobs.extend((suite, {"n": n, **k_arg, "cap": cap}) for n in ns)
     return jobs
 
 
@@ -715,28 +609,26 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return _fail(str(exc), EXIT_CAPACITY)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
+    lines = [json.dumps(res.to_json_dict()) for res in results]
+    if slope is not None:
+        lines.append(json.dumps({"mode": "slope", "slope": slope, "ns": ns}))
+    lines.append(json.dumps(bench_mod.environment()))
     try:
-        if args.format == "json":
-            for res in results:
-                print(json.dumps(res.to_json_dict()))
-            if slope is not None:
-                print(json.dumps({"mode": "slope", "slope": slope, "ns": ns}))
-            print(json.dumps(bench_mod.environment()))
-        else:
-            print(f"{'mode':<10}{'n':>10}{'reps':>6}{'median_s':>14}  notes")
-            for res in results:
-                if res.mode == "explicit":
-                    note = f"cycle_length={res.details['cycle_length']}"
-                else:
-                    note = f"assignments={res.details['assignments_touched']}"
-                print(
-                    f"{res.mode:<10}{res.n:>10}{res.reps:>6}"
-                    f"{res.median_seconds:>14.6f}  {note}"
-                )
-            if slope is not None:
-                print(f"log-log slope over n={ns}: {slope:.3f}")
+        _write_text("\n".join(lines), None)
     except OSError as exc:
         return _fail(str(exc), EXIT_USAGE)
+    print(f"{'mode':<10}{'n':>10}{'reps':>6}{'median_s':>14}  notes", file=sys.stderr)
+    for res in results:
+        if res.mode == "explicit":
+            note = f"cycle_length={res.details['cycle_length']}"
+        else:
+            note = f"assignments={res.details['assignments_touched']}"
+        print(
+            f"{res.mode:<10}{res.n:>10}{res.reps:>6}{res.median_seconds:>14.6f}  {note}",
+            file=sys.stderr,
+        )
+    if slope is not None:
+        print(f"log-log slope over n={ns}: {slope:.3f}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -761,8 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     color = sub.add_parser("color", help="color assignments")
-    color.add_argument("--len", type=int, help="host cycle length (odd)")
-    color.add_argument("--n", type=int, help="host cycle half-length")
+    color.add_argument("--n", type=int, help="host cycle C_{2n+1}, by its half-length n")
     color.add_argument("--k", type=int, default=3, help="codomain size (odd)")
     color.add_argument(
         "--edge", help="distinguished edge as two 0-based ids, e.g. 0,4"
@@ -779,13 +670,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run brute-force verification suites")
     ver.add_argument("suite", choices=(*_VERIFY_DISPATCH, "all"))
-    ver.add_argument("--n", type=int, help="single cycle half-length")
     ver.add_argument(
-        "--n-max", type=int, help="run n = 1..n_max (default 2)"
+        "--n", type=int, nargs="+", help="cycle half-lengths, one job each (default 1 2)"
     )
-    ver.add_argument("--cycle-len", type=int, help="cycle length instead of --n")
     ver.add_argument("--k", type=int, help="codomain size (odd, default 3)")
-    ver.add_argument("--cap", type=int, default=verify_mod.DEFAULT_CAP)
+    ver.add_argument(
+        "--cap",
+        type=int,
+        help=f"most assignments a sweep may build (default {verify_mod.DEFAULT_CAP})",
+    )
     ver.add_argument("--seed", type=int, help="end-to-end sampling seed (default 0)")
     ver.add_argument(
         "--samples",
@@ -806,7 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ben.add_argument("--reps", type=int)
     ben.add_argument("--seed", type=int, default=0)
-    ben.add_argument("--format", choices=("table", "json"), default="table")
     ben.set_defaults(func=cmd_bench)
 
     return parser
@@ -822,10 +714,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> NoReturn:
-    """The process entry (see the module docstring): freeze the start-up
-    heap, run :func:`main` on ``sys.argv``, flush standard output and
-    exit with the code.  A failed flush exits 2 and points fd 1 at
-    ``os.devnull``, so that the flush at exit has nothing left to retry.
+    """The process entry of the ``expocolor`` command and ``python -m
+    expocolor.cli``: freeze the start-up heap, run :func:`main` on
+    ``sys.argv``, flush standard output and exit with the code.  The
+    start-up heap (the loaded modules, some 22,000 objects the cyclic
+    collector tracks) lives until exit; frozen, it is skipped by the
+    full collections of the call and of interpreter exit.
+    ``main(argv)`` leaves the caller's collector alone.  A failed flush
+    exits 2 and points fd 1 at ``os.devnull``, so that the flush at exit
+    has nothing left to retry.
     A process started with fd 1 closed writes to a :class:`_ClosedStdout`,
     so a call that writes its result there exits 2 too.
     """

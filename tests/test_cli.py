@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, cache handling."""
 
+import argparse
 import gc
 import io
 import itertools
@@ -85,7 +86,7 @@ def test_color_stops_the_stack_before_the_first_out_of_range_row(
     monkeypatch.setattr(
         cli, "color_rows_in_kh", lambda h, fs, c: seen.append(len(fs)) or rows_in_kh(h, fs, c)
     )
-    argv = ["color", "--len", "5"]
+    argv = ["color", "--n", "2"]
     if graph:
         save_graph(c5, tmp_path / "c5.json")
         argv = ["color", "--graph", str(tmp_path / "c5.json")]
@@ -99,10 +100,10 @@ def test_color_stops_the_stack_before_the_first_out_of_range_row(
 @pytest.mark.parametrize(
     "argv, stdin, code, colors",
     [
-        (["color", "--len", "3", "--graph", "whatever.json"], "[1,1,1]", 2, []),  # two hosts
-        (["color", "--len", "3"], '{"not": "rows"}', 2, []),
-        (["color", "--len", "5"], "[[1,1,1,1,1],[1,1,1,1,2]]", 0, [1, 2]),
-        (["color", "--len", "5", "--k", "5"], "[1,4,2,5,3]", 4, []),
+        (["color", "--n", "1", "--graph", "whatever.json"], "[1,1,1]", 2, []),  # two hosts
+        (["color", "--n", "1"], '{"not": "rows"}', 2, []),
+        (["color", "--n", "2"], "[[1,1,1,1,1],[1,1,1,1,2]]", 0, [1, 2]),
+        (["color", "--n", "2", "--k", "5"], "[1,4,2,5,3]", 4, []),
         (["color", "--graph", "{tmp}/k4.json"], "[1,2,3,1]", 4, []),
     ],
 )
@@ -123,23 +124,15 @@ def test_color_calls_the_golden_corpus_lacks(
     "argv, message",
     [
         (
-            ["color", "--len", "5", "--n", "7"],
-            "--len 5 and --n 7 name different cycles (--n 7 is --len 15)",
-        ),
-        (
             ["color", "--n", "2", "--cache", "{tmp}/cache.json"],
             "--cache applies only to a --graph host",
         ),
         (
             ["color", "--graph", "{tmp}/k4.json", "--edge", "0,1"],
-            "--edge applies only to a --len/--n cycle host",
-        ),
-        (
-            ["verify", "little-path", "--cycle-len", "5", "--n", "1"],
-            "--cycle-len 5 and --n 1 name different cycles (--n 1 is --cycle-len 3)",
+            "--edge applies only to an --n cycle host",
         ),
     ],
-    ids=["len-and-n", "cache-on-a-cycle", "edge-on-a-graph", "verify-cycle-len-and-n"],
+    ids=["cache-on-a-cycle", "edge-on-a-graph"],
 )
 def test_host_options_that_do_not_apply_exit_2(argv, message, k4, tmp_path, capsys, monkeypatch):
     save_graph(k4, tmp_path / "k4.json")
@@ -799,17 +792,14 @@ def test_verify_single_suite_jsonl(capsys):
     assert "[PASS]" in err
 
 
-def test_verify_cycle_len_flag(capsys):
-    assert main(["verify", "little-path", "--cycle-len", "5", "--k", "5"]) == 0
-    rep = json.loads(capsys.readouterr().out.strip())
-    assert rep["params"] == {"n": 2, "k": 5}
-    # an --n that names the same cycle is accepted
-    assert main(["verify", "little-path", "--cycle-len", "5", "--n", "2", "--k", "5"]) == 0
-    assert json.loads(capsys.readouterr().out.strip())["params"] == {"n": 2, "k": 5}
+def test_verify_n_takes_a_list(capsys):
+    assert main(["verify", "little-path", "--n", "1", "3", "--k", "5"]) == 0
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["params"] for r in reports] == [{"n": 1, "k": 5}, {"n": 3, "k": 5}]
 
 
 def test_verify_all_quick(capsys):
-    assert main(["verify", "all", "--n-max", "1"]) == 0
+    assert main(["verify", "all", "--n", "1"]) == 0
     out, err = capsys.readouterr()
     reports = [json.loads(x) for x in out.splitlines()]
     statements = {r["statement"] for r in reports}
@@ -819,7 +809,7 @@ def test_verify_all_quick(capsys):
 
 
 def test_verify_all_with_threads(capsys):
-    assert main(["verify", "all", "--n-max", "1", "--threads", "2"]) == 0
+    assert main(["verify", "all", "--n", "1", "--threads", "2"]) == 0
     reports = [json.loads(x) for x in capsys.readouterr().out.splitlines()]
     assert all(r["passed"] for r in reports)
 
@@ -847,8 +837,8 @@ def test_verify_capacity_message_counts_vertices(suite, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "chord-step", "--n-max", "0"],
-        ["verify", "all", "--n-max", "-1"],
+        ["verify", "chord-step", "--n", "0"],
+        ["verify", "all", "--n", "1", "-1"],
         ["verify", "end-to-end", "--samples", "0"],
         ["verify", "end-to-end", "--samples", "-3"],
         ["verify", "label-congruence", "--n", "1", "--threads", "0"],
@@ -874,8 +864,8 @@ def test_verify_rejects_vacuous_runs(argv, capsys):
         (["label-congruence", "--n", "1", "--samples", "9", "--seed", "3"], "--samples, --seed"),
         (["proper-k3", "--n", "1", "--graph", "missing.json"], "--graph"),
         (["end-to-end", "--n", "7", "--samples", "5"], "--n"),
-        (["end-to-end", "--n-max", "1"], "--n-max"),
-        (["end-to-end", "--cycle-len", "3"], "--cycle-len"),
+        (["end-to-end", "--samples", "5", "--cap", "10"], "--cap"),
+        (["end-to-end", "--n", "1", "2", "--samples", "5", "--cap", "10"], "--n, --cap"),
     ],
 )
 def test_verify_rejects_an_option_its_suite_never_reads(argv, unread, capsys):
@@ -884,16 +874,57 @@ def test_verify_rejects_an_option_its_suite_never_reads(argv, unread, capsys):
     assert out == "" and err == f"error: verify {argv[0]} takes no {unread}\n"
 
 
-def test_verify_rejects_a_seed_without_samples(capsys):
-    assert main(["verify", "end-to-end", "--seed", "3"]) == 2
+@pytest.mark.parametrize("suite", ["end-to-end", "all"])
+def test_verify_rejects_a_seed_without_samples(suite, capsys):
+    assert main(["verify", suite, "--seed", "3"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: --seed needs --samples: the exhaustive run draws nothing\n"
+
+
+# The exhaustive end-to-end run of K_4 builds 3**4 = 81 assignments, and
+# chord-step at n = 1 builds 27: --cap 10 stops both before they start.
+@pytest.mark.parametrize(
+    "argv",
+    [["end-to-end", "--cap", "10"], ["all", "--n", "1", "--samples", "3", "--cap", "10"]],
+    ids=["end-to-end", "all"],
+)
+def test_verify_cap_is_read_where_a_grid_is_built(argv, capsys):
+    assert main(["verify", *argv]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and "cap" in err
+
+
+def _job_options():
+    """The ``verify`` parser's options but help, ``--threads`` and
+    ``--out``, which ``cmd_verify`` reads itself around the jobs: each of
+    them must reach a job or be refused."""
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    around = {"-h", "--threads", "--out"}
+    options = (a for a in sub.choices["verify"]._actions if a.option_strings)
+    return [a for a in options if a.option_strings[0] not in around]
+
+
+@pytest.mark.parametrize("suite", [*cli._VERIFY_DISPATCH, "all"])
+@pytest.mark.parametrize("action", _job_options(), ids=lambda a: a.option_strings[0])
+def test_every_verify_option_is_read_or_refused(suite, action, k4, tmp_path):
+    flag = action.option_strings[0]
+    save_graph(k4, tmp_path / "k4.json")
+    raw, value = ("7", 7) if action.type is int else (str(tmp_path / "k4.json"), k4)
+    base = ["--k", "5"] if suite == "proper-ck" and flag != "--k" else []
+    args = cli.build_parser().parse_args(["verify", suite, *base, flag, raw])
+    try:
+        jobs = cli._verify_jobs(args)
+    except ValueError as exc:
+        assert flag in str(exc)
+        return
+    assert any(value in kwargs.values() for _, kwargs in jobs)
 
 
 def test_verify_all_accepts_every_option(tmp_path, capsys):
     k4 = tmp_path / "k4.json"
     assert main(["gen", "complete", "--k", "4", "--out", str(k4)]) == 0
-    argv = ["verify", "all", "--n", "1", "--k", "5", "--samples", "3", "--seed", "4"]
+    argv = ["verify", "all", "--n", "1", "--k", "5", "--cap", "200", "--samples", "3", "--seed", "4"]
     assert main([*argv, "--graph", str(k4)]) == 0
     reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert len(reports) == len(cli._VERIFY_DISPATCH)
@@ -905,9 +936,10 @@ def test_verify_all_accepts_every_option(tmp_path, capsys):
     [
         (["end-to-end", "--samples", "5"], ["end-to-end", "--samples", "5", "--seed", "0"]),
         (["little-path", "--n", "1"], ["little-path", "--n", "1", "--k", "3"]),
-        (["chord-step"], ["chord-step", "--n-max", "2"]),
+        (["chord-step"], ["chord-step", "--n", "1", "2"]),
+        (["proper-k3", "--n", "1"], ["proper-k3", "--n", "1", "--cap", "1000000"]),
     ],
-    ids=["seed", "k", "n-max"],
+    ids=["seed", "k", "n", "cap"],
 )
 def test_verify_defaults_give_the_reports_of_the_explicit_options(given, defaults, capsys):
     reports = []
@@ -941,7 +973,7 @@ def test_verify_threads_start_no_more_workers_than_jobs(capsys, monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    assert main(["verify", "label-congruence", "--n-max", "2", "--threads", "64"]) == 0
+    assert main(["verify", "label-congruence", "--n", "1", "2", "--threads", "64"]) == 0
     assert workers == [2] and capsys.readouterr().err.count("[PASS]") == 2
 
 
@@ -994,9 +1026,10 @@ def test_verify_proper_ck_needs_big_k(capsys):
 
 
 def test_bench_json_output(capsys):
-    assert main(["bench", "--mode", "explicit", "--n", "5", "--reps", "3",
-                 "--format", "json"]) == 0
-    rows = [json.loads(x) for x in capsys.readouterr().out.splitlines()]
+    assert main(["bench", "--mode", "explicit", "--n", "5", "--reps", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert err.startswith("mode ") and "cycle_length=11" in err
+    rows = [json.loads(x) for x in out.splitlines()]
     assert rows[0]["mode"] == "explicit"
     assert rows[0]["reps"] == 3
     assert len(rows[0]["rep_seconds"]) == 3
@@ -1011,9 +1044,10 @@ def test_bench_json_output(capsys):
 
 def test_bench_baseline_table(capsys):
     assert main(["bench", "--mode", "baseline", "--n", "1", "--reps", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "baseline" in out
-    assert "assignments=27" in out
+    out, err = capsys.readouterr()
+    assert json.loads(out.splitlines()[0])["details"]["assignments_touched"] == 27
+    assert "baseline" in err
+    assert "assignments=27" in err
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -1035,7 +1069,7 @@ def test_console_script_wiring():
 def test_main_leaves_the_callers_gc_alone(capsys, monkeypatch):
     before = gc.isenabled(), gc.get_freeze_count()
     assert main(["gen", "cycle", "--len", "3"]) == 0
-    assert run_cli(["color", "--len", "5"], "[1,1,2,2,1]", monkeypatch) == 0
+    assert run_cli(["color", "--n", "2"], "[1,1,2,2,1]", monkeypatch) == 0
     assert main(["gen", "cycle", "--len", "4"]) == 2
     assert (gc.isenabled(), gc.get_freeze_count()) == before
     capsys.readouterr()
@@ -1084,7 +1118,7 @@ def test_a_closed_stdout_exits_2(unbuffered):
     os.close(read_end)
     try:
         proc = _cli_process(
-            ["color", "--len", "5"], unbuffered, input=b"[1,1,2,2,1]\n", stdout=write_end
+            ["color", "--n", "2"], unbuffered, input=b"[1,1,2,2,1]\n", stdout=write_end
         )
     finally:
         os.close(write_end)
@@ -1105,7 +1139,7 @@ def test_a_call_started_with_fd_1_closed_exits_0(tmp_path):
     ("argv", "stdin", "code", "stderr"),
     [
         (["gen", "cycle", "--len", "3"], None, 2, "error: [Errno 9] Bad file descriptor\n"),
-        (["color", "--len", "5"], b"[1,1,2,2,1]\n", 2, "error: [Errno 9] Bad file descriptor\n"),
+        (["color", "--n", "2"], b"[1,1,2,2,1]\n", 2, "error: [Errno 9] Bad file descriptor\n"),
         (
             ["verify", "chord-step", "--n", "1"],
             None,
@@ -1114,7 +1148,7 @@ def test_a_call_started_with_fd_1_closed_exits_0(tmp_path):
         ),
         # a call that fails before it writes keeps its own error and code
         (
-            ["color", "--len", "5"],
+            ["color", "--n", "2"],
             b"[1,1,2,1,3]\n",
             3,
             "error: assignment has 3 fixed points (odd); only the even class "

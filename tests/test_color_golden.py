@@ -158,13 +158,13 @@ def _cases() -> list[tuple[list[str], str]]:
     isolated5 = [1, 4, 2, 5, 3]  # a chord step outside {0, 2, k-2}
     cases: list[tuple[list[str], str]] = [
         # one array, in every spacing
-        (["color", "--len", "5"], "[2,1,1,1,1]"),
+        (n2, "[2,1,1,1,1]"),
         (n2, "[2, 1, 1, 1, 1]"),
         (n2, "[2, 1, 1, 1, 1]\n"),
         (n2, "  \t[ 2 ,1,\t1 , 1,1 ]  \n\n"),
         (n2, "[2,\n1,\n1,\n1,\n1]\n"),
         (n2, "[2,\r\n1,\r\n1,\r\n1,\r\n1]\r\n"),
-        (["color", "--len", "5", "--edge", "2,3"], "[1,1,2,2,1]"),
+        (["color", "--n", "2", "--edge", "2,3"], "[1,1,2,2,1]"),
         (["color", "--n", "10"], json.dumps(wide[0])),
         (["color", "--n", "10", "--edge", "7,6"], json.dumps(wide[1])),
         # JSON lines, array of arrays and a single array agree
@@ -202,7 +202,7 @@ def _cases() -> list[tuple[list[str], str]]:
         (n2, _lines([[1, 1, 1, 1, 1, 1, 1]] * 3)),
         (n2, "[1, 1, 1]"),
         (n2, json.dumps(k3[:3] + [[1, 1, 1]])),
-        (["color", "--len", "7"], _lines(k3[:2])),
+        (["color", "--n", "3"], _lines(k3[:2])),
         # ragged JSON lines
         (n2, "[1, 1, 1, 1, 1]\n[1, 1, 1]\n[1, 1, 1, 1, 1]\n"),
         (n2, "[1, 1, 1]\n[1, 1, 1, 1, 1]\n"),
@@ -247,9 +247,8 @@ def _cases() -> list[tuple[list[str], str]]:
         (n2, "[1, 1, 1, 1, 1]\n[1, 1, 1, 1, 1]\n}\n"),
         # the host and its context
         (["color"], "[1, 1, 1]"),
-        (["color", "--len", "3", "--n", "1"], "[1, 1, 1]"),
-        (["color", "--len", "4"], "[1, 1, 1, 1]"),
-        (["color", "--len", "4"], "[1, 1, true, 1]"),
+        (["color", "--n", "0"], "[1, 1, 1, 1]"),
+        (["color", "--n", "0"], "[1, 1, true, 1]"),
         (["color", "--n", "0"], "[1]"),
         (["color", "--n", "2", "--k", "4"], "[1, 1, 1, 1, 1]"),
         (["color", "--n", "2", "--edge", "0,2"], "[1, 1, 1, 1, 1]"),
@@ -316,7 +315,7 @@ def record() -> list[dict]:
         cases = [(argv, stdin, mode) for argv, stdin in _cases() for mode in MODES]
         # a real pipe, for a few of them
         every = _cases()
-        cases += [(*every[i], "process") for i in (9, 11, 21, 46, 98, 108)]
+        cases += [(*every[i], "process") for i in (9, 11, 21, 46, 97, 107)]
         for argv, stdin, mode in cases:
             corpus.append({"argv": argv, "stdin": stdin, "mode": mode, **_run(argv, stdin, mode, tmp_path)})
     return corpus
