@@ -2,10 +2,8 @@
 
 Each value has one option, and an option that the call never reads is a
 usage error (README, "Command line", states the rules).  Exit codes are
-stable API: 0 success, 1 verification violations (for ``color``, a
-broken internal invariant: ``InvariantViolationError``), 2 usage or a
-write error on standard output, 3 parity-domain error, 4 isolated
-assignment, 5 capacity.
+stable API: 0 success, 1 verification violations, and for an error that
+ends the call, the code that ``_EXIT_CODES`` gives its class.
 """
 
 from __future__ import annotations
@@ -74,6 +72,20 @@ EXIT_PARITY = 3
 EXIT_ISOLATED = 4
 EXIT_CAPACITY = 5
 
+# The exit code of each error class that ends a call, read from the first
+# class of the error's ``__mro__`` listed here, so that a subclass such as
+# ``ParityDomainError`` (a ``ValueError``) needs no ordering rule.  Any
+# other exception is a bug, not a usage error, and propagates.
+_EXIT_CODES = {
+    InvariantViolationError: EXIT_VIOLATIONS,
+    ParityDomainError: EXIT_PARITY,
+    IsolatedFunctionError: EXIT_ISOLATED,
+    NoEvenCycleError: EXIT_ISOLATED,
+    CapacityError: EXIT_CAPACITY,
+    ValueError: EXIT_USAGE,
+    OSError: EXIT_USAGE,
+}
+
 
 class _ClosedStdout(io.TextIOBase):
     """``sys.stdout`` of a process started with fd 1 closed, which Python
@@ -89,9 +101,10 @@ class _ClosedStdout(io.TextIOBase):
         return 0
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+def _fail(exc: Exception) -> int:
+    """Write ``exc`` as one ``error:`` line; return its ``_EXIT_CODES`` code."""
+    print(f"error: {exc}", file=sys.stderr)
+    return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -107,26 +120,32 @@ def _write_text(text: str, out: str | None) -> None:
 # gen
 
 
+# The one option each kind of ``gen`` reads; the others are usage errors.
+_GEN_OPTIONS = {"cycle": "--len", "complete": "--k", "mycielski": "--of"}
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        if args.kind == "cycle":
-            if args.len is None:
-                raise ValueError("gen cycle requires --len")
-            graph = make_cycle(args.len)
-        elif args.kind == "complete":
-            if args.k is None:
-                raise ValueError("gen complete requires --k")
-            graph = make_complete(args.k)
-        else:  # mycielski
-            if args.of is None:
-                raise ValueError("gen mycielski requires --of BASE_GRAPH_JSON")
-            graph = make_mycielski(load_graph(args.of))
-        if args.format == "dot":
-            _write_text(graph_to_dot(graph), args.out)
-        else:
-            _write_text(json.dumps(graph_to_json_dict(graph)), args.out)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    flag = _GEN_OPTIONS[args.kind]
+    unread = [
+        other
+        for other in _GEN_OPTIONS.values()
+        if other != flag and getattr(args, other[2:]) is not None
+    ]
+    if unread:
+        raise ValueError(f"gen {args.kind} takes no {', '.join(unread)}")
+    value = getattr(args, flag[2:])
+    if value is None:
+        raise ValueError(f"gen {args.kind} requires {flag}")
+    if args.kind == "cycle":
+        graph = make_cycle(value)
+    elif args.kind == "complete":
+        graph = make_complete(value)
+    else:  # mycielski
+        graph = make_mycielski(load_graph(value))
+    if args.format == "dot":
+        _write_text(graph_to_dot(graph), args.out)
+    else:
+        _write_text(json.dumps(graph_to_json_dict(graph)), args.out)
     return EXIT_OK
 
 
@@ -446,26 +465,15 @@ def _color_on_host(
 
 
 def cmd_color(args: argparse.Namespace) -> int:
-    try:
-        if (args.graph is None) == (args.n is None):
-            raise ValueError("pass exactly one host: --n for a cycle, or --graph")
-        if args.graph is None and args.cache is not None:
-            raise ValueError("--cache applies only to a --graph host")
-        if args.graph is not None and args.edge is not None:
-            raise ValueError("--edge applies only to an --n cycle host")
-        if args.graph is not None:
-            return _color_on_host(args, _read_assignments(args.input))
-        return _color_on_cycle(args)
-    except ParityDomainError as exc:
-        return _fail(str(exc), EXIT_PARITY)
-    except (IsolatedFunctionError, NoEvenCycleError) as exc:
-        return _fail(str(exc), EXIT_ISOLATED)
-    except CapacityError as exc:
-        return _fail(str(exc), EXIT_CAPACITY)
-    except InvariantViolationError as exc:
-        return _fail(str(exc), EXIT_VIOLATIONS)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    if (args.graph is None) == (args.n is None):
+        raise ValueError("pass exactly one host: --n for a cycle, or --graph")
+    if args.graph is None and args.cache is not None:
+        raise ValueError("--cache applies only to a --graph host")
+    if args.graph is not None and args.edge is not None:
+        raise ValueError("--edge applies only to an --n cycle host")
+    if args.graph is not None:
+        return _color_on_host(args, _read_assignments(args.input))
+    return _color_on_cycle(args)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +523,7 @@ def _verify_jobs(args: argparse.Namespace) -> list[tuple[str, dict]]:
         raise ValueError("--seed needs --samples: the exhaustive run draws nothing")
     ns = [1, 2] if args.n is None else args.n
     if min(ns) < 1:
-        raise ValueError(f"--n must be at least 1, got {min(ns)}")
+        raise ParityDomainError(f"n must be >= 1, got {min(ns)}")
     if args.samples is not None and args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if args.threads < 1:
@@ -548,28 +556,17 @@ def _run_verify_job(job: tuple[str, dict]):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        jobs = _verify_jobs(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    try:
-        if args.threads > 1 and len(jobs) > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    jobs = _verify_jobs(args)
+    if args.threads > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            # a pool forks every worker at its first submit
-            with ProcessPoolExecutor(max_workers=min(args.threads, len(jobs))) as pool:
-                reports = list(pool.map(_run_verify_job, jobs))
-        else:
-            reports = [_run_verify_job(job) for job in jobs]
-    except CapacityError as exc:
-        return _fail(str(exc), EXIT_CAPACITY)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+        # a pool forks every worker at its first submit
+        with ProcessPoolExecutor(max_workers=min(args.threads, len(jobs))) as pool:
+            reports = list(pool.map(_run_verify_job, jobs))
+    else:
+        reports = [_run_verify_job(job) for job in jobs]
     lines = [json.dumps(report.to_json_dict()) for report in reports]
-    try:
-        _write_text("\n".join(lines), args.out)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    _write_text("\n".join(lines), args.out)
     for report in reports:
         status = "PASS" if report.passed else "FAIL"
         params = " ".join(f"{key}={val}" for key, val in report.params.items())
@@ -590,33 +587,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from . import bench as bench_mod
 
     reps = bench_mod.DEFAULT_REPS if args.reps is None else args.reps
-    try:
-        if args.mode == "explicit":
-            ns = [args.n] if args.n is not None else list(bench_mod.DEFAULT_SWEEP)
-            results = bench_mod.run_explicit_sweep(ns, reps=reps, seed=args.seed)
-        else:
-            ns = [args.n] if args.n is not None else list(bench_mod._BASELINE_SWEEP)
-            results = [
-                bench_mod.bench_baseline(n, reps=reps, seed=args.seed)
-                for n in ns
-            ]
-        slope = (
-            bench_mod.fit_latency_slope(results)
-            if args.mode == "explicit" and len(results) >= 2
-            else None
-        )
-    except CapacityError as exc:
-        return _fail(str(exc), EXIT_CAPACITY)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    if args.mode == "explicit":
+        ns = [args.n] if args.n is not None else list(bench_mod.DEFAULT_SWEEP)
+        results = bench_mod.run_explicit_sweep(ns, reps=reps, seed=args.seed)
+    else:
+        ns = [args.n] if args.n is not None else list(bench_mod._BASELINE_SWEEP)
+        results = [
+            bench_mod.bench_baseline(n, reps=reps, seed=args.seed)
+            for n in ns
+        ]
+    slope = (
+        bench_mod.fit_latency_slope(results)
+        if args.mode == "explicit" and len(results) >= 2
+        else None
+    )
     lines = [json.dumps(res.to_json_dict()) for res in results]
     if slope is not None:
         lines.append(json.dumps({"mode": "slope", "slope": slope, "ns": ns}))
     lines.append(json.dumps(bench_mod.environment()))
-    try:
-        _write_text("\n".join(lines), None)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    _write_text("\n".join(lines), None)
     print(f"{'mode':<10}{'n':>10}{'reps':>6}{'median_s':>14}  notes", file=sys.stderr)
     for res in results:
         if res.mode == "explicit":
@@ -710,7 +699,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(_EXIT_CODES) as exc:
+        return _fail(exc)
 
 
 def run() -> NoReturn:
@@ -733,7 +725,7 @@ def run() -> NoReturn:
     try:
         sys.stdout.flush()
     except OSError as exc:
-        code = _fail(str(exc), EXIT_USAGE)
+        code = _fail(exc)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -18,11 +18,16 @@ import pytest
 import expocolor
 from expocolor import cli, coloring, winding
 from expocolor.cli import main
-from expocolor.errors import InvariantViolationError, IsolatedFunctionError, ParityDomainError
+from expocolor.errors import (
+    InvariantViolationError,
+    IsolatedFunctionError,
+    NoEvenCycleError,
+    ParityDomainError,
+)
 from expocolor.coloring import color_rows_in_kh, find_even_cycle
 from expocolor.expo import allowed_colors, is_isolated
-from expocolor.graphs import graph_from_json_dict, save_graph
-from expocolor.winding import in_even_class
+from expocolor.graphs import graph_from_json_dict, make_cycle, save_graph
+from expocolor.winding import OddCycleCtx, in_even_class
 
 from hosts import kh_loop
 from test_graphs import NON_INTEGER_GRAPHS
@@ -43,9 +48,26 @@ def test_gen_cycle_stdout(capsys):
     graph_from_json_dict(d)
 
 
-def test_gen_even_cycle_is_usage_error(capsys):
-    assert main(["gen", "cycle", "--len", "4"]) == 2
-    assert "error" in capsys.readouterr().err
+def test_gen_even_cycle_is_a_domain_error(capsys):
+    assert main(["gen", "cycle", "--len", "4"]) == 3
+    assert capsys.readouterr().err == "error: cycle length must be odd and >= 3, got 4\n"
+
+
+# Each kind of gen reads one option; --of names a file that does not
+# exist, so its rejection comes before any load.
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["cycle", "--len", "3", "--k", "5", "--of", "nothing.json"], "--k, --of"),
+        (["complete", "--k", "4", "--len", "5"], "--len"),
+        (["mycielski", "--of", "nothing.json", "--k", "4"], "--k"),
+    ],
+    ids=["cycle", "complete", "mycielski"],
+)
+def test_gen_rejects_an_option_its_kind_never_reads(argv, unread, capsys):
+    assert main(["gen", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: gen {argv[0]} takes no {unread}\n"
 
 
 def test_gen_complete_and_mycielski(tmp_path, capsys):
@@ -845,10 +867,16 @@ def test_verify_capacity_message_counts_vertices(suite, capsys):
     ],
 )
 def test_verify_rejects_vacuous_runs(argv, capsys):
-    assert main(argv) == 2
+    # the last option given holds the vacuous value: a half-length below
+    # 1 is outside the paper's domain, and a count of samples or threads
+    # below 1 is a usage error
+    code = main(argv)
     out, err = capsys.readouterr()
     assert out == ""
-    assert "must be at least 1" in err
+    if next(arg for arg in reversed(argv) if arg.startswith("--")) == "--n":
+        assert (code, err) == (3, f"error: n must be >= 1, got {argv[-1]}\n")
+    else:
+        assert code == 2 and "must be at least 1" in err
 
 
 # An option that a suite never reads is a usage error, named in the message;
@@ -1056,6 +1084,51 @@ def test_unknown_subcommand_exits_2(capsys):
     capsys.readouterr()
 
 
+# The exit code depends only on the error's class: a cycle or codomain
+# outside the paper's domain exits 3 in every subcommand, with the message
+# the library gives.  The input is one valid row, so that ``color`` reaches
+# its host error.
+@pytest.mark.parametrize(
+    "argv, library_call",
+    [
+        (["gen", "cycle", "--len", "4"], partial(make_cycle, 4)),
+        (["color", "--n", "0"], partial(OddCycleCtx.make, 0, 3)),
+        (["color", "--n", "2", "--k", "4"], partial(OddCycleCtx.make, 2, 4)),
+        (["verify", "chord-step", "--n", "0"], partial(OddCycleCtx.make, 0, 3)),
+        (["verify", "little-path", "--n", "1", "--k", "4"], partial(OddCycleCtx.make, 1, 4)),
+        (["bench", "--n", "0"], partial(OddCycleCtx.make, 0, 3)),
+    ],
+    ids=["gen-len-4", "color-n-0", "color-k-4", "verify-n-0", "verify-k-4", "bench-n-0"],
+)
+def test_a_domain_error_exits_3_in_every_subcommand(argv, library_call, capsys, monkeypatch):
+    with pytest.raises(ParityDomainError) as want:
+        library_call()
+    assert run_cli(argv, "[1,1,1]\n", monkeypatch) == 3
+    assert capsys.readouterr() == ("", f"error: {want.value}\n")
+
+
+@pytest.mark.parametrize(
+    "error, code", [(InvariantViolationError, 1), (NoEvenCycleError, 4)], ids=["invariant", "no-cycle"]
+)
+def test_an_error_that_escapes_a_verifier_exits_with_its_code(error, code, capsys, monkeypatch):
+    def broken(**kwargs):
+        raise error("broken on purpose")
+
+    monkeypatch.setitem(cli._VERIFY_DISPATCH, "chord-step", broken)
+    assert main(["verify", "chord-step", "--n", "1"]) == code
+    assert capsys.readouterr() == ("", "error: broken on purpose\n")
+
+
+def test_an_unmapped_error_propagates_out_of_main(monkeypatch):
+    # a TypeError is a bug, not a usage error: no exit code hides it
+    def broken(**kwargs):
+        raise TypeError("broken on purpose")
+
+    monkeypatch.setitem(cli._VERIFY_DISPATCH, "chord-step", broken)
+    with pytest.raises(TypeError, match="broken on purpose"):
+        main(["verify", "chord-step", "--n", "1"])
+
+
 def test_console_script_wiring():
     proc = subprocess.run(
         [sys.executable, "-m", "expocolor.cli", "gen", "cycle", "--len", "3"],
@@ -1070,7 +1143,7 @@ def test_main_leaves_the_callers_gc_alone(capsys, monkeypatch):
     before = gc.isenabled(), gc.get_freeze_count()
     assert main(["gen", "cycle", "--len", "3"]) == 0
     assert run_cli(["color", "--n", "2"], "[1,1,2,2,1]", monkeypatch) == 0
-    assert main(["gen", "cycle", "--len", "4"]) == 2
+    assert main(["gen", "cycle"]) == 2
     assert (gc.isenabled(), gc.get_freeze_count()) == before
     capsys.readouterr()
 
@@ -1082,7 +1155,7 @@ def unfreeze():
 
 
 @pytest.mark.parametrize(
-    ("argv", "code"), [(["gen", "cycle", "--len", "3"], 0), (["gen", "cycle", "--len", "4"], 2)]
+    ("argv", "code"), [(["gen", "cycle", "--len", "3"], 0), (["gen", "cycle"], 2)]
 )
 def test_process_entry_freezes_then_exits_with_mains_code(
     argv, code, unfreeze, capsys, monkeypatch
