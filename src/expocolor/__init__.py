@@ -10,26 +10,35 @@ brute-force verification (:mod:`.verify`), and a timing harness
 Imports are on demand.  ``import expocolor`` loads no submodule and no
 numpy: each public name is looked up in ``_PUBLIC``, and the first
 access imports the submodule that owns it (PEP 562) and keeps the name
-here.  A submodule loads only what it imports itself:
+here.  No submodule loads numpy at import either: each binds
+``winding._Numpy`` as its ``np``, which imports numpy on the first read
+and rebinds that module's ``np`` to numpy itself.  A submodule loads
+only what it imports itself:
 
 * :mod:`.errors` loads nothing, and :mod:`.graphs` only :mod:`.errors`
-  (no numpy and no ``dataclasses``);
-* :mod:`.winding` loads :mod:`.errors`, and numpy only when its kernel
-  first runs (a cycle context and the scalar routines need none; no
-  ``dataclasses`` either);
-* :mod:`.expo` loads numpy and :mod:`.graphs`;
-* :mod:`.coloring` loads :mod:`.expo` and :mod:`.winding`, and
+  (no ``dataclasses``);
+* :mod:`.winding` loads :mod:`.errors` (no ``dataclasses`` either),
+  and :mod:`.scalar` loads :mod:`.winding`;
+* :mod:`.expo` loads :mod:`.graphs` and :mod:`.winding`;
+* :mod:`.coloring` loads :mod:`.expo`, :mod:`.winding` and :mod:`.scalar`, and
   :mod:`.verify` and :mod:`.bench` load :mod:`.coloring`;
 * :mod:`.cli` loads every submodule but :mod:`.bench`.
 
-So the records of these layers (``Graph``, ``CycleWitness``,
+numpy loads when a call first reaches numpy code: the kernel
+(``winding.np_tour``), a stack routine, a verifier.  None is needed by
+a cycle context, by ``winding.fixed_points`` and ``in_even_class``, by
+the step histogram ``scalar.row_tour`` with the scalar ``label`` and
+``little_path`` and the one-row ``coloring.color_row`` that read it, or
+by a ``color --n`` call on a short input.
+
+The records of the numpy-free layers (``Graph``, ``CycleWitness``,
 ``OddCycleCtx``) are not dataclasses: ``dataclasses`` loads ``inspect``
 (and ``ast``, ``dis``, ``tokenize``), which took more than half of a
 fresh cycle-context setup.  They share one base, ``errors._Record``,
 which makes a record read-only and equal, hashed, shown and pickled by
-its fields; it lives in :mod:`.errors`, the one module that both
-:mod:`.graphs` and :mod:`.winding` import.  The modules that load numpy
-keep their dataclasses, since numpy loads ``inspect`` itself.
+its fields.  :mod:`.expo`, :mod:`.coloring`, :mod:`.verify` and
+:mod:`.bench` keep their dataclasses, so a CLI call still loads
+``inspect``.
 
 Two imports stay eager on purpose.  :mod:`.cli` loads :mod:`.verify` up
 front because a tracer that rebinds functions in the modules already
@@ -91,6 +100,7 @@ _PUBLIC = {
         "odd_cycles",
         "save_graph",
     ),
+    "scalar": ("label", "little_path"),
     "verify": ("VerificationReport",),
     "winding": (
         "FAR",
@@ -98,8 +108,6 @@ _PUBLIC = {
         "chord_order",
         "fixed_points",
         "in_even_class",
-        "label",
-        "little_path",
         "orient_edge",
     ),
 }

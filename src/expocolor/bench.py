@@ -15,10 +15,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from . import coloring, winding
-from .winding import OddCycleCtx
+from .winding import OddCycleCtx, _Numpy
+
+np = _Numpy(globals())
 
 DEFAULT_SWEEP = (10**3, 10**4, 10**5, 10**6)
 # the baseline touches all 3**(2n+1) assignments, so its sweep stays tiny

@@ -11,8 +11,8 @@ from __future__ import annotations
 import os
 
 # expocolor never calls BLAS, and the worker thread OpenBLAS starts when
-# numpy loads only costs start-up time; ask for one thread before the
-# first import that loads numpy.  A value already set wins.
+# numpy loads only costs start-up time; ask for one thread before numpy
+# loads, which is during a call that needs it.  A value already set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
@@ -25,8 +25,6 @@ import sys
 from functools import partial
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn
-
-import numpy as np
 
 # ``verify`` stays an eager import although only the ``verify`` subcommand
 # runs it: ``_VERIFY_DISPATCH`` holds the verifiers themselves, and a
@@ -42,6 +40,7 @@ from .coloring import (
     _outside,
     _wrong_shape,
     color_in_kh,
+    color_row,
     color_rows,
     color_rows_in_kh,
     color_vertex,
@@ -63,7 +62,9 @@ from .graphs import (
     make_mycielski,
 )
 from . import winding
-from .winding import OddCycleCtx
+from .winding import OddCycleCtx, _Numpy
+
+np = _Numpy(globals())
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -155,10 +156,22 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 _SPACE = b" \t\n\r"
 _NOT_MARKS = bytes(set(range(256)) - set(b"[]\n\r"))
-# A (digit, comma) pair of bytes read as one little-endian uint16, less
-# this, is the digit's value; every other pair of bytes comes out above 9.
-_DIGIT_COMMA = np.uint16(ord("0") | ord(",") << 8)
-_Take = Callable[[np.ndarray], object]  # what a block's digits are passed to
+# Read by the digit reader: each digit to its value, every other byte to
+# one at or above 0x80, the brackets and the comma kept apart by their own
+# low bits, so that a block's digits are valid when they are ASCII.
+_TOKENS = bytes(
+    c - ord("0") if c in b"0123456789" else 0x80 | c if c in b"[]," else 0xFF
+    for c in range(256)
+)
+_OPEN, _CLOSE, _COMMA = (bytes([0x80 | c]) for c in b"[],")
+_Take = Callable[[bytes], object]  # what a block's digit values are passed to
+
+
+def _repeated(row: bytes, start: int, size: int) -> bytes:
+    """``size`` bytes of ``row`` repeated end to end, from ``row[start]`` on."""
+    head = row[start : start + size]
+    size -= len(head)
+    return head + row * (size // len(row)) + row[: size % len(row)] if size else head
 
 
 def _digits(blocks: Iterable[bytes], take: _Take) -> tuple[int, int] | None:
@@ -174,19 +187,22 @@ def _digits(blocks: Iterable[bytes], take: _Take) -> tuple[int, int] | None:
     given digits of it by then.
 
     The payload comes in blocks of any size and is checked block by
-    block: each block's digits are passed on as one uint8 array, rows
-    joined, so the reader holds a few block-sized buffers.  Each ``][``
-    is read as a comma, which joins the rows into one ``[d,d,...,d]``
-    whose digits sit in (digit, comma) pairs; the first ``]`` gives the
-    row length, and every later join must fall a whole number of rows
-    after it.
+    block, with ``bytes`` operations only: each block's digit values are
+    passed on as one ``bytes``, rows joined, so the reader holds a few
+    block-sized buffers.  One ``translate`` drops the whitespace and
+    reads each digit as its value (``_TOKENS``); each ``][`` is read as
+    a ``]``, which joins the rows into one ``[d,d,...,d]`` whose digits
+    and separators alternate.  The digits, every second token, must be
+    ASCII; the separators must be commas but for a ``]`` after every L
+    digits, L given by the first ``]``.
     """
-    read = 0  # tokens of the joined payload taken so far
-    width = 0  # 2L, where the first ] falls in the joined payload
+    read = 0  # digits taken so far
+    width = 0  # L, once the first ] has given it
+    seps = b""  # the separators of one row: L - 1 commas and a ]
     joins = 0
     held = b""  # tokens left for the next block: a digit, then a closing ]
     last = b""  # the last bracket or line break seen
-    broke_inside = False
+    started = broke_inside = False
     for raw in blocks:
         if b"[" in raw or b"]" in raw:
             marks = last + raw.translate(None, _NOT_MARKS)  # brackets and breaks
@@ -197,49 +213,48 @@ def _digits(blocks: Iterable[bytes], take: _Take) -> tuple[int, int] | None:
         elif b"\n" in raw or b"\r" in raw:
             broke_inside |= last == b"["
             last = b"\n"
-        tokens = held + raw.translate(None, _SPACE)
-        if not read and tokens:
-            if tokens[0] != ord("["):
+        tokens = held + raw.translate(_TOKENS, _SPACE)
+        if not started and tokens:
+            if not tokens.startswith(_OPEN):
                 return None
-            tokens, read = tokens[1:], 1
-        closed = tokens.endswith(b"]")
+            tokens, started = tokens[1:], True
+        closed = tokens.endswith(_CLOSE)
         if closed:
             tokens = tokens[:-1]
-        if b"]" in tokens:
-            t = np.frombuffer(tokens, dtype=np.uint8)
-            ends = np.flatnonzero(t == ord("]"))
-            joined = ends - np.arange(len(ends))  # where each ] falls once joined
-            width = width or read + int(joined[0])
-            if (
-                width % 2
-                or ((read + joined) % width).any()
-                # each ] is followed by a [ (a last ] is clipped to itself)
-                or (t.take(ends + 1, mode="clip") != ord("[")).any()
-            ):
+        ends = 0
+        if _CLOSE in tokens:
+            ends = tokens.count(_CLOSE)
+            # each ] is followed by a [ (a last ] was clipped above)
+            if tokens.count(_CLOSE + _OPEN) != ends:
                 return None
-            keep = np.ones(len(t), dtype=bool)
-            keep[ends + 1] = False
-            t = t[keep]
-            t[joined] = ord(",")
-            tokens = t.tobytes()
-            joins += len(ends)
+            tokens = tokens.replace(_CLOSE + _OPEN, _CLOSE)
+            joins += ends
         pairs = len(tokens) // 2
-        held = tokens[2 * pairs :] + b"]" * closed
+        held = tokens[2 * pairs :] + _CLOSE * closed
         if pairs:
-            values = np.frombuffer(tokens, dtype="<u2", count=pairs) - _DIGIT_COMMA
-            if values.max() > 9:
+            values = tokens[: 2 * pairs : 2]
+            if width or ends:  # a row may end in this block
+                got = tokens[1 : 2 * pairs : 2]
+                if not width and _CLOSE in got:
+                    width = read + got.index(_CLOSE) + 1
+                    seps = _COMMA * (width - 1) + _CLOSE
+                want = _repeated(seps, read % width, pairs) if width else _COMMA * pairs
+                separated = got == want
+            else:  # no digit is a comma, so the commas must be every other token
+                separated = tokens.count(_COMMA, 0, 2 * pairs) == pairs
+            if not values.isascii() or not separated:
                 return None
-            take(values.astype(np.uint8))
-            read += 2 * pairs
-    if len(held) != 2 or held[1] != ord("]") or not ord("0") <= held[0] <= ord("9"):
+            take(values)
+            read += pairs
+    if len(held) != 2 or held[1:] != _CLOSE or held[0] > 9:
         return None
-    take(np.array([held[0] - ord("0")], dtype=np.uint8))
-    read += 1  # the joined payload's closing ]
+    take(held[:1])
+    read += 1
     width = width or read
     rows = read // width
     if read % width or joins != rows - 1 or (rows > 1 and broke_inside):
         return None
-    return rows, width // 2
+    return rows, width
 
 
 def _json_rows(text: str) -> list[tuple[int, ...]]:
@@ -283,9 +298,10 @@ def _read_assignments(path: str | None, take: _Take | None = None):
 
     Rows of one-digit colors are decoded by :func:`_digits` from the
     bytes as they stream in: into the uint8 stack returned, or, with
-    ``take``, to ``take`` as they come, and then their (rows, L) shape
-    is returned.  Any other payload comes back as the tuples of
-    :func:`_json_rows`, which also words every input error.  A text-only
+    ``take``, to ``take`` as they come (the bytes of their values), and
+    then their (rows, L) shape is returned.  Any other payload comes
+    back as the tuples of :func:`_json_rows`, which also words every
+    input error.  A text-only
     stdin, such as a ``StringIO``, is read as its UTF-8 bytes.
     """
     digits = bytearray()
@@ -375,25 +391,75 @@ def _first_failed(res: RowColors) -> int:
     return int(res.failed[0]) if len(res.failed) else len(res.color)
 
 
+# ``json.dumps(verdict.to_json_dict())`` of a verdict, by its four values
+_VERDICT = '{{"color": {}, "branch": "{}", "ell2": {}, "p2": {}}}\n'
+_BRANCH_NAMES = tuple(branch.value for branch in Branch)
+
+
 def _verdict_lines(res: RowColors, end: int) -> str:
-    """``json.dumps(verdict.to_json_dict())`` of rows ``0..end-1``, one a line."""
-    names = [branch.value for branch in Branch]
+    """The verdict lines of rows ``0..end-1``, one a line."""
     return "".join(
-        f'{{"color": {color}, "branch": "{names[branch]}", "ell2": {ell2}, "p2": {p2}}}\n'
+        _VERDICT.format(color, _BRANCH_NAMES[branch], ell2, p2)
         for color, branch, ell2, p2 in zip(*(values[:end].tolist() for values in res[:4]))
     )
 
 
+def _raise_row(rows, end: int, color_one) -> int:
+    """Color row ``end`` of ``rows``, the first that failed or that the
+    stack left out, alone with the one-row routine ``color_one``, which
+    raises its error; when ``rows`` ends there, every row was colored."""
+    if end < len(rows):
+        color_one(rows[end])
+        raise InvariantViolationError(f"row {end} failed only in the stack")
+    return EXIT_OK
+
+
 def _emit(res: RowColors, rows, color_one) -> int:
     """Write the verdict lines of the rows before the first that failed or
-    that the stack left out; then that row, colored alone by the one-row
-    routine ``color_one``, raises its error."""
+    that the stack left out; then that row raises its error."""
     first = _first_failed(res)
     sys.stdout.write(_verdict_lines(res, first))
-    if first < len(rows):
-        color_one(rows[first])
-        raise InvariantViolationError(f"row {first} failed only in the stack")
+    return _raise_row(rows, first, color_one)
+
+
+# A cycle input whose rows, each weighed as its 2n+1 entries plus 256, come
+# to at most this many is colored row by row with the step histogram of
+# ``coloring.color_row``, without numpy.  Without numpy a row costs about
+# 7 us and an entry 30 ns more than with it, and importing numpy about
+# 80 ms; timed both ways, C_101 to C_10001 broke even between 2^21 and
+# 2^22, and C_3 past 2^22 (key ``short_path_sweep`` of
+# BENCH_cold_start.json), so this is about a third of the lowest.
+_SHORT_INPUT = 1 << 20
+
+
+def _color_short(rows, ctx: OddCycleCtx) -> int:
+    """Color the rows one by one with :func:`.coloring.color_row`: the
+    verdict lines before the first row that fails, then its error."""
+    lines = []
+    try:
+        for f in rows:
+            color, branch, ell2, p2 = color_row(f, ctx)
+            lines.append(_VERDICT.format(color, _BRANCH_NAMES[branch], ell2, p2))
+    finally:
+        sys.stdout.write("".join(lines))
     return EXIT_OK
+
+
+def _color_stack(rows, ctx: OddCycleCtx) -> int:
+    """Color the rows with numpy, in slices of at most ``winding._BLOCK``
+    entries, one :func:`.coloring.color_rows` call each, up to the first
+    slice with a row that fails; that row, or the first row the stack
+    leaves out, then raises its error from the one-row routine."""
+    color_one = partial(color_vertex if ctx.k == 3 else color_vertex_ck, ctx=ctx)
+    stack = _stack(rows, ctx.length, ctx.k)
+    step = max(1, winding._BLOCK // ctx.length)
+    for start in range(0, len(stack), step):
+        res = color_rows(stack[start : start + step], ctx)
+        first = _first_failed(res)
+        sys.stdout.write(_verdict_lines(res, first))
+        if first < len(res.color):
+            return _raise_row(rows, start + first, color_one)
+    return _raise_row(rows, len(stack), color_one)
 
 
 def _color_on_cycle(args: argparse.Namespace) -> int:
@@ -402,10 +468,12 @@ def _color_on_cycle(args: argparse.Namespace) -> int:
     Rows longer than one kernel pass are never gathered: the digit
     reader hands each block's digits to a ``coloring.RowFeed``, which
     counts them as one kernel pass on arrival, and only each row's
-    verdict is kept.  The verdict lines before the first row that fails
-    are written, then that row's error, the one its one-row routine
-    raises, ends the call.  An error in the host's arguments is raised
-    after the input is read, so that an input error comes first.
+    verdict is kept.  An input of R rows with R * (2n+1 + 256) at most
+    ``_SHORT_INPUT`` is colored without numpy (:func:`_color_short`),
+    any other with it (:func:`_color_stack`).  The verdict lines before the first row
+    that fails are written, then that row's error, the one its one-row
+    routine raises, ends the call.  An error in the host's arguments is
+    raised after the input is read, so that an input error comes first.
     """
     try:
         edge = _parse_edge(args.edge) if args.edge else None
@@ -414,11 +482,13 @@ def _color_on_cycle(args: argparse.Namespace) -> int:
         ctx, error = None, exc
     feed = None
     if ctx is not None and ctx.length > winding._BLOCK:
+        _load_numpy()
         feed = RowFeed(ctx)
-    rows = _read_assignments(args.input, None if feed is None else feed.take)
+    digits = bytearray()
+    rows = _read_assignments(args.input, digits.extend if feed is None else feed.take)
     if error is not None:
         raise error
-    if isinstance(rows, tuple):  # the feed has read every row
+    if isinstance(rows, tuple) and feed is not None:  # the feed has read every row
         if rows[1] != ctx.length:
             raise _wrong_shape(ctx)
         res = feed.colors()
@@ -426,9 +496,16 @@ def _color_on_cycle(args: argparse.Namespace) -> int:
         if len(res.failed):
             raise res.errors[0]
         return EXIT_OK
-    color_one = color_vertex if args.k == 3 else color_vertex_ck
-    res = color_rows(_stack(rows, ctx.length, ctx.k), ctx)
-    return _emit(res, rows, lambda f: color_one(f, ctx))
+    count = rows[0] if isinstance(rows, tuple) else len(rows)
+    if count * (ctx.length + 256) <= _SHORT_INPUT:
+        if isinstance(rows, tuple):
+            data, width = bytes(digits), rows[1]
+            rows = [data[i : i + width] for i in range(0, len(data), width)]
+        return _color_short(rows, ctx)
+    _load_numpy()
+    if isinstance(rows, tuple):
+        rows = np.frombuffer(digits, dtype=np.uint8).reshape(rows)
+    return _color_stack(rows, ctx)
 
 
 def _save_cache(path: Path, cache: CycleCache) -> None:
@@ -443,9 +520,26 @@ def _save_cache(path: Path, cache: CycleCache) -> None:
         tmp.unlink(missing_ok=True)
 
 
+# Set by :func:`run`, which froze the start-up heap before :func:`main`.
+_entry_froze = False
+
+
+def _load_numpy() -> None:
+    """Import numpy now, ahead of the timed work of a call that needs it,
+    so that no time reported or traced below counts the import.  Under
+    :func:`run`, numpy's heap is then frozen as the start-up heap was,
+    so that the call's full collections skip it too; a caller of
+    :func:`main` keeps its collector as it was."""
+    import numpy  # noqa: F401
+
+    if _entry_froze:
+        gc.freeze()
+
+
 def _color_on_host(
     args: argparse.Namespace, rows: np.ndarray | list[tuple[int, ...]]
 ) -> int:
+    _load_numpy()
     if args.k != 3:
         raise ValueError("general-host coloring supports only --k 3")
     host = load_graph(args.graph)
@@ -557,6 +651,7 @@ def _run_verify_job(job: tuple[str, dict]):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     jobs = _verify_jobs(args)
+    _load_numpy()  # before the first suite's clock starts
     if args.threads > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -586,6 +681,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     from . import bench as bench_mod
 
+    _load_numpy()
     reps = bench_mod.DEFAULT_REPS if args.reps is None else args.reps
     if args.mode == "explicit":
         ns = [args.n] if args.n is not None else list(bench_mod.DEFAULT_SWEEP)
@@ -708,20 +804,26 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> NoReturn:
     """The process entry of the ``expocolor`` command and ``python -m
     expocolor.cli``: freeze the start-up heap, run :func:`main` on
-    ``sys.argv``, flush standard output and exit with the code.  The
-    start-up heap (the loaded modules, some 22,000 objects the cyclic
-    collector tracks) lives until exit; frozen, it is skipped by the
-    full collections of the call and of interpreter exit.
+    ``sys.argv``, freeze again, flush standard output and exit with the
+    code.  The start-up heap (the loaded modules, some 14,000 objects
+    the cyclic collector tracks) lives until exit; frozen, it is skipped
+    by the full collections of the call and of interpreter exit.  numpy
+    loads during a call that needs it (7,500 objects more), through
+    :func:`_load_numpy`, which freezes it too under this entry; the
+    second freeze keeps what the call made out of exit's collections.
     ``main(argv)`` leaves the caller's collector alone.  A failed flush
     exits 2 and points fd 1 at ``os.devnull``, so that the flush at exit
     has nothing left to retry.
     A process started with fd 1 closed writes to a :class:`_ClosedStdout`,
     so a call that writes its result there exits 2 too.
     """
+    global _entry_froze
     gc.freeze()
+    _entry_froze = True
     if sys.stdout is None:
         sys.stdout = _ClosedStdout()
     code = main()
+    gc.freeze()
     try:
         sys.stdout.flush()
     except OSError as exc:

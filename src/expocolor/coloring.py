@@ -14,7 +14,9 @@ Three layers live here, mirroring how the math composes:
   the table by columns, with every row's verdict and error returned;
   ``color_vertex`` / ``color_vertex_ck`` raise their one row's error.
   ``RowFeed`` gives the same verdicts for rows that arrive in pieces,
-  counting each piece as it arrives, so no row is held whole.
+  counting each piece as it arrives, so no row is held whole, and
+  ``color_row`` for one row of plain ints without numpy, from
+  :func:`.scalar.row_tour`.
 
 * ``color_graph_baseline`` — the exponential contrast: materialize the
   whole even class, color the f(a)=f(b) assignments directly (they hit
@@ -38,8 +40,6 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .errors import (
     InvariantViolationError,
@@ -65,7 +65,10 @@ from .graphs import (
     odd_cycle_in,
 )
 from . import winding
-from .winding import OddCycleCtx, in_even_class
+from .scalar import row_tour
+from .winding import OddCycleCtx, _Numpy, in_even_class
+
+np = _Numpy(globals())
 
 
 class Branch(Enum):
@@ -116,7 +119,7 @@ def _side_of(p2, ell2):
 
 # The decision, _RULE[isolated][fixed-point count odd][f(a) == f(b)][side + 1]
 # for side = _side_of(p2, ell2), in the module docstring's codes; plain
-# tuples, read as they are for one row and through np.asarray by columns.
+# tuples, read by _code for one row and through np.asarray by columns.
 _FAILS_ISOLATED, _FAILS_PARITY, _FAILS_ON_HALF, _FAILS_RANGE = 3, 4, 5, 6
 _RULE = (
     (  # not isolated
@@ -197,6 +200,13 @@ def _error(ctx: OddCycleCtx, code: int, fixed: int, p2: int, ell2: int) -> Excep
         f"little path equals half the label (p2={p2}, ell2={ell2}); "
         "this is unreachable for even-class assignments"
     )
+
+
+def _code(fa: int, fb: int, tour: tuple) -> int:
+    """``_RULE`` read with scalars, for one row with endpoint colors fa, fb
+    and :func:`.winding.np_tour` outputs ``tour``."""
+    ell2, p2, fixed, isolated = tour
+    return _RULE[isolated][fixed % 2][fa == fb][_side_of(p2, ell2) + 1]
 
 
 def _decide(ctx: OddCycleCtx, ends: np.ndarray, tour: tuple, outside) -> RowColors:
@@ -288,8 +298,12 @@ class RowFeed:
             self._total += winding._pass_counts(f, start, self.ctx, self._offsets)
         self._carry = f[-2:].copy()
 
-    def take(self, x: np.ndarray) -> None:
-        """Read the next ids of the rows, in order."""
+    def take(self, x) -> None:
+        """Read the next ids of the rows, in order: an integer array, or
+        the bytes of uint8 values (as the CLI's digit reader hands them),
+        read in place."""
+        if isinstance(x, bytes):
+            x = np.frombuffer(x, dtype=np.uint8)
         k, length = self.ctx.k, self.ctx.length
         while len(x):
             lo = self._next
@@ -337,11 +351,41 @@ def _color_one(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:
     if arr.item(arr.argmin()) < 1 or arr.item(arr.argmax()) > ctx.k:
         raise _out_of_range(ctx)
     fa, fb = arr.item(ctx.a), arr.item(ctx.b)
-    ell2, p2, fixed, isolated = winding.np_tour(arr, ctx)
-    code = _RULE[isolated][fixed % 2][fa == fb][_side_of(p2, ell2) + 1]
+    ell2, p2, fixed, isolated = tour = winding.np_tour(arr, ctx)
+    code = _code(fa, fb, tour)
     if code >= len(_BRANCHES):
         raise _error(ctx, code, fixed, p2, ell2)
     return ColorVerdict(fb if code == 2 else fa, _BRANCHES[code], ell2, p2)
+
+
+_COLOR_BYTES = bytes(range(1, 256))
+
+
+def color_row(f, ctx: OddCycleCtx) -> tuple[int, int, int, int]:
+    """The one-row routine without numpy: ``(color, branch position in
+    Branch, ell2, p2)``, or the row's error raised, as :func:`color_vertex`
+    and :func:`color_vertex_ck` give them.
+
+    ``f`` is a sequence of ints, or the bytes of their values.  The same
+    checks in the same order, the step histogram of
+    :func:`.scalar.row_tour` in place of the kernel, and one lookup of
+    ``_RULE`` with scalars.
+    """
+    if len(f) != ctx.length:
+        raise _wrong_shape(ctx)
+    k = ctx.k
+    if type(f) is bytes:
+        outside = f.translate(None, _COLOR_BYTES[:k])  # the bytes that are no color
+    else:
+        outside = min(f) < 1 or max(f) > k
+    if outside:
+        raise _out_of_range(ctx)
+    fa, fb = f[ctx.a], f[ctx.b]
+    ell2, p2, fixed, isolated = tour = row_tour(f, ctx)
+    code = _code(fa, fb, tour)
+    if code >= len(_BRANCHES):
+        raise _error(ctx, code, fixed, p2, ell2)
+    return fb if code == 2 else fa, code, ell2, p2
 
 
 def color_vertex(f: Sequence[int], ctx: OddCycleCtx) -> ColorVerdict:

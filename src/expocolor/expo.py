@@ -25,10 +25,11 @@ from enum import Enum
 from functools import cache
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .errors import CapacityError
 from .graphs import CycleWitness, Graph, _bfs_two_coloring
+from .winding import _Numpy
+
+np = _Numpy(globals())
 
 DEFAULT_CAP = 10**6
 

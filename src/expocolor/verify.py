@@ -32,15 +32,15 @@ import random
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import coloring, expo, winding
 from .errors import CapacityError, InvariantViolationError
 from .expo import ComponentClass, ExpoGraph, assignment_grid, row_index
 from .expo import DEFAULT_CAP
 from .graphs import CHROMATIC_HARD_CAP, Graph, bipartition, chromatic_number_exact
 from .graphs import make_cycle, odd_cycles
-from .winding import OddCycleCtx, in_even_class
+from .winding import OddCycleCtx, _Numpy, in_even_class
+
+np = _Numpy(globals())
 
 _KEEP_VIOLATIONS = 50
 # Source rows per neighbor_pairs call in the pair sweeps: bounds the
@@ -594,12 +594,6 @@ def verify_baseline(n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
 
 
 _DRAW_ENTRIES = 1 << 16  # colors per block of rows drawn or tested for isolation
-# Per 3-color bitmask (bit c-1 for color c): its colors in ascending
-# order, 0 past the last, and the size of its set.
-_NTH_COLOR = np.array(
-    [([c for c in (1, 2, 3) if m >> (c - 1) & 1] + [0, 0, 0])[:3] for m in range(8)], np.uint8
-)
-_SET_SIZE = np.count_nonzero(_NTH_COLOR, axis=1)
 
 
 def _uniform3(rng: random.Random, count: int) -> np.ndarray:
@@ -627,9 +621,15 @@ def _sample_pairs(host: Graph, rng: random.Random, samples: int):
 
     The neighbor's color at each vertex is uniform over the set of
     :func:`.expo.allowed_masks`: each mask's size and n-th color are
-    read from ``_SET_SIZE`` and ``_NTH_COLOR``, and the positions are
-    drawn for the 3-sets, then the 2-sets, each in (row, vertex) order.
+    read from two tables by mask, and the positions are drawn for the
+    3-sets, then the 2-sets, each in (row, vertex) order.
     """
+    # per 3-color bitmask (bit c-1 for color c): its colors in ascending
+    # order, 0 past the last, and the size of its set
+    nth_color = np.array(
+        [([c for c in (1, 2, 3) if m >> (c - 1) & 1] + [0, 0, 0])[:3] for m in range(8)], np.uint8
+    )
+    set_size = np.count_nonzero(nth_color, axis=1)
     nv, kept, draws, need = host.vertex_count, [], 0, samples
     while need:
         block = _uniform3(rng, max(_DRAW_ENTRIES // nv, 1) * nv).reshape(-1, nv) + 1
@@ -639,12 +639,12 @@ def _sample_pairs(host: Graph, rng: random.Random, samples: int):
         draws += len(block) if need else int(live[len(kept[-1]) - 1]) + 1
     fs = np.concatenate(kept)
     allowed = expo.allowed_masks(host, fs, 3).T  # (samples, |V|), drawn in C order
-    size = _SET_SIZE[allowed]
+    size = set_size[allowed]
     pick = np.zeros(size.shape, dtype=np.uint8)  # position in the allowed set
     pick[size == 3] = _uniform3(rng, np.count_nonzero(size == 3))
     two = np.count_nonzero(size == 2)
     pick[size == 2] = np.unpackbits(np.frombuffer(rng.randbytes(-(-two // 8)), np.uint8))[:two]
-    return fs, _NTH_COLOR[allowed, pick], draws
+    return fs, nth_color[allowed, pick], draws
 
 
 def verify_end_to_end(

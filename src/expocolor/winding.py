@@ -14,43 +14,60 @@ API here speaks ids.
 
 Δ is defined once, by the color step mod k, in :func:`arc_value`, which
 gives every arc value doubled, as a plain int, so that half-steps stay
-exact; labels and little paths are doubled the same way.  The scalar
-:func:`label` and :func:`little_path` walk the tour arc by arc and are
-the reference; :func:`np_tour` is the one vectorized kernel, for every
-codomain, and reads its arc values from :func:`arc_value`.
+exact; labels and little paths are doubled the same way.  A chord arc's
+value depends only on its step d = f(i+2) - f(i), and
+``OddCycleCtx.step_values``, read from :func:`arc_value`, is the one
+table of the steps a chord arc may take.  Both ways of walking the tour
+count the same step histogram from it: :func:`np_tour`, the vectorized
+kernel here, and :func:`.scalar.row_tour`, one row in plain ints without
+numpy, which the scalar ``label`` and ``little_path`` of :mod:`.scalar`
+read.  Since both read ``step_values``, neither is a check on that
+table: the independent reference is the test suite's oracle (``_oracle``
+in ``tests/test_winding.py``), which values each arc with
+:func:`arc_value` itself, with the hand-checked tables and examples
+there.  :func:`fixed_points` and :func:`in_even_class` compare the two
+cycle neighbors of each id directly, for any sequence of ints.
 
 For cycle codomains, a chord arc whose color step falls outside
-{0, 2, k-2} mod k means the assignment has no neighbors at all, so
-:func:`label` and :func:`little_path` raise ``IsolatedFunctionError``
+{0, 2, k-2} mod k means the assignment has no neighbors at all, so the
+scalar ``label`` and ``little_path`` raise ``IsolatedFunctionError``
 rather than return a value there.  The half-step arc values still
 matter: they arise when valuing arcs *between* two adjacent assignments.
 """
 
-from __future__ import annotations
-
+# No ``from __future__ import annotations`` here: importing ``__future__``
+# is a sizeable share of building a first cycle context, and the
+# annotations that name numpy are strings, so that defining them loads none.
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
-from .errors import IsolatedFunctionError, ParityDomainError, _Record
+from .errors import ParityDomainError, _Record
 
 
 class _Numpy:
-    """numpy, imported when the kernel first reads it.
+    """numpy, imported when the module that binds this as ``np`` first
+    reads it.
 
-    A cycle context and the scalar routines need no numpy, so
-    ``from expocolor.winding import OddCycleCtx`` does not load it.  The
-    first attribute read imports numpy and rebinds this module's ``np``
-    to it, so every later read is numpy's own.
+    ``np = _Numpy(globals())`` at the top of each module that uses numpy:
+    the first attribute read imports numpy and rebinds that module's own
+    ``np`` to it, so every later read there is numpy's own, with no proxy
+    in between.  Importing a module loads no numpy; a call loads it when
+    it first reaches numpy code.
     """
 
+    __slots__ = ("_namespace",)
+
+    def __init__(self, namespace: dict):
+        self._namespace = namespace
+
     def __getattr__(self, name: str):
-        global np
-        import numpy as np
+        import numpy
 
-        return getattr(np, name)
+        self._namespace["np"] = numpy
+        return getattr(numpy, name)
 
 
-np = _Numpy()
+np = _Numpy(globals())
 
 
 class _Far:
@@ -125,12 +142,13 @@ class OddCycleCtx(_Record):
     A read-only record (``errors._Record``); ``a``/``b`` is the
     distinguished edge, oriented per :func:`orient_edge`.  Built in O(1)
     via :meth:`make`; direct construction validates consistency.  The
-    fold table (:attr:`bin_fold`, O(k)) is derived on first use, and
-    again after a round trip; nothing held grows with the cycle.
+    step table (:attr:`step_values`, at most five steps) and the fold
+    table (:attr:`bin_fold`, O(k)) are derived on first use, and again
+    after a round trip; nothing held grows with the cycle.
     """
 
     _fields = ("n", "k", "a", "b")
-    __slots__ = (*_fields, "__dict__")  # ``__dict__`` holds the cached fold table
+    __slots__ = (*_fields, "__dict__")  # ``__dict__`` holds the cached tables
     n: int
     k: int
     a: int
@@ -156,25 +174,42 @@ class OddCycleCtx(_Record):
         return 2 * self.n + 1
 
     @cached_property
-    def bin_fold(self) -> np.ndarray:
-        """Weights that fold the step histogram into (2l, 2p, flat, bad).
+    def step_values(self) -> tuple[tuple[int, int], ...]:
+        """The chord steps a non-isolated assignment takes, each with its
+        doubled Δ, as (d, value) pairs in ascending d, plain ints.
 
-        One row per bin (off the path, then on it; steps -(k-1)..k-1),
-        valued by :func:`arc_value` on the step's residue: doubled Δ
-        into the label on both regions and into the little path on the
-        path; 1 into ``flat`` for a zero step; 1 into ``bad`` for a step
-        no chord arc of a non-isolated assignment takes (FAR or a half).
+        A step is d = f(i+2) - f(i), -(k-1) <= d <= k-1, valued by
+        :func:`arc_value` on its residue mod k; a step left out (FAR, or
+        a half) makes the assignment isolated.  :func:`arc_value` values
+        the residues 0, ±1 and ±2 mod k and no other, so only those are
+        read.  :attr:`bin_fold` is built from this table, and
+        :func:`.scalar.row_tour` counts its steps.
         """
         k = self.k
-        steps = range(1 - k, k)
-        fold = np.zeros((2, len(steps), 4), dtype=np.int64)
-        for s, d in enumerate(steps):
-            value = arc_value(1, 1 + d % k, k)
-            if value is FAR or value % 2:
-                fold[:, s, 3] = 1
-            else:
-                fold[:, s, 0] = value
-                fold[1, s, 1] = value
+        table = {}
+        for r in {0, 1, 2, k - 2, k - 1}:
+            value = arc_value(1, 1 + r, k)
+            if value is not FAR and value % 2 == 0:
+                table[r] = value
+                if r:
+                    table[r - k] = value
+        return tuple(sorted(table.items()))
+
+    @cached_property
+    def bin_fold(self) -> "np.ndarray":
+        """Weights that fold the step histogram into (2l, 2p, flat, bad).
+
+        One row per bin (off the path, then on it; steps -(k-1)..k-1):
+        a step of :attr:`step_values` puts its doubled Δ into the label
+        on both regions and into the little path on the path; a zero
+        step puts 1 into ``flat``; every other step puts 1 into ``bad``.
+        """
+        k = self.k
+        fold = np.zeros((2, 2 * k - 1, 4), dtype=np.int64)
+        fold[:, :, 3] = 1
+        for d, value in self.step_values:
+            fold[:, d + k - 1] = (value, 0, 0, 0)
+            fold[1, d + k - 1, 1] = value
         fold[:, k - 1, 2] = 1
         fold = fold.reshape(-1, 4)
         fold.setflags(write=False)
@@ -211,49 +246,6 @@ def in_even_class(f: Sequence[int], n: int) -> bool:
     return len(fixed_points(f, n)) % 2 == 0
 
 
-def _check_colors(f: Sequence[int], k: int) -> None:
-    for c in f:
-        if not 1 <= c <= k:
-            raise ValueError(f"color {c} outside 1..{k}")
-
-
-def _tour_value(f: Sequence[int], arcs: Iterable[tuple[int, int]], ctx: OddCycleCtx) -> int:
-    k = ctx.k
-    doubled = 0
-    for u, v in arcs:
-        d = arc_value(f[u], f[v], k)
-        if d is FAR or d % 2 != 0:
-            raise IsolatedFunctionError(
-                f"assignment is isolated: chord arc ({u},{v}) steps by "
-                f"{(f[v] - f[u]) % k} mod {k}, outside {{0, 2, {k - 2}}}"
-            )
-        doubled += d
-    return doubled
-
-
-def label(f: Sequence[int], ctx: OddCycleCtx) -> int:
-    """2ℓ_f: the doubled total arc value of f around the chord cycle,
-    the ``ell2`` of :func:`np_tour`."""
-    _check_assignment(f, ctx.n)
-    _check_colors(f, ctx.k)
-    return _tour_value(f, chord_order(ctx.n), ctx)
-
-
-def little_path(f: Sequence[int], ctx: OddCycleCtx) -> int:
-    """2p_f: the doubled total arc value of f along the n-arc chord path
-    from a to b, the ``p2`` of :func:`np_tour`.
-
-    Isolated assignments have no little path: for cycle codomains the
-    whole chord tour is screened first, so an impossible step anywhere
-    raises even when the a-to-b path itself is clean.
-    """
-    _check_assignment(f, ctx.n)
-    _check_colors(f, ctx.k)
-    if ctx.k != 3:
-        _tour_value(f, chord_order(ctx.n), ctx)  # isolation screen only
-    return _tour_value(f, ctx.path_arcs, ctx)
-
-
 # -- the vectorized kernel ----------------------------------------------------
 #
 # Δ depends on the colors of an arc only through the step d = f(i+2) -
@@ -275,7 +267,7 @@ _BLOCK = 1 << 16
 
 
 @lru_cache(maxsize=16)
-def _offsets(k: int, size: int) -> np.ndarray:
+def _offsets(k: int, size: int) -> "np.ndarray":
     """The bin offsets around id b, for passes of up to ``size`` ids.
 
     Entry ``size + 1 + t`` is the offset of id b + t: k-1 (off the little
@@ -292,8 +284,8 @@ def _offsets(k: int, size: int) -> np.ndarray:
 
 
 def _pass_counts(
-    f: np.ndarray, start: int, ctx: OddCycleCtx, offsets: np.ndarray
-) -> np.ndarray:
+    f: "np.ndarray", start: int, ctx: OddCycleCtx, offsets: "np.ndarray"
+) -> "np.ndarray":
     """The step histogram of one pass over the chord tour, for each row of ``f``.
 
     ``f`` is one row (m+2,) or a tile (rows, m+2) of ids start..start+m+1
@@ -326,7 +318,7 @@ def _pass_counts(
     return np.bincount(codes.ravel("K"), minlength=rows * bins)
 
 
-def _tour_sum(x: np.ndarray, ctx: OddCycleCtx) -> np.ndarray:
+def _tour_sum(x: "np.ndarray", ctx: OddCycleCtx) -> "np.ndarray":
     """The step histogram of the chord tour of each row of ``x``.
 
     ``x`` is one row (2n+1,) or a tile (rows, 2n+1), sliced into passes
@@ -355,14 +347,14 @@ def _tour_sum(x: np.ndarray, ctx: OddCycleCtx) -> np.ndarray:
     return total
 
 
-def np_tour(fs: np.ndarray, ctx: OddCycleCtx) -> tuple:
+def np_tour(fs: "np.ndarray", ctx: OddCycleCtx) -> tuple:
     """Label, little path, fixed points and isolation of assignments.
 
     The Δ kernel.  ``fs`` is (..., 2n+1) of any integer dtype, holding
     colors in 1..k (not checked).  Returns ``(ell2, p2, fixed,
     isolated)``: the doubled label, the doubled little path along ctx's
     chord path, the fixed-point count, and whether some chord arc takes
-    a step that no neighbor allows (see :func:`label`).  Python scalars
+    a step that no neighbor allows (see :func:`.scalar.label`).  Python scalars
     for 1-d input, arrays of shape fs.shape[:-1] otherwise.  ``ell2`` and
     ``p2`` of an isolated assignment leave out the arcs that isolate it.
 

@@ -95,12 +95,25 @@ def test_gen_missing_params(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("graph", [False, True], ids=["cycle", "host"])
+def test_color_on_a_host_reads_digit_rows_as_numpy_ints(c5, tmp_path, capsys, monkeypatch):
+    # a row of one-digit colors comes as a uint8 stack, so the parity of
+    # each odd cycle is read on numpy ints: C_5's only cycle has 3 fixed
+    # points under this row
+    save_graph(c5, tmp_path / "c5.json")
+    argv = ["color", "--graph", str(tmp_path / "c5.json")]
+    assert run_cli(argv, "[1,2,1,2,3]\n", monkeypatch) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: no odd cycle of the host carries an even number of fixed points\n"
+
+
+@pytest.mark.parametrize("path", ["cycle", "short", "host"])
 def test_color_stops_the_stack_before_the_first_out_of_range_row(
-    graph, c5, tmp_path, capsys, monkeypatch
+    path, c5, tmp_path, capsys, monkeypatch
 ):
     # no line after that row is written, so the rows behind it are never
-    # colored; the lines before it and its error are those of the whole run
+    # colored; the lines before it and its error are those of the whole run;
+    # the short path colors row by row, with no stack
     rows = [[1, 1, 1, 1, 1], [2, 1, 1, 1, 1], [1, 1, 4, 1, 1]] + [[1, 2, 1, 2, 3]] * 50
     seen = []
     rows_of, rows_in_kh = cli.color_rows, cli.color_rows_in_kh
@@ -108,15 +121,37 @@ def test_color_stops_the_stack_before_the_first_out_of_range_row(
     monkeypatch.setattr(
         cli, "color_rows_in_kh", lambda h, fs, c: seen.append(len(fs)) or rows_in_kh(h, fs, c)
     )
+    if path == "cycle":  # the stack path
+        monkeypatch.setattr(cli, "_SHORT_INPUT", 0)
     argv = ["color", "--n", "2"]
-    if graph:
+    if path == "host":
         save_graph(c5, tmp_path / "c5.json")
         argv = ["color", "--graph", str(tmp_path / "c5.json")]
     stdin = "\n".join(map(json.dumps, rows))
     assert run_cli(argv, stdin, monkeypatch) == 2
     out, err = capsys.readouterr()
-    assert seen == [2] and out.count("\n") == 2
-    assert err == "error: " + ("color 4 outside 1..3\n" if graph else "colors must be in 1..3\n")
+    assert seen == ([] if path == "short" else [2]) and out.count("\n") == 2
+    host = path == "host"
+    assert err == "error: " + ("color 4 outside 1..3\n" if host else "colors must be in 1..3\n")
+
+
+def test_the_stack_path_colors_no_slice_past_the_first_failure(tmp_path, capsys, monkeypatch):
+    # rows of C_5 in slices of winding._BLOCK // 5 = 4 rows: the odd row 5
+    # ends the call in the second slice, and no later row is colored
+    rows = [[2, 1, 1, 1, 1]] * 5 + [[1, 2, 1, 2, 3]] + [[2, 1, 1, 1, 1]] * 100
+    colored = []
+    real = cli.color_rows
+    monkeypatch.setattr(
+        cli, "color_rows", lambda fs, ctx: colored.append(len(fs)) or real(fs, ctx)
+    )
+    monkeypatch.setattr(cli, "_SHORT_INPUT", 0)
+    monkeypatch.setattr(winding, "_BLOCK", 20)
+    path = tmp_path / "rows.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert main(["color", "--n", "2", "--input", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert colored == [4, 4] and out.count("\n") == 5
+    assert err.startswith("error: assignment has 3 fixed points (odd)")
 
 
 @pytest.mark.parametrize(
@@ -268,7 +303,12 @@ def _block_read(data: bytes) -> np.ndarray | None:
     ``winding._BLOCK`` bytes: its digits as a uint8 (rows, L) stack, as
     ``cli._read_assignments`` builds it, or None."""
     digits = bytearray()
-    shape = cli._digits(iter(partial(io.BytesIO(data).read, winding._BLOCK), b""), digits.extend)
+
+    def take(values):
+        assert type(values) is bytes  # the digit values, decoded without numpy
+        digits.extend(values)
+
+    shape = cli._digits(iter(partial(io.BytesIO(data).read, winding._BLOCK), b""), take)
     return None if shape is None else np.frombuffer(digits, dtype=np.uint8).reshape(shape)
 
 
@@ -576,7 +616,7 @@ def test_fed_rows_stop_at_the_failing_middle_row(fault, tmp_path, monkeypatch, c
     assert out.count("\n") == 1 and code == {"parity": 3, "outside": 2, "isolated": 4}[fault]
 
 
-@pytest.mark.parametrize("path", ["stack", "stack-only", "fed"])
+@pytest.mark.parametrize("path", ["short", "stack", "stack-only", "fed"])
 def test_color_exits_1_when_an_invariant_breaks(path, tmp_path, monkeypatch, capsys):
     # With the side test stuck at 0, a colorable row whose endpoints differ
     # breaks the little-path invariant.  Each cycle path writes the verdicts
@@ -593,10 +633,13 @@ def test_color_exits_1_when_an_invariant_breaks(path, tmp_path, monkeypatch, cap
         coloring.color_vertex(rows[1], ctx)
     error = error.value
     if path == "fed":
-        monkeypatch.setattr(cli, "color_rows", None)  # a call would raise TypeError
         monkeypatch.setattr(winding, "_BLOCK", 5)
     else:
         monkeypatch.setattr(cli, "RowFeed", None)
+    if path.startswith("stack"):
+        monkeypatch.setattr(cli, "_SHORT_INPUT", 0)
+    else:  # the fed and short paths make no stack
+        monkeypatch.setattr(cli, "color_rows", None)  # a call would raise TypeError
     if path == "stack-only":  # the stack fails row 0, which colors alone
         real = cli.color_rows
         monkeypatch.setattr(
@@ -641,9 +684,32 @@ _BLAS_AND_THREADS = (
 
 
 def test_importing_the_cli_asks_for_one_blas_thread():
-    # numpy loads with the CLI, so on Linux OpenBLAS starts no worker
-    got = _in_fresh_python(f"import expocolor.cli; {_BLAS_AND_THREADS}", None)
+    # numpy loads after the CLI, as in a call that needs it, so on Linux
+    # OpenBLAS starts no worker
+    got = _in_fresh_python(f"import expocolor.cli, numpy; {_BLAS_AND_THREADS}", None)
     assert got == ("1 1" if sys.platform == "linux" else "1 -")
+
+
+# each row weighs its entries plus 256 against cli._SHORT_INPUT
+@pytest.mark.parametrize("rows", [1000, cli._SHORT_INPUT // 357 + 1], ids=["short", "long"])
+def test_a_short_color_call_loads_no_numpy(rows, tmp_path):
+    # even-class rows of C_101: up to _SHORT_INPUT they are colored
+    # without numpy; past it numpy loads, with one BLAS thread asked for
+    rng = np.random.default_rng(rows)
+    fs = rng.integers(1, 4, (3 * rows, 101))
+    fs = fs[(np.roll(fs, 1, axis=1) != np.roll(fs, -1, axis=1)).sum(axis=1) % 2 == 0][:rows]
+    path = tmp_path / "rows.jsonl"
+    path.write_text("".join(json.dumps(f) + "\n" for f in fs.tolist()))
+    call = (
+        "import contextlib, io, sys\nfrom expocolor.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    code = main(['color', '--n', '50', '--input', {str(path)!r}])\n"
+        "print(code, out.getvalue().count(chr(10)), 'numpy' in sys.modules)\n"
+    )
+    got = _in_fresh_python(call + _BLAS_AND_THREADS, None).split()
+    loaded = rows * 357 > cli._SHORT_INPUT
+    threads = ["1" if sys.platform == "linux" else "-"]
+    assert got == ["0", str(rows), str(loaded), "1", *threads]
 
 
 def test_importing_the_cli_keeps_a_user_blas_setting():
@@ -1143,6 +1209,7 @@ def test_main_leaves_the_callers_gc_alone(capsys, monkeypatch):
     before = gc.isenabled(), gc.get_freeze_count()
     assert main(["gen", "cycle", "--len", "3"]) == 0
     assert run_cli(["color", "--n", "2"], "[1,1,2,2,1]", monkeypatch) == 0
+    assert main(["verify", "chord-step", "--n", "1"]) == 0  # loads numpy
     assert main(["gen", "cycle"]) == 2
     assert (gc.isenabled(), gc.get_freeze_count()) == before
     capsys.readouterr()
@@ -1155,19 +1222,28 @@ def unfreeze():
 
 
 @pytest.mark.parametrize(
-    ("argv", "code"), [(["gen", "cycle", "--len", "3"], 0), (["gen", "cycle"], 2)]
+    ("argv", "code", "numpy"),
+    [
+        (["gen", "cycle", "--len", "3"], 0, False),
+        (["gen", "cycle"], 2, False),
+        (["verify", "chord-step", "--n", "1"], 0, True),
+    ],
 )
 def test_process_entry_freezes_then_exits_with_mains_code(
-    argv, code, unfreeze, capsys, monkeypatch
+    argv, code, numpy, unfreeze, capsys, monkeypatch
 ):
     events = []
     real_freeze, real_parser = gc.freeze, cli.build_parser
     monkeypatch.setattr(gc, "freeze", lambda: (events.append("freeze"), real_freeze()))
     monkeypatch.setattr(cli, "build_parser", lambda: (events.append("parse"), real_parser())[1])
     monkeypatch.setattr(sys, "argv", ["expocolor", *argv])
+    monkeypatch.setattr(cli, "_entry_froze", False)  # run() sets it for the process
     with pytest.raises(SystemExit) as exc:
         cli.run()
-    assert (events, exc.value.code) == (["freeze", "parse"], code)
+    # a call that loads numpy freezes it as it loads; the last freeze, once
+    # main returns, takes in what the call made
+    loaded = ["freeze"] if numpy else []
+    assert (events, exc.value.code) == (["freeze", "parse", *loaded, "freeze"], code)
     assert gc.get_freeze_count() > 0
     capsys.readouterr()
 

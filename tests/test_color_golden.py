@@ -38,6 +38,7 @@ import numpy as np
 import pytest
 
 import expocolor
+from expocolor import cli
 from expocolor.cli import main
 from expocolor.expo import is_isolated
 from expocolor.graphs import make_complete, make_grotzsch, save_graph
@@ -117,14 +118,28 @@ def _host_dir(tmp: Path) -> Path:
     return tmp
 
 
-@pytest.mark.parametrize("mode", [*MODES, "process"])
-def test_color_calls_match_recorded_golden(mode, tmp_path):
+def _replay(mode: str, tmp_path: Path) -> None:
     corpus = [case for case in json.loads(GOLDEN.read_text()) if case["mode"] == mode]
     assert len(corpus) > (5 if mode == "process" else 100)
     for case in corpus:
         got = _run(case["argv"], case["stdin"], case["mode"], tmp_path)
         want = {key: case[key] for key in ("stdout", "stderr", "exit", "cache") if key in case}
         assert got == want, (case["argv"], case["mode"], case["stdin"][:200])
+
+
+# A cycle call colors its rows without numpy while they weigh at most
+# cli._SHORT_INPUT, and with it past that; each in-process call is
+# replayed on both paths.
+@pytest.mark.parametrize("mode", [*MODES, "process"])
+def test_color_calls_match_recorded_golden(mode, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_SHORT_INPUT", 1 << 62)  # the process keeps its own
+    _replay(mode, tmp_path)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_color_calls_match_recorded_golden_through_the_stack(mode, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_SHORT_INPUT", 0)
+    _replay(mode, tmp_path)
 
 
 # -- recording ---------------------------------------------------------------

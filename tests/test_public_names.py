@@ -85,7 +85,10 @@ def test_cycle_context_import_loads_only_winding_and_errors():
 
 
 def test_cycle_context_loads_numpy_only_when_the_kernel_runs():
-    made = "from expocolor.winding import OddCycleCtx, label\nctx = OddCycleCtx.make(5, 3)\n"
+    made = (
+        "from expocolor.winding import OddCycleCtx\nfrom expocolor.scalar import label\n"
+        "ctx = OddCycleCtx.make(5, 3)\n"
+    )
     assert "numpy" not in _loaded_after(made + "label((1, 2) * 5 + (3,), ctx)")
     loaded = _loaded_after(
         made + "from expocolor import winding\nwinding.np_tour([1, 2] * 5 + [3], ctx)\n"
@@ -116,9 +119,29 @@ def test_the_layers_without_numpy_load_no_dataclasses(layer, tmp_path):
 
 def test_cli_import_loads_every_traced_module():
     # the tracer rebinds functions only in the modules loaded when it
-    # installs, right after ``import expocolor.cli``
+    # installs, right after ``import expocolor.cli``; numpy loads during a
+    # call that needs it
     loaded = _loaded_after("import expocolor.cli")
     assert {module for module, _, _ in _tracer_targets()} <= loaded
+    assert "numpy" not in loaded
+
+
+def test_no_module_loads_numpy_at_import():
+    modules = sorted(path.stem for path in (SRC / "expocolor").glob("*.py"))
+    loaded = _loaded_after("\n".join(f"import expocolor.{name}" for name in modules))
+    assert {f"expocolor.{name}" for name in modules if name != "__init__"} <= loaded
+    assert "numpy" not in loaded
+
+
+def test_each_module_rebinds_its_own_np_on_first_use():
+    loaded = _loaded_after(
+        "import numpy\nfrom expocolor import coloring, expo, winding\n"
+        "assert coloring.np is not numpy and expo.np is not numpy\n"
+        "ctx = winding.OddCycleCtx.make(2, 3)\n"
+        "coloring.color_rows([[1, 1, 1, 1, 1]], ctx)\n"
+        "assert coloring.np is numpy and winding.np is numpy and expo.np is not numpy"
+    )
+    assert "numpy" in loaded
 
 
 def test_public_names_load_on_demand_from_their_submodules():

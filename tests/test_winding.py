@@ -16,7 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expocolor import winding
-from expocolor.coloring import Branch, color_rows, color_vertex, color_vertex_ck
+from expocolor.coloring import (
+    Branch,
+    color_row,
+    color_rows,
+    color_vertex,
+    color_vertex_ck,
+)
 from expocolor.errors import InvariantViolationError, IsolatedFunctionError, ParityDomainError
 from expocolor.winding import (
     FAR,
@@ -25,11 +31,11 @@ from expocolor.winding import (
     chord_order,
     fixed_points,
     in_even_class,
-    label,
-    little_path,
     np_tour,
     orient_edge,
 )
+from expocolor.scalar import label, little_path, row_tour
+
 
 # The full three-color table, written out rather than computed: +1 on the
 # cyclically increasing pairs, -1 on their reverses, 0 on the diagonal.
@@ -61,6 +67,29 @@ def test_arc_value_matches_literal_tables():
     for k in (1, 2, 4, 6):
         with pytest.raises(ParityDomainError, match="odd and >= 3"):
             arc_value(1, 1, k)
+
+
+# The chord steps d = f(i+2) - f(i) a non-isolated assignment takes, with
+# their doubled Δ, written out: for k = 3 every residue, for k >= 5 the
+# residues 0, 2 and k-2, each met by a step from -(k-1) up to k-1.
+STEP_VALUES_LITERAL = {
+    3: ((-2, 2), (-1, -2), (0, 0), (1, 2), (2, -2)),
+    5: ((-3, 2), (-2, -2), (0, 0), (2, 2), (3, -2)),
+    7: ((-5, 2), (-2, -2), (0, 0), (2, 2), (5, -2)),
+}
+
+
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_step_values_match_literal_tables_and_arc_value(k):
+    table = OddCycleCtx.make(2, k).step_values
+    assert table == STEP_VALUES_LITERAL[k]
+    steps = dict(table)
+    for i, j in itertools.product(range(1, k + 1), repeat=2):
+        value = arc_value(i, j, k)
+        if value is FAR or value % 2:  # a step no chord arc may take
+            assert j - i not in steps, (i, j)
+        else:
+            assert steps[j - i] == value, (i, j)
 
 
 def test_chord_order_hand_walked():
@@ -124,6 +153,25 @@ def test_fixed_points_frozen_examples():
     assert fixed_points((1, 1, 1), 1) == frozenset()
     assert in_even_class((2, 1, 1, 1, 1), 2)
     assert not in_even_class((1, 2, 1, 2, 3), 2)
+
+
+def test_fixed_points_of_colors_from_0_and_past_a_byte():
+    # the steps are lanes of one width, wide enough for the largest color
+    for f in [(0, 0, 0), (2, 0, 2, 1, 0), (300, 1, 1, 70_000, 1)]:
+        want = {i for i in range(len(f)) if f[i - 1] != f[(i + 1) % len(f)]}
+        assert fixed_points(f, len(f) // 2) == want
+        assert in_even_class(f, len(f) // 2) == (len(want) % 2 == 0)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_fixed_points_of_numpy_rows(dtype):
+    # a host coloring restricts a row of a numpy stack to its cycles
+    for f in [(1, 2, 1, 2, 3), (1, 2, 3, 1, 2, 3, 1), (3, 1, 3)]:
+        row = np.array(f, dtype=dtype)
+        n = len(f) // 2
+        for given in (row, tuple(row)):
+            assert fixed_points(given, n) == fixed_points(f, n)
+            assert in_even_class(given, n) == in_even_class(f, n)
 
 
 def test_fixed_points_definition_exhaustive_n2():
@@ -304,14 +352,31 @@ def _scalar_tour(f, ctx):
         return None, None, fixed, True
 
 
+def _plain_outcomes(rows, ctx):
+    """What _outcome gives for coloring.color_row, the one-row routine
+    without numpy, on the rows as tuples and bytes in turn (tuples where
+    a value falls outside a byte)."""
+    out = []
+    for r, f in enumerate(rows):
+        if r % 2 and 0 <= min(f) and max(f) < 256:
+            f = bytes(f)
+        try:
+            out.append(([*color_row(tuple(f) if type(f) is list else f, ctx), -1], None))
+        except (ValueError, InvariantViolationError) as exc:
+            out.append(([0, 0, 0, 0, _ERRORS.index(type(exc))], str(exc)))
+    return out
+
+
 def _compare(rows, k, edge, dtypes, row_dtypes=(), every=1, scalar=False, stack=True):
     """Each against _oracle: np_tour on the stack in ``dtypes`` and on every
-    ``every``-th row in ``row_dtypes``, and the scalar reference on those
-    rows, all three on the rows with colors in 1..k only; the one-row
-    routine on the sampled rows as tuples or lists and in ``row_dtypes``;
-    and color_rows on the stack and on its first row, with the messages
-    of the one-row routine on the tuples and lists (and on the rows in the
-    stack's dtype)."""
+    ``every``-th row in ``row_dtypes``, the step histogram (row_tour) on
+    those rows, and the scalar reference on them, all on the rows with
+    colors in 1..k only; the one-row routine on the sampled rows as
+    tuples or lists and in ``row_dtypes``, and the one without numpy
+    (color_row) on them as tuples or bytes; and color_rows on the stack
+    and on its first row, with the messages of the one-row routine on
+    the tuples and lists (and on the rows in the stack's dtype, and of
+    color_row)."""
     ctx = OddCycleCtx.make(rows.shape[1] // 2, k, edge)
     tour, verdicts = _oracle(rows, k, edge)
     inside = ((rows >= 1) & (rows <= k)).all(1)
@@ -325,6 +390,8 @@ def _compare(rows, k, edge, dtypes, row_dtypes=(), every=1, scalar=False, stack=
     outcomes = [_outcome(color, form(f), ctx) for form, f in zip(forms, sampled.tolist())]
     assert [verdict for verdict, _ in outcomes] == want
     messages = [message for _, message in outcomes]
+    assert [row_tour(f, ctx) for f in sampled[inside[::every]].tolist()] == tours, edge
+    assert _plain_outcomes(sampled.tolist(), ctx) == outcomes, edge
     for dtype in row_dtypes:
         in_dtype = sampled.astype(dtype)
         assert [np_tour(f, ctx) for f in in_dtype[inside[::every]]] == tours, (edge, dtype)
@@ -475,6 +542,16 @@ def test_kernel_matches_the_oracle_on_drawn_passes(case):
     k, edge, stack, dtype, block = case
     with mock.patch.object(winding, "_BLOCK", block):
         _compare(stack.astype(dtype), k, edge, [dtype], [dtype], scalar=True)
+
+
+@pytest.mark.parametrize("k", [127, 129, 32_769])
+def test_step_histogram_in_lanes_of_every_width(k):
+    # the steps of k colors fill 2k - 1 values: one byte a lane up to
+    # k = 128, two up to 32_768, four past that
+    ctx = OddCycleCtx.make(5, k, (3, 2))
+    rng = np.random.default_rng(k)
+    rows = np.concatenate([_non_isolated_rows(rng, 20, 11, k), rng.integers(1, k + 1, (20, 11))])
+    assert [row_tour(f, ctx) for f in rows.tolist()] == [np_tour(f, ctx) for f in rows]
 
 
 def test_np_tour_rejects_rows_of_the_wrong_length():
