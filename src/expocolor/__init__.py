@@ -28,8 +28,9 @@ numpy loads when a call first reaches numpy code: the kernel
 (``winding.np_tour``), a stack routine, a verifier.  None is needed by
 a cycle context, by ``winding.fixed_points`` and ``in_even_class``, by
 the step histogram ``scalar.row_tour`` with the scalar ``label`` and
-``little_path`` and the one-row ``coloring.color_row`` that read it, or
-by a ``color --n`` call on a short input.
+``little_path`` and the one-row ``coloring.color_row`` that read it, by
+the one-row general-host routine ``coloring.color_in_kh``, or by a
+``color`` call on a short input, on a cycle or a ``--graph`` host.
 
 The records of the numpy-free layers (``Graph``, ``CycleWitness``,
 ``OddCycleCtx``) are not dataclasses: ``dataclasses`` loads ``inspect``

@@ -37,6 +37,7 @@ from .coloring import (
     CycleCache,
     RowColors,
     RowFeed,
+    _BRANCHES,
     _outside,
     _wrong_shape,
     color_in_kh,
@@ -422,27 +423,54 @@ def _emit(res: RowColors, rows, color_one) -> int:
     return _raise_row(rows, first, color_one)
 
 
-# A cycle input whose rows, each weighed as its 2n+1 entries plus 256, come
-# to at most this many is colored row by row with the step histogram of
-# ``coloring.color_row``, without numpy.  Without numpy a row costs about
-# 7 us and an entry 30 ns more than with it, and importing numpy about
-# 80 ms; timed both ways, C_101 to C_10001 broke even between 2^21 and
-# 2^22, and C_3 past 2^22 (key ``short_path_sweep`` of
-# BENCH_cold_start.json), so this is about a third of the lowest.
+# An input whose rows, each weighed by what its pass reads, come to at most
+# this many is colored row by row without numpy.  A cycle row weighs its
+# 2n+1 entries plus 256: without numpy a row costs about 7 us and an entry
+# 30 ns more than with it, and importing numpy about 80 ms; timed both
+# ways, C_101 to C_10001 broke even between 2^21 and 2^22, and C_3 past
+# 2^22 (key ``short_path_sweep`` of BENCH_cold_start.json), so this is
+# about a third of the lowest.  A host row weighs as ``_host_row_weight``
+# gives it: a Grötzsch row costs about 13 us more without numpy than in the
+# stack, and calls on five hosts timed both ways (Grötzsch, the Moser
+# spindle through 51 cached entries, the Mycielskian of Grötzsch's
+# Mycielskian, C_101 and C_1001) broke even between 2.8 and 3.9 times 2^20
+# of that weight (key ``host_short_path_sweep`` beside the cycles' one),
+# so this is about a third of the lowest there too.
 _SHORT_INPUT = 1 << 20
 
 
-def _color_short(rows, ctx: OddCycleCtx) -> int:
-    """Color the rows one by one with :func:`.coloring.color_row`: the
-    verdict lines before the first row that fails, then its error."""
+def _color_short(rows, color_one: Callable) -> int:
+    """Color the rows one by one with ``color_one``, which gives a row's
+    color, branch position in ``Branch``, ell2 and p2, as
+    :func:`.coloring.color_row` does, or raises its error: the verdict
+    lines before the first row that fails, then its error."""
     lines = []
     try:
         for f in rows:
-            color, branch, ell2, p2 = color_row(f, ctx)
+            color, branch, ell2, p2 = color_one(f)
             lines.append(_VERDICT.format(color, _BRANCH_NAMES[branch], ell2, p2))
     finally:
         sys.stdout.write("".join(lines))
     return EXIT_OK
+
+
+def _short_or_stack(rows, digits: bytearray, weight: int, color_one, color_stack) -> int:
+    """Color the rows that :func:`_read_assignments` gave, a digit
+    payload's (rows, L) shape with its values in ``digits`` or the JSON
+    rows: one by one with ``color_one`` (:func:`_color_short`) when the
+    rows, each weighing ``weight``, come to at most ``_SHORT_INPUT``, as
+    bytes for a digit payload; else with numpy, by ``color_stack``, the
+    digits as one uint8 stack."""
+    count = rows[0] if isinstance(rows, tuple) else len(rows)
+    if count * weight <= _SHORT_INPUT:
+        if isinstance(rows, tuple):
+            data, width = bytes(digits), rows[1]
+            rows = [data[i : i + width] for i in range(0, len(data), width)]
+        return _color_short(rows, color_one)
+    _load_numpy()
+    if isinstance(rows, tuple):
+        rows = np.frombuffer(digits, dtype=np.uint8).reshape(rows)
+    return color_stack(rows)
 
 
 def _color_stack(rows, ctx: OddCycleCtx) -> int:
@@ -496,16 +524,9 @@ def _color_on_cycle(args: argparse.Namespace) -> int:
         if len(res.failed):
             raise res.errors[0]
         return EXIT_OK
-    count = rows[0] if isinstance(rows, tuple) else len(rows)
-    if count * (ctx.length + 256) <= _SHORT_INPUT:
-        if isinstance(rows, tuple):
-            data, width = bytes(digits), rows[1]
-            rows = [data[i : i + width] for i in range(0, len(data), width)]
-        return _color_short(rows, ctx)
-    _load_numpy()
-    if isinstance(rows, tuple):
-        rows = np.frombuffer(digits, dtype=np.uint8).reshape(rows)
-    return _color_stack(rows, ctx)
+    return _short_or_stack(
+        rows, digits, ctx.length + 256, partial(color_row, ctx=ctx), partial(_color_stack, ctx=ctx)
+    )
 
 
 def _save_cache(path: Path, cache: CycleCache) -> None:
@@ -536,23 +557,58 @@ def _load_numpy() -> None:
         gc.freeze()
 
 
-def _color_on_host(
-    args: argparse.Namespace, rows: np.ndarray | list[tuple[int, ...]]
-) -> int:
-    _load_numpy()
+def _host_row_weight(host, cache: CycleCache) -> int:
+    """The weight of one row on ``host`` against ``_SHORT_INPUT``, by
+    what the row's pass without numpy reads: 32 a vertex and 2 an edge
+    (the isolation test, and the serving cycle, which may be as long as
+    the host), 32 an entry of the cycles the cache holds as it is loaded
+    (the cache scan), and 320 a row."""
+    cached = sum(len(cyc) for cyc, _ in cache)
+    return 32 * host.vertex_count + 2 * host.edge_count + 32 * cached + 320
+
+
+def _verdict_in_kh(host, cache: CycleCache, f) -> tuple[int, int, int, int]:
+    """:func:`.coloring.color_in_kh` of one row, through ``cache``, as
+    :func:`.coloring.color_row` gives a verdict."""
+    verdict = color_in_kh(host, f, cache)[0]
+    return verdict.color, _BRANCHES.index(verdict.branch), verdict.ell2, verdict.p2
+
+
+def _color_on_host(args: argparse.Namespace) -> int:
+    """Color the input's rows on the host of ``--graph``, through the
+    cycle cache of ``--cache`` when it names one, and write the cache
+    back however the call ends.
+
+    An input whose rows, each weighed by :func:`_host_row_weight`, come
+    to at most ``_SHORT_INPUT`` is colored row by row with
+    :func:`.coloring.color_in_kh`, without numpy; any other with one
+    :func:`.coloring.color_rows_in_kh` call on the stack.  Either way the
+    verdict lines before the first row that fails are written, then that
+    row's error, as :func:`.coloring.color_in_kh` raises it, ends the
+    call, and the cache kept holds the cycles of the rows before it and
+    what that row appended.
+    """
+    digits = bytearray()
+    rows = _read_assignments(args.input, digits.extend)
     if args.k != 3:
         raise ValueError("general-host coloring supports only --k 3")
     host = load_graph(args.graph)
     cache = CycleCache()
     if args.cache and Path(args.cache).exists():
         cache = CycleCache.loads(Path(args.cache).read_text())
-    loaded = len(cache)
-    try:
-        res, cache = color_rows_in_kh(host, _stack(rows, host.vertex_count, 3), cache)
+
+    def color_stack(rows) -> int:
+        loaded = len(cache)
+        res = color_rows_in_kh(host, _stack(rows, host.vertex_count, 3), cache)[0]
         # keep the cycles that the rows before the first failure found
         used = res.cycle[: _first_failed(res)].max(initial=-1) + 1
         del cache.entries[max(loaded, used) :]
         return _emit(res, rows, lambda f: color_in_kh(host, f, cache))
+
+    try:
+        weight = _host_row_weight(host, cache)
+        color_one = partial(_verdict_in_kh, host, cache)
+        return _short_or_stack(rows, digits, weight, color_one, color_stack)
     finally:
         if args.cache:
             _save_cache(Path(args.cache), cache)
@@ -566,7 +622,7 @@ def cmd_color(args: argparse.Namespace) -> int:
     if args.graph is not None and args.edge is not None:
         raise ValueError("--edge applies only to an --n cycle host")
     if args.graph is not None:
-        return _color_on_host(args, _read_assignments(args.input))
+        return _color_on_host(args)
     return _color_on_cycle(args)
 
 

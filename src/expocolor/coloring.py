@@ -31,7 +31,9 @@ Three layers live here, mirroring how the math composes:
   ``CycleCache`` value threaded through calls.  A stack is scanned one
   cached cycle at a time and colored with one ``color_rows`` call per
   serving cycle, with the same failure contract; ``color_in_kh`` is its
-  one-row case.
+  one-row case, in plain ints without numpy: the bitmask isolation
+  test, the cache scan, the cycle search and ``color_row`` on the
+  serving cycle.
 """
 
 from __future__ import annotations
@@ -570,16 +572,33 @@ class CycleCache:
 _ISOLATED = "assignment is isolated; it needs no color"
 
 
+def _plain_row(f) -> Sequence[int]:
+    """``f`` as a sequence of plain ints: a list, tuple or bytes as it is,
+    any other sequence, such as a numpy row, as its list.  A row with an
+    entry of another type, such as bool or float, raises ValueError."""
+    if type(f) not in (list, tuple, bytes):
+        f = f.tolist() if hasattr(f, "tolist") else list(f)
+    if type(f) is not bytes:
+        kinds = set(map(type, f)) - {int}
+        if kinds:
+            found = ", ".join(sorted(kind.__name__ for kind in kinds))
+            raise ValueError(f"colors must be integers, found {found}")
+    return f
+
+
 def color_in_kh(
     h: Graph, f: Sequence[int], cache: CycleCache | None = None
 ) -> tuple[ColorVerdict, CycleCache]:
-    """Color a non-isolated assignment on an arbitrary host.
+    """Color a non-isolated assignment on an arbitrary host, without numpy.
 
-    Scans the cache in insertion order for a cycle with even parity
-    under f, searching for (and caching) a fresh one only on miss; then
-    colors the restriction of f to that cycle.  Returns the verdict and
-    the same cache, possibly extended.  Appends must be serialized if a
-    cache is shared across workers; reads may race.
+    ``f`` is a sequence of ints, the bytes of their values, or a 1-d
+    integer numpy row; a row with a bool or float entry raises
+    ValueError.  Scans the cache in insertion order for a cycle with even
+    parity under f, searching for (and caching) a fresh one only on miss;
+    then colors the restriction of f to that cycle with
+    :func:`color_row`.  Returns the verdict, in plain ints, and the same
+    cache, possibly extended.  Appends must be serialized if a cache is
+    shared across workers; reads may race.
 
     The color depends on the cache only where an earlier cached cycle
     is even for f: a miss appends :func:`find_even_cycle`'s cycle, fixed
@@ -594,14 +613,15 @@ def color_in_kh(
     """
     if cache is None:
         cache = CycleCache()
+    f = _plain_row(f)
     if is_isolated(h, f, 3):  # also checks the length and the colors
         raise IsolatedFunctionError(_ISOLATED)
     entry = cache.find_even(h, f)
     if entry is None:
         entry = cache.append(_even_cycle_search(h, f))
     cyc, ctx = entry
-    verdict = color_vertex(restrict(h, f, cyc), ctx)
-    return verdict, cache
+    color, branch, ell2, p2 = color_row(restrict(h, f, cyc), ctx)
+    return ColorVerdict(color, _BRANCHES[branch], ell2, p2), cache
 
 
 def _even_on(rows: np.ndarray, cyc: CycleWitness) -> np.ndarray:

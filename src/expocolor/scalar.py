@@ -1,13 +1,13 @@
 """The chord-step histogram of one row in plain ints, without numpy, and
 the scalar label and little path that read it.
 
-:func:`row_tour` is :func:`.winding.np_tour` of one row: the same counts
-of the steps of ``OddCycleCtx.step_values``, folded the same way.
-:func:`label` and :func:`little_path` read it, and
+:func:`row_tour` is :func:`.winding.np_tour` of one row: the steps of
+``OddCycleCtx.step_values`` counted by their value, over the tour and the
+little path.  :func:`label` and :func:`little_path` read it, and
 ``coloring.color_row`` colors a row from it.  This code lives apart from
 :mod:`.winding` so that building a cycle context, which every call does,
-compiles none of it; a ``color --n`` call on a short input, a host
-coloring and the verifiers load it through :mod:`.coloring`.
+compiles none of it; a short ``color`` call, on a cycle or on a general
+host, and the verifiers load it through :mod:`.coloring`.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ def _check_colors(f: Sequence[int], k: int) -> None:
 # (1..k) are laid out as lanes of one width, a byte while 2k fits in one;
 # the lanes moved by two ids, plus k in each, less the lanes, leave the
 # arc leaving id i in lane i as d + k, between 1 and 2k - 1, so no lane
-# borrows from or carries into the next.  Each step is then counted with
-# one ``.count`` of its lane value.
+# borrows from or carries into the next.  The lanes are then read as the
+# steps' classes and each class counted (``row_tour``).
 
 
 @lru_cache(maxsize=16)
@@ -47,8 +47,7 @@ def _steps(f: Sequence[int], k: int):
     id order, for colors in 1..k (not checked).
 
     ``f`` is a sequence of ints, or the bytes of their values.  The steps
-    come as bytes, or as an ``array`` once 2k outgrows a byte; both have
-    ``.count``.
+    come as bytes, or as an ``array`` once 2k outgrows a byte.
     """
     width, offset = _lanes(k, len(f))
     ints = f if type(f) in (tuple, list) else list(f)
@@ -64,31 +63,49 @@ def _steps(f: Sequence[int], k: int):
     return steps if width == 1 else array(row.typecode, steps)
 
 
+# Every k's ``step_values`` values the flat step d = 0 at 0 and each other
+# step at +2 or -2, so a step is read as one of four classes: its byte in
+# ``_classes`` is 1 for the flat step, 2 for a step valued +2, 3 for one
+# valued -2, and 0 for a step the table leaves out, which isolates the row.
+_CLASS = {0: 1, 2: 2, -2: 3}
+
+
+@lru_cache(maxsize=16)
+def _classes(k: int, step_values: tuple[tuple[int, int], ...]) -> bytes:
+    """The class of each step lane value d + k, 0 <= d + k < 2k: a
+    translate table while 2k fits in a byte, 256 bytes long."""
+    table = bytearray(max(256, 2 * k))
+    for d, value in step_values:
+        table[d + k] = _CLASS[value]
+    return bytes(table)
+
+
 def row_tour(f: Sequence[int], ctx: OddCycleCtx) -> tuple[int, int, int, bool]:
     """:func:`.winding.np_tour` of one row, in plain ints and without numpy.
 
     ``f`` holds 2n+1 colors in 1..k (not checked): a sequence of ints, or
     the bytes of their values.  Returns ``(ell2, p2, fixed, isolated)``
-    as :func:`.winding.np_tour` gives them for a 1-d row.  The step histogram
-    counts each step of ``ctx.step_values`` over the whole tour and over
-    the little path's arcs (those leaving ids a, a+2, ... mod 2n+1), and
-    the arcs whose step is in no count are the isolating ones.
+    as :func:`.winding.np_tour` gives them for a 1-d row.  The steps are
+    read as their classes (``_classes``, from ``ctx.step_values``), and
+    each class is counted over the whole tour and the two valued ones over
+    the little path's arcs (those leaving ids a, a+2, ... mod 2n+1); the
+    arcs of no counted class are the isolating ones.
     """
     n, k, a = ctx.n, ctx.k, ctx.a
+    table = _classes(k, ctx.step_values)
     steps = _steps(f, k)
-    path = steps[a : a + 2 * n : 2]
+    if type(steps) is bytes:
+        classes = steps.translate(table)
+    else:
+        classes = bytes(map(table.__getitem__, steps))
+    path = classes[a : a + 2 * n : 2]
     rest = n - len(path)  # the path's ids past 2n, from id 1 - a % 2 on
     if rest:
-        path += steps[1 - a % 2 : 2 * rest : 2]
-    flat = steps.count(k)
-    ell2 = p2 = counted = 0
-    for d, value in ctx.step_values:
-        count = flat if d == 0 else steps.count(d + k)
-        counted += count
-        if value:
-            ell2 += value * count
-            p2 += value * path.count(d + k)
-    return ell2, p2, len(steps) - flat, counted < len(steps)
+        path += classes[1 - a % 2 : 2 * rest : 2]
+    flat, up, down = classes.count(1), classes.count(2), classes.count(3)
+    ell2 = 2 * (up - down)
+    p2 = 2 * (path.count(2) - path.count(3))
+    return ell2, p2, len(classes) - flat, flat + up + down < len(classes)
 
 
 def _tour(f: Sequence[int], ctx: OddCycleCtx) -> tuple[int, int, int, bool]:

@@ -26,10 +26,10 @@ from expocolor.errors import (
 )
 from expocolor.coloring import color_rows_in_kh, find_even_cycle
 from expocolor.expo import allowed_colors, is_isolated
-from expocolor.graphs import graph_from_json_dict, make_cycle, save_graph
+from expocolor.graphs import graph_from_json_dict, make_cycle, make_grotzsch, save_graph
 from expocolor.winding import OddCycleCtx, in_even_class
 
-from hosts import kh_loop
+from hosts import host_rows, kh_loop
 from test_graphs import NON_INTEGER_GRAPHS
 
 
@@ -107,13 +107,14 @@ def test_color_on_a_host_reads_digit_rows_as_numpy_ints(c5, tmp_path, capsys, mo
     assert err == "error: no odd cycle of the host carries an even number of fixed points\n"
 
 
-@pytest.mark.parametrize("path", ["cycle", "short", "host"])
+@pytest.mark.parametrize("path", ["cycle", "short", "host", "host-short"])
 def test_color_stops_the_stack_before_the_first_out_of_range_row(
     path, c5, tmp_path, capsys, monkeypatch
 ):
     # no line after that row is written, so the rows behind it are never
     # colored; the lines before it and its error are those of the whole run;
-    # the short path colors row by row, with no stack
+    # the short paths, on the cycle and on the host, color row by row, with
+    # no stack
     rows = [[1, 1, 1, 1, 1], [2, 1, 1, 1, 1], [1, 1, 4, 1, 1]] + [[1, 2, 1, 2, 3]] * 50
     seen = []
     rows_of, rows_in_kh = cli.color_rows, cli.color_rows_in_kh
@@ -121,17 +122,18 @@ def test_color_stops_the_stack_before_the_first_out_of_range_row(
     monkeypatch.setattr(
         cli, "color_rows_in_kh", lambda h, fs, c: seen.append(len(fs)) or rows_in_kh(h, fs, c)
     )
-    if path == "cycle":  # the stack path
+    short = path.endswith("short")
+    if not short:  # the stack path
         monkeypatch.setattr(cli, "_SHORT_INPUT", 0)
     argv = ["color", "--n", "2"]
-    if path == "host":
+    host = path.startswith("host")
+    if host:
         save_graph(c5, tmp_path / "c5.json")
         argv = ["color", "--graph", str(tmp_path / "c5.json")]
     stdin = "\n".join(map(json.dumps, rows))
     assert run_cli(argv, stdin, monkeypatch) == 2
     out, err = capsys.readouterr()
-    assert seen == ([] if path == "short" else [2]) and out.count("\n") == 2
-    host = path == "host"
+    assert seen == ([] if short else [2]) and out.count("\n") == 2
     assert err == "error: " + ("color 4 outside 1..3\n" if host else "colors must be in 1..3\n")
 
 
@@ -710,6 +712,43 @@ def test_a_short_color_call_loads_no_numpy(rows, tmp_path):
     loaded = rows * 357 > cli._SHORT_INPUT
     threads = ["1" if sys.platform == "linux" else "-"]
     assert got == ["0", str(rows), str(loaded), "1", *threads]
+
+
+# each Grötzsch row read through a new cache weighs cli._host_row_weight
+_GROTZSCH_ROW = cli._host_row_weight(make_grotzsch(), coloring.CycleCache())
+
+
+@pytest.mark.parametrize(
+    "rows", [1000, cli._SHORT_INPUT // _GROTZSCH_ROW + 1], ids=["short", "long"]
+)
+def test_a_short_host_call_loads_no_numpy(rows, tmp_path):
+    # non-isolated rows of the Grötzsch graph, colored through a new cache
+    # file: up to _SHORT_INPUT without numpy, past it with numpy; either
+    # way the lines and the cache file are those of one color_rows_in_kh call
+    h = make_grotzsch()
+    save_graph(h, tmp_path / "g.json")
+    fs = host_rows(h, rows, count=(rows + 1) // 2)[:rows]
+    path, cache = tmp_path / "rows.jsonl", tmp_path / "cache.json"
+    path.write_text("".join(json.dumps(f) + "\n" for f in fs))
+    argv = ["color", "--graph", str(tmp_path / "g.json"), "--input", str(path), "--cache", str(cache)]
+    call = (
+        "import contextlib, io, sys\nfrom expocolor.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    code = main({argv!r})\n"
+        f"open({str(tmp_path / 'out.txt')!r}, 'w').write(out.getvalue())\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    got = _in_fresh_python(call, None).split()
+    assert got == ["0", str(rows * _GROTZSCH_ROW > cli._SHORT_INPUT)]
+    res, want = color_rows_in_kh(h, np.array(fs))
+    assert not len(res.failed)
+    names = [branch.value for branch in coloring.Branch]
+    lines = [
+        json.dumps({"color": c, "branch": names[b], "ell2": e, "p2": p}) + "\n"
+        for c, b, e, p in zip(*(v.tolist() for v in res[:4]))
+    ]
+    assert (tmp_path / "out.txt").read_text() == "".join(lines)
+    assert cache.read_text() == want.dumps() + "\n"
 
 
 def test_importing_the_cli_keeps_a_user_blas_setting():

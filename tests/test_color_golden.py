@@ -127,9 +127,10 @@ def _replay(mode: str, tmp_path: Path) -> None:
         assert got == want, (case["argv"], case["mode"], case["stdin"][:200])
 
 
-# A cycle call colors its rows without numpy while they weigh at most
-# cli._SHORT_INPUT, and with it past that; each in-process call is
-# replayed on both paths.
+# A call colors its rows without numpy while they weigh at most
+# cli._SHORT_INPUT, and with it past that, on a cycle and on a --graph host
+# alike; each in-process call, the --graph ones with the cache file they
+# leave, is replayed on both paths.
 @pytest.mark.parametrize("mode", [*MODES, "process"])
 def test_color_calls_match_recorded_golden(mode, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_SHORT_INPUT", 1 << 62)  # the process keeps its own

@@ -405,6 +405,33 @@ def test_color_in_kh_proper_on_sampled_pairs(grotzsch):
         assert vf.color != vg.color
 
 
+def test_color_in_kh_gives_plain_int_verdicts_for_every_row_type(grotzsch):
+    # color_in_kh colors through the numpy-free color_row: a numpy row is
+    # read as its plain ints, and a row of bools or floats is no row of colors
+    rows = host_rows(grotzsch, 4, count=10)
+    for f in rows:
+        want = color_in_kh(grotzsch, f)[0]
+        for row in (
+            tuple(f),
+            bytes(f),
+            np.array(f, dtype=np.int8),
+            np.array(f, dtype=np.uint8),
+            np.array(f, dtype=np.int64),
+        ):
+            got = color_in_kh(grotzsch, row)[0]
+            assert got == want
+            assert [type(v) for v in (got.color, got.ell2, got.p2)] == [int] * 3
+    f = rows[0]
+    for row in (
+        np.array(f, dtype=bool),
+        np.array(f, dtype=np.float64),
+        [float(c) for c in f],
+        [True] + f[1:],
+    ):
+        with pytest.raises(ValueError, match="colors must be integers"):
+            color_in_kh(grotzsch, row)
+
+
 # -- a stack on a general host against the one-row loop -----------------------
 
 
