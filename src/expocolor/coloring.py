@@ -39,6 +39,7 @@ Three layers live here, mirroring how the math composes:
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -573,16 +574,21 @@ _ISOLATED = "assignment is isolated; it needs no color"
 
 
 def _plain_row(f) -> Sequence[int]:
-    """``f`` as a sequence of plain ints: a list, tuple or bytes as it is,
-    any other sequence, such as a numpy row, as its list.  A row with an
-    entry of another type, such as bool or float, raises ValueError."""
-    if type(f) not in (list, tuple, bytes):
+    """``f`` as a sequence of plain ints: a list, tuple or bytes of them as
+    it is, any other row, such as a numpy row or a list of numpy ints, as
+    the list of its values.  A row with an entry that is no integer, such
+    as a bool or a float, raises ValueError."""
+    if type(f) is bytes:
+        return f
+    if type(f) not in (list, tuple):
         f = f.tolist() if hasattr(f, "tolist") else list(f)
-    if type(f) is not bytes:
-        kinds = set(map(type, f)) - {int}
-        if kinds:
-            found = ", ".join(sorted(kind.__name__ for kind in kinds))
+    kinds = set(map(type, f)) - {int}
+    if kinds:
+        bad = [kind for kind in kinds if issubclass(kind, bool) or not hasattr(kind, "__index__")]
+        if bad:
+            found = ", ".join(sorted(kind.__name__ for kind in bad))
             raise ValueError(f"colors must be integers, found {found}")
+        f = list(map(operator.index, f))
     return f
 
 
@@ -591,9 +597,9 @@ def color_in_kh(
 ) -> tuple[ColorVerdict, CycleCache]:
     """Color a non-isolated assignment on an arbitrary host, without numpy.
 
-    ``f`` is a sequence of ints, the bytes of their values, or a 1-d
-    integer numpy row; a row with a bool or float entry raises
-    ValueError.  Scans the cache in insertion order for a cycle with even
+    ``f`` is a sequence of ints (numpy ints too), the bytes of their
+    values, or a 1-d integer numpy row; a row with a bool or float entry
+    raises ValueError.  Scans the cache in insertion order for a cycle with even
     parity under f, searching for (and caching) a fresh one only on miss;
     then colors the restriction of f to that cycle with
     :func:`color_row`.  Returns the verdict, in plain ints, and the same

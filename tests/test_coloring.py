@@ -406,8 +406,9 @@ def test_color_in_kh_proper_on_sampled_pairs(grotzsch):
 
 
 def test_color_in_kh_gives_plain_int_verdicts_for_every_row_type(grotzsch):
-    # color_in_kh colors through the numpy-free color_row: a numpy row is
-    # read as its plain ints, and a row of bools or floats is no row of colors
+    # color_in_kh colors through the numpy-free color_row: a numpy row, or a
+    # list of numpy ints, is read as its plain ints, and a row with a bool or
+    # a float is no row of colors
     rows = host_rows(grotzsch, 4, count=10)
     for f in rows:
         want = color_in_kh(grotzsch, f)[0]
@@ -417,6 +418,7 @@ def test_color_in_kh_gives_plain_int_verdicts_for_every_row_type(grotzsch):
             np.array(f, dtype=np.int8),
             np.array(f, dtype=np.uint8),
             np.array(f, dtype=np.int64),
+            list(np.array(f, dtype=np.int64)),
         ):
             got = color_in_kh(grotzsch, row)[0]
             assert got == want
@@ -427,6 +429,7 @@ def test_color_in_kh_gives_plain_int_verdicts_for_every_row_type(grotzsch):
         np.array(f, dtype=np.float64),
         [float(c) for c in f],
         [True] + f[1:],
+        [np.True_] + f[1:],
     ):
         with pytest.raises(ValueError, match="colors must be integers"):
             color_in_kh(grotzsch, row)
