@@ -7,22 +7,18 @@ brute-force verification (:mod:`.verify`), and a timing harness
 (:mod:`.bench`).  The :mod:`.cli` module exposes everything as the
 ``expocolor`` command.
 
-Imports are on demand.  ``import expocolor`` loads no submodule and no
-numpy: each public name is looked up in ``_PUBLIC``, and the first
-access imports the submodule that owns it (PEP 562) and keeps the name
-here.  No submodule loads numpy at import either: each binds
-``winding._Numpy`` as its ``np``, which imports numpy on the first read
-and rebinds that module's ``np`` to numpy itself.  A submodule loads
-only what it imports itself:
-
-* :mod:`.errors` loads nothing, and :mod:`.graphs` only :mod:`.errors`
-  (no ``dataclasses``);
-* :mod:`.winding` loads :mod:`.errors` (no ``dataclasses`` either),
-  and :mod:`.scalar` loads :mod:`.winding`;
-* :mod:`.expo` loads :mod:`.graphs` and :mod:`.winding`;
-* :mod:`.coloring` loads :mod:`.expo`, :mod:`.winding` and :mod:`.scalar`, and
-  :mod:`.verify` and :mod:`.bench` load :mod:`.coloring`;
-* :mod:`.cli` loads every submodule but :mod:`.bench`.
+Imports follow one rule: a module loads at import no submodule but
+those it imports itself, and neither numpy nor ``inspect`` (with
+``ast``, ``dis`` and ``tokenize``).  ``import expocolor`` loads no submodule:
+each public name is looked up in ``_PUBLIC``, and the first access
+imports the submodule that owns it (PEP 562) and keeps the name here.
+Each submodule binds ``winding._Numpy`` as its ``np``, which imports
+numpy on the first read and rebinds that module's ``np`` to numpy
+itself.  Every record (``Graph``, ``CycleWitness``, ``OddCycleCtx``,
+``ColorVerdict``, ``ExpoGraph``, ``VerificationReport``,
+``BenchResult``) is an ``errors._Record``, read-only and equal, hashed,
+shown and pickled by its fields, so nothing loads ``inspect``, which
+took more than half of a fresh cycle-context setup.
 
 numpy loads when a call first reaches numpy code: the kernel
 (``winding.np_tour``), a stack routine, a verifier.  None is needed by
@@ -31,15 +27,6 @@ the step histogram ``scalar.row_tour`` with the scalar ``label`` and
 ``little_path`` and the one-row ``coloring.color_row`` that read it, by
 the one-row general-host routine ``coloring.color_in_kh``, or by a
 ``color`` call on a short input, on a cycle or a ``--graph`` host.
-
-The records of the numpy-free layers (``Graph``, ``CycleWitness``,
-``OddCycleCtx``) are not dataclasses: ``dataclasses`` loads ``inspect``
-(and ``ast``, ``dis``, ``tokenize``), which took more than half of a
-fresh cycle-context setup.  They share one base, ``errors._Record``,
-which makes a record read-only and equal, hashed, shown and pickled by
-its fields.  :mod:`.expo`, :mod:`.coloring`, :mod:`.verify` and
-:mod:`.bench` keep their dataclasses, so a CLI call still loads
-``inspect``.
 
 Two imports stay eager on purpose.  :mod:`.cli` loads :mod:`.verify` up
 front because a tracer that rebinds functions in the modules already

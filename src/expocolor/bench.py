@@ -12,10 +12,10 @@ from __future__ import annotations
 import os
 import platform
 import time
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import coloring, winding
+from .errors import _Record
 from .winding import OddCycleCtx, _Numpy
 
 np = _Numpy(globals())
@@ -26,17 +26,20 @@ _BASELINE_SWEEP = (1, 2, 3)
 DEFAULT_REPS = 11
 
 
-@dataclass(frozen=True)
-class BenchResult:
+class BenchResult(_Record):
     """One measurement: the median plus every repetition's wall time."""
 
+    __slots__ = _fields = ("mode", "n", "reps", "seed", "median_seconds", "rep_seconds", "details")
     mode: str
     n: int
     reps: int
     seed: int
     median_seconds: float
     rep_seconds: tuple[float, ...]
-    details: dict = field(default_factory=dict)
+    details: dict
+
+    def __init__(self, mode, n, reps, seed, median_seconds, rep_seconds, details):
+        self._set(mode, n, reps, seed, median_seconds, rep_seconds, details)
 
     def to_json_dict(self) -> dict:
         return {

@@ -294,32 +294,25 @@ def _json_rows(text: str) -> list[tuple[int, ...]]:
     return out
 
 
-def _read_assignments(path: str | None, take: _Take | None = None):
+def _read_assignments(path: str | None, take: _Take):
     """The rows of the input file, or of stdin for None or ``-``.
 
     Rows of one-digit colors are decoded by :func:`_digits` from the
-    bytes as they stream in: into the uint8 stack returned, or, with
-    ``take``, to ``take`` as they come (the bytes of their values), and
-    then their (rows, L) shape is returned.  Any other payload comes
-    back as the tuples of :func:`_json_rows`, which also words every
-    input error.  A text-only
-    stdin, such as a ``StringIO``, is read as its UTF-8 bytes.
+    bytes as they stream in and handed to ``take`` as they come (the
+    bytes of their values), and then their (rows, L) shape is returned.
+    Any other payload comes back as the tuples of :func:`_json_rows`,
+    which also words every input error.  A text-only stdin, such as a
+    ``StringIO``, is read as its UTF-8 bytes.
     """
-    digits = bytearray()
-    take_digits = take or digits.extend
     if path is None or path == "-":
         stdin = sys.stdin
         if hasattr(stdin, "buffer"):
             fh, encoding, errors = stdin.buffer, stdin.encoding, stdin.errors
         else:
             fh, encoding, errors = io.BytesIO(stdin.read().encode()), "utf-8", "strict"
-        rows = _read_rows(fh, encoding, errors, take_digits)
-    else:
-        with open(path, "rb") as fh:
-            rows = _read_rows(fh, locale.getpreferredencoding(False), "strict", take_digits)
-    if take is None and isinstance(rows, tuple):
-        return np.frombuffer(digits, dtype=np.uint8).reshape(rows)
-    return rows
+        return _read_rows(fh, encoding, errors, take)
+    with open(path, "rb") as fh:
+        return _read_rows(fh, locale.getpreferredencoding(False), "strict", take)
 
 
 def _spooled(blocks: Iterable[bytes], spool: BinaryIO) -> Iterator[bytes]:

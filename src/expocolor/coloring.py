@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -49,6 +48,7 @@ from .errors import (
     IsolatedFunctionError,
     NoEvenCycleError,
     ParityDomainError,
+    _Record,
 )
 from .expo import (
     DEFAULT_CAP,
@@ -83,10 +83,10 @@ class Branch(Enum):
 
 
 _BRANCHES = tuple(Branch)
+_setattr = object.__setattr__
 
 
-@dataclass(frozen=True)
-class ColorVerdict:
+class ColorVerdict(_Record):
     """A color plus the exact certificate that justifies it.
 
     ``ell2`` and ``p2`` are the doubled label and little-path values
@@ -94,10 +94,18 @@ class ColorVerdict:
     agreed or which side of ell/2 the little path fell on.
     """
 
+    __slots__ = _fields = ("color", "branch", "ell2", "p2")
     color: int
     branch: Branch
     ell2: int
     p2: int
+
+    def __init__(self, color: int, branch: Branch, ell2: int, p2: int):
+        # one verdict a colored row: four direct sets cost less than _set's loop
+        _setattr(self, "color", color)
+        _setattr(self, "branch", branch)
+        _setattr(self, "ell2", ell2)
+        _setattr(self, "p2", p2)
 
     def to_json_dict(self) -> dict:
         return {
@@ -504,7 +512,6 @@ def _even_cycle_search(h: Graph, f: Sequence[int]) -> CycleWitness:
     return cyc
 
 
-@dataclass
 class CycleCache:
     """Odd cycles already used for coloring, in first-use order.
 
@@ -515,7 +522,8 @@ class CycleCache:
     per-call-linear.
     """
 
-    entries: list[tuple[CycleWitness, OddCycleCtx]] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.entries: list[tuple[CycleWitness, OddCycleCtx]] = []
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -533,11 +541,13 @@ class CycleCache:
 
     def find_even(
         self, h: Graph, f: Sequence[int]
-    ) -> tuple[CycleWitness, OddCycleCtx] | None:
-        """First cached cycle (insertion order) with even parity under f."""
+    ) -> tuple[CycleWitness, OddCycleCtx, tuple[int, ...]] | None:
+        """First cached cycle (insertion order) with even parity under f,
+        its context and f's :func:`.expo.restrict` to it."""
         for cyc, ctx in self.entries:
-            if in_even_class(restrict(h, f, cyc), ctx.n):
-                return (cyc, ctx)
+            g = restrict(h, f, cyc)
+            if in_even_class(g, ctx.n):
+                return cyc, ctx, g
         return None
 
     def to_json_dict(self) -> dict:
@@ -622,11 +632,12 @@ def color_in_kh(
     f = _plain_row(f)
     if is_isolated(h, f, 3):  # also checks the length and the colors
         raise IsolatedFunctionError(_ISOLATED)
-    entry = cache.find_even(h, f)
-    if entry is None:
-        entry = cache.append(_even_cycle_search(h, f))
-    cyc, ctx = entry
-    color, branch, ell2, p2 = color_row(restrict(h, f, cyc), ctx)
+    hit = cache.find_even(h, f)
+    if hit is None:
+        cyc, ctx = cache.append(_even_cycle_search(h, f))
+        hit = cyc, ctx, restrict(h, f, cyc)
+    _, ctx, g = hit
+    color, branch, ell2, p2 = color_row(g, ctx)
     return ColorVerdict(color, _BRANCHES[branch], ell2, p2), cache
 
 
@@ -657,14 +668,12 @@ def color_rows_in_kh(
       :func:`.winding.np_tour` parity pass over the rows no earlier cycle
       serves.  A cycle is validated against the host before it is used;
       one that is not a host cycle fails every row that reaches it.
-    * Misses, in input order: the first unserved row goes through
-      :func:`color_in_kh`, which searches for and appends a cycle (or
-      raises :class:`NoEvenCycleError`, or an
-      :class:`InvariantViolationError` from coloring the row after the
-      append, which the row fails with); the
-      rows still unserved are then scanned against that cycle only.
-      Since the cache only appends, each row ends up served by the cycle
-      the sequential loop would have found for it.
+    * Misses, in input order: no cached cycle serves the first unserved
+      row, so a fresh search appends its cycle (or raises
+      :class:`NoEvenCycleError`, which the row fails with); the rows
+      still unserved are then scanned against that cycle only.  Since
+      the cache only appends, each row ends up served by the cycle the
+      sequential loop would have found for it.
     * One :func:`color_rows` call per serving cycle colors its rows'
       restrictions, and the verdicts are put back in input order.
 
@@ -715,15 +724,14 @@ def color_rows_in_kh(
         unserved = unserved[~even]
     while len(unserved):
         first, unserved = int(unserved[0]), unserved[1:]
-        size = len(cache)
         try:
-            color_in_kh(h, rows[first].tolist(), cache)  # a miss: appends a cycle
+            cyc, _ = cache.append(_even_cycle_search(h, rows[first].tolist()))
         except (NoEvenCycleError, InvariantViolationError) as exc:
             errors[first] = exc
-        if len(cache) > size:  # a row that failed after the append fails below too
-            even = _even_on(rows[unserved], cache.entries[size][0])
-            cycle[first] = cycle[unserved[even]] = size
-            unserved = unserved[~even]
+            continue
+        even = _even_on(rows[unserved], cyc)
+        cycle[first] = cycle[unserved[even]] = len(cache) - 1
+        unserved = unserved[~even]
 
     verdicts = np.zeros((4, len(rows)), dtype=np.int64)
     for j in np.flatnonzero(np.bincount(cycle[cycle >= 0])).tolist():

@@ -20,12 +20,11 @@ the point is desk-scale ground truth, not scale.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from typing import Iterator, Sequence
 
-from .errors import CapacityError
+from .errors import CapacityError, _Record
 from .graphs import CycleWitness, Graph, _bfs_two_coloring
 from .winding import _Numpy
 
@@ -214,8 +213,7 @@ def neighbor_pairs(
     return src, gs
 
 
-@dataclass(frozen=True)
-class ExpoGraph:
+class ExpoGraph(_Record):
     """A materialized exponential graph over an explicit assignment list.
 
     ``vertices`` is duplicate-free and lexicographically sorted, fixing
@@ -226,12 +224,16 @@ class ExpoGraph:
     also guards the vertex order.
     """
 
+    __slots__ = _fields = ("host", "k", "cycle_target", "vertices", "adjacency", "loops")
     host: Graph
     k: int
     cycle_target: bool
     vertices: tuple[Assignment, ...]
     adjacency: tuple[tuple[int, ...], ...]
     loops: frozenset[int]
+
+    def __init__(self, host, k, cycle_target, vertices, adjacency, loops):
+        self._set(host, k, cycle_target, vertices, adjacency, loops)
 
     @property
     def vertex_count(self) -> int:

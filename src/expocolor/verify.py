@@ -30,10 +30,9 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
 
 from . import coloring, expo, winding
-from .errors import CapacityError, InvariantViolationError
+from .errors import CapacityError, InvariantViolationError, _Record
 from .expo import ComponentClass, ExpoGraph, assignment_grid, row_index
 from .expo import DEFAULT_CAP
 from .graphs import CHROMATIC_HARD_CAP, Graph, bipartition, chromatic_number_exact
@@ -48,16 +47,19 @@ _KEEP_VIOLATIONS = 50
 _BLOCK_ROWS = 512
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(_Record):
     """Outcome of one verifier run: what was claimed, checked, and found."""
 
+    __slots__ = _fields = ("statement", "params", "checked", "violations", "wall_time", "details")
     statement: str
     params: dict
     checked: int
     violations: list[str]
     wall_time: float
-    details: dict = field(default_factory=dict)
+    details: dict
+
+    def __init__(self, statement, params, checked, violations, wall_time, details):
+        self._set(statement, params, checked, violations, wall_time, details)
 
     @property
     def passed(self) -> bool:

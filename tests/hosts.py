@@ -71,7 +71,7 @@ def kh_loop(h: Graph, rows, cache: CycleCache | None = None) -> tuple[RowColors,
         else:
             branch = list(Branch).index(verdict.branch)
             values.append((verdict.color, branch, verdict.ell2, verdict.p2))
-            cycles.append(cache.entries.index(cache.find_even(h, f)))
+            cycles.append(cache.entries.index(cache.find_even(h, f)[:2]))
     color, branch, ell2, p2 = np.array(values, dtype=np.int64).reshape(-1, 4).T
     return RowColors(color, branch, ell2, p2, np.array(failed), errors, np.array(cycles)), cache
 

@@ -223,10 +223,21 @@ def test_color_rejects_non_integer_colors(payload, capsys, monkeypatch):
     assert out == "" and err.startswith("error:")
 
 
+def _read_stack(source: str | None):
+    """``cli._read_assignments`` of ``source``, handing the digits to a
+    buffer of its own: a digit payload as its uint8 (rows, L) stack, any
+    other payload as the JSON rows."""
+    digits = bytearray()
+    rows = cli._read_assignments(source, digits.extend)
+    if isinstance(rows, tuple):
+        return np.frombuffer(digits, dtype=np.uint8).reshape(rows)
+    return rows
+
+
 def test_text_only_stdin_goes_through_the_byte_reader(monkeypatch):
     # a StringIO has no byte buffer: its UTF-8 bytes take the digit reader
     monkeypatch.setattr(sys, "stdin", io.StringIO("[1,2,1]\n[3,3,3]\n"))
-    rows = cli._read_assignments(None)
+    rows = _read_stack(None)
     assert rows.dtype == np.uint8 and rows.tolist() == [[1, 2, 1], [3, 3, 3]]
 
 
@@ -303,7 +314,7 @@ def digit_rows(data: bytes) -> np.ndarray | None:
 def _block_read(data: bytes) -> np.ndarray | None:
     """What the CLI's block reader makes of ``data``, in blocks of
     ``winding._BLOCK`` bytes: its digits as a uint8 (rows, L) stack, as
-    ``cli._read_assignments`` builds it, or None."""
+    :func:`_read_stack` builds it, or None."""
     digits = bytearray()
 
     def take(values):
@@ -380,7 +391,7 @@ _EDGE_PAYLOADS = [
 
 
 def _read_as(mode: str, payload: bytes, tmp_path, monkeypatch):
-    """``cli._read_assignments`` of ``payload`` through ``--input`` or a
+    """:func:`_read_stack` of ``payload`` through ``--input`` or a
     byte-backed stdin, its error as a string if it raises."""
     if mode == "file":
         path = tmp_path / "rows.json"
@@ -391,7 +402,7 @@ def _read_as(mode: str, payload: bytes, tmp_path, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(raw))
         source = None
     try:
-        return cli._read_assignments(source)
+        return _read_stack(source)
     except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
 

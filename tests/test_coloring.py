@@ -350,6 +350,7 @@ def test_cycle_cache_scan_order():
     hit = cache.find_even(bowtie, f)
     assert hit is not None
     assert hit[0].vertices == (2, 3, 4)
+    assert hit[2] == (3, 1, 1)  # f restricted to the cycle that serves it
     # insertion order is honored: an assignment even on the first entry
     # is served by it even when both would do
     hit2 = cache.find_even(bowtie, (1, 1, 2, 1, 2))
@@ -386,6 +387,25 @@ def test_color_in_kh_checks_assignment_once(k4, monkeypatch):
         color_in_kh(k4, (1, 1, 1, 4), CycleCache())
     with pytest.raises(ValueError):
         find_even_cycle(k4, (1, 1, 1))
+
+
+def test_color_in_kh_restricts_a_row_once_per_cycle_it_scans(k4, monkeypatch):
+    # the scan's restriction of the serving cycle is the one colored; a
+    # cached entry that is no host cycle still fails the first row reaching it
+    calls = []
+    real = coloring.restrict
+    monkeypatch.setattr(
+        coloring, "restrict", lambda h, f, cyc: calls.append(cyc) or real(h, f, cyc)
+    )
+    cache = CycleCache()
+    cache.append(CycleWitness((0, 1, 2)))
+    want = color_in_kh(k4, (1, 2, 2, 1))[0]
+    calls.clear()
+    assert color_in_kh(k4, (1, 2, 2, 1), cache)[0] == want
+    assert calls == [CycleWitness((0, 1, 2))]
+    cache = _cache([(0, 1, 4)])
+    with pytest.raises(ValueError, match=r"^\(1,4\) is not a host edge$"):
+        color_in_kh(k4, (1, 2, 2, 1), cache)
 
 
 def test_color_in_kh_proper_on_sampled_pairs(grotzsch):

@@ -57,7 +57,7 @@ def test_graph_rejects_asymmetric_adjacency_at_first_pair():
 
 
 def test_equal_graphs_hash_equal():
-    # the frozen dataclass hashes its fields, so a graph built from edges
+    # a graph, an errors._Record, hashes its fields, so a graph built from edges
     # and the same graph given as adjacency lists are interchangeable keys
     built = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
     listed = Graph(3, ((1, 2), (0, 2), (0, 1)))

@@ -103,18 +103,37 @@ def test_graphs_import_loads_no_numpy():
     assert "numpy" not in loaded
 
 
-@pytest.mark.parametrize("layer", ["cycle-context", "load-graph"])
+def _short_color(argv: list[str]) -> str:
+    """A ``color`` call through ``cli.main`` that must exit 0, its verdict
+    lines kept off standard output."""
+    return (
+        "import contextlib, io\nfrom expocolor.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "layer", ["cycle-context", "load-graph", "cli", "bench", "color-n", "color-graph"]
+)
 def test_the_layers_without_numpy_load_no_dataclasses(layer, tmp_path):
     # ``dataclasses`` imports ``inspect`` (and ``ast``, ``dis``,
-    # ``tokenize``), the larger part of these layers' import time
+    # ``tokenize``), the larger part of these layers' import time; every
+    # record is an ``errors._Record``, so no layer needs it
     path = tmp_path / "c5.json"
     path.write_text('{"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]}')
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text("[1, 1, 2, 1, 2]\n[2, 1, 1, 1, 1]\n")
     statement = {
         "cycle-context": "from expocolor.winding import OddCycleCtx\nOddCycleCtx.make(3, 3)",
         "load-graph": f"from expocolor.graphs import load_graph\nload_graph({str(path)!r})",
+        "cli": "import expocolor.cli",
+        "bench": "import expocolor.bench",
+        "color-n": _short_color(["color", "--n", "2", "--input", str(rows)]),
+        "color-graph": _short_color(["color", "--graph", str(path), "--input", str(rows)]),
     }[layer]
     loaded = _loaded_after(statement)
-    assert {"dataclasses", "inspect", "numpy"} & loaded == set()
+    assert {"dataclasses", "inspect", "ast", "dis", "tokenize", "numpy"} & loaded == set()
 
 
 def test_cli_import_loads_every_traced_module():
