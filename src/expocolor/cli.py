@@ -44,8 +44,6 @@ from .coloring import (
     color_row,
     color_rows,
     color_rows_in_kh,
-    color_vertex,
-    color_vertex_ck,
 )
 from .errors import (
     CapacityError,
@@ -302,10 +300,13 @@ def _read_assignments(path: str | None, take: _Take):
     bytes of their values), and then their (rows, L) shape is returned.
     Any other payload comes back as the tuples of :func:`_json_rows`,
     which also words every input error.  A text-only stdin, such as a
-    ``StringIO``, is read as its UTF-8 bytes.
+    ``StringIO``, is read as its UTF-8 bytes; the None stdin of a process
+    started with fd 0 closed raises the error a read there gives.
     """
     if path is None or path == "-":
         stdin = sys.stdin
+        if stdin is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         if hasattr(stdin, "buffer"):
             fh, encoding, errors = stdin.buffer, stdin.encoding, stdin.errors
         else:
@@ -400,10 +401,13 @@ def _verdict_lines(res: RowColors, end: int) -> str:
 
 def _raise_row(rows, end: int, color_one) -> int:
     """Color row ``end`` of ``rows``, the first that failed or that the
-    stack left out, alone with the one-row routine ``color_one``, which
-    raises its error; when ``rows`` ends there, every row was colored."""
+    stack left out, alone with the short path's ``color_one`` (a digit
+    row as its bytes), which raises its error; it counts without the
+    stack's kernel, so a row it colors failed only in the stack (exit 1).
+    When ``rows`` ends there, every row was colored."""
     if end < len(rows):
-        color_one(rows[end])
+        row = rows[end]
+        color_one(row.tobytes() if isinstance(rows, np.ndarray) else row)
         raise InvariantViolationError(f"row {end} failed only in the stack")
     return EXIT_OK
 
@@ -450,10 +454,11 @@ def _color_short(rows, color_one: Callable) -> int:
 def _short_or_stack(rows, digits: bytearray, weight: int, color_one, color_stack) -> int:
     """Color the rows that :func:`_read_assignments` gave, a digit
     payload's (rows, L) shape with its values in ``digits`` or the JSON
-    rows: one by one with ``color_one`` (:func:`_color_short`) when the
-    rows, each weighing ``weight``, come to at most ``_SHORT_INPUT``, as
-    bytes for a digit payload; else with numpy, by ``color_stack``, the
-    digits as one uint8 stack."""
+    rows: one by one with the host's one-row routine ``color_one``
+    (:func:`_color_short`) when the rows, each weighing ``weight``, come
+    to at most ``_SHORT_INPUT``, as bytes for a digit payload; else with
+    numpy, by ``color_stack(rows, color_one)``, the digits as one uint8
+    stack, which colors its first failing row again with ``color_one``."""
     count = rows[0] if isinstance(rows, tuple) else len(rows)
     if count * weight <= _SHORT_INPUT:
         if isinstance(rows, tuple):
@@ -463,15 +468,15 @@ def _short_or_stack(rows, digits: bytearray, weight: int, color_one, color_stack
     _load_numpy()
     if isinstance(rows, tuple):
         rows = np.frombuffer(digits, dtype=np.uint8).reshape(rows)
-    return color_stack(rows)
+    return color_stack(rows, color_one)
 
 
-def _color_stack(rows, ctx: OddCycleCtx) -> int:
+def _color_stack(rows, color_one, ctx: OddCycleCtx) -> int:
     """Color the rows with numpy, in slices of at most ``winding._BLOCK``
     entries, one :func:`.coloring.color_rows` call each, up to the first
     slice with a row that fails; that row, or the first row the stack
-    leaves out, then raises its error from the one-row routine."""
-    color_one = partial(color_vertex if ctx.k == 3 else color_vertex_ck, ctx=ctx)
+    leaves out, then raises its error from ``color_one``, the short
+    path's :func:`.coloring.color_row` (:func:`_raise_row`)."""
     stack = _stack(rows, ctx.length, ctx.k)
     step = max(1, winding._BLOCK // ctx.length)
     for start in range(0, len(stack), step):
@@ -590,13 +595,13 @@ def _color_on_host(args: argparse.Namespace) -> int:
     if args.cache and Path(args.cache).exists():
         cache = CycleCache.loads(Path(args.cache).read_text())
 
-    def color_stack(rows) -> int:
+    def color_stack(rows, color_one) -> int:
         loaded = len(cache)
         res = color_rows_in_kh(host, _stack(rows, host.vertex_count, 3), cache)[0]
         # keep the cycles that the rows before the first failure found
         used = res.cycle[: _first_failed(res)].max(initial=-1) + 1
         del cache.entries[max(loaded, used) :]
-        return _emit(res, rows, lambda f: color_in_kh(host, f, cache))
+        return _emit(res, rows, color_one)
 
     try:
         weight = _host_row_weight(host, cache)

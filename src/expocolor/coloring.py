@@ -664,16 +664,16 @@ def color_rows_in_kh(
     * Checks, in the one-row order: per row the colors in 1..3 and
       isolation, read from one :func:`expo.isolated_rows` of the stack
       (a constant row stands in for each out-of-range one).
-    * Cache scan: each cached cycle in insertion order, one
+    * One loop over the cache entries in insertion order, with one
       :func:`.winding.np_tour` parity pass over the rows no earlier cycle
-      serves.  A cycle is validated against the host before it is used;
-      one that is not a host cycle fails every row that reaches it.
-    * Misses, in input order: no cached cycle serves the first unserved
-      row, so a fresh search appends its cycle (or raises
-      :class:`NoEvenCycleError`, which the row fails with); the rows
-      still unserved are then scanned against that cycle only.  Since
-      the cache only appends, each row ends up served by the cycle the
-      sequential loop would have found for it.
+      serves.  A loaded cycle is validated against the host before it is
+      used; one that is not a host cycle fails every row that reaches it.
+      Past the last entry, no cached cycle serves the first unserved row,
+      so a fresh search appends its cycle, which serves that row (or
+      raises :class:`NoEvenCycleError`, which the row fails with), and
+      the loop goes on with it.  Since the cache only appends, each row
+      ends up served by the cycle the sequential loop would have found
+      for it.
     * One :func:`color_rows` call per serving cycle colors its rows'
       restrictions, and the verdicts are put back in input order.
 
@@ -710,28 +710,27 @@ def color_rows_in_kh(
 
     cycle = np.full(len(rows), -1, dtype=np.int64)  # each row's serving cycle
     unserved = np.flatnonzero(~bad & ~isolated)
-    for j, entry in enumerate(cache.entries):
-        if not len(unserved):
-            break
-        try:
-            entry[0].validate_in(h)
-        except ValueError as exc:
-            errors.update(dict.fromkeys(unserved.tolist(), exc))
-            unserved = unserved[:0]
-            break
-        even = _even_on(rows[unserved], entry[0])
+    j = 0  # the next entry; below len(cache) only while it is one the call was given
+    while len(unserved):
+        if j < len(cache):
+            cyc = cache.entries[j][0]
+            try:
+                cyc.validate_in(h)
+            except ValueError as exc:
+                errors.update(dict.fromkeys(unserved.tolist(), exc))
+                break
+        else:
+            first, unserved = int(unserved[0]), unserved[1:]
+            try:
+                cyc, _ = cache.append(_even_cycle_search(h, rows[first].tolist()))
+            except (NoEvenCycleError, InvariantViolationError) as exc:
+                errors[first] = exc
+                continue
+            cycle[first] = j
+        even = _even_on(rows[unserved], cyc)
         cycle[unserved[even]] = j
         unserved = unserved[~even]
-    while len(unserved):
-        first, unserved = int(unserved[0]), unserved[1:]
-        try:
-            cyc, _ = cache.append(_even_cycle_search(h, rows[first].tolist()))
-        except (NoEvenCycleError, InvariantViolationError) as exc:
-            errors[first] = exc
-            continue
-        even = _even_on(rows[unserved], cyc)
-        cycle[first] = cycle[unserved[even]] = len(cache) - 1
-        unserved = unserved[~even]
+        j += 1
 
     verdicts = np.zeros((4, len(rows)), dtype=np.int64)
     for j in np.flatnonzero(np.bincount(cycle[cycle >= 0])).tolist():

@@ -215,15 +215,6 @@ class OddCycleCtx(_Record):
         fold.setflags(write=False)
         return fold
 
-    @property
-    def path_arcs(self) -> tuple[tuple[int, int], ...]:
-        """The n arcs of the chord path from a to b."""
-        length = self.length
-        return tuple(
-            ((self.a + 2 * t) % length, (self.a + 2 * t + 2) % length)
-            for t in range(self.n)
-        )
-
 
 def _check_assignment(f: Sequence[int], n: int) -> None:
     if n < 1:

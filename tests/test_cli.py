@@ -666,6 +666,24 @@ def test_color_exits_1_when_an_invariant_breaks(path, tmp_path, monkeypatch, cap
     assert got == (lines, f"error: {error}\n", cli.EXIT_VIOLATIONS)
 
 
+@pytest.mark.parametrize("stdin", ["[2,1,1,1,1]\n", "[[2,1,1,1,1]]\n"], ids=["digits", "json"])
+def test_a_kernel_fault_fails_a_row_only_in_the_stack(stdin, monkeypatch, capsys):
+    # np_tour counts one fixed point too many, so the stack fails the good
+    # row 0; the short path's color_row colors it again with scalar.row_tour,
+    # which the fault does not reach, so the call blames the stack (exit 1),
+    # not the row's parity (exit 3)
+    real = winding.np_tour
+
+    def np_tour(fs, ctx):
+        ell2, p2, fixed, isolated = real(fs, ctx)
+        return ell2, p2, fixed + 1, isolated
+
+    monkeypatch.setattr(winding, "np_tour", np_tour)
+    monkeypatch.setattr(cli, "_SHORT_INPUT", 0)
+    assert run_cli(["color", "--n", "2"], stdin, monkeypatch) == cli.EXIT_VIOLATIONS
+    assert capsys.readouterr() == ("", "error: row 0 failed only in the stack\n")
+
+
 def test_importing_the_cli_leaves_the_pool_and_bench_unloaded():
     # ``color`` needs neither; ``verify --threads`` and ``bench`` import them
     code = (
@@ -1359,3 +1377,22 @@ def test_a_call_started_with_fd_1_closed_exits_0(tmp_path):
 def test_a_write_to_fd_1_closed_at_start_exits_2(argv, stdin, code, stderr):
     proc = _cli_process(argv, input=stdin, preexec_fn=lambda: os.close(1))
     assert (proc.returncode, proc.stderr.decode()) == (code, stderr)
+
+
+@pytest.mark.parametrize("source", ["n", "graph", "input"])
+def test_a_read_from_fd_0_closed_at_start_exits_2(source, c5, tmp_path):
+    # Python sets ``sys.stdin`` to None; reading the rows there fails as a
+    # read from the closed descriptor does, and an --input file is read
+    save_graph(c5, tmp_path / "c5.json")
+    (tmp_path / "rows.json").write_text("[2,1,1,1,1]\n")
+    argv = {
+        "n": ["color", "--n", "2"],
+        "graph": ["color", "--graph", str(tmp_path / "c5.json")],
+        "input": ["color", "--n", "2", "--input", str(tmp_path / "rows.json")],
+    }[source]
+    proc = _cli_process(argv, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(0))
+    got = (proc.returncode, proc.stdout.decode(), proc.stderr.decode())
+    if source == "input":
+        assert got == (0, '{"color": 2, "branch": "BelowHalf", "ell2": 0, "p2": -2}\n', "")
+    else:
+        assert got == (2, "", "error: [Errno 9] Bad file descriptor\n")

@@ -137,7 +137,6 @@ def test_ctx_make_defaults_and_validation():
     ctx = OddCycleCtx.make(2, 3)
     assert (ctx.a, ctx.b) == (0, 4)
     assert ctx.length == 5
-    assert ctx.path_arcs == ((0, 2), (2, 4))
     with pytest.raises(ParityDomainError):
         OddCycleCtx.make(0, 3)
     with pytest.raises(ParityDomainError):
